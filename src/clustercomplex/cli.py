@@ -60,6 +60,17 @@ def _load(args: argparse.Namespace) -> AlgebraData:
         raise ParseError(f"invalid algebra data: {exc}") from exc
 
 
+def _non_negative(text: str) -> int:
+    """argparse type for --t-max: a non-negative integer, else exit 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _add_input(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--input", help="path to an algebra JSON file")
@@ -247,28 +258,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_roots = sub.add_parser("roots", help="emit the catalog as JSON lines")
     _add_input(p_roots)
-    p_roots.add_argument("--t-max", type=int, default=10)
+    p_roots.add_argument("--t-max", type=_non_negative, default=10)
     p_roots.set_defaults(func=_cmd_roots)
 
     p_table = sub.add_parser("table", help="hom/ext lengths as CSV")
     _add_input(p_table)
-    p_table.add_argument("--t-max", type=int, default=10)
+    p_table.add_argument("--t-max", type=_non_negative, default=10)
     p_table.set_defaults(func=_cmd_table)
 
     p_facets = sub.add_parser("facets", help="support-tilting facets as JSON lines")
     _add_input(p_facets)
-    p_facets.add_argument("--t-max", type=int, default=10)
+    p_facets.add_argument("--t-max", type=_non_negative, default=10)
     p_facets.set_defaults(func=_cmd_facets)
 
     p_verify = sub.add_parser("verify", help="run the full verification battery")
     _add_input(p_verify)
-    p_verify.add_argument("--t-max", type=int, default=10)
+    p_verify.add_argument("--t-max", type=_non_negative, default=10)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_graph = sub.add_parser("graph", help="exchange graph export")
     _add_input(p_graph)
-    p_graph.add_argument("--t-max", type=int, default=10)
+    p_graph.add_argument("--t-max", type=_non_negative, default=10)
     p_graph.add_argument("--format", choices=("dot", "json"), default="dot")
     p_graph.set_defaults(func=_cmd_graph)
 
@@ -281,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_order.add_argument("--s", type=int, required=True)
     p_order.add_argument("--u", type=int, required=True)
     p_order.add_argument("--v", type=int, required=True)
-    p_order.add_argument("--t-max", type=int, default=30)
+    p_order.add_argument("--t-max", type=_non_negative, default=30)
     p_order.add_argument("--random-weights", type=int, default=0)
     p_order.add_argument("--seed", type=int, default=0)
     p_order.set_defaults(func=_cmd_total_order)

@@ -24,6 +24,7 @@ from .errors import (
     NoDescent,
     NotRankTwo,
     NotRepresentationInfinite,
+    OracleViolation,
     SymmetrizabilityViolation,
     ZeroModule,
 )
@@ -37,6 +38,7 @@ from .roots import (
     classify_type,
     positive_roots,
     rank2_sequences,
+    two_term_chain,
 )
 from .tilting import (
     SupportTilting,
@@ -201,16 +203,12 @@ def verify_total_order(r: int, s: int, u: int, v: int, t_max: int = 30,
     if any(w1 < 1 or w2 < 1 for w1, w2 in weight_list):
         raise ValueError("weights must be positive")
 
-    def chain(seed0, seed1, m0, m1, steps):
-        out = [seed0, seed1]
-        while len(out) < steps:
-            m = m0 if len(out) % 2 == 0 else m1
-            out.append(tuple(m * a - b for a, b in zip(out[-1], out[-2])))
-        return out
-
     steps = 2 * (t_max + 2)
-    forward = chain((0, 1), (1, s), r, s, steps)
-    backward = chain((1, 0), (r, 1), s, r, steps)
+    forward = two_term_chain((0, 1), (1, s), r, s, steps)
+    backward = two_term_chain((1, 0), (r, 1), s, r, steps)
+    if len(forward) < steps or len(backward) < steps:
+        # with rs >= 4 both chains are positive roots and never stop early
+        raise OracleViolation(f"a chain for r = {r}, s = {s} left the positive cone")
     checked = 0
     for w in weight_list:
         fwd = [w[0] * x + w[1] * y for x, y in forward]

@@ -17,6 +17,7 @@ flag connectivity (the facet adjacency graph of every co-face is connected).
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -25,8 +26,8 @@ from .errors import NotFiniteType, NotProperFace, NotRankTwoInfinite
 from .roots import FINITE, PREINJ, PREPROJ, RANK2_INFINITE, RootCatalog
 from .tilting import (
     SupportTilting,
-    _support_tilting_sets,
     enumerate_support_tilting,
+    support_tilting_sets,
 )
 
 Face = frozenset
@@ -324,18 +325,25 @@ class WindowComplex:
 
 
 def rank2_window_complex(catalog: RootCatalog) -> WindowComplex:
-    """Brute-force facets of a rank-2 window and check the expected line shape.
+    """Brute-force facets of a rank-2 window and check the expected line shape."""
+    if catalog.kind != RANK2_INFINITE:
+        raise NotRankTwoInfinite("window complex requires an infinite rank-2 catalog")
+    return window_complex_from_facets(catalog, support_tilting_sets(catalog))
+
+
+def window_complex_from_facets(catalog: RootCatalog,
+                               support_tiltings: list[SupportTilting]) -> WindowComplex:
+    """Check given window facets against the expected line shape.
 
     Facets must be exactly: the zero module, the two single-vertex members,
     and the neighbouring pairs inside each family.  Every vertex other than
     the two window-boundary members must lie in exactly two facets, and the
-    facet adjacency graph must be a path.
+    facet adjacency graph must be a path.  Incidences are counted in one
+    pass over the facets, and adjacency comes from a ridge -> facets map
+    filled by emitting each facet's ridges.
     """
-    if catalog.kind != RANK2_INFINITE:
-        raise NotRankTwoInfinite("window complex requires an infinite rank-2 catalog")
     n = catalog.algebra.n
-    sts = _support_tilting_sets(catalog)
-    facets = tuple(sorted((encode_face(n, st) for st in sts),
+    facets = tuple(sorted((encode_face(n, st) for st in support_tiltings),
                           key=lambda f: tuple(sorted(f))))
 
     expected: set[Face] = {frozenset(range(n))}
@@ -353,24 +361,23 @@ def rank2_window_complex(catalog: RootCatalog) -> WindowComplex:
     preproj = [e.id for e in catalog.entries if e.component == PREPROJ]
     preinj = [e.id for e in catalog.entries if e.component == PREINJ]
     boundary = {n + preproj[-1], n + preinj[0]}
-    interior_ridges_ok = True
+    incidence = Counter(v for facet in facets for v in facet)
     vertices = set(range(n)) | {n + e.id for e in catalog.entries}
-    for v in vertices:
-        count = sum(1 for facet in facets if v in facet)
-        want = 1 if v in boundary else 2
-        if count != want:
-            interior_ridges_ok = False
-            break
+    interior_ridges_ok = all(incidence[v] == (1 if v in boundary else 2) for v in vertices)
 
+    by_ridge: dict[Face, list[int]] = defaultdict(list)
+    for i, facet in enumerate(facets):
+        for v in facet:
+            by_ridge[facet - {v}].append(i)
     adj: dict[int, list[int]] = {i: [] for i in range(len(facets))}
-    for i, j in combinations(range(len(facets)), 2):
-        if len(facets[i] ^ facets[j]) == 2:
+    for holders in by_ridge.values():
+        for i, j in combinations(holders, 2):
             adj[i].append(j)
             adj[j].append(i)
     path_ok = is_path({i: tuple(v) for i, v in adj.items()})
 
     return WindowComplex(catalog=catalog,
-                         support_tiltings=tuple(sts),
+                         support_tiltings=tuple(support_tiltings),
                          facets=facets,
                          facets_expected=facets_expected,
                          interior_ridges_ok=interior_ridges_ok,

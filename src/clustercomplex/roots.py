@@ -9,8 +9,9 @@ injectives backward.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import linalg
@@ -59,25 +60,28 @@ class Indec:
     vertex: int | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class RootCatalog:
-    """Ordered, immutable-by-convention list of Indec entries."""
+    """Ordered, immutable list of Indec entries."""
 
     kind: str
     algebra: AlgebraData
     entries: tuple[Indec, ...]
     cutoff: int | None = None
-    _by_dimv: dict | None = field(default=None, repr=False, compare=False)
-    _homext: list | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
+    @functools.cached_property
     def by_dimv(self) -> dict[DimVector, Indec]:
-        if self._by_dimv is None:
-            self._by_dimv = {e.dimv: e for e in self.entries}
-        return self._by_dimv
+        return {e.dimv: e for e in self.entries}
+
+    @functools.cached_property
+    def kernel(self):
+        """Ext-compatibility bitmasks (`homext.ExtKernel`), built on first use."""
+        from .homext import build_kernel
+
+        return build_kernel(self)
 
     def dimvs(self) -> list[DimVector]:
         return [e.dimv for e in self.entries]
@@ -151,7 +155,8 @@ def _rank2_roles(algebra: AlgebraData) -> tuple[int, int]:
     return 0, 1
 
 
-def _chain(seed0: DimVector, seed1: DimVector, mult0: int, mult1: int, steps: int) -> list[DimVector]:
+def two_term_chain(seed0: DimVector, seed1: DimVector, mult0: int, mult1: int,
+                   steps: int) -> list[DimVector]:
     """Alternating two-term recurrence next = m * last - second_last.
 
     The multiplier alternates: terms at even positions (like seed0) use mult0,
@@ -193,8 +198,8 @@ def rank2_sequences(algebra: AlgebraData, t_max: int) -> RootCatalog:
     s = -algebra.cartan[snk][src]
     steps = 2 * (t_max + 1)
 
-    prep = _chain(projective_dimv(algebra, snk), projective_dimv(algebra, src), r, s, steps)
-    prei = _chain(injective_dimv(algebra, src), injective_dimv(algebra, snk), s, r, steps)
+    prep = two_term_chain(projective_dimv(algebra, snk), projective_dimv(algebra, src), r, s, steps)
+    prei = two_term_chain(injective_dimv(algebra, src), injective_dimv(algebra, snk), s, r, steps)
 
     def make(idx: int, dimv: DimVector, comp: str, pos: int, even_vertex: int, odd_vertex: int) -> Indec:
         vertex = even_vertex if pos % 2 == 0 else odd_vertex

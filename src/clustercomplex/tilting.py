@@ -24,7 +24,7 @@ from .errors import (
     NotFiniteType,
     OracleViolation,
 )
-from .homext import _tables, _validate_ids, is_rigid, iter_rigid_sets, support
+from .homext import ids_of, is_rigid, iter_rigid_sets, mask_of, support, validate_ids
 from .roots import FINITE, RootCatalog
 
 
@@ -50,12 +50,14 @@ def zero_facet(catalog: RootCatalog) -> SupportTilting:
     return SupportTilting(ids=(), sigma=tuple(range(catalog.algebra.n)))
 
 
-def _support_tilting_sets(catalog: RootCatalog) -> list[SupportTilting]:
+def support_tilting_sets(catalog: RootCatalog) -> list[SupportTilting]:
+    """Rigid sets with as many members as supported vertices, of any catalog kind."""
+    n = catalog.algebra.n
     out = []
     for ids in iter_rigid_sets(catalog):
-        supp, sigma = support(catalog, ids)
-        if len(ids) == len(supp):
-            out.append(SupportTilting(ids=ids, sigma=tuple(sorted(sigma))))
+        supp = catalog.kernel.support_of(ids)
+        if len(ids) == supp.bit_count():
+            out.append(SupportTilting(ids=ids, sigma=tuple(v for v in range(n) if not supp >> v & 1)))
     out.sort(key=lambda st: (len(st.ids), st.ids))
     return out
 
@@ -64,7 +66,7 @@ def enumerate_support_tilting(catalog: RootCatalog) -> list[SupportTilting]:
     """All facets, the zero module included, in a deterministic order."""
     if catalog.kind != FINITE:
         raise NotFiniteType("facet enumeration requires a finite catalog")
-    return _support_tilting_sets(catalog)
+    return support_tilting_sets(catalog)
 
 
 def _window(catalog: RootCatalog, within: Iterable[int] | None) -> frozenset[int]:
@@ -81,7 +83,7 @@ def complements(catalog: RootCatalog, t_ids: Iterable[int],
     size.  There are exactly two complements when T is sincere in the window
     and exactly one otherwise.
     """
-    members = _validate_ids(catalog, t_ids)
+    members = validate_ids(catalog, t_ids)
     window = _window(catalog, within)
     supp, _ = support(catalog, members)
     if not supp <= window or len(members) + 1 != len(window):
@@ -89,73 +91,45 @@ def complements(catalog: RootCatalog, t_ids: Iterable[int],
             f"{len(members)} members cannot be almost complete in window of size {len(window)}")
     if not is_rigid(catalog, members):
         raise ValueError("T must be rigid")
-    table = _tables(catalog)
-    found = []
-    for entry in catalog.entries:
-        if entry.id in members:
-            continue
-        if any(c > 0 for v, c in enumerate(entry.dimv) if v not in window):
-            continue
-        if all(table[i][entry.id][1] == 0 and table[entry.id][i][1] == 0 for i in members) \
-                and table[entry.id][entry.id][1] == 0:
-            found.append(entry.id)
-    return found
+    return list(ids_of(_pool(catalog, members, window)))
+
+
+def _pool(catalog: RootCatalog, members: tuple[int, ...], window: frozenset[int]) -> int:
+    """Members outside T, supported in the window, compatible with all of T."""
+    kernel = catalog.kernel
+    return kernel.within(window) & kernel.meet(kernel.compat, members) & ~mask_of(members)
 
 
 def _completions(catalog: RootCatalog, members: tuple[int, ...],
                  window: frozenset[int]) -> list[tuple[int, ...]]:
     """All tilting sets inside the window containing the given rigid set."""
-    table = _tables(catalog)
-    pool = [e.id for e in catalog.entries
-            if e.id not in members
-            and all(c == 0 for v, c in enumerate(e.dimv) if v not in window)
-            and all(table[i][e.id][1] == 0 and table[e.id][i][1] == 0 for i in members)]
     need = len(window) - len(members)
-    results: list[tuple[int, ...]] = []
-    stack: list[int] = []
-
-    def extend(start: int):
-        if len(stack) == need:
-            results.append(tuple(sorted(members + tuple(stack))))
-            return
-        for k in range(start, len(pool)):
-            cand = pool[k]
-            if all(table[m][cand][1] == 0 and table[cand][m][1] == 0 for m in stack):
-                stack.append(cand)
-                extend(k + 1)
-                stack.pop()
-
-    extend(0)
-    return results
+    return [tuple(sorted(members + rest))
+            for rest in catalog.kernel.cliques(_pool(catalog, members, window), need)
+            if len(rest) == need]
 
 
 def _canonical_complement(catalog: RootCatalog, t_ids: Iterable[int],
                           within: Iterable[int] | None, dual: bool) -> frozenset[int]:
-    members = _validate_ids(catalog, t_ids)
+    members = validate_ids(catalog, t_ids)
     if not is_rigid(catalog, members):
         raise ValueError("T must be rigid")
     window = _window(catalog, within)
     supp, _ = support(catalog, members)
     if not supp <= window:
         raise ValueError(f"support {sorted(supp)} escapes window {sorted(window)}")
-    table = _tables(catalog)
-    in_window = [e.id for e in catalog.entries
-                 if all(c == 0 for v, c in enumerate(e.dimv) if v not in window)]
-    if dual:
-        orthogonal = [m for m in in_window if all(table[m][i][1] == 0 for i in members)]
-    else:
-        orthogonal = [m for m in in_window if all(table[i][m][1] == 0 for i in members)]
+    # ext(i, m) = 0 puts m in ext_free_out[i]; the dual test ext(m, i) = 0
+    # puts m in ext_free_in[i].  The same masks then test each completion.
+    kernel = catalog.kernel
+    free = kernel.ext_free_in if dual else kernel.ext_free_out
+    orthogonal = kernel.within(window) & kernel.meet(free, members)
     completions = _completions(catalog, members, window)
     if not completions:
         raise NoCompletion(f"no tilting completion of {members} in window {sorted(window)}")
     good = []
     for full in completions:
         rest = [i for i in full if i not in members]
-        if dual:
-            ok = all(table[m][c][1] == 0 for c in rest for m in orthogonal)
-        else:
-            ok = all(table[c][m][1] == 0 for c in rest for m in orthogonal)
-        if ok:
+        if all(free[c] & orthogonal == orthogonal for c in rest):
             good.append(frozenset(rest))
     if not good:
         raise NoCompletion(f"no completion of {members} satisfies the canonical property")
@@ -171,7 +145,7 @@ def bongartz(catalog: RootCatalog, t_ids: Iterable[int],
     The ext-vanishing test alone pins the completion: any two candidates
     are mutually ext-orthogonal, so together with T they would form a rigid
     set larger than the window, impossible.  NonUniqueCompletion therefore
-    signals a pairing-table bug; the recovery would be to intersect with the
+    signals a pairing bug; the recovery would be to intersect with the
     dual test, but no input is known to need it.
     """
     if catalog.kind != FINITE:
@@ -189,13 +163,13 @@ def dual_bongartz(catalog: RootCatalog, t_ids: Iterable[int],
 
 def relative_bongartz(catalog: RootCatalog, t_ids: Iterable[int]) -> frozenset[int]:
     """Canonical completion computed inside the support of T."""
-    members = _validate_ids(catalog, t_ids)
+    members = validate_ids(catalog, t_ids)
     supp, _ = support(catalog, members)
     return bongartz(catalog, members, within=supp)
 
 
 def relative_dual_bongartz(catalog: RootCatalog, t_ids: Iterable[int]) -> frozenset[int]:
-    members = _validate_ids(catalog, t_ids)
+    members = validate_ids(catalog, t_ids)
     supp, _ = support(catalog, members)
     return dual_bongartz(catalog, members, within=supp)
 
@@ -268,7 +242,7 @@ def verify_b2_structure(catalog: RootCatalog, t_ids: Iterable[int]) -> SplitRepo
     """
     if catalog.kind != FINITE:
         raise NotFiniteType("split verification requires a finite catalog")
-    members = _validate_ids(catalog, t_ids)
+    members = validate_ids(catalog, t_ids)
     _, sigma = support(catalog, members)
     sigma_sorted = tuple(sorted(sigma))
     _, b2 = bongartz_split(catalog, members)

@@ -48,6 +48,14 @@ def oracle_is_rigid(euler, dimvs):
                for x in dimvs for y in dimvs if x != y)
 
 
+def oracle_rigid_sets(euler, roots):
+    """All rigid subsets of at most n roots by exhaustive enumeration."""
+    return [frozenset(subset)
+            for size in range(len(euler) + 1)
+            for subset in combinations(roots, size)
+            if oracle_is_rigid(euler, subset)]
+
+
 def oracle_support(dimvs, n):
     return {v for d in dimvs for v in range(n) if d[v] > 0}
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from clustercomplex.cli import main
 
 
@@ -144,3 +146,15 @@ def test_deterministic_output(capsys):
     _, first, _ = run(capsys, "facets", "--fixture", "d4")
     _, second, _ = run(capsys, "facets", "--fixture", "d4")
     assert first == second
+
+
+def test_negative_t_max_is_misuse(capsys):
+    for argv in (["verify", "--fixture", "kronecker", "--t-max", "-1"],
+                 ["roots", "--fixture", "g2", "--t-max", "-3"],
+                 ["total-order", "--r", "2", "--s", "2", "--u", "1", "--v", "1", "--t-max", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--t-max: must be non-negative, got" in err
+        assert "Traceback" not in err

@@ -19,8 +19,16 @@ from clustercomplex import (
     verify_ap_axioms,
     verify_flag_connected,
 )
+from clustercomplex import polytope
+from clustercomplex.cli import main
 from clustercomplex.errors import NotFiniteType, NotProperFace, NotRankTwoInfinite
-from clustercomplex.polytope import complex_from_facets, is_path, is_single_cycle
+from clustercomplex.polytope import (
+    complex_from_facets,
+    is_path,
+    is_single_cycle,
+    window_complex_from_facets,
+)
+from clustercomplex.tilting import support_tilting_sets
 
 
 def build(name):
@@ -183,3 +191,24 @@ def test_is_path_helper():
     assert is_path({0: (1,), 1: (0, 2), 2: (1,)})
     assert not is_path({0: (1,), 1: (0,), 2: ()})
     assert is_path({0: ()})
+
+
+def test_window_checks_fail_on_dropped_facet(monkeypatch, capsys):
+    # drop one neighbour pair from the middle of the forward family: the facet
+    # list is wrong, its two members lie in one facet each, and the path splits
+    cat = rank2_sequences(fixture("kronecker"), 4)
+    sts = support_tilting_sets(cat)
+    pairs = [st for st in sts if len(st.ids) == 2]
+    victim = pairs[len(pairs) // 4]
+    kept = [st for st in sts if st != victim]
+    window = window_complex_from_facets(cat, kept)
+    assert not window.facets_expected
+    assert not window.interior_ridges_ok
+    assert not window.path_ok
+
+    monkeypatch.setattr(polytope, "support_tilting_sets",
+                        lambda catalog: [st for st in support_tilting_sets(catalog) if st != victim])
+    assert main(["verify", "--fixture", "kronecker", "--t-max", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "window-facets ✗" in out and "interior-ridges ✗" in out and "path ✗" in out
+    assert "total-order ✓" in out and "rank2-descent ✓" in out
