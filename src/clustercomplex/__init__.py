@@ -27,6 +27,7 @@ from .homext import (
 from .measure import (
     Mu,
     MU_ZERO,
+    descent_path,
     descent_step,
     lambda_compare,
     lambda_vector,

@@ -22,6 +22,7 @@ from .errors import (
     ArrowWithoutEntry,
     CyclicOrientation,
     DimensionMismatch,
+    InvalidAlgebra,
     NegativeCoordinate,
     NonIntegralSolution,
     NotSymmetrizable,
@@ -46,35 +47,39 @@ def build_algebra(cartan: Sequence[Sequence[int]],
                   symmetrizer: Sequence[int],
                   arrows: Iterable[tuple[int, int]]) -> AlgebraData:
     """Validate Cartan matrix, symmetrizer and orientation; compute the Euler matrix."""
-    c = tuple(tuple(int(x) for x in row) for row in cartan)
-    u = tuple(int(x) for x in symmetrizer)
+    try:
+        c = tuple(tuple(_integer(x, "Cartan entry") for x in row) for row in cartan)
+        u = tuple(_integer(x, "symmetrizer entry") for x in symmetrizer)
+        arrow_set = frozenset((_integer(a, "arrow end"), _integer(b, "arrow end"))
+                              for a, b in arrows)
+    except (TypeError, ValueError) as exc:
+        raise InvalidAlgebra(str(exc)) from exc
     n = len(c)
     if len(u) != n or any(len(row) != n for row in c):
         raise DimensionMismatch(f"inconsistent shapes: C is {len(c)} rows, u has {len(u)} entries")
     for i in range(n):
         if c[i][i] != 2:
-            raise ValueError(f"c[{i}][{i}] = {c[i][i]}, diagonal entries must be 2")
+            raise InvalidAlgebra(f"c[{i}][{i}] = {c[i][i]}, diagonal entries must be 2")
         for j in range(n):
             if i != j and c[i][j] > 0:
-                raise ValueError(f"c[{i}][{j}] = {c[i][j]}, off-diagonal entries must be <= 0")
+                raise InvalidAlgebra(f"c[{i}][{j}] = {c[i][j]}, off-diagonal entries must be <= 0")
         if u[i] < 1:
-            raise ValueError(f"symmetrizer entry u[{i}] = {u[i]} must be positive")
+            raise InvalidAlgebra(f"symmetrizer entry u[{i}] = {u[i]} must be positive")
     for i in range(n):
         for j in range(i + 1, n):
             if u[i] * c[i][j] != u[j] * c[j][i]:
                 raise NotSymmetrizable(
                     f"u[{i}]*c[{i}][{j}] = {u[i] * c[i][j]} != {u[j] * c[j][i]} = u[{j}]*c[{j}][{i}]")
 
-    arrow_set = frozenset((int(a), int(b)) for a, b in arrows)
     for (i, j) in arrow_set:
         if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise ValueError(f"invalid arrow ({i}, {j})")
+            raise InvalidAlgebra(f"invalid arrow ({i}, {j})")
         if c[i][j] == 0:
             raise ArrowWithoutEntry(f"arrow ({i}, {j}) but c[{i}][{j}] = 0")
     for i in range(n):
         for j in range(i + 1, n):
             if c[i][j] < 0 and (i, j) not in arrow_set and (j, i) not in arrow_set:
-                raise ValueError(f"c[{i}][{j}] < 0 but no arrow between {i} and {j}")
+                raise InvalidAlgebra(f"c[{i}][{j}] < 0 but no arrow between {i} and {j}")
 
     _check_acyclic(n, arrow_set)
 
@@ -83,6 +88,15 @@ def build_algebra(cartan: Sequence[Sequence[int]],
               for j in range(n))
         for i in range(n))
     return AlgebraData(n=n, cartan=c, symmetrizer=u, arrows=arrow_set, euler=euler)
+
+
+def _integer(x, what: str) -> int:
+    """x as an int; bools, non-integral numbers and non-numbers raise TypeError."""
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"{what} {x!r} is not an integer")
+    return x
 
 
 def _check_acyclic(n: int, arrows: frozenset[tuple[int, int]]) -> None:
@@ -209,12 +223,15 @@ def algebra_from_dict(data: dict) -> AlgebraData:
     try:
         cartan = data["cartan"]
         symmetrizer = data["symmetrizer"]
-        arrows = [(int(a) - 1, int(b) - 1) for a, b in data.get("arrows", [])]
+        arrows = [(_integer(a, "arrow end") - 1, _integer(b, "arrow end") - 1)
+                  for a, b in data.get("arrows", [])]
+        declared = _integer(data["n"], "declared n") if "n" in data else None
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed algebra data: {exc}") from exc
-    if "n" in data and int(data["n"]) != len(cartan):
-        raise ParseError(f"declared n = {data['n']} but cartan has {len(cartan)} rows")
-    return build_algebra(cartan, symmetrizer, arrows)
+    algebra = build_algebra(cartan, symmetrizer, arrows)
+    if declared is not None and declared != algebra.n:
+        raise ParseError(f"declared n = {declared} but cartan has {algebra.n} rows")
+    return algebra
 
 
 def load_algebra(path: str) -> AlgebraData:

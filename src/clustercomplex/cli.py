@@ -17,7 +17,7 @@ from .errors import ClusterComplexError, ParseError, UnsupportedAlgebra
 from .fixtures import fixture, fixture_names
 from .homext import hom_ext
 from .measure import (
-    descent_step,
+    descent_path,
     mu,
     verify_descent,
     verify_endos_all,
@@ -26,6 +26,7 @@ from .measure import (
 )
 from .polytope import (
     build_complex,
+    exchange_graph,
     rank2_window_complex,
     verify_ap_axioms,
     verify_flag_connected,
@@ -186,11 +187,7 @@ def _cmd_graph(args) -> int:
     else:
         cx = rank2_window_complex(catalog)
     labels = [cx.face_label(f) for f in cx.facets]
-    edges = []
-    for i in range(len(cx.facets)):
-        for j in range(i + 1, len(cx.facets)):
-            if len(cx.facets[i] ^ cx.facets[j]) == 2:
-                edges.append((i, j))
+    edges = [(i, j) for i, nbrs in exchange_graph(cx).items() for j in nbrs if i < j]
     if args.format == "json":
         print(json.dumps({"nodes": labels, "edges": edges}))
     else:
@@ -207,11 +204,10 @@ def _cmd_descent(args) -> int:
     algebra = _load(args)
     catalog = catalog_for(algebra)
     zero = zero_facet(catalog)
+    facets = enumerate_support_tilting(catalog)
     all_ok = True
-    for st in enumerate_support_tilting(catalog):
-        path = [st]
-        while path[-1] != zero and len(path) <= len(catalog.entries) ** 2 + 2:
-            path.append(descent_step(catalog, path[-1]))
+    for st in facets:
+        path = descent_path(catalog, st, len(facets))
         labels = []
         for facet in path:
             dimvs = ",".join(format_dimv(catalog.entries[i].dimv) for i in facet.ids)

@@ -5,6 +5,10 @@ class ClusterComplexError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidAlgebra(ClusterComplexError, ValueError):
+    """Cartan data, symmetrizer or arrows break a rule of the input format."""
+
+
 class NotSymmetrizable(ClusterComplexError):
     """diag(u) * C is not symmetric for the given symmetrizer."""
 

@@ -9,67 +9,58 @@ from fractions import Fraction
 from typing import Sequence
 
 
-def det(matrix: Sequence[Sequence[int]]) -> Fraction:
-    """Determinant of a square matrix, by exact Gaussian elimination."""
-    n = len(matrix)
+def gauss_jordan(matrix: Sequence[Sequence[int]],
+                 ncols: int | None = None) -> tuple[list[list[Fraction]], list[int], int]:
+    """Exact Gauss-Jordan elimination, pivoting only in the first `ncols` columns.
+
+    Returns the reduced rows, the pivot columns and the sign of the row swaps.
+    The k-th row holds the k-th pivot, which is cleared from every other row;
+    rows are never scaled, so the determinant of a square matrix is the swap
+    sign times the product of its pivots.
+    """
     rows = [[Fraction(x) for x in row] for row in matrix]
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
     sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+    for col in range(ncols):
+        if len(pivots) == len(rows):
+            break
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
+            continue
+        if pivot != top:
+            rows[top], rows[pivot] = rows[pivot], rows[top]
             sign = -sign
-        pv = rows[col][col]
-        result *= pv
-        for r in range(col + 1, n):
-            factor = rows[r][col] / pv
-            if factor:
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[col][c]
-    return sign * result
+        pv = rows[top][col]
+        for r in range(len(rows)):
+            if r != top and rows[r][col]:
+                factor = rows[r][col] / pv
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[top])]
+        pivots.append(col)
+    return rows, pivots, sign
+
+
+def det(matrix: Sequence[Sequence[int]]) -> Fraction:
+    """Determinant of a square matrix."""
+    rows, pivots, sign = gauss_jordan(matrix)
+    if len(pivots) < len(matrix):
+        return Fraction(0)
+    result = Fraction(sign)
+    for k in range(len(rows)):
+        result *= rows[k][k]
+    return result
 
 
 def rank(vectors: Sequence[Sequence[int]]) -> int:
     """Rank of the span of the given vectors over the rationals."""
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    rk = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rk, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rk], rows[pivot] = rows[pivot], rows[rk]
-        pv = rows[rk][col]
-        for r in range(len(rows)):
-            if r != rk and rows[r][col]:
-                factor = rows[r][col] / pv
-                for c in range(col, ncols):
-                    rows[r][c] -= factor * rows[rk][c]
-        rk += 1
-        if rk == len(rows):
-            break
-    return rk
+    return len(gauss_jordan(vectors)[1])
 
 
 def solve_square(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[Fraction] | None:
     """Solve M x = rhs for square M; None when M is singular."""
-    n = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col] / pv
-                for c in range(col, n + 1):
-                    aug[r][c] -= factor * aug[col][c]
-    return [aug[i][n] / aug[i][i] for i in range(n)]
+    return solve_columns(list(zip(*matrix)), rhs)
 
 
 def solve_columns(columns: Sequence[Sequence[int]], target: Sequence[int]) -> list[Fraction] | None:
@@ -78,38 +69,12 @@ def solve_columns(columns: Sequence[Sequence[int]], target: Sequence[int]) -> li
     Requires the columns to be linearly independent, so a solution is unique
     when it exists.  An empty column list solves only the zero target.
     """
-    if not columns:
-        return [] if all(x == 0 for x in target) else None
-    nrows = len(target)
     ncols = len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])]
-           for i in range(nrows)]
-    pivot_row_of: list[int | None] = [None] * ncols
-    rk = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rk, nrows) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[rk], aug[pivot] = aug[pivot], aug[rk]
-        pv = aug[rk][col]
-        for r in range(nrows):
-            if r != rk and aug[r][col]:
-                factor = aug[r][col] / pv
-                for c in range(col, ncols + 1):
-                    aug[r][c] -= factor * aug[rk][c]
-        pivot_row_of[col] = rk
-        rk += 1
-    if any(p is None for p in pivot_row_of):
+    aug = [[column[i] for column in columns] + [target[i]] for i in range(len(target))]
+    rows, pivots, _ = gauss_jordan(aug, ncols)
+    if len(pivots) < ncols or any(row[ncols] for row in rows[ncols:]):
         return None
-    # remaining rows must be consistent
-    for r in range(rk, nrows):
-        if aug[r][ncols] != 0:
-            return None
-    coeffs = []
-    for col in range(ncols):
-        row = pivot_row_of[col]
-        coeffs.append(aug[row][ncols] / aug[row][col])
-    return coeffs
+    return [rows[k][ncols] / rows[k][k] for k in range(ncols)]
 
 
 def nonneg_int_combination(columns: Sequence[Sequence[int]], target: Sequence[int]) -> list[int] | None:

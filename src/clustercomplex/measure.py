@@ -143,6 +143,24 @@ def descent_step(catalog: RootCatalog, facet: SupportTilting) -> SupportTilting:
     return best
 
 
+def descent_path(catalog: RootCatalog, facet: SupportTilting,
+                 max_steps: int) -> list[SupportTilting]:
+    """The descent from `facet` towards the zero facet, `facet` first.
+
+    The walk stops at the zero facet, before a step that fails to drop the
+    lambda vector, or once it has taken more than `max_steps` steps; the
+    last facet of the path is then where the descent stalled.
+    """
+    zero = zero_facet(catalog)
+    path = [facet]
+    while path[-1] != zero and len(path) <= max_steps + 1:
+        nxt = descent_step(catalog, path[-1])
+        if lambda_compare(lambda_vector(catalog, nxt), lambda_vector(catalog, path[-1])) >= 0:
+            break
+        path.append(nxt)
+    return path
+
+
 @dataclass
 class DescentReport:
     ok: bool
@@ -158,19 +176,9 @@ def verify_descent(catalog: RootCatalog) -> DescentReport:
     steps: dict[SupportTilting, int] = {}
     ok = True
     for start in facets:
-        current = start
-        count = 0
-        while current != zero and count <= len(facets):
-            nxt = descent_step(catalog, current)
-            if lambda_compare(lambda_vector(catalog, nxt),
-                              lambda_vector(catalog, current)) >= 0:
-                ok = False
-                break
-            current = nxt
-            count += 1
-        if current != zero:
-            ok = False
-        steps[start] = count
+        path = descent_path(catalog, start, len(facets))
+        steps[start] = len(path) - 1
+        ok = ok and path[-1] == zero
     return DescentReport(ok=ok, steps=steps, max_steps=max(steps.values(), default=0))
 
 

@@ -12,17 +12,29 @@ Axioms checked here, for a poset with bottom and top:
   AP4  every rank-1 section contains exactly four elements (diamonds),
 plus simpliciality (each proper face's lower interval is boolean) and strong
 flag connectivity (the facet adjacency graph of every co-face is connected).
+
+Every question about the facets above a face is answered by one incidence
+index: `incidence(facets)` maps each vertex to the bitmask of the indices of
+the facets holding it, and `holders(rows, face)` ANDs the rows of the face's
+vertices.  A ridge is thin when its holder mask has popcount 2; two facets
+are exchange neighbours when one holds a ridge of the other.  On a pure,
+downward-closed complex the literal walk on flags is connected exactly when
+every ridge is thin and the exchange graph is connected, so strong flag
+connectivity is decided from the same rows at any size.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from functools import reduce
+from itertools import combinations
+from operator import and_, or_
+from typing import Sequence
 
 from .algebra import format_dimv
 from .errors import NotFiniteType, NotProperFace, NotRankTwoInfinite
+from .homext import ids_of
 from .roots import FINITE, PREINJ, PREPROJ, RANK2_INFINITE, RootCatalog
 from .tilting import (
     SupportTilting,
@@ -34,8 +46,6 @@ Face = frozenset
 
 POLYGONS = {4: "square", 5: "pentagon", 6: "hexagon", 8: "octagon"}
 
-FLAG_ENUMERATION_LIMIT = 20_000
-
 
 def encode_face(n: int, st: SupportTilting) -> Face:
     return frozenset(st.sigma) | frozenset(n + i for i in st.ids)
@@ -46,6 +56,25 @@ def decode_face(n: int, face: Face) -> tuple[tuple[int, ...], tuple[int, ...]]:
     ids = tuple(sorted(v - n for v in face if v >= n))
     sigma = tuple(sorted(v for v in face if v < n))
     return ids, sigma
+
+
+def incidence(facets: Sequence[Face]) -> dict[int, int]:
+    """Vertex -> bitmask of the indices of the facets that hold it."""
+    rows: dict[int, int] = defaultdict(int)
+    for i, facet in enumerate(facets):
+        for v in facet:
+            rows[v] |= 1 << i
+    return dict(rows)
+
+
+def holders(rows: dict[int, int], face: Face) -> int:
+    """Bitmask of the facets holding `face`: the AND of its vertices' rows.
+
+    The empty face lies in every facet.
+    """
+    if not face:
+        return reduce(or_, rows.values(), 0)
+    return reduce(and_, (rows.get(v, 0) for v in face))
 
 
 def _face_label(catalog: RootCatalog, face: Face) -> str:
@@ -132,12 +161,9 @@ def verify_ap_axioms(cx: ClusterComplex) -> AxiomReport:
             break
 
     # AP4 at the top: each ridge lies in exactly two facets.
-    bad_ridges = []
-    for face in faces:
-        if len(face) == n - 1:
-            count = sum(1 for facet in cx.facets if face <= facet)
-            if count != 2:
-                bad_ridges.append(face)
+    rows = incidence(cx.facets)
+    bad_ridges = [face for face in faces
+                  if len(face) == n - 1 and holders(rows, face).bit_count() != 2]
     ap4 = not bad_ridges
     # AP4 inside the proper part: two-step intervals are diamonds.
     if ap4:
@@ -157,17 +183,25 @@ def verify_ap_axioms(cx: ClusterComplex) -> AxiomReport:
                        bad_ridges=bad_ridges)
 
 
-def exchange_graph(cx: ClusterComplex) -> dict[int, tuple[int, ...]]:
-    """Facet adjacency: indices into cx.facets, edge iff the faces share a ridge."""
-    adj: dict[int, list[int]] = {i: [] for i in range(len(cx.facets))}
-    for i, j in combinations(range(len(cx.facets)), 2):
-        if len(cx.facets[i] ^ cx.facets[j]) == 2:
-            adj[i].append(j)
-            adj[j].append(i)
-    return {i: tuple(sorted(v)) for i, v in adj.items()}
+def _exchange(facets: Sequence[Face], rows: dict[int, int]) -> dict[int, tuple[int, ...]]:
+    """Facet adjacency from the incidence rows: a facet's neighbours are the
+    holders of its ridges, less the facet itself."""
+    adj = {}
+    for i, facet in enumerate(facets):
+        mask = reduce(or_, (holders(rows, facet - {v}) for v in facet), 0)
+        adj[i] = ids_of(mask & ~(1 << i))
+    return adj
 
 
-def _connected(nodes: list[int], adj: dict[int, tuple[int, ...]]) -> bool:
+def exchange_graph(cx: ClusterComplex | WindowComplex) -> dict[int, tuple[int, ...]]:
+    """Facet adjacency: indices into cx.facets, edge iff the faces share a ridge.
+
+    Reads only `cx.facets`, so finite and window complexes share it.
+    """
+    return _exchange(cx.facets, incidence(cx.facets))
+
+
+def _connected(nodes: Sequence[int], adj: dict[int, tuple[int, ...]]) -> bool:
     if not nodes:
         return True
     allowed = set(nodes)
@@ -199,77 +233,47 @@ def is_path(adj: dict[int, tuple[int, ...]]) -> bool:
             and _connected(nodes, adj))
 
 
-def _all_flags(cx: ClusterComplex) -> list[tuple[Face, ...]]:
-    flags = []
-    for facet in cx.facets:
-        for order in permutations(sorted(facet)):
-            chain = []
-            current: set = set()
-            for v in order:
-                current.add(v)
-                chain.append(frozenset(current))
-            flags.append(tuple(chain))
-    return flags
-
-
-def _flags_connected(cx: ClusterComplex) -> bool:
-    """Literal adjacency walk on flags: adjacent iff they differ in one chain entry."""
-    flags = _all_flags(cx)
-    index = {f: i for i, f in enumerate(flags)}
-    adj: dict[int, list[int]] = {i: [] for i in range(len(flags))}
-    groups: dict[tuple, list[int]] = {}
-    for f, i in index.items():
-        for pos in range(len(f)):
-            key = (pos, f[:pos], f[pos + 1:])
-            groups.setdefault(key, []).append(i)
-    for members in groups.values():
-        if len(members) != 2:
-            return False
-        a, b = members
-        adj[a].append(b)
-        adj[b].append(a)
-    return _connected(list(range(len(flags))), {k: tuple(v) for k, v in adj.items()})
-
-
 @dataclass
 class FlagReport:
+    """Strong flag connectivity, from the incidence rows.
+
+    `thin` holds when every ridge lies in exactly two facets.  Given
+    thinness, the flags are connected exactly when the exchange graph is.
+    """
+
     exchange_connected: bool
     zero_reachable: bool
     cofaces_connected: bool
-    literal_flags_connected: bool | None
+    thin: bool
 
     @property
     def ok(self) -> bool:
-        literal = self.literal_flags_connected in (None, True)
-        return self.exchange_connected and self.zero_reachable and self.cofaces_connected and literal
+        return (self.exchange_connected and self.zero_reachable
+                and self.cofaces_connected and self.thin)
 
 
 def verify_flag_connected(cx: ClusterComplex) -> FlagReport:
     n = cx.n
-    adj = exchange_graph(cx)
-    nodes = list(range(len(cx.facets)))
-    exchange_connected = _connected(nodes, adj)
+    rows = incidence(cx.facets)
+    adj = _exchange(cx.facets, rows)
+    exchange_connected = _connected(list(adj), adj)
 
     zero_face = frozenset(range(n))
     zero_reachable = zero_face in cx.facets and exchange_connected
 
-    cofaces_connected = True
+    cofaces_connected = thin = True
     for face in cx.faces:
         if len(face) == n:
             continue
-        holding = [i for i in nodes if face <= cx.facets[i]]
-        if not _connected(holding, adj):
-            cofaces_connected = False
-            break
-
-    literal = None
-    if len(cx.facets) * math.factorial(n) <= FLAG_ENUMERATION_LIMIT:
-        literal = _flags_connected(cx)
+        holding = holders(rows, face)
+        if len(face) == n - 1:
+            thin = thin and holding.bit_count() == 2
+        cofaces_connected = cofaces_connected and _connected(ids_of(holding), adj)
 
     return FlagReport(exchange_connected=exchange_connected,
                       zero_reachable=zero_reachable,
                       cofaces_connected=cofaces_connected,
-                      literal_flags_connected=literal)
+                      thin=thin)
 
 
 @dataclass
@@ -288,17 +292,18 @@ def coface_profile(cx: ClusterComplex, face: Face) -> CofaceProfile:
     """
     if face not in cx.faces:
         raise NotProperFace(f"{sorted(face)} is not a proper face")
-    n = cx.n
-    rank = n - len(face)
-    holding = [i for i in range(len(cx.facets)) if face <= cx.facets[i]]
+    rank = cx.n - len(face)
+    rows = incidence(cx.facets)
+    holding = holders(rows, face)
+    count = holding.bit_count()
     polygon = None
     ok = True
     if rank == 2:
-        polygon = POLYGONS.get(len(holding))
-        adj = exchange_graph(cx)
-        sub = {i: tuple(j for j in adj[i] if face <= cx.facets[j]) for i in holding}
+        polygon = POLYGONS.get(count)
+        adj = _exchange(cx.facets, rows)
+        sub = {i: tuple(j for j in adj[i] if holding >> j & 1) for i in ids_of(holding)}
         ok = polygon is not None and is_single_cycle(sub)
-    return CofaceProfile(rank=rank, facet_count=len(holding), polygon=polygon, ok=ok)
+    return CofaceProfile(rank=rank, facet_count=count, polygon=polygon, ok=ok)
 
 
 @dataclass
@@ -338,9 +343,7 @@ def window_complex_from_facets(catalog: RootCatalog,
     Facets must be exactly: the zero module, the two single-vertex members,
     and the neighbouring pairs inside each family.  Every vertex other than
     the two window-boundary members must lie in exactly two facets, and the
-    facet adjacency graph must be a path.  Incidences are counted in one
-    pass over the facets, and adjacency comes from a ridge -> facets map
-    filled by emitting each facet's ridges.
+    facet adjacency graph must be a path.  Both come from the incidence rows.
     """
     n = catalog.algebra.n
     facets = tuple(sorted((encode_face(n, st) for st in support_tiltings),
@@ -361,20 +364,11 @@ def window_complex_from_facets(catalog: RootCatalog,
     preproj = [e.id for e in catalog.entries if e.component == PREPROJ]
     preinj = [e.id for e in catalog.entries if e.component == PREINJ]
     boundary = {n + preproj[-1], n + preinj[0]}
-    incidence = Counter(v for facet in facets for v in facet)
+    rows = incidence(facets)
     vertices = set(range(n)) | {n + e.id for e in catalog.entries}
-    interior_ridges_ok = all(incidence[v] == (1 if v in boundary else 2) for v in vertices)
-
-    by_ridge: dict[Face, list[int]] = defaultdict(list)
-    for i, facet in enumerate(facets):
-        for v in facet:
-            by_ridge[facet - {v}].append(i)
-    adj: dict[int, list[int]] = {i: [] for i in range(len(facets))}
-    for holders in by_ridge.values():
-        for i, j in combinations(holders, 2):
-            adj[i].append(j)
-            adj[j].append(i)
-    path_ok = is_path({i: tuple(v) for i, v in adj.items()})
+    interior_ridges_ok = all(rows.get(v, 0).bit_count() == (1 if v in boundary else 2)
+                             for v in vertices)
+    path_ok = is_path(_exchange(facets, rows))
 
     return WindowComplex(catalog=catalog,
                          support_tiltings=tuple(support_tiltings),

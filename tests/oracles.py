@@ -2,10 +2,11 @@
 
 Nothing here calls into the package's enumeration or pairing machinery: ext
 lengths are recomputed from the raw Euler matrix, facets by exhaustive
-subset search, and root lists are classical tables written out by hand.
+subset search, root lists are classical tables written out by hand, and
+flag connectivity is the literal walk on every flag of every facet.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 # Positive roots in simple-root coordinates, straight from the tables.
 KNOWN_ROOTS = {
@@ -69,3 +70,35 @@ def oracle_facets(euler, roots):
             if len(oracle_support(subset, n)) == size and oracle_is_rigid(euler, subset):
                 found.append(frozenset(subset))
     return found
+
+
+def oracle_flags_connected(facets):
+    """Literal walk on flags: two flags are adjacent when their chains differ
+    in exactly one entry, and every such group must hold exactly two flags.
+
+    A flag of a facet is one ordering of its vertices, read as the chain of
+    its growing prefixes; there are n! flags per facet.
+    """
+    flags = []
+    for facet in facets:
+        for order in permutations(sorted(facet)):
+            flags.append(tuple(frozenset(order[:k]) for k in range(1, len(order) + 1)))
+    groups = {}
+    for i, flag in enumerate(flags):
+        for pos in range(len(flag)):
+            groups.setdefault((pos, flag[:pos], flag[pos + 1:]), []).append(i)
+    adj = {i: [] for i in range(len(flags))}
+    for members in groups.values():
+        if len(members) != 2:
+            return False
+        a, b = members
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = {0} if flags else set()
+    stack = list(seen)
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(flags)

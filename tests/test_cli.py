@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clustercomplex.cli import main
 
@@ -61,6 +67,62 @@ def test_parse_error_exit(capsys, tmp_path):
                                    "symmetrizer": [1, 1], "arrows": [[1, 2]]}))
     code, _, _ = run(capsys, "verify", "--input", str(invalid))
     assert code == 3
+
+
+A2 = {"n": 2, "cartan": [[2, -1], [-1, 2]], "symmetrizer": [1, 1], "arrows": [[1, 2]]}
+
+
+@pytest.mark.parametrize("change", [
+    {"cartan": [[3, -1], [-1, 2]]},
+    {"n": "two"},
+    {"arrows": [[1, 5]]},
+    {"arrows": [[0, 1]]},
+    {"cartan": [[2, -1.5], [-1, 2]]},
+], ids=["c00=3", "n=two", "arrow-1-5", "arrow-0-1", "entry-1.5"])
+def test_bad_algebra_exits_3(capsys, tmp_path, change):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**A2, **change}))
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# mostly plausible values, so that valid algebras of every kind come up too
+_junk = st.one_of(st.integers(-4, 3), st.floats(allow_nan=True), st.text(max_size=3))
+
+
+def _entry(usual):
+    return st.one_of(usual, usual, usual, _junk)
+
+
+@st.composite
+def _algebra_dicts(draw):
+    n = draw(st.integers(0, 3))
+    data = {
+        "cartan": [[draw(_entry(st.just(2) if i == j else st.integers(-3, 0)))
+                    for j in range(n)] for i in range(n)],
+        "symmetrizer": [draw(_entry(st.integers(1, 3))) for _ in range(n)],
+        "arrows": draw(st.lists(st.lists(_entry(st.integers(1, n + 1)), min_size=2, max_size=2),
+                                max_size=3)),
+    }
+    if draw(st.booleans()):
+        data["n"] = draw(_entry(st.just(n)))
+    return data
+
+
+@settings(max_examples=150, deadline=2000, database=None, derandomize=True)
+@given(_algebra_dicts())
+def test_verify_any_algebra_dict_exits_cleanly(data):
+    # exit codes only: 0 verified, 1 a check failed, 3 bad input, 4 unsupported
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "algebra.json"
+        path.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--input", str(path)])
+    assert code in (0, 1, 3, 4)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_roots_jsonl(capsys):

@@ -1,8 +1,11 @@
+import json
 from itertools import combinations
 
 import pytest
 
 from clustercomplex import (
+    FINITE_FIXTURES,
+    build_algebra,
     build_complex,
     coface_profile,
     decode_face,
@@ -29,6 +32,7 @@ from clustercomplex.polytope import (
     window_complex_from_facets,
 )
 from clustercomplex.tilting import support_tilting_sets
+from oracles import oracle_flags_connected
 
 
 def build(name):
@@ -99,11 +103,46 @@ def test_exchange_graph_polygons():
 
 def test_flag_connectivity():
     for name in ("a1", "a1xa1", "a2", "a3", "b2", "b3", "g2"):
-        report = verify_flag_connected(build(name))
+        cx = build(name)
+        report = verify_flag_connected(cx)
         assert report.exchange_connected
         assert report.zero_reachable
         assert report.cofaces_connected
-        assert report.literal_flags_connected is True
+        assert report.thin
+        assert oracle_flags_connected(cx.facets)
+
+
+@pytest.mark.parametrize("name", FINITE_FIXTURES)
+def test_flag_check_agrees_with_literal_walk(name):
+    # the fixture and every complex left by dropping one of its facets
+    cat = positive_roots(fixture(name))
+    sts = enumerate_support_tilting(cat)
+    for dropped in [None] + sts:
+        cx = complex_from_facets(cat, [st for st in sts if st != dropped])
+        report = verify_flag_connected(cx)
+        assert report.ok == oracle_flags_connected(cx.facets), (name, dropped)
+        assert report.ok == (dropped is None)
+
+
+def test_strong_flag_fails_at_any_size(monkeypatch, capsys, tmp_path):
+    # A6 has 429 facets and 720 flags per facet; a dropped facet leaves every
+    # co-face connected, so only thinness can catch it
+    n = 6
+    cartan = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
+              for i in range(n)]
+    path = tmp_path / "a6.json"
+    path.write_text(json.dumps({"cartan": cartan, "symmetrizer": [1] * n,
+                                "arrows": [[i, i + 1] for i in range(1, n)]}))
+    cat = positive_roots(build_algebra(cartan, [1] * n, [(i, i + 1) for i in range(n - 1)]))
+    victim = enumerate_support_tilting(cat)[-1]  # a sincere facet
+    assert len(victim.ids) == n
+
+    monkeypatch.setattr(polytope, "enumerate_support_tilting",
+                        lambda catalog: [st for st in enumerate_support_tilting(catalog)
+                                         if st != victim])
+    assert main(["verify", "--input", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("facets=428") and "strong-flag ✗" in out
 
 
 def test_coface_profiles_g2():
