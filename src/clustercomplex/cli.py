@@ -203,6 +203,8 @@ def _cmd_graph(args) -> int:
 def _cmd_descent(args) -> int:
     algebra = _load(args)
     catalog = catalog_for(algebra)
+    if catalog.kind != FINITE:
+        raise UnsupportedAlgebra("descent requires a representation-finite algebra")
     zero = zero_facet(catalog)
     facets = enumerate_support_tilting(catalog)
     all_ok = True

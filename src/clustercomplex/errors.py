@@ -69,10 +69,6 @@ class NoCompletion(ClusterComplexError):
     """No tilting completion satisfies the defining property."""
 
 
-class NonUniqueCompletion(ClusterComplexError):
-    """More than one completion satisfies a property that pins a unique one."""
-
-
 class MatchingFailed(ClusterComplexError):
     """No perfect matching between complement summands and dropped vertices."""
 

@@ -87,7 +87,7 @@ MU_ZERO = Mu(0, 1)
 
 
 def mu(catalog: RootCatalog, x: Indec) -> Mu:
-    return Mu(length(catalog.algebra, x.dimv), x.q)
+    return Mu(catalog.lengths[x.id], x.q)
 
 
 def mu_compare(a: Mu, b: Mu) -> int:
@@ -130,32 +130,37 @@ def descent_step(catalog: RootCatalog, facet: SupportTilting) -> SupportTilting:
         return zero_facet(catalog)
     forward = bongartz(catalog, (chosen,), within=supp_m)
     backward = dual_bongartz(catalog, (chosen,), within=supp_m)
-    current = lambda_vector(catalog, facet)
-    best = None
-    for ids in ({chosen} | forward, {chosen} | backward):
-        candidate = as_facet(catalog, ids)
-        if lambda_compare(lambda_vector(catalog, candidate), current) < 0:
-            if best is None or lambda_compare(lambda_vector(catalog, candidate),
-                                              lambda_vector(catalog, best)) < 0:
-                best = candidate
-    if best is None:
+    # tuples of Mu compare lexicographically, as lambda_compare does; ties keep forward
+    best = min((as_facet(catalog, {chosen} | part) for part in (forward, backward)),
+               key=lambda f: lambda_vector(catalog, f))
+    if not lambda_vector(catalog, best) < lambda_vector(catalog, facet):
         raise NoDescent(f"no candidate improves on facet {facet}")
     return best
+
+
+def _descend(catalog: RootCatalog, facet: SupportTilting) -> SupportTilting | None:
+    """The next facet of the descent, or None where the walk stops: at the
+    zero facet, and before a step that fails to drop the lambda vector."""
+    if facet == zero_facet(catalog):
+        return None
+    nxt = descent_step(catalog, facet)
+    if lambda_compare(lambda_vector(catalog, nxt), lambda_vector(catalog, facet)) >= 0:
+        return None
+    return nxt
 
 
 def descent_path(catalog: RootCatalog, facet: SupportTilting,
                  max_steps: int) -> list[SupportTilting]:
     """The descent from `facet` towards the zero facet, `facet` first.
 
-    The walk stops at the zero facet, before a step that fails to drop the
-    lambda vector, or once it has taken more than `max_steps` steps; the
-    last facet of the path is then where the descent stalled.
+    The walk stops where `_descend` stops it, or once it has taken more than
+    `max_steps` steps; the last facet of the path is then where the descent
+    stalled.
     """
-    zero = zero_facet(catalog)
     path = [facet]
-    while path[-1] != zero and len(path) <= max_steps + 1:
-        nxt = descent_step(catalog, path[-1])
-        if lambda_compare(lambda_vector(catalog, nxt), lambda_vector(catalog, path[-1])) >= 0:
+    while len(path) <= max_steps + 1:
+        nxt = _descend(catalog, path[-1])
+        if nxt is None:
             break
         path.append(nxt)
     return path
@@ -170,15 +175,31 @@ class DescentReport:
 
 def verify_descent(catalog: RootCatalog) -> DescentReport:
     """Iterate descent from every facet; the vector must drop each step and
-    the zero facet must be reached within (number of facets) steps."""
+    the zero facet must be reached within (number of facets) steps.
+
+    Walks share their tails: each facet's (steps, end) is recorded once, and
+    a walk stops at the first recorded facet.  `steps[f]` is what
+    `descent_path(catalog, f, len(facets))` gives, which cuts a walk after
+    len(facets) + 1 steps.
+    """
     facets = enumerate_support_tilting(catalog)
     zero = zero_facet(catalog)
-    steps: dict[SupportTilting, int] = {}
-    ok = True
+    bound = len(facets) + 1
+    walks: dict[SupportTilting, tuple[int, SupportTilting]] = {}
     for start in facets:
-        path = descent_path(catalog, start, len(facets))
-        steps[start] = len(path) - 1
-        ok = ok and path[-1] == zero
+        path = [start]
+        while path[-1] not in walks:
+            nxt = _descend(catalog, path[-1])
+            if nxt is None:
+                walks[path[-1]] = (0, path[-1])
+            else:
+                path.append(nxt)
+        count, end = walks[path.pop()]
+        for facet in reversed(path):
+            count += 1
+            walks[facet] = (count, end)
+    steps = {f: min(walks[f][0], bound) for f in facets}
+    ok = all(walks[f][1] == zero and walks[f][0] <= bound for f in facets)
     return DescentReport(ok=ok, steps=steps, max_steps=max(steps.values(), default=0))
 
 

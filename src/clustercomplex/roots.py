@@ -77,6 +77,11 @@ class RootCatalog:
         return {e.dimv: e for e in self.entries}
 
     @functools.cached_property
+    def lengths(self) -> tuple[int, ...]:
+        """Total length of each member, by id."""
+        return tuple(length(self.algebra, e.dimv) for e in self.entries)
+
+    @functools.cached_property
     def kernel(self):
         """Ext-compatibility bitmasks (`homext.ExtKernel`), built on first use."""
         from .homext import build_kernel

@@ -2,11 +2,12 @@
 
 A rigid id set is support-tilting when it has as many members as supported
 vertices; it is then a basis of the lattice restricted to its support.  The
-canonical completion of a rigid set T inside a vertex window W is pinned by
-an ext-vanishing test: among all tilting completions of T inside W, exactly
-one consists of members B with ext(B, M) = 0 for every in-window M that is
-ext-orthogonal to T.  The mirror test (swap the pairing order) pins the dual
-completion.  Uniqueness is asserted, not assumed.
+canonical completion of a rigid set T inside a vertex window W is read off
+directly (K. Bongartz, "Tilted algebras", LNM 903, 1981): it is the set G of
+members B outside T, compatible with T, with ext(B, M) = 0 for every
+in-window M that is ext-orthogonal to T.  The mirror test (swap the pairing
+order) gives the dual completion.  That G completes T is checked, not
+assumed: |T| + |G| must equal |W|.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .algebra import injective_dimv, projective_dimv
 from .errors import (
     MatchingFailed,
     NoCompletion,
-    NonUniqueCompletion,
     NotAlmostComplete,
     NotFiniteType,
     OracleViolation,
@@ -100,17 +100,10 @@ def _pool(catalog: RootCatalog, members: tuple[int, ...], window: frozenset[int]
     return kernel.within(window) & kernel.meet(kernel.compat, members) & ~mask_of(members)
 
 
-def _completions(catalog: RootCatalog, members: tuple[int, ...],
-                 window: frozenset[int]) -> list[tuple[int, ...]]:
-    """All tilting sets inside the window containing the given rigid set."""
-    need = len(window) - len(members)
-    return [tuple(sorted(members + rest))
-            for rest in catalog.kernel.cliques(_pool(catalog, members, window), need)
-            if len(rest) == need]
-
-
 def _canonical_complement(catalog: RootCatalog, t_ids: Iterable[int],
                           within: Iterable[int] | None, dual: bool) -> frozenset[int]:
+    if catalog.kind != FINITE:
+        raise NotFiniteType("canonical completion requires a finite catalog")
     members = validate_ids(catalog, t_ids)
     if not is_rigid(catalog, members):
         raise ValueError("T must be rigid")
@@ -119,45 +112,35 @@ def _canonical_complement(catalog: RootCatalog, t_ids: Iterable[int],
     if not supp <= window:
         raise ValueError(f"support {sorted(supp)} escapes window {sorted(window)}")
     # ext(i, m) = 0 puts m in ext_free_out[i]; the dual test ext(m, i) = 0
-    # puts m in ext_free_in[i].  The same masks then test each completion.
+    # puts m in ext_free_in[i].
     kernel = catalog.kernel
     free = kernel.ext_free_in if dual else kernel.ext_free_out
     orthogonal = kernel.within(window) & kernel.meet(free, members)
-    completions = _completions(catalog, members, window)
-    if not completions:
-        raise NoCompletion(f"no tilting completion of {members} in window {sorted(window)}")
-    good = []
-    for full in completions:
-        rest = [i for i in full if i not in members]
-        if all(free[c] & orthogonal == orthogonal for c in rest):
-            good.append(frozenset(rest))
-    if not good:
-        raise NoCompletion(f"no completion of {members} satisfies the canonical property")
-    if len(good) > 1:
-        raise NonUniqueCompletion(f"{len(good)} completions of {members} satisfy the property")
-    return good[0]
+    good = [c for c in ids_of(_pool(catalog, members, window))
+            if free[c] & orthogonal == orthogonal]
+    if len(members) + len(good) != len(window):
+        raise NoCompletion(f"no canonical completion of {members} in window {sorted(window)}: "
+                           f"{len(good)} candidates for {len(window) - len(members)} places")
+    return frozenset(good)
 
 
 def bongartz(catalog: RootCatalog, t_ids: Iterable[int],
              within: Iterable[int] | None = None) -> frozenset[int]:
     """The canonical completion: ext-orthogonality to T propagates to it.
 
-    The ext-vanishing test alone pins the completion: any two candidates
-    are mutually ext-orthogonal, so together with T they would form a rigid
-    set larger than the window, impossible.  NonUniqueCompletion therefore
-    signals a pairing bug; the recovery would be to intersect with the
-    dual test, but no input is known to need it.
+    Direct rule: the completion is G, the members c compatible with T with
+    ext(c, m) = 0 for every in-window m ext-orthogonal to T.  G lies inside
+    that orthogonal set, so T + G is rigid and has at most |window| members;
+    any completion passing the test lies inside G, so it is G.  The one
+    check left is |T| + |G| = |window|; NoCompletion names T and the window
+    when it fails.
     """
-    if catalog.kind != FINITE:
-        raise NotFiniteType("canonical completion requires a finite catalog")
     return _canonical_complement(catalog, t_ids, within, dual=False)
 
 
 def dual_bongartz(catalog: RootCatalog, t_ids: Iterable[int],
                   within: Iterable[int] | None = None) -> frozenset[int]:
     """Mirror of `bongartz` with the pairing order swapped."""
-    if catalog.kind != FINITE:
-        raise NotFiniteType("canonical completion requires a finite catalog")
     return _canonical_complement(catalog, t_ids, within, dual=True)
 
 

@@ -1,9 +1,11 @@
 """Independent brute-force oracles and hand-frozen reference data.
 
 Nothing here calls into the package's enumeration or pairing machinery: ext
-lengths are recomputed from the raw Euler matrix, facets by exhaustive
-subset search, root lists are classical tables written out by hand, and
-flag connectivity is the literal walk on every flag of every facet.
+lengths are recomputed from the raw Euler matrix, facets and canonical
+completions by exhaustive subset search, root lists are classical tables
+written out by hand, flag connectivity is the literal walk on every flag of
+every facet, and the face-poset axioms enumerate every subset and every
+two-step interval of every face.
 """
 
 from itertools import combinations, permutations
@@ -102,3 +104,45 @@ def oracle_flags_connected(facets):
                 seen.add(w)
                 stack.append(w)
     return len(seen) == len(flags)
+
+
+def oracle_canonical_completions(euler, roots, t, window, dual=False):
+    """Every tilting completion of the rigid root set `t` inside the vertex
+    set `window`, by exhaustive search, filtered by the ext test: each added
+    root c has ext(c, m) = 0 (dual: ext(m, c) = 0) for every in-window root m
+    with ext(x, m) = 0 (dual: ext(m, x) = 0) for all x in t.  The canonical
+    completion is the only one left, so the list has one entry.
+    """
+    n = len(euler)
+
+    def ext(x, y):
+        return oracle_ext(euler, y, x) if dual else oracle_ext(euler, x, y)
+
+    inside = [r for r in roots if oracle_support([r], n) <= set(window)]
+    orthogonal = [m for m in inside if all(ext(x, m) == 0 for x in t)]
+    candidates = [r for r in inside if r not in t and oracle_is_rigid(euler, list(t) + [r])]
+    return [frozenset(extra)
+            for extra in combinations(candidates, len(window) - len(t))
+            if oracle_is_rigid(euler, extra)
+            and all(ext(c, m) == 0 for c in extra for m in orthogonal)]
+
+
+def oracle_pure(faces, n):
+    """AP2 as purity: every face contained in no other face has n vertices."""
+    return all(len(f) == n for f in faces if not any(f < g for g in faces))
+
+
+def oracle_simplicial(faces):
+    """Every one of the 2^|F| subsets of every face F is a face."""
+    return all(frozenset(sub) in faces
+               for face in faces
+               for size in range(len(face) + 1)
+               for sub in combinations(sorted(face), size))
+
+
+def oracle_diamonds(faces):
+    """Every two-step interval from U - {a, b} up to a face U has both middle
+    elements U - a and U - b, for every pair {a, b} of U's vertices."""
+    return all(sum(1 for v in pair if upper - frozenset(pair) | {v} in faces) == 2
+               for upper in faces if len(upper) >= 2
+               for pair in combinations(sorted(upper), 2))

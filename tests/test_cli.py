@@ -111,18 +111,29 @@ def _algebra_dicts(draw):
     return data
 
 
-@settings(max_examples=150, deadline=2000, database=None, derandomize=True)
-@given(_algebra_dicts())
-def test_verify_any_algebra_dict_exits_cleanly(data):
+def _exits_cleanly(command, data):
     # exit codes only: 0 verified, 1 a check failed, 3 bad input, 4 unsupported
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "algebra.json"
         path.write_text(json.dumps(data))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["verify", "--input", str(path)])
+            code = main([command, "--input", str(path)])
     assert code in (0, 1, 3, 4)
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=150, deadline=2000, database=None, derandomize=True)
+@given(_algebra_dicts())
+def test_verify_any_algebra_dict_exits_cleanly(data):
+    _exits_cleanly("verify", data)
+
+
+@pytest.mark.parametrize("command", ["roots", "facets", "graph", "descent"])
+@settings(max_examples=150, deadline=2000, database=None, derandomize=True)
+@given(data=_algebra_dicts())
+def test_other_commands_on_any_algebra_dict_exit_cleanly(command, data):
+    _exits_cleanly(command, data)
 
 
 def test_roots_jsonl(capsys):
@@ -178,6 +189,13 @@ def test_descent_cli(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 8
     assert all(line.startswith("ok") for line in lines)
+
+
+@pytest.mark.parametrize("name", ["kronecker", "valued15"])
+def test_descent_on_infinite_rank2_is_unsupported(capsys, name):
+    code, out, err = run(capsys, "descent", "--fixture", name)
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_total_order_cli(capsys):

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from clustercomplex import (
+    FINITE_FIXTURES,
     MU_ZERO,
     Mu,
     as_facet,
+    descent_path,
     descent_step,
     enumerate_support_tilting,
     fixture,
@@ -22,6 +24,7 @@ from clustercomplex import (
     verify_total_order,
     zero_facet,
 )
+from clustercomplex import measure
 from clustercomplex.errors import (
     Disconnected,
     LengthMismatch,
@@ -101,11 +104,39 @@ def test_descent_step_g2():
 
 
 def test_verify_descent_fixtures():
-    for name in ("a1", "a1xa1", "a2", "a3", "b2", "b3", "c3", "d4", "g2"):
+    # the shared-tail report gives every facet the steps of its own walk
+    for name in FINITE_FIXTURES:
         cat = positive_roots(fixture(name))
+        facets = enumerate_support_tilting(cat)
         report = verify_descent(cat)
         assert report.ok
-        assert report.max_steps <= len(enumerate_support_tilting(cat))
+        assert report.max_steps <= len(facets)
+        assert list(report.steps) == facets
+        for f in facets:
+            path = descent_path(cat, f, len(facets))
+            assert report.steps[f] == len(path) - 1
+            assert path[-1] == zero_facet(cat)
+
+
+def test_descent_stalls_where_the_vector_does_not_drop(monkeypatch):
+    # a step that returns its own facet leaves the vector where it was: the
+    # walks through that facet stop there, and the report fails
+    cat = positive_roots(fixture("d4"))
+    facets = enumerate_support_tilting(cat)
+    before = verify_descent(cat).steps
+    victim = next(f for f in facets if before[f] == 1)
+    step = measure.descent_step
+    monkeypatch.setattr(measure, "descent_step",
+                        lambda catalog, facet: facet if facet == victim else step(catalog, facet))
+    report = verify_descent(cat)
+    assert not report.ok
+    stalled = []
+    for f in facets:
+        path = descent_path(cat, f, len(facets))
+        assert report.steps[f] == len(path) - 1
+        if path[-1] == victim:
+            stalled.append(f)
+    assert report.steps[victim] == 0 and len(stalled) > 1
 
 
 def test_total_order_examples():

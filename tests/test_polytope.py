@@ -26,13 +26,14 @@ from clustercomplex import polytope
 from clustercomplex.cli import main
 from clustercomplex.errors import NotFiniteType, NotProperFace, NotRankTwoInfinite
 from clustercomplex.polytope import (
+    ClusterComplex,
     complex_from_facets,
     is_path,
     is_single_cycle,
     window_complex_from_facets,
 )
 from clustercomplex.tilting import support_tilting_sets
-from oracles import oracle_flags_connected
+from oracles import oracle_diamonds, oracle_flags_connected, oracle_pure, oracle_simplicial
 
 
 def build(name):
@@ -78,10 +79,51 @@ def test_face_set_equals_all_valid_pairs():
         assert expected == set(cx.faces)
 
 
-@pytest.mark.parametrize("name", ["a1", "a1xa1", "a2", "a3", "b2", "b3", "c3", "g2"])
+def _agrees_with_oracles(cx):
+    report = verify_ap_axioms(cx)
+    assert report.ap1 == (frozenset() in cx.faces and bool(cx.facets))
+    assert report.ap2 == oracle_pure(cx.faces, cx.n)
+    assert report.simplicial == oracle_simplicial(cx.faces)
+    assert report.ap4 == (not report.bad_ridges and oracle_diamonds(cx.faces))
+    return report
+
+
+@pytest.mark.parametrize("name", FINITE_FIXTURES)
 def test_axioms_pass(name):
-    report = verify_ap_axioms(build(name))
+    report = _agrees_with_oracles(build(name))
     assert report.ap1 and report.ap2 and report.ap4 and report.simplicial
+    assert not report.bad_ridges
+
+
+def _mutants(cx):
+    """Hand-damaged face sets over the same facets, by name."""
+    faces = cx.faces
+    vertex = min(f for f in faces if len(f) == 1)
+    middle = min((f for f in faces if 1 < len(f) < cx.n), key=sorted)
+    stray = frozenset({max(v for f in faces for v in f) + 1})
+    return {
+        "empty face dropped": (cx.facets, faces - {frozenset()}),
+        "vertex dropped": (cx.facets, faces - {vertex}),
+        "mid-rank face dropped": (cx.facets, faces - {middle}),
+        "small maximal face": (cx.facets, faces | {stray}),
+        "facet list short": (cx.facets[1:], faces),
+        "no facets": ((), frozenset()),
+        "no facets, empty face": ((), frozenset({frozenset()})),
+    }
+
+
+def test_every_axiom_key_can_fail():
+    failed = set()
+    for name in ("a3", "b3", "d4"):
+        cx = build(name)
+        for label, (facets, faces) in _mutants(cx).items():
+            mutant = ClusterComplex(catalog=cx.catalog, support_tiltings=cx.support_tiltings,
+                                    facets=facets, faces=faces)
+            report = _agrees_with_oracles(mutant)
+            assert not report.ok, (name, label)
+            failed |= {key for key in ("ap1", "ap2", "ap4", "simplicial")
+                       if not getattr(report, key)}
+    assert failed == {"ap1", "ap2", "ap4", "simplicial"}
 
 
 def test_axioms_fail_on_corrupted_complex():

@@ -1,6 +1,7 @@
 import pytest
 
 from clustercomplex import (
+    FINITE_FIXTURES,
     bongartz,
     bongartz_split,
     complements,
@@ -17,9 +18,16 @@ from clustercomplex import (
     support,
     verify_b2_structure,
 )
-from clustercomplex.errors import NotAlmostComplete, NotFiniteType
+from clustercomplex.errors import NoCompletion, NotAlmostComplete, NotFiniteType
+from clustercomplex.roots import RootCatalog
 
-from oracles import KNOWN_FACET_COUNTS, oracle_facets
+from oracles import (
+    KNOWN_FACET_COUNTS,
+    oracle_canonical_completions,
+    oracle_facets,
+    oracle_rigid_sets,
+    oracle_support,
+)
 
 
 def dimvs_of(cat, ids):
@@ -172,3 +180,29 @@ def test_endo_length_shadow_of_b2():
             got = sorted(cat.entries[i].q for i in b2)
             want = sorted(u[v] for v in st.sigma)
             assert got == want
+
+
+@pytest.mark.parametrize("name", FINITE_FIXTURES)
+def test_canonical_completion_matches_brute_force(name):
+    # the direct rule against every tilting completion filtered by the ext
+    # test, for every rigid set, in the full window and in its support
+    alg = fixture(name)
+    cat = positive_roots(alg)
+    n = alg.n
+    for t in oracle_rigid_sets(alg.euler, cat.dimvs()):
+        ids = [cat.by_dimv[d].id for d in t]
+        for window in (range(n), sorted(oracle_support(t, n))):
+            for dual, complete in ((False, bongartz), (True, dual_bongartz)):
+                got = frozenset(cat.entries[i].dimv for i in complete(cat, ids, within=window))
+                want = oracle_canonical_completions(alg.euler, cat.dimvs(), t, window, dual)
+                assert want == [got], (sorted(t), list(window), dual)
+
+
+def test_missing_completion_names_t_and_window():
+    # without (1,1) neither the projectives nor the injectives of A2 fit
+    cat = positive_roots(fixture("a2"))
+    assert cat.entries[-1].dimv == (1, 1)
+    truncated = RootCatalog(kind=cat.kind, algebra=cat.algebra, entries=cat.entries[:-1])
+    for complete in (bongartz, dual_bongartz):
+        with pytest.raises(NoCompletion, match=r"of \(\) in window \[0, 1\]: 1 candidates for 2"):
+            complete(truncated, ())
