@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 all good, 1 a verification failed, 2 command-line misuse,
-3 input could not be parsed, 4 the algebra is out of the supported range.
+3 input could not be parsed or breaks a rule, 4 the algebra is out of the
+supported range.
 """
 
 from __future__ import annotations
@@ -13,7 +14,13 @@ import random
 import sys
 
 from .algebra import AlgebraData, algebra_to_dict, format_dimv, length, load_algebra
-from .errors import ClusterComplexError, ParseError, UnsupportedAlgebra
+from .errors import (
+    ClusterComplexError,
+    NotRepresentationInfinite,
+    ParseError,
+    SymmetrizabilityViolation,
+    UnsupportedAlgebra,
+)
 from .fixtures import fixture, fixture_names
 from .homext import hom_ext
 from .measure import (
@@ -225,8 +232,13 @@ def _cmd_total_order(args) -> int:
     rng = random.Random(args.seed)
     for _ in range(args.random_weights):
         weights.append((rng.randint(1, 50), rng.randint(1, 50)))
-    report = verify_total_order(args.r, args.s, args.u, args.v,
-                                t_max=args.t_max, weights=weights)
+    try:
+        report = verify_total_order(args.r, args.s, args.u, args.v,
+                                    t_max=args.t_max, weights=weights)
+    except NotRepresentationInfinite as exc:
+        raise UnsupportedAlgebra(str(exc)) from exc
+    except (SymmetrizabilityViolation, ValueError) as exc:
+        raise ParseError(f"invalid parameters: {exc}") from exc
     if report.ok:
         print(f"ok checked={report.checked}")
         return EXIT_OK

@@ -114,25 +114,36 @@ def lambda_compare(x: Sequence[Mu], y: Sequence[Mu]) -> int:
     return 0
 
 
+def member_moves(catalog: RootCatalog) -> tuple[SupportTilting, ...]:
+    """Each member's descent move, by id: the better of its two canonical
+    in-support completions, as a facet (the smaller lambda vector; ties keep
+    the forward one).  `RootCatalog.descent_moves` keeps them."""
+    moves = []
+    for m in range(len(catalog)):
+        supp_m, _ = support(catalog, (m,))
+        forward = bongartz(catalog, (m,), within=supp_m)
+        backward = dual_bongartz(catalog, (m,), within=supp_m)
+        # tuples of Mu compare lexicographically, as lambda_compare does
+        moves.append(min((as_facet(catalog, {m} | part) for part in (forward, backward)),
+                         key=lambda f: lambda_vector(catalog, f)))
+    return tuple(moves)
+
+
 def descent_step(catalog: RootCatalog, facet: SupportTilting) -> SupportTilting:
     """One measure-decreasing move away from a nonzero facet.
 
     Pick the member M with minimal measure (ties: smallest id).  When M is
     the whole facet and lives on a single vertex, drop it for the zero facet.
-    Otherwise return whichever of the two canonical in-support completions of
-    M has the strictly smaller lambda vector.
+    Otherwise return M's descent move: whichever of the two canonical
+    in-support completions of M has the smaller lambda vector, which must be
+    strictly smaller than the facet's.
     """
     if not facet.ids:
         raise ZeroModule("the zero facet has no descent step")
     chosen = min(facet.ids, key=lambda i: (mu(catalog, catalog.entries[i]), i))
-    supp_m, _ = support(catalog, (chosen,))
-    if len(facet.ids) == 1 and len(supp_m) == 1:
+    if len(facet.ids) == 1 and catalog.kernel.support[chosen].bit_count() == 1:
         return zero_facet(catalog)
-    forward = bongartz(catalog, (chosen,), within=supp_m)
-    backward = dual_bongartz(catalog, (chosen,), within=supp_m)
-    # tuples of Mu compare lexicographically, as lambda_compare does; ties keep forward
-    best = min((as_facet(catalog, {chosen} | part) for part in (forward, backward)),
-               key=lambda f: lambda_vector(catalog, f))
+    best = catalog.descent_moves[chosen]
     if not lambda_vector(catalog, best) < lambda_vector(catalog, facet):
         raise NoDescent(f"no candidate improves on facet {facet}")
     return best
@@ -168,9 +179,13 @@ def descent_path(catalog: RootCatalog, facet: SupportTilting,
 
 @dataclass
 class DescentReport:
+    """`stalled` lists, in facet order, the facets other than the zero facet
+    where a walk stops: the witnesses of a failed descent."""
+
     ok: bool
     steps: dict[SupportTilting, int]
     max_steps: int
+    stalled: list[SupportTilting]
 
 
 def verify_descent(catalog: RootCatalog) -> DescentReport:
@@ -200,7 +215,9 @@ def verify_descent(catalog: RootCatalog) -> DescentReport:
             walks[facet] = (count, end)
     steps = {f: min(walks[f][0], bound) for f in facets}
     ok = all(walks[f][1] == zero and walks[f][0] <= bound for f in facets)
-    return DescentReport(ok=ok, steps=steps, max_steps=max(steps.values(), default=0))
+    stalled = [f for f in facets if f != zero and walks[f] == (0, f)]
+    return DescentReport(ok=ok, steps=steps, max_steps=max(steps.values(), default=0),
+                         stalled=stalled)
 
 
 @dataclass

@@ -88,6 +88,20 @@ class RootCatalog:
 
         return build_kernel(self)
 
+    @functools.cached_property
+    def facets(self) -> tuple:
+        """Every support-tilting set (`tilting.support_tilting_sets`), found once."""
+        from .tilting import support_tilting_sets
+
+        return tuple(support_tilting_sets(self))
+
+    @functools.cached_property
+    def descent_moves(self) -> tuple:
+        """Each member's descent move (`measure.member_moves`), by id, found once."""
+        from .measure import member_moves
+
+        return member_moves(self)
+
     def dimvs(self) -> list[DimVector]:
         return [e.dimv for e in self.entries]
 

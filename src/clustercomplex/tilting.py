@@ -63,10 +63,14 @@ def support_tilting_sets(catalog: RootCatalog) -> list[SupportTilting]:
 
 
 def enumerate_support_tilting(catalog: RootCatalog) -> list[SupportTilting]:
-    """All facets, the zero module included, in a deterministic order."""
+    """All facets, the zero module included, in a deterministic order.
+
+    The catalog searches its rigid sets once and keeps the facets
+    (`RootCatalog.facets`); each call returns a fresh list of them.
+    """
     if catalog.kind != FINITE:
         raise NotFiniteType("facet enumeration requires a finite catalog")
-    return support_tilting_sets(catalog)
+    return list(catalog.facets)
 
 
 def _window(catalog: RootCatalog, within: Iterable[int] | None) -> frozenset[int]:

@@ -5,7 +5,9 @@ lengths are recomputed from the raw Euler matrix, facets and canonical
 completions by exhaustive subset search, root lists are classical tables
 written out by hand, flag connectivity is the literal walk on every flag of
 every facet, and the face-poset axioms enumerate every subset and every
-two-step interval of every face.
+two-step interval of every face.  The package stores a face as the int
+bitmask of its vertices; `vertex_sets` turns such faces into the frozensets
+these oracles read.
 """
 
 from itertools import combinations, permutations
@@ -34,6 +36,11 @@ KNOWN_FACET_COUNTS = {
     "a1": 2, "a1xa1": 4, "a2": 5, "a3": 14, "b2": 6,
     "b3": 20, "c3": 20, "d4": 50, "g2": 8,
 }
+
+
+def vertex_sets(masks):
+    """Int-bitmask faces as frozensets of their vertices (bit v is vertex v)."""
+    return frozenset(frozenset(v for v in range(m.bit_length()) if m >> v & 1) for m in masks)
 
 
 def oracle_form(euler, x, y):

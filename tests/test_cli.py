@@ -129,7 +129,7 @@ def test_verify_any_algebra_dict_exits_cleanly(data):
     _exits_cleanly("verify", data)
 
 
-@pytest.mark.parametrize("command", ["roots", "facets", "graph", "descent"])
+@pytest.mark.parametrize("command", ["roots", "table", "facets", "graph", "descent"])
 @settings(max_examples=150, deadline=2000, database=None, derandomize=True)
 @given(data=_algebra_dicts())
 def test_other_commands_on_any_algebra_dict_exit_cleanly(command, data):
@@ -202,9 +202,17 @@ def test_total_order_cli(capsys):
     code, out, _ = run(capsys, "total-order", "--r", "2", "--s", "2", "--u", "1",
                        "--v", "1", "--t-max", "20", "--random-weights", "3", "--seed", "5")
     assert code == 0 and out.startswith("ok")
-    code, _, err = run(capsys, "total-order", "--r", "1", "--s", "3", "--u", "3",
-                       "--v", "1")
-    assert code == 1 and "r*s" in err
+    # r*s < 4 is the finite case, outside what total-order covers
+    code, out, err = run(capsys, "total-order", "--r", "1", "--s", "3", "--u", "3",
+                         "--v", "1")
+    assert code == 4 and "r*s" in err
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    # r*u != s*v breaks the symmetrizer rule, and a negative r breaks the input rules
+    for argv, why in ((["--r", "2", "--s", "2", "--u", "1", "--v", "2"], "r*u"),
+                      (["--r", "-1", "--s", "2", "--u", "1", "--v", "1"], "r, s >= 0")):
+        code, out, err = run(capsys, "total-order", *argv)
+        assert code == 3 and out == "" and why in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_fixture_dump_and_roundtrip(capsys, tmp_path):

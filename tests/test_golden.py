@@ -1,5 +1,6 @@
-"""Frozen CLI output of every bundled fixture: `verify --format json` and
-`descent`, with their exit codes and standard error.
+"""Frozen CLI output of every bundled fixture: `verify --format json`,
+`descent` and `graph` (DOT and JSON), with their exit codes and standard
+error.
 
 A change that means to alter this output regenerates the file with
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -16,7 +17,12 @@ from clustercomplex.cli import main
 from clustercomplex.fixtures import fixture_names
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
-COMMANDS = {"verify": ["verify", "--format", "json"], "descent": ["descent"]}
+COMMANDS = {
+    "verify": ["verify", "--format", "json"],
+    "descent": ["descent"],
+    "graph": ["graph"],
+    "graph-json": ["graph", "--format", "json"],
+}
 CASES = [f"{command} {name}" for name in fixture_names() for command in COMMANDS]
 
 

@@ -109,7 +109,7 @@ def test_verify_descent_fixtures():
         cat = positive_roots(fixture(name))
         facets = enumerate_support_tilting(cat)
         report = verify_descent(cat)
-        assert report.ok
+        assert report.ok and report.stalled == []
         assert report.max_steps <= len(facets)
         assert list(report.steps) == facets
         for f in facets:
@@ -137,6 +137,7 @@ def test_descent_stalls_where_the_vector_does_not_drop(monkeypatch):
         if path[-1] == victim:
             stalled.append(f)
     assert report.steps[victim] == 0 and len(stalled) > 1
+    assert report.stalled == [victim]  # the one facet where walks stop short of zero
 
 
 def test_total_order_examples():

@@ -25,6 +25,7 @@ from clustercomplex import (
 from clustercomplex import polytope
 from clustercomplex.cli import main
 from clustercomplex.errors import NotFiniteType, NotProperFace, NotRankTwoInfinite
+from clustercomplex.homext import ids_of
 from clustercomplex.polytope import (
     ClusterComplex,
     complex_from_facets,
@@ -33,7 +34,13 @@ from clustercomplex.polytope import (
     window_complex_from_facets,
 )
 from clustercomplex.tilting import support_tilting_sets
-from oracles import oracle_diamonds, oracle_flags_connected, oracle_pure, oracle_simplicial
+from oracles import (
+    oracle_diamonds,
+    oracle_flags_connected,
+    oracle_pure,
+    oracle_simplicial,
+    vertex_sets,
+)
 
 
 def build(name):
@@ -45,7 +52,7 @@ def test_counts_pentagon():
     assert len(cx.facets) == 5
     # 1 empty + 5 vertices + 5 edges; the top sentinel makes 12
     assert len(cx.faces) == 11
-    vertices = [f for f in cx.faces if len(f) == 1]
+    vertices = [f for f in cx.faces if f.bit_count() == 1]
     assert len(vertices) == cx.n + 3
 
 
@@ -59,7 +66,7 @@ def test_vertex_count_is_n_plus_roots():
     for name in ("a2", "a3", "b2", "b3", "g2", "d4"):
         cat = positive_roots(fixture(name))
         cx = build_complex(cat)
-        vertices = {v for f in cx.faces for v in f}
+        vertices = set().union(*vertex_sets(cx.faces))
         assert len(vertices) == cx.n + len(cat)
 
 
@@ -76,15 +83,16 @@ def test_face_set_equals_all_valid_pairs():
             for size in range(len(sigma) + 1):
                 for sub in combinations(sorted(sigma), size):
                     expected.add(frozenset(sub) | frozenset(n + i for i in ids))
-        assert expected == set(cx.faces)
+        assert expected == vertex_sets(cx.faces)
 
 
 def _agrees_with_oracles(cx):
     report = verify_ap_axioms(cx)
-    assert report.ap1 == (frozenset() in cx.faces and bool(cx.facets))
-    assert report.ap2 == oracle_pure(cx.faces, cx.n)
-    assert report.simplicial == oracle_simplicial(cx.faces)
-    assert report.ap4 == (not report.bad_ridges and oracle_diamonds(cx.faces))
+    faces = vertex_sets(cx.faces)
+    assert report.ap1 == (frozenset() in faces and bool(cx.facets))
+    assert report.ap2 == oracle_pure(faces, cx.n)
+    assert report.simplicial == oracle_simplicial(faces)
+    assert report.ap4 == (not report.bad_ridges and oracle_diamonds(faces))
     return report
 
 
@@ -98,17 +106,17 @@ def test_axioms_pass(name):
 def _mutants(cx):
     """Hand-damaged face sets over the same facets, by name."""
     faces = cx.faces
-    vertex = min(f for f in faces if len(f) == 1)
-    middle = min((f for f in faces if 1 < len(f) < cx.n), key=sorted)
-    stray = frozenset({max(v for f in faces for v in f) + 1})
+    vertex = min(f for f in faces if f.bit_count() == 1)
+    middle = min((f for f in faces if 1 < f.bit_count() < cx.n), key=ids_of)
+    stray = 1 << max(f.bit_length() for f in faces)
     return {
-        "empty face dropped": (cx.facets, faces - {frozenset()}),
+        "empty face dropped": (cx.facets, faces - {0}),
         "vertex dropped": (cx.facets, faces - {vertex}),
         "mid-rank face dropped": (cx.facets, faces - {middle}),
         "small maximal face": (cx.facets, faces | {stray}),
         "facet list short": (cx.facets[1:], faces),
         "no facets": ((), frozenset()),
-        "no facets, empty face": ((), frozenset({frozenset()})),
+        "no facets, empty face": ((), frozenset({0})),
     }
 
 
@@ -151,7 +159,7 @@ def test_flag_connectivity():
         assert report.zero_reachable
         assert report.cofaces_connected
         assert report.thin
-        assert oracle_flags_connected(cx.facets)
+        assert oracle_flags_connected(vertex_sets(cx.facets))
 
 
 @pytest.mark.parametrize("name", FINITE_FIXTURES)
@@ -162,7 +170,7 @@ def test_flag_check_agrees_with_literal_walk(name):
     for dropped in [None] + sts:
         cx = complex_from_facets(cat, [st for st in sts if st != dropped])
         report = verify_flag_connected(cx)
-        assert report.ok == oracle_flags_connected(cx.facets), (name, dropped)
+        assert report.ok == oracle_flags_connected(vertex_sets(cx.facets)), (name, dropped)
         assert report.ok == (dropped is None)
 
 
@@ -187,13 +195,64 @@ def test_strong_flag_fails_at_any_size(monkeypatch, capsys, tmp_path):
     assert out.startswith("facets=428") and "strong-flag ✗" in out
 
 
+def _first_faulty_faces(cx):
+    """By brute force over vertex sets: the first face, by size and then
+    vertex tuple, whose co-face is disconnected, and the first ridge not held
+    by exactly two facets."""
+    facets = vertex_sets(cx.facets)
+    disconnected, thick = [], []
+    for face in sorted(vertex_sets(cx.faces), key=lambda face: (len(face), sorted(face))):
+        if len(face) == cx.n:
+            continue
+        held = [f for f in facets if face <= f]
+        if len(face) == cx.n - 1 and len(held) != 2:
+            thick.append(face)
+        seen, stack = set(held[:1]), held[:1]
+        while stack:
+            f = stack.pop()
+            for g in held:
+                if g not in seen and len(f & g) == cx.n - 1:
+                    seen.add(g)
+                    stack.append(g)
+        if len(seen) != len(held):
+            disconnected.append(face)
+    return (disconnected[0] if disconnected else None), (thick[0] if thick else None)
+
+
+def _vertex_set(face):
+    return None if face is None else next(iter(vertex_sets([face])))
+
+
+def test_flag_witnesses_name_the_first_faulty_faces():
+    # a3 with one facet dropped (ridges held once) and with two facets
+    # dropped (a vertex whose pentagon of facets splits in two)
+    cat = positive_roots(fixture("a3"))
+    sts = enumerate_support_tilting(cat)
+    report = verify_flag_connected(build_complex(cat))
+    assert report.coface_witness is None and report.ridge_witness is None
+    drops = [(a,) for a in sts] + list(combinations(sts, 2))
+    kinds = set()
+    for dropped in drops:
+        cx = complex_from_facets(cat, [st for st in sts if st not in dropped])
+        report = verify_flag_connected(cx)
+        coface, ridge = _first_faulty_faces(cx)
+        assert _vertex_set(report.coface_witness) == coface, dropped
+        assert _vertex_set(report.ridge_witness) == ridge, dropped
+        assert report.cofaces_connected == (coface is None)
+        assert report.thin == (ridge is None)
+        assert ridge is not None  # every drop leaves a ridge held once
+        assert verify_ap_axioms(cx).bad_ridges[0] == report.ridge_witness
+        kinds.add((len(dropped), coface is None))
+    assert kinds == {(1, True), (2, True), (2, False)}
+
+
 def test_coface_profiles_g2():
     cat = positive_roots(fixture("g2"))
     cx = build_complex(cat)
-    v = frozenset({cx.n + cat.by_dimv[(1, 2)].id})
+    v = 1 << (cx.n + cat.by_dimv[(1, 2)].id)
     prof = coface_profile(cx, v)
     assert prof.rank == 1 and prof.facet_count == 2
-    empty = coface_profile(cx, frozenset())
+    empty = coface_profile(cx, 0)
     assert empty.rank == 2 and empty.polygon == "octagon" and empty.ok
 
 
@@ -203,20 +262,20 @@ def test_coface_profiles_a3():
     facet = cx.facets[0]
     prof = coface_profile(cx, facet)
     assert prof.rank == 0 and prof.facet_count == 1
-    sincere = frozenset({cx.n + cat.by_dimv[(1, 1, 1)].id})
+    sincere = 1 << (cx.n + cat.by_dimv[(1, 1, 1)].id)
     assert coface_profile(cx, sincere).polygon == "pentagon"
     with pytest.raises(NotProperFace):
-        coface_profile(cx, frozenset({999}))
+        coface_profile(cx, 1 << 999)
 
 
 def test_coface_profile_high_rank():
     cat = positive_roots(fixture("d4"))
     cx = build_complex(cat)
-    sincere = frozenset({cx.n + cat.by_dimv[(1, 2, 1, 1)].id})
+    sincere = 1 << (cx.n + cat.by_dimv[(1, 2, 1, 1)].id)
     prof = coface_profile(cx, sincere)
     assert prof.rank == 3 and prof.polygon is None and prof.ok
     assert prof.facet_count > 2
-    whole = coface_profile(cx, frozenset())
+    whole = coface_profile(cx, 0)
     assert whole.rank == 4 and whole.facet_count == 50
 
 
