@@ -43,9 +43,8 @@ from .polytope import (
     ClusterComplex,
     build_complex,
     coface_profile,
-    decode_face,
-    encode_face,
     exchange_graph,
+    face_label,
     rank2_window_complex,
     verify_ap_axioms,
     verify_flag_connected,
@@ -71,8 +70,10 @@ from .tilting import (
     bongartz,
     bongartz_split,
     complements,
+    decode_face,
     dual_bongartz,
     dual_bongartz_split,
+    encode_face,
     enumerate_support_tilting,
     relative_bongartz,
     relative_dual_bongartz,

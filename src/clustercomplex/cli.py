@@ -2,7 +2,9 @@
 
 Exit codes: 0 all good, 1 a verification failed, 2 command-line misuse,
 3 input could not be parsed or breaks a rule, 4 the algebra is out of the
-supported range.
+supported range (including one whose root search passes the search limit).
+A failed `verify` check prints its first witness on stderr as
+`witness: <check> <face label>`.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .errors import (
     ClusterComplexError,
     NotRepresentationInfinite,
     ParseError,
+    SearchLimitExceeded,
     SymmetrizabilityViolation,
     UnsupportedAlgebra,
 )
@@ -34,12 +37,13 @@ from .measure import (
 from .polytope import (
     build_complex,
     exchange_graph,
+    face_label,
     rank2_window_complex,
     verify_ap_axioms,
     verify_flag_connected,
 )
 from .roots import FINITE, RANK2_INFINITE, catalog_for, classify_type, rank2_sequences
-from .tilting import enumerate_support_tilting, zero_facet
+from .tilting import encode_face, enumerate_support_tilting, zero_facet
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -144,12 +148,23 @@ def _verify_finite(catalog, fmt: str) -> int:
         "endos": endos.ok,
         "descent": descent.ok,
     }
+    n = catalog.algebra.n
+    # the first witness of each check that can name one
+    witnesses = {
+        "ap4": axioms.bad_ridges[:1],
+        "strong-flag": [f for f in (flags.ridge_witness, flags.coface_witness) if f is not None][:1],
+        "endos": [encode_face(n, st) for st in endos.failures[:1]],
+        "descent": [encode_face(n, st) for st in descent.stalled[:1]],
+    }
     if fmt == "json":
         print(json.dumps({"facets": len(cx.facets), **{k: bool(v) for k, v in checks.items()}}))
     else:
         parts = [f"facets={len(cx.facets)}"]
         parts += [f"{name} {_mark(ok)}" for name, ok in checks.items()]
         print(" ".join(parts))
+    for name, faces in witnesses.items():
+        if faces and not checks[name]:
+            print(f"witness: {name} {face_label(catalog, faces[0])}", file=sys.stderr)
     return EXIT_OK if all(checks.values()) else EXIT_VERIFY_FAILED
 
 
@@ -193,7 +208,7 @@ def _cmd_graph(args) -> int:
         cx = build_complex(catalog)
     else:
         cx = rank2_window_complex(catalog)
-    labels = [cx.face_label(f) for f in cx.facets]
+    labels = [face_label(catalog, f) for f in cx.facets]
     edges = [(i, j) for i, nbrs in exchange_graph(cx).items() for j in nbrs if i < j]
     if args.format == "json":
         print(json.dumps({"nodes": labels, "edges": edges}))
@@ -212,15 +227,13 @@ def _cmd_descent(args) -> int:
     catalog = catalog_for(algebra)
     if catalog.kind != FINITE:
         raise UnsupportedAlgebra("descent requires a representation-finite algebra")
+    n = catalog.algebra.n
     zero = zero_facet(catalog)
     facets = enumerate_support_tilting(catalog)
     all_ok = True
     for st in facets:
         path = descent_path(catalog, st, len(facets))
-        labels = []
-        for facet in path:
-            dimvs = ",".join(format_dimv(catalog.entries[i].dimv) for i in facet.ids)
-            labels.append(dimvs + "|" + ",".join(str(v + 1) for v in facet.sigma))
+        labels = [face_label(catalog, encode_face(n, facet)) for facet in path]
         ok = path[-1] == zero
         all_ok = all_ok and ok
         print(f"{'ok ' if ok else 'FAIL'} steps={len(path) - 1}  " + " -> ".join(labels))
@@ -338,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except UnsupportedAlgebra as exc:
+    except (UnsupportedAlgebra, SearchLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except ClusterComplexError as exc:

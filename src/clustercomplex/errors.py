@@ -81,10 +81,6 @@ class ZeroModule(ClusterComplexError):
     """The zero facet admits no descent step."""
 
 
-class NoDescent(ClusterComplexError):
-    """No candidate facet strictly decreases the measure vector."""
-
-
 class NotRepresentationInfinite(ClusterComplexError):
     """Operation requires r*s >= 4."""
 

@@ -21,7 +21,6 @@ from .algebra import AlgebraData, length
 from .errors import (
     Disconnected,
     LengthMismatch,
-    NoDescent,
     NotRankTwo,
     NotRepresentationInfinite,
     OracleViolation,
@@ -130,23 +129,20 @@ def member_moves(catalog: RootCatalog) -> tuple[SupportTilting, ...]:
 
 
 def descent_step(catalog: RootCatalog, facet: SupportTilting) -> SupportTilting:
-    """One measure-decreasing move away from a nonzero facet.
+    """The descent move away from a nonzero facet.
 
     Pick the member M with minimal measure (ties: smallest id).  When M is
     the whole facet and lives on a single vertex, drop it for the zero facet.
     Otherwise return M's descent move: whichever of the two canonical
-    in-support completions of M has the smaller lambda vector, which must be
-    strictly smaller than the facet's.
+    in-support completions of M has the smaller lambda vector.  The walk
+    (`_descend`) checks that the move drops the facet's lambda vector.
     """
     if not facet.ids:
         raise ZeroModule("the zero facet has no descent step")
     chosen = min(facet.ids, key=lambda i: (mu(catalog, catalog.entries[i]), i))
     if len(facet.ids) == 1 and catalog.kernel.support[chosen].bit_count() == 1:
         return zero_facet(catalog)
-    best = catalog.descent_moves[chosen]
-    if not lambda_vector(catalog, best) < lambda_vector(catalog, facet):
-        raise NoDescent(f"no candidate improves on facet {facet}")
-    return best
+    return catalog.descent_moves[chosen]
 
 
 def _descend(catalog: RootCatalog, facet: SupportTilting) -> SupportTilting | None:

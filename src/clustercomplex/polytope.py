@@ -1,12 +1,13 @@
-"""The face poset built from support-tilting sets, and its polytope axioms.
+"""The face poset of the support-tilting complex, and its polytope axioms.
 
 A face is the int bitmask of its vertices over a combined vertex pool:
 coordinate vertex v is bit v and the catalog member with id k is bit n + k.
 The poset order is containment (`a & b == a`), with one sentinel top face
 above all facets; the sentinel is never materialized as a mask.  Ranks: a
-face with v vertices has rank v - 1, the top has rank n.  Faces are the
-submasks of the facets; facets are kept in the order of their ascending
-vertex tuples.
+face with v vertices has rank v - 1, the top has rank n.  The faces are the
+pairs of the rigid-set walk (`RootCatalog.faces`), and nothing closes them
+downwards, so a wrong pair shows up as a failed axiom.  The facets are the
+faces with n vertices, kept in the order of their ascending vertex tuples.
 
 Axioms checked here, for a poset with bottom and top:
   AP1  unique minimal and maximal face,
@@ -15,59 +16,43 @@ Axioms checked here, for a poset with bottom and top:
 plus simpliciality (each proper face's lower interval is boolean) and strong
 flag connectivity (the facet adjacency graph of every co-face is connected).
 
-AP2, simpliciality and the inner diamonds all ask whether a face minus one
-vertex (`face ^ bit`) is a face, so one sweep over these codimension-1
-subfaces decides them.  The subfaces found are the non-maximal faces (AP2).
-Every subset of a face is a face once every face minus one vertex is, by
-induction on size (simpliciality).  The middle of the interval from
-U - {a, b} up to U is U - a and U - b, so the diamonds below U exist when U
-loses none (AP4).
+One sweep over every face minus one vertex (`face ^ bit`) fills `up[F]`,
+the mask of the vertices v such that F + v is a face; it is the vertex set
+of the link of F, and it decides every check.  A face with an empty up is
+maximal, and AP2 asks that it have n vertices.  Every subset of a face is a
+face once no face loses a subface, by induction on size (simpliciality).
+The middle of the interval from U - {a, b} up to U is U - a and U - b, so
+the inner diamonds exist when no face of size >= 2 loses one.  A ridge (a
+face with n - 1 vertices) is thin when its up has two bits, v and w; AP4 at
+the top asks that every ridge be thin, and the facets R + v and R + w are
+then exchange neighbours.
 
-Every question about the facets above a face is answered by one incidence
-index, built once per complex (`ClusterComplex.index`): each vertex has a
-row, the bitmask of the indices of the facets holding it; each facet has
-the bitmask of its exchange neighbours; and each ridge has the number of
-facets holding it.  A face's holders are the AND of its vertices' rows.  A
-ridge is thin when two facets hold it; two facets are exchange neighbours
-when they share a ridge.  A co-face is connected when a flood from one of
-its facets (OR the neighbour masks of the frontier, AND with the holders)
-reaches all of them.  On a pure, downward-closed complex the literal walk
-on flags is connected exactly when every ridge is thin and the exchange
-graph is connected, so strong flag connectivity is decided from the same
-index at any size.
+Strong flag connectivity comes from links.  In a pure complex every
+co-face is strongly connected exactly when every link of dimension >= 1 is
+connected, the whole complex included as the link of the empty face.  The
+proof is an induction on dimension: the link of a vertex connects the
+facets through it, and a path of vertices joins any two facets.  The link
+of F has the vertices up[F], and v and w are joined when w is in up[F + v],
+so one flood decides each link.  The lemma needs purity, so a complex that
+is not pure fails `strong-flag` as well as AP2.  With every ridge thin,
+this also decides the literal walk on flags, which `tests/oracles.py` keeps.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from operator import or_
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from functools import cached_property
+from typing import Collection, Mapping
 
 from .algebra import format_dimv
 from .errors import NotFiniteType, NotProperFace, NotRankTwoInfinite
 from .homext import ids_of, mask_of
 from .roots import FINITE, PREINJ, PREPROJ, RANK2_INFINITE, RootCatalog
-from .tilting import (
-    SupportTilting,
-    enumerate_support_tilting,
-    support_tilting_sets,
-)
+from .tilting import SupportTilting, decode_face, encode_face, support_tilting_sets
 
 Face = int
 
 POLYGONS = {4: "square", 5: "pentagon", 6: "hexagon", 8: "octagon"}
-
-
-def encode_face(n: int, st: SupportTilting) -> Face:
-    return mask_of(st.sigma) | mask_of(n + i for i in st.ids)
-
-
-def decode_face(n: int, face: Face) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(member ids, sigma vertices) of an encoded face."""
-    vertices = ids_of(face)
-    return tuple(v - n for v in vertices if v >= n), tuple(v for v in vertices if v < n)
 
 
 def _face_key(face: Face) -> tuple[int, tuple[int, ...]]:
@@ -75,90 +60,52 @@ def _face_key(face: Face) -> tuple[int, tuple[int, ...]]:
     return face.bit_count(), ids_of(face)
 
 
-def _sorted_facets(n: int, support_tiltings: Iterable[SupportTilting]) -> tuple[Face, ...]:
-    return tuple(sorted((encode_face(n, st) for st in support_tiltings), key=ids_of))
+def face_label(catalog: RootCatalog, face: Face) -> str:
+    """The members' dimension vectors, then the unsupported vertices, 1-based."""
+    ids, sigma = decode_face(catalog.algebra.n, face)
+    dimvs = ",".join(format_dimv(catalog.entries[i].dimv) for i in ids)
+    return dimvs + "|" + ",".join(str(v + 1) for v in sigma)
 
 
-class Incidence(NamedTuple):
-    """The facets of a complex, indexed once.
-
-    `rows` maps each vertex to the bitmask of the facets holding it,
-    `exchange[i]` is the bitmask of facet i's exchange neighbours, and
-    `ridges` maps each ridge (a facet minus one vertex) to its holder count.
-    """
-
-    rows: dict[int, int]
-    exchange: tuple[int, ...]
-    ridges: dict[Face, int]
-
-
-def incidence(facets: Sequence[Face]) -> Incidence:
-    """Index the facets in one pass over their ridges."""
-    rows: dict[int, int] = defaultdict(int)
-    holding: dict[Face, list[int]] = defaultdict(list)
-    for i, facet in enumerate(facets):
-        bit = 1 << i
-        for v in ids_of(facet):
-            rows[v] |= bit
-            holding[facet ^ (1 << v)].append(i)
-    exchange = [0] * len(facets)
-    for held in holding.values():
-        if len(held) > 1:
-            mask = mask_of(held)
-            for i in held:
-                exchange[i] |= mask ^ (1 << i)
-    return Incidence(rows=dict(rows), exchange=tuple(exchange),
-                     ridges={ridge: len(held) for ridge, held in holding.items()})
+def up_masks(faces: Collection[Face]) -> dict[Face, int]:
+    """up[F], the mask of the vertices v with F + v in `faces`, for every F
+    in `faces` and every face minus one vertex; a key outside `faces` is a
+    subface that a face lost."""
+    up = dict.fromkeys(faces, 0)
+    for face in faces:
+        rest = face
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            sub = face ^ low
+            up[sub] = up.get(sub, 0) | low
+    return up
 
 
-def holders(rows: Mapping[int, int], face: Face) -> int:
-    """Bitmask of the facets holding `face`: the AND of its vertices' rows.
+def _unreached(up: Mapping[int, int], within: int, base: Face = 0) -> int:
+    """The bits of `within` that a flood from its lowest bit misses.
 
-    The empty face lies in every facet.
-    """
-    if not face:
-        return reduce(or_, rows.values(), 0)
-    held = -1
-    while face:
-        low = face & -face
-        held &= rows.get(low.bit_length() - 1, 0)
-        face ^= low
-    return held
-
-
-def _unreached(neighbours: Sequence[int] | Mapping[int, int], within: int) -> int:
-    """The members of `within` that a flood from its lowest member misses.
-
-    Each round ORs the `neighbours` masks of the frontier and ANDs the result
-    with what is left unreached; `within` is connected when nothing is left.
+    Each round ORs `up[base | bit]` over the bits of the frontier and keeps
+    what is left unreached; `within` is connected when nothing is left.
     """
     frontier = within & -within
     rest = within ^ frontier
     while frontier:
         reach = 0
         while frontier:
-            i = frontier.bit_length() - 1
-            reach |= neighbours[i]
-            frontier ^= 1 << i
+            low = frontier & -frontier
+            reach |= up[base | low]
+            frontier ^= low
         frontier = reach & rest
         rest ^= frontier
     return rest
 
 
-def _face_label(catalog: RootCatalog, face: Face) -> str:
-    n = catalog.algebra.n
-    ids, sigma = decode_face(n, face)
-    dimvs = ",".join(format_dimv(catalog.entries[i].dimv) for i in ids)
-    return dimvs + "|" + ",".join(str(v + 1) for v in sigma)
-
-
 @dataclass
 class ClusterComplex:
-    """Face data; facets are kept in a deterministic order."""
+    """The faces of a complex; its facets and up masks are found on first use."""
 
     catalog: RootCatalog
-    support_tiltings: tuple[SupportTilting, ...]
-    facets: tuple[Face, ...]
     faces: frozenset[Face]
 
     @property
@@ -166,40 +113,36 @@ class ClusterComplex:
         return self.catalog.algebra.n
 
     @cached_property
-    def index(self) -> Incidence:
-        """The incidence index of the facets, built on first use."""
-        return incidence(self.facets)
+    def facets(self) -> tuple[Face, ...]:
+        """The faces with n vertices, by ascending vertex tuple."""
+        n = self.n
+        return tuple(sorted((f for f in self.faces if f.bit_count() == n), key=ids_of))
 
-    def face_label(self, face: Face) -> str:
-        return _face_label(self.catalog, face)
-
-
-def complex_from_facets(catalog: RootCatalog,
-                        support_tiltings: list[SupportTilting]) -> ClusterComplex:
-    """Faces are the facets and, level by level, every face minus one vertex."""
-    facets = _sorted_facets(catalog.algebra.n, support_tiltings)
-    faces = set(facets)
-    level = faces
-    while level:
-        below = set()
-        for face in level:
-            rest = face
-            while rest:
-                low = rest & -rest
-                below.add(face ^ low)
-                rest ^= low
-        faces |= below
-        level = below
-    ordered = tuple(sorted(support_tiltings, key=lambda st: (len(st.ids), st.ids, st.sigma)))
-    return ClusterComplex(catalog=catalog, support_tiltings=ordered,
-                          facets=facets, faces=frozenset(faces))
+    @cached_property
+    def up(self) -> dict[Face, int]:
+        """`up_masks` of the faces."""
+        return up_masks(self.faces)
 
 
 def build_complex(catalog: RootCatalog) -> ClusterComplex:
-    """Faces are the subsets of the facets; downward closure holds by construction."""
+    """The faces of the rigid-set walk, as they are."""
     if catalog.kind != FINITE:
         raise NotFiniteType("complex construction requires a finite catalog")
-    return complex_from_facets(catalog, enumerate_support_tilting(catalog))
+    return ClusterComplex(catalog=catalog, faces=catalog.faces)
+
+
+def _pure(cx: ClusterComplex) -> bool:
+    """Every face with an empty up, a maximal face, has n vertices."""
+    n, up = cx.n, cx.up
+    return all(f.bit_count() == n for f in cx.faces if not up[f])
+
+
+def _bad_ridges(cx: ClusterComplex) -> list[Face]:
+    """The faces with n - 1 vertices whose up does not have two bits, by size
+    and then vertex tuple."""
+    n, up = cx.n, cx.up
+    return sorted((f for f in cx.faces if f.bit_count() == n - 1 and up[f].bit_count() != 2),
+                  key=_face_key)
 
 
 @dataclass
@@ -218,53 +161,37 @@ class AxiomReport:
         return self.ap1 and self.ap2 and self.ap4 and self.simplicial
 
 
-def _is_bad_ridge(ridges: Mapping[Face, int], n: int, face: Face) -> bool:
-    return face.bit_count() == n - 1 and ridges.get(face, 0) != 2
-
-
 def verify_ap_axioms(cx: ClusterComplex) -> AxiomReport:
-    n = cx.n
     faces = cx.faces
-
-    ap1 = 0 in faces and len(cx.facets) > 0
-
-    non_maximal: set[Face] = set()
-    broken: set[Face] = set()
-    for face in faces:
-        rest = face
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            sub = face ^ low
-            if sub in faces:
-                non_maximal.add(sub)
-            else:
-                broken.add(face)
-    # AP2 via purity: a face maximal under containment must be a facet.
-    ap2 = all(f.bit_count() == n for f in faces if f not in non_maximal)
-    simplicial = not broken
-
-    # AP4 at the top: each ridge lies in exactly two facets; inside the
-    # proper part, a diamond is missing below every broken face of size >= 2.
-    ridges = cx.index.ridges
-    bad_ridges = sorted((f for f in faces if _is_bad_ridge(ridges, n, f)), key=_face_key)
-    ap4 = not bad_ridges and all(f.bit_count() < 2 for f in broken)
-
-    return AxiomReport(ap1=ap1, ap2=ap2, ap4=ap4, simplicial=simplicial,
+    lost = cx.up.keys() - faces
+    bad_ridges = _bad_ridges(cx)
+    # AP4 at the top: every ridge is thin; inside the proper part, a diamond
+    # is missing below every face of size >= 2 that lost a subface, and that
+    # subface is not empty.
+    return AxiomReport(ap1=0 in faces and len(cx.facets) > 0,
+                       ap2=_pure(cx),
+                       ap4=not bad_ridges and lost <= {0},
+                       simplicial=not lost,
                        bad_ridges=bad_ridges)
 
 
 def exchange_graph(cx: ClusterComplex | WindowComplex) -> dict[int, tuple[int, ...]]:
-    """Facet adjacency: indices into cx.facets, edge iff the faces share a ridge."""
-    return _adjacency(cx.index)
+    """Facet adjacency, as indices into cx.facets: each ridge R whose up is
+    {v, w} joins the facets R + v and R + w."""
+    ridge_size = cx.n - 1
+    index = {facet: i for i, facet in enumerate(cx.facets)}
+    adj: dict[int, list[int]] = {i: [] for i in index.values()}
+    for ridge, above in cx.up.items():
+        if ridge.bit_count() == ridge_size and above.bit_count() == 2:
+            low = above & -above
+            i, j = index[ridge | low], index[ridge | (above ^ low)]
+            adj[i].append(j)
+            adj[j].append(i)
+    return {i: tuple(sorted(js)) for i, js in adj.items()}
 
 
-def _adjacency(index: Incidence) -> dict[int, tuple[int, ...]]:
-    return {i: ids_of(mask) for i, mask in enumerate(index.exchange)}
-
-
-def _connected(adj: Mapping[int, Iterable[int]]) -> bool:
-    masks = {v: mask_of(ws) for v, ws in adj.items()}
+def _connected(adj: Mapping[int, tuple[int, ...]]) -> bool:
+    masks = {1 << v: mask_of(ws) for v, ws in adj.items()}
     return not _unreached(masks, mask_of(adj))
 
 
@@ -286,50 +213,33 @@ def is_path(adj: dict[int, tuple[int, ...]]) -> bool:
 
 @dataclass
 class FlagReport:
-    """Strong flag connectivity, from the incidence index.
+    """Strong flag connectivity, from purity, thin ridges and links.
 
-    `thin` holds when every ridge lies in exactly two facets.  Given
-    thinness, the flags are connected exactly when the exchange graph is.
     The witnesses, each the first by size and then vertex tuple, are the
-    face whose co-face is disconnected and the ridge that is not thin.
+    ridge that is not thin and the face whose link is disconnected (its
+    co-face is then disconnected too).
     """
 
-    exchange_connected: bool
-    zero_reachable: bool
-    cofaces_connected: bool
+    pure: bool
     thin: bool
+    cofaces_connected: bool
     coface_witness: Face | None
     ridge_witness: Face | None
 
     @property
     def ok(self) -> bool:
-        return (self.exchange_connected and self.zero_reachable
-                and self.cofaces_connected and self.thin)
+        return self.pure and self.thin and self.cofaces_connected
 
 
 def verify_flag_connected(cx: ClusterComplex) -> FlagReport:
-    n = cx.n
-    index = cx.index
-    everything = (1 << len(cx.facets)) - 1
-    exchange_connected = not _unreached(index.exchange, everything)
-
-    zero_reachable = (1 << n) - 1 in cx.facets and exchange_connected
-
-    disconnected, thick = [], []
-    for face in cx.faces:
-        if face.bit_count() == n:
-            continue
-        if _is_bad_ridge(index.ridges, n, face):
-            thick.append(face)
-        if _unreached(index.exchange, holders(index.rows, face)):
-            disconnected.append(face)
-
-    return FlagReport(exchange_connected=exchange_connected,
-                      zero_reachable=zero_reachable,
-                      cofaces_connected=not disconnected,
+    n, up = cx.n, cx.up
+    split = [f for f in cx.faces if f.bit_count() < n - 1 and _unreached(up, up[f], f)]
+    thick = _bad_ridges(cx)
+    return FlagReport(pure=_pure(cx),
                       thin=not thick,
-                      coface_witness=min(disconnected, key=_face_key, default=None),
-                      ridge_witness=min(thick, key=_face_key, default=None))
+                      cofaces_connected=not split,
+                      coface_witness=min(split, key=_face_key, default=None),
+                      ridge_witness=thick[0] if thick else None)
 
 
 @dataclass
@@ -344,20 +254,20 @@ def coface_profile(cx: ClusterComplex, face: Face) -> CofaceProfile:
     """Shape of the interval from `face` up to the top sentinel.
 
     Its rank as a polytope is n - rank(face) - 1; for rank 2 the co-face must
-    be one of the four polygons, and the facet cycle is verified.
+    be one of the four polygons.  Its facets are then the edges of the link
+    of `face`, so the facet cycle is verified as the link's cycle.
     """
     if face not in cx.faces:
         raise NotProperFace(f"{list(ids_of(face))} is not a proper face")
     rank = cx.n - face.bit_count()
-    index = cx.index
-    holding = holders(index.rows, face)
-    count = holding.bit_count()
+    count = sum(1 for f in cx.facets if f & face == face)
     polygon = None
     ok = True
     if rank == 2:
         polygon = POLYGONS.get(count)
-        sub = {i: ids_of(index.exchange[i] & holding) for i in ids_of(holding)}
-        ok = polygon is not None and is_single_cycle(sub)
+        link = cx.up[face]
+        cycle = {v: ids_of(cx.up[face | 1 << v] & link) for v in ids_of(link)}
+        ok = polygon is not None and is_single_cycle(cycle)
     return CofaceProfile(rank=rank, facet_count=count, polygon=polygon, ok=ok)
 
 
@@ -371,7 +281,7 @@ class WindowComplex:
     facets_expected: bool
     interior_ridges_ok: bool
     path_ok: bool
-    index: Incidence = field(repr=False)
+    up: dict[Face, int] = field(repr=False)
 
     @property
     def ok(self) -> bool:
@@ -380,9 +290,6 @@ class WindowComplex:
     @property
     def n(self) -> int:
         return self.catalog.algebra.n
-
-    def face_label(self, face: Face) -> str:
-        return _face_label(self.catalog, face)
 
 
 def rank2_window_complex(catalog: RootCatalog) -> WindowComplex:
@@ -399,10 +306,11 @@ def window_complex_from_facets(catalog: RootCatalog,
     Facets must be exactly: the zero module, the two single-vertex members,
     and the neighbouring pairs inside each family.  Every vertex other than
     the two window-boundary members must lie in exactly two facets, and the
-    facet adjacency graph must be a path.  Both come from the incidence index.
+    facet adjacency graph must be a path.  Both read the up masks of the
+    vertices, from one sweep over the facets.
     """
     n = catalog.algebra.n
-    facets = _sorted_facets(n, support_tiltings)
+    facets = tuple(sorted((encode_face(n, st) for st in support_tiltings), key=ids_of))
 
     zero = (1 << n) - 1
     expected: set[Face] = {zero}
@@ -418,16 +326,16 @@ def window_complex_from_facets(catalog: RootCatalog,
     preproj = [e.id for e in catalog.entries if e.component == PREPROJ]
     preinj = [e.id for e in catalog.entries if e.component == PREINJ]
     boundary = {n + preproj[-1], n + preinj[0]}
-    index = incidence(facets)
+    up = up_masks(facets)
     vertices = set(range(n)) | {n + e.id for e in catalog.entries}
-    interior_ridges_ok = all(index.rows.get(v, 0).bit_count() == (1 if v in boundary else 2)
+    interior_ridges_ok = all(up.get(1 << v, 0).bit_count() == (1 if v in boundary else 2)
                              for v in vertices)
-    path_ok = is_path(_adjacency(index))
-
-    return WindowComplex(catalog=catalog,
-                         support_tiltings=tuple(support_tiltings),
-                         facets=facets,
-                         facets_expected=facets_expected,
-                         interior_ridges_ok=interior_ridges_ok,
-                         path_ok=path_ok,
-                         index=index)
+    window = WindowComplex(catalog=catalog,
+                           support_tiltings=tuple(support_tiltings),
+                           facets=facets,
+                           facets_expected=facets_expected,
+                           interior_ridges_ok=interior_ridges_ok,
+                           path_ok=False,
+                           up=up)
+    window.path_ok = is_path(exchange_graph(window))
+    return window

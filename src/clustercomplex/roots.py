@@ -89,8 +89,17 @@ class RootCatalog:
         return build_kernel(self)
 
     @functools.cached_property
+    def faces(self) -> frozenset:
+        """Every face of the complex as an int bitmask (`tilting.rigid_faces`),
+        from one walk over the rigid sets."""
+        from .tilting import rigid_faces
+
+        return frozenset(rigid_faces(self))
+
+    @functools.cached_property
     def facets(self) -> tuple:
-        """Every support-tilting set (`tilting.support_tilting_sets`), found once."""
+        """The faces with n vertices as support-tilting sets
+        (`tilting.support_tilting_sets`)."""
         from .tilting import support_tilting_sets
 
         return tuple(support_tilting_sets(self))

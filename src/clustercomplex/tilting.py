@@ -1,7 +1,10 @@
-"""Support-tilting sets, exchange complements, and canonical completions.
+"""Faces, support-tilting sets, exchange complements, canonical completions.
 
+The faces of the complex are the rigid sets T, each with every set of
+vertices outside its support; one walk over the rigid sets emits them all.
 A rigid id set is support-tilting when it has as many members as supported
-vertices; it is then a basis of the lattice restricted to its support.  The
+vertices; it is then a basis of the lattice restricted to its support, and
+with all its unsupported vertices it is a face with n vertices, a facet.  The
 canonical completion of a rigid set T inside a vertex window W is read off
 directly (K. Bongartz, "Tilted algebras", LNM 903, 1981): it is the set G of
 members B outside T, compatible with T, with ext(B, M) = 0 for every
@@ -13,7 +16,7 @@ assumed: |T| + |G| must equal |W|.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import linalg
 from .algebra import injective_dimv, projective_dimv
@@ -50,14 +53,43 @@ def zero_facet(catalog: RootCatalog) -> SupportTilting:
     return SupportTilting(ids=(), sigma=tuple(range(catalog.algebra.n)))
 
 
-def support_tilting_sets(catalog: RootCatalog) -> list[SupportTilting]:
-    """Rigid sets with as many members as supported vertices, of any catalog kind."""
+def encode_face(n: int, st: SupportTilting) -> int:
+    """The int bitmask of a face: vertex v is bit v, member k is bit n + k."""
+    return mask_of(st.sigma) | mask_of(n + i for i in st.ids)
+
+
+def decode_face(n: int, face: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(member ids, sigma vertices) of an encoded face."""
+    vertices = ids_of(face)
+    return tuple(v - n for v in vertices if v >= n), tuple(v for v in vertices if v < n)
+
+
+def rigid_faces(catalog: RootCatalog) -> Iterator[int]:
+    """Every face of the complex, each once, from one walk over the rigid sets.
+
+    A face is a pair (T, sigma): a rigid set T and a set sigma of vertices
+    outside the support of T (T. Adachi, O. Iyama, I. Reiten, "tau-tilting
+    theory", 2014).  Each rigid T is emitted with every such sigma, encoded
+    as in `encode_face`.  `RootCatalog.faces` keeps them.
+    """
     n = catalog.algebra.n
-    out = []
+    everything = (1 << n) - 1
     for ids in iter_rigid_sets(catalog):
-        supp = catalog.kernel.support_of(ids)
-        if len(ids) == supp.bit_count():
-            out.append(SupportTilting(ids=ids, sigma=tuple(v for v in range(n) if not supp >> v & 1)))
+        members = mask_of(ids) << n
+        free = everything & ~catalog.kernel.support_of(ids)
+        sigma = free
+        while True:
+            yield members | sigma
+            if not sigma:
+                break
+            sigma = (sigma - 1) & free
+
+
+def support_tilting_sets(catalog: RootCatalog) -> list[SupportTilting]:
+    """The faces with n vertices, of any catalog kind: the rigid sets with as
+    many members as supported vertices, each with all its unsupported ones."""
+    n = catalog.algebra.n
+    out = [SupportTilting(*decode_face(n, face)) for face in catalog.faces if face.bit_count() == n]
     out.sort(key=lambda st: (len(st.ids), st.ids))
     return out
 
@@ -65,8 +97,8 @@ def support_tilting_sets(catalog: RootCatalog) -> list[SupportTilting]:
 def enumerate_support_tilting(catalog: RootCatalog) -> list[SupportTilting]:
     """All facets, the zero module included, in a deterministic order.
 
-    The catalog searches its rigid sets once and keeps the facets
-    (`RootCatalog.facets`); each call returns a fresh list of them.
+    The catalog walks its rigid sets once for its faces and keeps the facets
+    among them (`RootCatalog.facets`); each call returns a fresh list.
     """
     if catalog.kind != FINITE:
         raise NotFiniteType("facet enumeration requires a finite catalog")

@@ -7,7 +7,9 @@ written out by hand, flag connectivity is the literal walk on every flag of
 every facet, and the face-poset axioms enumerate every subset and every
 two-step interval of every face.  The package stores a face as the int
 bitmask of its vertices; `vertex_sets` turns such faces into the frozensets
-these oracles read.
+these oracles read, and `downward_closure` gives the faces that a list of
+such facets spans, as the package built its faces before they came from
+the rigid-set walk.
 """
 
 from itertools import combinations, permutations
@@ -41,6 +43,19 @@ KNOWN_FACET_COUNTS = {
 def vertex_sets(masks):
     """Int-bitmask faces as frozensets of their vertices (bit v is vertex v)."""
     return frozenset(frozenset(v for v in range(m.bit_length()) if m >> v & 1) for m in masks)
+
+
+def downward_closure(facets):
+    """Every submask of the given int-bitmask facets."""
+    faces = set()
+    for facet in facets:
+        sub = facet
+        while True:
+            faces.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & facet
+    return frozenset(faces)
 
 
 def oracle_form(euler, x, y):

@@ -75,7 +75,7 @@ def test_criterion_4_polytope_axioms():
         assert axioms.ap1 and axioms.ap2 and axioms.ap4 and axioms.simplicial, name
         assert not axioms.bad_ridges
         flags = verify_flag_connected(cx)
-        assert flags.cofaces_connected and flags.exchange_connected, name
+        assert flags.cofaces_connected and flags.pure, name
         assert flags.thin and oracle_flags_connected(vertex_sets(cx.facets)), name
         if name == "d4":
             assert len(cx.facets) == 50

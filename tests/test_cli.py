@@ -8,7 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clustercomplex import ClusterComplex, build_complex, face_label, fixture, positive_roots
+from clustercomplex import cli, measure, roots
 from clustercomplex.cli import main
+from clustercomplex.homext import ids_of
+from oracles import downward_closure
 
 
 def run(capsys, *argv):
@@ -53,6 +57,45 @@ def test_verify_unsupported(capsys):
     code, _, err = run(capsys, "verify", "--fixture", "affine_a2")
     assert code == 4
     assert "rank" in err
+
+
+def test_search_limit_is_out_of_range(monkeypatch, capsys):
+    monkeypatch.setattr(roots, "ROOT_LIMIT", 5)
+    code, out, err = run(capsys, "verify", "--fixture", "a3")
+    assert code == 4 and out == ""
+    assert err == "error: more than 5 root candidates\n"
+
+
+def test_failed_checks_print_witnesses(monkeypatch, capsys):
+    # a3 with its first facet missing from the faces, and the endomorphism
+    # check failing on the zero facet
+    cat = positive_roots(fixture("a3"))
+    whole = build_complex(cat)
+    victim = whole.facets[0]
+    monkeypatch.setattr(cli, "build_complex", lambda catalog: ClusterComplex(
+        catalog=catalog, faces=build_complex(catalog).faces - {victim}))
+    monkeypatch.setattr(measure, "verify_endos", lambda catalog, facet: bool(facet.ids))
+    code, out, err = run(capsys, "verify", "--fixture", "a3")
+    assert code == 1
+    assert out == "facets=13 ap1 ✓ ap2 ✓ ap4 ✗ simplicial ✓ strong-flag ✗ endos ✗ descent ✓\n"
+    ridge = min((victim ^ (1 << v) for v in ids_of(victim)), key=ids_of)  # each is held once
+    assert err.splitlines() == [f"witness: ap4 {face_label(cat, ridge)}",
+                                f"witness: strong-flag {face_label(cat, ridge)}",
+                                "witness: endos |1,2,3"]
+
+
+def test_thin_complex_with_a_split_link_prints_the_link(monkeypatch, capsys):
+    # two tetrahedron boundaries sharing vertex 3: every ridge is thin, but
+    # the link of vertex 3 is two disjoint triangles
+    cat = positive_roots(fixture("a3"))
+    spheres = [sum(1 << v for v in block) - (1 << v) for block in ((0, 1, 2, 3), (3, 4, 5, 6))
+               for v in block]
+    monkeypatch.setattr(cli, "build_complex", lambda catalog: ClusterComplex(
+        catalog=catalog, faces=downward_closure(spheres)))
+    code, out, err = run(capsys, "verify", "--fixture", "a3")
+    assert code == 1
+    assert out == "facets=8 ap1 ✓ ap2 ✓ ap4 ✓ simplicial ✓ strong-flag ✗ endos ✓ descent ✓\n"
+    assert err == f"witness: strong-flag {face_label(cat, 1 << 3)}\n"
 
 
 def test_parse_error_exit(capsys, tmp_path):

@@ -1,14 +1,17 @@
 """Import hygiene of the package: standard library only, no private names
-taken from sibling modules."""
+taken from sibling modules, and the `cli` names that the benchmark's tracer
+patches still there."""
 
 import ast
+import runpy
 import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = "clustercomplex"
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / PACKAGE).glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / PACKAGE).glob("*.py"))
 
 
 def imports(path):
@@ -42,3 +45,14 @@ def test_stdlib_only(path):
         top = module.split(".")[0]
         assert top == PACKAGE or top in sys.stdlib_module_names, \
             f"{path.name} imports {module}, which is outside the standard library"
+
+
+def test_tracer_boundaries_name_cli_attributes():
+    # the tracer skips a boundary whose name is gone, and its layer then
+    # reads zero; run_path compiles the file without writing bytecode
+    from clustercomplex import cli
+
+    boundaries = runpy.run_path(str(ROOT / "perfbench" / "tracer.py"))["BOUNDARIES"]
+    names = [name for module, name, _, _ in boundaries if module == f"{PACKAGE}.cli"]
+    assert names
+    assert [name for name in names if not hasattr(cli, name)] == []

@@ -24,7 +24,8 @@ from clustercomplex import (
     verify_total_order,
     zero_facet,
 )
-from clustercomplex import measure
+from clustercomplex import encode_face, face_label, measure
+from clustercomplex.cli import main
 from clustercomplex.errors import (
     Disconnected,
     LengthMismatch,
@@ -138,6 +139,23 @@ def test_descent_stalls_where_the_vector_does_not_drop(monkeypatch):
             stalled.append(f)
     assert report.steps[victim] == 0 and len(stalled) > 1
     assert report.stalled == [victim]  # the one facet where walks stop short of zero
+
+
+def test_a_corrupt_descent_move_fails_verify(monkeypatch, capsys):
+    # point the move that the top facet takes back at the top facet: its walk
+    # cannot drop the vector there, and `verify` reports where it stalls
+    cat = positive_roots(fixture("d4"))
+    facets = enumerate_support_tilting(cat)
+    victim = max(facets, key=lambda f: lambda_vector(cat, f))
+    moves = list(cat.descent_moves)
+    moves[moves.index(descent_step(cat, victim))] = victim
+    monkeypatch.setattr(measure, "member_moves", lambda catalog: tuple(moves))
+    report = verify_descent(positive_roots(fixture("d4")))
+    assert not report.ok and report.stalled == [victim]
+    assert main(["verify", "--fixture", "d4"]) == 1
+    captured = capsys.readouterr()
+    assert "descent ✗" in captured.out and "endos ✓" in captured.out
+    assert captured.err == f"witness: descent {face_label(cat, encode_face(4, victim))}\n"
 
 
 def test_total_order_examples():

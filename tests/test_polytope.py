@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -22,19 +23,20 @@ from clustercomplex import (
     verify_ap_axioms,
     verify_flag_connected,
 )
-from clustercomplex import polytope
+from clustercomplex import cli, polytope
 from clustercomplex.cli import main
 from clustercomplex.errors import NotFiniteType, NotProperFace, NotRankTwoInfinite
 from clustercomplex.homext import ids_of
 from clustercomplex.polytope import (
     ClusterComplex,
-    complex_from_facets,
     is_path,
     is_single_cycle,
     window_complex_from_facets,
 )
+from clustercomplex.roots import RootCatalog
 from clustercomplex.tilting import support_tilting_sets
 from oracles import (
+    downward_closure,
     oracle_diamonds,
     oracle_flags_connected,
     oracle_pure,
@@ -72,8 +74,8 @@ def test_vertex_count_is_n_plus_roots():
 
 def test_face_set_equals_all_valid_pairs():
     # every rigid pair (T, sigma) with sigma avoiding supp(T) is a face, and
-    # conversely; checked exhaustively for n <= 3
-    for name in ("a1", "a1xa1", "a2", "b2", "g2", "a3", "b3"):
+    # conversely; and the pairs are exactly the subsets of the facets
+    for name in FINITE_FIXTURES:
         cat = positive_roots(fixture(name))
         cx = build_complex(cat)
         n = cx.n
@@ -84,6 +86,7 @@ def test_face_set_equals_all_valid_pairs():
                 for sub in combinations(sorted(sigma), size):
                     expected.add(frozenset(sub) | frozenset(n + i for i in ids))
         assert expected == vertex_sets(cx.faces)
+        assert cx.faces == downward_closure(cx.facets)
 
 
 def _agrees_with_oracles(cx):
@@ -104,19 +107,19 @@ def test_axioms_pass(name):
 
 
 def _mutants(cx):
-    """Hand-damaged face sets over the same facets, by name."""
+    """Hand-damaged walk face sets, by name."""
     faces = cx.faces
     vertex = min(f for f in faces if f.bit_count() == 1)
     middle = min((f for f in faces if 1 < f.bit_count() < cx.n), key=ids_of)
     stray = 1 << max(f.bit_length() for f in faces)
     return {
-        "empty face dropped": (cx.facets, faces - {0}),
-        "vertex dropped": (cx.facets, faces - {vertex}),
-        "mid-rank face dropped": (cx.facets, faces - {middle}),
-        "small maximal face": (cx.facets, faces | {stray}),
-        "facet list short": (cx.facets[1:], faces),
-        "no facets": ((), frozenset()),
-        "no facets, empty face": ((), frozenset({0})),
+        "empty face dropped": faces - {0},
+        "vertex dropped": faces - {vertex},
+        "mid-rank face dropped": faces - {middle},
+        "small maximal face": faces | {stray},
+        "facet dropped": faces - {cx.facets[0]},
+        "no facets": frozenset(),
+        "no facets, empty face": frozenset({0}),
     }
 
 
@@ -124,9 +127,8 @@ def test_every_axiom_key_can_fail():
     failed = set()
     for name in ("a3", "b3", "d4"):
         cx = build(name)
-        for label, (facets, faces) in _mutants(cx).items():
-            mutant = ClusterComplex(catalog=cx.catalog, support_tiltings=cx.support_tiltings,
-                                    facets=facets, faces=faces)
+        for label, faces in _mutants(cx).items():
+            mutant = ClusterComplex(catalog=cx.catalog, faces=faces)
             report = _agrees_with_oracles(mutant)
             assert not report.ok, (name, label)
             failed |= {key for key in ("ap1", "ap2", "ap4", "simplicial")
@@ -135,9 +137,8 @@ def test_every_axiom_key_can_fail():
 
 
 def test_axioms_fail_on_corrupted_complex():
-    cat = positive_roots(fixture("a2"))
-    sts = enumerate_support_tilting(cat)
-    broken = complex_from_facets(cat, [st for st in sts if st.ids])  # drop the zero facet
+    cx = build("a2")
+    broken = ClusterComplex(catalog=cx.catalog, faces=cx.faces - {(1 << cx.n) - 1})  # no zero facet
     report = verify_ap_axioms(broken)
     assert not report.ap4
     assert report.bad_ridges
@@ -155,8 +156,7 @@ def test_flag_connectivity():
     for name in ("a1", "a1xa1", "a2", "a3", "b2", "b3", "g2"):
         cx = build(name)
         report = verify_flag_connected(cx)
-        assert report.exchange_connected
-        assert report.zero_reachable
+        assert report.pure
         assert report.cofaces_connected
         assert report.thin
         assert oracle_flags_connected(vertex_sets(cx.facets))
@@ -164,11 +164,12 @@ def test_flag_connectivity():
 
 @pytest.mark.parametrize("name", FINITE_FIXTURES)
 def test_flag_check_agrees_with_literal_walk(name):
-    # the fixture and every complex left by dropping one of its facets
-    cat = positive_roots(fixture(name))
-    sts = enumerate_support_tilting(cat)
-    for dropped in [None] + sts:
-        cx = complex_from_facets(cat, [st for st in sts if st != dropped])
+    # the fixture and every complex left by dropping one of its facets from
+    # the walk's faces (every proper face of a facet lies in another one)
+    whole = build(name)
+    for dropped in (None,) + whole.facets:
+        cx = ClusterComplex(catalog=whole.catalog, faces=whole.faces - {dropped})
+        assert cx.faces == downward_closure(cx.facets)
         report = verify_flag_connected(cx)
         assert report.ok == oracle_flags_connected(vertex_sets(cx.facets)), (name, dropped)
         assert report.ok == (dropped is None)
@@ -187,36 +188,53 @@ def test_strong_flag_fails_at_any_size(monkeypatch, capsys, tmp_path):
     victim = enumerate_support_tilting(cat)[-1]  # a sincere facet
     assert len(victim.ids) == n
 
-    monkeypatch.setattr(polytope, "enumerate_support_tilting",
-                        lambda catalog: [st for st in enumerate_support_tilting(catalog)
-                                         if st != victim])
+    def without_victim(catalog):
+        faces = build_complex(catalog).faces
+        return ClusterComplex(catalog=catalog, faces=faces - {encode_face(n, victim)})
+
+    monkeypatch.setattr(cli, "build_complex", without_victim)
     assert main(["verify", "--input", str(path)]) == 1
-    out = capsys.readouterr().out
-    assert out.startswith("facets=428") and "strong-flag ✗" in out
+    captured = capsys.readouterr()
+    assert captured.out.startswith("facets=428") and "strong-flag ✗" in captured.out
+    assert "witness: strong-flag " in captured.err
 
 
 def _first_faulty_faces(cx):
     """By brute force over vertex sets: the first face, by size and then
-    vertex tuple, whose co-face is disconnected, and the first ridge not held
-    by exactly two facets."""
-    facets = vertex_sets(cx.facets)
+    vertex tuple, whose link is disconnected, and the first ridge not held by
+    exactly two facets."""
+    faces = vertex_sets(cx.faces)
+    facets = [f for f in faces if len(f) == cx.n]
     disconnected, thick = [], []
-    for face in sorted(vertex_sets(cx.faces), key=lambda face: (len(face), sorted(face))):
-        if len(face) == cx.n:
-            continue
-        held = [f for f in facets if face <= f]
-        if len(face) == cx.n - 1 and len(held) != 2:
+    for face in sorted(faces, key=lambda face: (len(face), sorted(face))):
+        if len(face) == cx.n - 1 and sum(1 for f in facets if face <= f) != 2:
             thick.append(face)
-        seen, stack = set(held[:1]), held[:1]
+        if len(face) >= cx.n - 1:
+            continue
+        link = {v for f in faces if face < f and len(f - face) == 1 for v in f - face}
+        seen, stack = set(sorted(link)[:1]), sorted(link)[:1]
         while stack:
-            f = stack.pop()
-            for g in held:
-                if g not in seen and len(f & g) == cx.n - 1:
-                    seen.add(g)
-                    stack.append(g)
-        if len(seen) != len(held):
+            v = stack.pop()
+            for w in link - seen:
+                if face | {v, w} in faces:
+                    seen.add(w)
+                    stack.append(w)
+        if seen != link:
             disconnected.append(face)
     return (disconnected[0] if disconnected else None), (thick[0] if thick else None)
+
+
+def _coface_connected(cx, face):
+    """The facets holding `face`, joined when they share a ridge, are connected."""
+    held = [f for f in vertex_sets(cx.facets) if face <= f]
+    seen, stack = set(held[:1]), held[:1]
+    while stack:
+        f = stack.pop()
+        for g in held:
+            if g not in seen and len(f & g) == cx.n - 1:
+                seen.add(g)
+                stack.append(g)
+    return len(seen) == len(held)
 
 
 def _vertex_set(face):
@@ -225,25 +243,67 @@ def _vertex_set(face):
 
 def test_flag_witnesses_name_the_first_faulty_faces():
     # a3 with one facet dropped (ridges held once) and with two facets
-    # dropped (a vertex whose pentagon of facets splits in two)
-    cat = positive_roots(fixture("a3"))
-    sts = enumerate_support_tilting(cat)
-    report = verify_flag_connected(build_complex(cat))
+    # dropped (a vertex whose pentagon of facets splits in two); each
+    # complex is the downward closure of the facets left
+    whole = build("a3")
+    report = verify_flag_connected(whole)
     assert report.coface_witness is None and report.ridge_witness is None
-    drops = [(a,) for a in sts] + list(combinations(sts, 2))
+    drops = [(a,) for a in whole.facets] + list(combinations(whole.facets, 2))
     kinds = set()
     for dropped in drops:
-        cx = complex_from_facets(cat, [st for st in sts if st not in dropped])
+        kept = [f for f in whole.facets if f not in dropped]
+        cx = ClusterComplex(catalog=whole.catalog, faces=downward_closure(kept))
         report = verify_flag_connected(cx)
-        coface, ridge = _first_faulty_faces(cx)
-        assert _vertex_set(report.coface_witness) == coface, dropped
+        link, ridge = _first_faulty_faces(cx)
+        assert _vertex_set(report.coface_witness) == link, dropped
         assert _vertex_set(report.ridge_witness) == ridge, dropped
-        assert report.cofaces_connected == (coface is None)
+        assert report.cofaces_connected == (link is None)
         assert report.thin == (ridge is None)
         assert ridge is not None  # every drop leaves a ridge held once
         assert verify_ap_axioms(cx).bad_ridges[0] == report.ridge_witness
-        kinds.add((len(dropped), coface is None))
+        if link is not None:
+            assert not _coface_connected(cx, link)
+        kinds.add((len(dropped), link is None))
     assert kinds == {(1, True), (2, True), (2, False)}
+
+
+def test_walk_kernel_mutants_fail_a_face_check():
+    # flip one symmetric pair of compat bits: the walk then emits wrong
+    # pairs, and the face checks must see it
+    failed = {"ap2": 0, "simplicial": 0, "ap4": 0, "strong-flag": 0}
+    mutants = 0
+    for name in ("a3", "b3", "c3", "d4"):
+        base = positive_roots(fixture(name))
+        compat = base.kernel.compat
+        for i, j in combinations(range(len(base)), 2):
+            flipped = list(compat)
+            flipped[i] ^= 1 << j
+            flipped[j] ^= 1 << i
+            cat = RootCatalog(kind=base.kind, algebra=base.algebra, entries=base.entries)
+            vars(cat)["kernel"] = replace(base.kernel, compat=tuple(flipped))
+            cx = build_complex(cat)
+            axioms, flags = verify_ap_axioms(cx), verify_flag_connected(cx)
+            verdicts = {"ap2": axioms.ap2, "simplicial": axioms.simplicial,
+                        "ap4": axioms.ap4, "strong-flag": flags.ok}
+            assert not all(verdicts.values()), (name, i, j)
+            for key, ok in verdicts.items():
+                failed[key] += not ok
+            mutants += 1
+    assert mutants == 153
+    # subsets of a rigid set are rigid, so the walk stays simplicial; the
+    # mutants show up as thick ridges (AP4) and non-pure complexes (AP2)
+    assert failed["simplicial"] == 0 and failed["ap2"] and failed["ap4"], failed
+
+
+def test_strong_flag_fails_on_a_non_pure_complex():
+    # one face with n + 1 vertices and all its subsets: every ridge is thin
+    # and every link connected, but the link lemma needs purity
+    cat = positive_roots(fixture("a3"))
+    cx = ClusterComplex(catalog=cat, faces=downward_closure([(1 << (cat.algebra.n + 1)) - 1]))
+    report = verify_flag_connected(cx)
+    assert report.thin and report.cofaces_connected
+    assert not report.pure and not report.ok
+    assert not verify_ap_axioms(cx).ap2
 
 
 def test_coface_profiles_g2():

@@ -15,6 +15,7 @@ from clustercomplex import (
     positive_roots,
     rank2_sequences,
     relative_bongartz,
+    relative_dual_bongartz,
     support,
     verify_b2_structure,
 )
@@ -142,6 +143,36 @@ def test_relative_bongartz_a3():
     assert dimvs_of(cat, b2) == [(0, 1, 1), (1, 1, 1)]
     c1, c2 = dual_bongartz_split(cat, (e2,))
     assert c1 == frozenset() and len(c2) == 2
+
+
+def test_relative_dual_bongartz_g2():
+    cat = positive_roots(fixture("g2"))
+    s1 = cat.by_dimv[(1, 0)].id
+    assert relative_dual_bongartz(cat, (s1,)) == frozenset()
+    c1, c2 = dual_bongartz_split(cat, (s1,))
+    assert c1 == frozenset() and dimvs_of(cat, c2) == [(1, 1)]
+    d = cat.by_dimv[(1, 2)].id
+    c1, c2 = dual_bongartz_split(cat, (d,))
+    assert dimvs_of(cat, c1) == [(2, 3)] and c2 == frozenset()
+
+
+def test_relative_dual_bongartz_a3():
+    cat = positive_roots(fixture("a3"))
+    e2 = cat.by_dimv[(0, 1, 0)].id
+    assert relative_dual_bongartz(cat, (e2,)) == frozenset()
+    c1, c2 = dual_bongartz_split(cat, (e2,))
+    assert c1 == frozenset() and dimvs_of(cat, c2) == [(1, 1, 0), (1, 1, 1)]
+    t = cat.by_dimv[(1, 1, 0)].id
+    c1, c2 = dual_bongartz_split(cat, (t,))
+    assert dimvs_of(cat, c1) == [(1, 0, 0)] and dimvs_of(cat, c2) == [(1, 1, 1)]
+
+
+@pytest.mark.parametrize("name", FINITE_FIXTURES)
+def test_relative_completions_lie_inside_the_full_ones(name):
+    cat = positive_roots(fixture(name))
+    for ids in iter_rigid_sets(cat):
+        assert relative_bongartz(cat, ids) <= bongartz(cat, ids)
+        assert relative_dual_bongartz(cat, ids) <= dual_bongartz(cat, ids)
 
 
 def test_verify_b2_structure_examples():
