@@ -65,7 +65,6 @@ from .roots import (
     symmetrized_form,
 )
 from .tilting import (
-    SupportTilting,
     as_facet,
     bongartz,
     bongartz_split,
@@ -73,7 +72,6 @@ from .tilting import (
     decode_face,
     dual_bongartz,
     dual_bongartz_split,
-    encode_face,
     enumerate_support_tilting,
     relative_bongartz,
     relative_dual_bongartz,

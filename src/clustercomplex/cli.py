@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedAlgebra,
 )
 from .fixtures import fixture, fixture_names
-from .homext import hom_ext
+from .homext import hom_ext, ids_of
 from .measure import (
     descent_path,
     mu,
@@ -43,7 +43,7 @@ from .polytope import (
     verify_flag_connected,
 )
 from .roots import FINITE, RANK2_INFINITE, catalog_for, classify_type, rank2_sequences
-from .tilting import encode_face, enumerate_support_tilting, zero_facet
+from .tilting import decode_face, enumerate_support_tilting, zero_facet
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -118,19 +118,34 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
+def _by_members(n: int, facets) -> list[int]:
+    """Facets by number of members, then member ids: the order of `facets` and `descent`."""
+    return sorted(facets, key=lambda face: ((face >> n).bit_count(), ids_of(face >> n)))
+
+
 def _cmd_facets(args) -> int:
     algebra = _load(args)
     catalog = catalog_for(algebra, t_max=args.t_max)
     if catalog.kind == FINITE:
         facets = enumerate_support_tilting(catalog)
     else:
-        facets = list(rank2_window_complex(catalog).support_tiltings)
-    for st in facets:
+        facets = rank2_window_complex(catalog).facets
+    for face in _by_members(algebra.n, facets):
+        ids, sigma = decode_face(algebra.n, face)
         print(json.dumps({
-            "T": [list(catalog.entries[i].dimv) for i in st.ids],
-            "sigma": [v + 1 for v in st.sigma],
+            "T": [list(catalog.entries[i].dimv) for i in ids],
+            "sigma": [v + 1 for v in sigma],
         }))
     return EXIT_OK
+
+
+def _verdict(facets: int, checks: dict[str, bool], fmt: str) -> int:
+    """Print the facet count and every check on one line; the exit code."""
+    if fmt == "json":
+        print(json.dumps({"facets": facets, **{k: bool(v) for k, v in checks.items()}}))
+    else:
+        print(" ".join([f"facets={facets}"] + [f"{k} {_mark(ok)}" for k, ok in checks.items()]))
+    return EXIT_OK if all(checks.values()) else EXIT_VERIFY_FAILED
 
 
 def _verify_finite(catalog, fmt: str) -> int:
@@ -148,24 +163,18 @@ def _verify_finite(catalog, fmt: str) -> int:
         "endos": endos.ok,
         "descent": descent.ok,
     }
-    n = catalog.algebra.n
     # the first witness of each check that can name one
     witnesses = {
         "ap4": axioms.bad_ridges[:1],
         "strong-flag": [f for f in (flags.ridge_witness, flags.coface_witness) if f is not None][:1],
-        "endos": [encode_face(n, st) for st in endos.failures[:1]],
-        "descent": [encode_face(n, st) for st in descent.stalled[:1]],
+        "endos": endos.failures[:1],
+        "descent": descent.stalled[:1],
     }
-    if fmt == "json":
-        print(json.dumps({"facets": len(cx.facets), **{k: bool(v) for k, v in checks.items()}}))
-    else:
-        parts = [f"facets={len(cx.facets)}"]
-        parts += [f"{name} {_mark(ok)}" for name, ok in checks.items()]
-        print(" ".join(parts))
+    code = _verdict(len(cx.facets), checks, fmt)
     for name, faces in witnesses.items():
         if faces and not checks[name]:
             print(f"witness: {name} {face_label(catalog, faces[0])}", file=sys.stderr)
-    return EXIT_OK if all(checks.values()) else EXIT_VERIFY_FAILED
+    return code
 
 
 def _verify_rank2_infinite(algebra, catalog, fmt: str) -> int:
@@ -182,13 +191,7 @@ def _verify_rank2_infinite(algebra, catalog, fmt: str) -> int:
         "total-order": order.ok,
         "rank2-descent": inequality.ok,
     }
-    if fmt == "json":
-        print(json.dumps({"facets": len(window.facets), **{k: bool(v) for k, v in checks.items()}}))
-    else:
-        parts = [f"facets={len(window.facets)}"]
-        parts += [f"{name} {_mark(ok)}" for name, ok in checks.items()]
-        print(" ".join(parts))
-    return EXIT_OK if all(checks.values()) else EXIT_VERIFY_FAILED
+    return _verdict(len(window.facets), checks, fmt)
 
 
 def _cmd_verify(args) -> int:
@@ -227,13 +230,12 @@ def _cmd_descent(args) -> int:
     catalog = catalog_for(algebra)
     if catalog.kind != FINITE:
         raise UnsupportedAlgebra("descent requires a representation-finite algebra")
-    n = catalog.algebra.n
     zero = zero_facet(catalog)
-    facets = enumerate_support_tilting(catalog)
+    facets = _by_members(algebra.n, enumerate_support_tilting(catalog))
     all_ok = True
-    for st in facets:
-        path = descent_path(catalog, st, len(facets))
-        labels = [face_label(catalog, encode_face(n, facet)) for facet in path]
+    for start in facets:
+        path = descent_path(catalog, start, len(facets))
+        labels = [face_label(catalog, facet) for facet in path]
         ok = path[-1] == zero
         all_ok = all_ok and ok
         print(f"{'ok ' if ok else 'FAIL'} steps={len(path) - 1}  " + " -> ".join(labels))

@@ -3,11 +3,13 @@
 A catalog member X gets the measure ell(X) / sqrt(q(X)), where ell is the
 total length and q the endomorphism length.  The measure is never evaluated
 numerically: comparisons cross-multiply the squared values, so everything
-stays in exact integers.  A facet gets the vector of its members' measures,
-padded in front with one zero per unsupported vertex and compared
-lexicographically.  Replacing a measure-minimal member by its canonical
-in-support completion (or the dual one) strictly drops the vector, which
-drives every facet down to the zero module.
+stays in exact integers.  A facet (an int face, as in `tilting`) gets the
+vector of its members' measures, padded in front with one zero per
+unsupported vertex and compared lexicographically.  The descent compares
+int keys instead: -1 per unsupported vertex, then the members' ranks by
+measure (`RootCatalog.mu_ranks`), ascending.  Replacing a measure-minimal
+member by its canonical in-support completion (or the dual one) strictly
+drops the vector, which drives every facet down to the zero module.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (
     SymmetrizabilityViolation,
     ZeroModule,
 )
-from .homext import support
+from .homext import ids_of
 from .roots import (
     FINITE,
     PREINJ,
@@ -40,7 +42,6 @@ from .roots import (
     two_term_chain,
 )
 from .tilting import (
-    SupportTilting,
     as_facet,
     bongartz,
     dual_bongartz,
@@ -96,10 +97,11 @@ def mu_compare(a: Mu, b: Mu) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
-def lambda_vector(catalog: RootCatalog, facet: SupportTilting) -> tuple[Mu, ...]:
+def lambda_vector(catalog: RootCatalog, facet: int) -> tuple[Mu, ...]:
     """Zeros for the unsupported vertices, then the member measures ascending."""
-    mus = sorted(mu(catalog, catalog.entries[i]) for i in facet.ids)
-    return tuple([MU_ZERO] * len(facet.sigma) + mus)
+    n = catalog.algebra.n
+    mus = sorted(mu(catalog, catalog.entries[i]) for i in ids_of(facet >> n))
+    return tuple([MU_ZERO] * (facet & ((1 << n) - 1)).bit_count() + mus)
 
 
 def lambda_compare(x: Sequence[Mu], y: Sequence[Mu]) -> int:
@@ -113,51 +115,57 @@ def lambda_compare(x: Sequence[Mu], y: Sequence[Mu]) -> int:
     return 0
 
 
-def member_moves(catalog: RootCatalog) -> tuple[SupportTilting, ...]:
+def lambda_key(catalog: RootCatalog, facet: int) -> tuple[int, ...]:
+    """-1 for each unsupported vertex, then the members' measure ranks
+    ascending; compares as `lambda_compare` compares the lambda vectors."""
+    n, ranks = catalog.algebra.n, catalog.mu_ranks
+    return tuple(sorted(-1 if v < n else ranks[v - n] for v in ids_of(facet)))
+
+
+def member_moves(catalog: RootCatalog) -> tuple[int, ...]:
     """Each member's descent move, by id: the better of its two canonical
-    in-support completions, as a facet (the smaller lambda vector; ties keep
+    in-support completions, as a facet (the smaller lambda key; ties keep
     the forward one).  `RootCatalog.descent_moves` keeps them."""
     moves = []
     for m in range(len(catalog)):
-        supp_m, _ = support(catalog, (m,))
+        supp_m = ids_of(catalog.kernel.support[m])
         forward = bongartz(catalog, (m,), within=supp_m)
         backward = dual_bongartz(catalog, (m,), within=supp_m)
-        # tuples of Mu compare lexicographically, as lambda_compare does
         moves.append(min((as_facet(catalog, {m} | part) for part in (forward, backward)),
-                         key=lambda f: lambda_vector(catalog, f)))
+                         key=lambda f: lambda_key(catalog, f)))
     return tuple(moves)
 
 
-def descent_step(catalog: RootCatalog, facet: SupportTilting) -> SupportTilting:
+def descent_step(catalog: RootCatalog, facet: int) -> int:
     """The descent move away from a nonzero facet.
 
     Pick the member M with minimal measure (ties: smallest id).  When M is
     the whole facet and lives on a single vertex, drop it for the zero facet.
     Otherwise return M's descent move: whichever of the two canonical
-    in-support completions of M has the smaller lambda vector.  The walk
-    (`_descend`) checks that the move drops the facet's lambda vector.
+    in-support completions of M has the smaller lambda key.  The walk
+    (`_descend`) checks that the move drops the facet's lambda key.
     """
-    if not facet.ids:
+    members = ids_of(facet >> catalog.algebra.n)
+    if not members:
         raise ZeroModule("the zero facet has no descent step")
-    chosen = min(facet.ids, key=lambda i: (mu(catalog, catalog.entries[i]), i))
-    if len(facet.ids) == 1 and catalog.kernel.support[chosen].bit_count() == 1:
+    chosen = min(members, key=lambda i: (catalog.mu_ranks[i], i))
+    if len(members) == 1 and catalog.kernel.support[chosen].bit_count() == 1:
         return zero_facet(catalog)
     return catalog.descent_moves[chosen]
 
 
-def _descend(catalog: RootCatalog, facet: SupportTilting) -> SupportTilting | None:
+def _descend(catalog: RootCatalog, facet: int) -> int | None:
     """The next facet of the descent, or None where the walk stops: at the
-    zero facet, and before a step that fails to drop the lambda vector."""
+    zero facet, and before a step that fails to drop the lambda key."""
     if facet == zero_facet(catalog):
         return None
     nxt = descent_step(catalog, facet)
-    if lambda_compare(lambda_vector(catalog, nxt), lambda_vector(catalog, facet)) >= 0:
+    if lambda_key(catalog, nxt) >= lambda_key(catalog, facet):
         return None
     return nxt
 
 
-def descent_path(catalog: RootCatalog, facet: SupportTilting,
-                 max_steps: int) -> list[SupportTilting]:
+def descent_path(catalog: RootCatalog, facet: int, max_steps: int) -> list[int]:
     """The descent from `facet` towards the zero facet, `facet` first.
 
     The walk stops where `_descend` stops it, or once it has taken more than
@@ -175,13 +183,13 @@ def descent_path(catalog: RootCatalog, facet: SupportTilting,
 
 @dataclass
 class DescentReport:
-    """`stalled` lists, in facet order, the facets other than the zero facet
-    where a walk stops: the witnesses of a failed descent."""
+    """`stalled` lists, by ascending vertex tuple, the facets other than the
+    zero facet where a walk stops: the witnesses of a failed descent."""
 
     ok: bool
-    steps: dict[SupportTilting, int]
+    steps: dict[int, int]
     max_steps: int
-    stalled: list[SupportTilting]
+    stalled: list[int]
 
 
 def verify_descent(catalog: RootCatalog) -> DescentReport:
@@ -196,7 +204,7 @@ def verify_descent(catalog: RootCatalog) -> DescentReport:
     facets = enumerate_support_tilting(catalog)
     zero = zero_facet(catalog)
     bound = len(facets) + 1
-    walks: dict[SupportTilting, tuple[int, SupportTilting]] = {}
+    walks: dict[int, tuple[int, int]] = {}
     for start in facets:
         path = [start]
         while path[-1] not in walks:
@@ -339,15 +347,16 @@ def verify_rank2_inequality(algebra: AlgebraData, t_max: int = 10,
 class EndoReport:
     ok: bool
     checked: int
-    failures: list[SupportTilting]
+    failures: list[int]
 
 
-def verify_endos(catalog: RootCatalog, facet: SupportTilting) -> bool:
+def verify_endos(catalog: RootCatalog, facet: int) -> bool:
     """Member endo lengths plus dropped-vertex symmetrizer entries must give
     back the full symmetrizer multiset."""
     algebra = catalog.algebra
-    got = sorted([catalog.entries[i].q for i in facet.ids]
-                 + [algebra.symmetrizer[v] for v in facet.sigma])
+    n = algebra.n
+    got = sorted(algebra.symmetrizer[v] if v < n else catalog.entries[v - n].q
+                 for v in ids_of(facet))
     return got == sorted(algebra.symmetrizer)
 
 

@@ -48,7 +48,7 @@ from .algebra import format_dimv
 from .errors import NotFiniteType, NotProperFace, NotRankTwoInfinite
 from .homext import ids_of, mask_of
 from .roots import FINITE, PREINJ, PREPROJ, RANK2_INFINITE, RootCatalog
-from .tilting import SupportTilting, decode_face, encode_face, support_tilting_sets
+from .tilting import decode_face, facets_among, rigid_faces
 
 Face = int
 
@@ -103,7 +103,7 @@ def _unreached(up: Mapping[int, int], within: int, base: Face = 0) -> int:
 
 @dataclass
 class ClusterComplex:
-    """The faces of a complex; its facets and up masks are found on first use."""
+    """The faces of a complex; the rest is found on first use."""
 
     catalog: RootCatalog
     faces: frozenset[Face]
@@ -115,13 +115,26 @@ class ClusterComplex:
     @cached_property
     def facets(self) -> tuple[Face, ...]:
         """The faces with n vertices, by ascending vertex tuple."""
-        n = self.n
-        return tuple(sorted((f for f in self.faces if f.bit_count() == n), key=ids_of))
+        return tuple(facets_among(self.n, self.faces))
 
     @cached_property
     def up(self) -> dict[Face, int]:
         """`up_masks` of the faces."""
         return up_masks(self.faces)
+
+    @cached_property
+    def pure(self) -> bool:
+        """Every face with an empty up, a maximal face, has n vertices."""
+        n, up = self.n, self.up
+        return all(f.bit_count() == n for f in self.faces if not up[f])
+
+    @cached_property
+    def bad_ridges(self) -> list[Face]:
+        """The faces with n - 1 vertices whose up does not have two bits, by
+        size and then vertex tuple."""
+        n, up = self.n, self.up
+        return sorted((f for f in self.faces
+                       if f.bit_count() == n - 1 and up[f].bit_count() != 2), key=_face_key)
 
 
 def build_complex(catalog: RootCatalog) -> ClusterComplex:
@@ -129,20 +142,6 @@ def build_complex(catalog: RootCatalog) -> ClusterComplex:
     if catalog.kind != FINITE:
         raise NotFiniteType("complex construction requires a finite catalog")
     return ClusterComplex(catalog=catalog, faces=catalog.faces)
-
-
-def _pure(cx: ClusterComplex) -> bool:
-    """Every face with an empty up, a maximal face, has n vertices."""
-    n, up = cx.n, cx.up
-    return all(f.bit_count() == n for f in cx.faces if not up[f])
-
-
-def _bad_ridges(cx: ClusterComplex) -> list[Face]:
-    """The faces with n - 1 vertices whose up does not have two bits, by size
-    and then vertex tuple."""
-    n, up = cx.n, cx.up
-    return sorted((f for f in cx.faces if f.bit_count() == n - 1 and up[f].bit_count() != 2),
-                  key=_face_key)
 
 
 @dataclass
@@ -164,12 +163,12 @@ class AxiomReport:
 def verify_ap_axioms(cx: ClusterComplex) -> AxiomReport:
     faces = cx.faces
     lost = cx.up.keys() - faces
-    bad_ridges = _bad_ridges(cx)
+    bad_ridges = cx.bad_ridges
     # AP4 at the top: every ridge is thin; inside the proper part, a diamond
     # is missing below every face of size >= 2 that lost a subface, and that
     # subface is not empty.
     return AxiomReport(ap1=0 in faces and len(cx.facets) > 0,
-                       ap2=_pure(cx),
+                       ap2=cx.pure,
                        ap4=not bad_ridges and lost <= {0},
                        simplicial=not lost,
                        bad_ridges=bad_ridges)
@@ -234,8 +233,8 @@ class FlagReport:
 def verify_flag_connected(cx: ClusterComplex) -> FlagReport:
     n, up = cx.n, cx.up
     split = [f for f in cx.faces if f.bit_count() < n - 1 and _unreached(up, up[f], f)]
-    thick = _bad_ridges(cx)
-    return FlagReport(pure=_pure(cx),
+    thick = cx.bad_ridges
+    return FlagReport(pure=cx.pure,
                       thin=not thick,
                       cofaces_connected=not split,
                       coface_witness=min(split, key=_face_key, default=None),
@@ -276,7 +275,6 @@ class WindowComplex:
     """Truncation of the infinite rank-2 complex to a catalog window."""
 
     catalog: RootCatalog
-    support_tiltings: tuple[SupportTilting, ...]
     facets: tuple[Face, ...]
     facets_expected: bool
     interior_ridges_ok: bool
@@ -293,14 +291,13 @@ class WindowComplex:
 
 
 def rank2_window_complex(catalog: RootCatalog) -> WindowComplex:
-    """Brute-force facets of a rank-2 window and check the expected line shape."""
+    """Walk the rigid sets of a rank-2 window and check its facets' line shape."""
     if catalog.kind != RANK2_INFINITE:
         raise NotRankTwoInfinite("window complex requires an infinite rank-2 catalog")
-    return window_complex_from_facets(catalog, support_tilting_sets(catalog))
+    return window_complex_from_facets(catalog, facets_among(catalog.algebra.n, rigid_faces(catalog)))
 
 
-def window_complex_from_facets(catalog: RootCatalog,
-                               support_tiltings: list[SupportTilting]) -> WindowComplex:
+def window_complex_from_facets(catalog: RootCatalog, facets: Collection[Face]) -> WindowComplex:
     """Check given window facets against the expected line shape.
 
     Facets must be exactly: the zero module, the two single-vertex members,
@@ -310,7 +307,7 @@ def window_complex_from_facets(catalog: RootCatalog,
     vertices, from one sweep over the facets.
     """
     n = catalog.algebra.n
-    facets = tuple(sorted((encode_face(n, st) for st in support_tiltings), key=ids_of))
+    facets = tuple(sorted(facets, key=ids_of))
 
     zero = (1 << n) - 1
     expected: set[Face] = {zero}
@@ -331,7 +328,6 @@ def window_complex_from_facets(catalog: RootCatalog,
     interior_ridges_ok = all(up.get(1 << v, 0).bit_count() == (1 if v in boundary else 2)
                              for v in vertices)
     window = WindowComplex(catalog=catalog,
-                           support_tiltings=tuple(support_tiltings),
                            facets=facets,
                            facets_expected=facets_expected,
                            interior_ridges_ok=interior_ridges_ok,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
@@ -82,6 +83,13 @@ class RootCatalog:
         return tuple(length(self.algebra, e.dimv) for e in self.entries)
 
     @functools.cached_property
+    def mu_ranks(self) -> tuple[int, ...]:
+        """Each member's rank by exact squared measure length^2 / q, by id."""
+        squares = [Fraction(ell * ell, e.q) for ell, e in zip(self.lengths, self.entries)]
+        rank = {value: r for r, value in enumerate(sorted(set(squares)))}
+        return tuple(rank[value] for value in squares)
+
+    @functools.cached_property
     def kernel(self):
         """Ext-compatibility bitmasks (`homext.ExtKernel`), built on first use."""
         from .homext import build_kernel
@@ -98,11 +106,11 @@ class RootCatalog:
 
     @functools.cached_property
     def facets(self) -> tuple:
-        """The faces with n vertices as support-tilting sets
-        (`tilting.support_tilting_sets`)."""
-        from .tilting import support_tilting_sets
+        """The faces with n vertices, by ascending vertex tuple
+        (`tilting.facets_among`)."""
+        from .tilting import facets_among
 
-        return tuple(support_tilting_sets(self))
+        return tuple(facets_among(self.algebra.n, self.faces))
 
     @functools.cached_property
     def descent_moves(self) -> tuple:

@@ -1,10 +1,14 @@
-"""Faces, support-tilting sets, exchange complements, canonical completions.
+"""Faces, facets, exchange complements, canonical completions.
 
-The faces of the complex are the rigid sets T, each with every set of
-vertices outside its support; one walk over the rigid sets emits them all.
-A rigid id set is support-tilting when it has as many members as supported
-vertices; it is then a basis of the lattice restricted to its support, and
-with all its unsupported vertices it is a face with n vertices, a facet.  The
+A face is an int bitmask over a combined vertex pool: coordinate vertex v
+is bit v and the catalog member with id k is bit n + k.  The faces of the
+complex are the rigid sets T, each with every set of vertices outside its
+support; one walk over the rigid sets emits them all.  A rigid id set is
+support-tilting when it has as many members as supported vertices; it is
+then a basis of the lattice restricted to its support, and with all its
+unsupported vertices it is a face with n vertices, a facet.  Facets are int
+faces like the others, kept in the order of their ascending vertex tuples;
+`decode_face` splits one into member ids and unsupported vertices.  The
 canonical completion of a rigid set T inside a vertex window W is read off
 directly (K. Bongartz, "Tilted algebras", LNM 903, 1981): it is the set G of
 members B outside T, compatible with T, with ext(B, M) = 0 for every
@@ -31,35 +35,20 @@ from .homext import ids_of, is_rigid, iter_rigid_sets, mask_of, support, validat
 from .roots import FINITE, RootCatalog
 
 
-@dataclass(frozen=True, order=True)
-class SupportTilting:
-    """A facet: sorted member ids together with the unsupported vertices."""
-
-    ids: tuple[int, ...]
-    sigma: tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.ids) + len(self.sigma) - 1
+def as_facet(catalog: RootCatalog, ids: Iterable[int]) -> int:
+    """The face of the members `ids` with every vertex outside their support."""
+    members = validate_ids(catalog, ids)
+    free = zero_facet(catalog) & ~catalog.kernel.support_of(members)
+    return free | (mask_of(members) << catalog.algebra.n)
 
 
-def as_facet(catalog: RootCatalog, ids: Iterable[int]) -> SupportTilting:
-    members = tuple(sorted(set(ids)))
-    _, sigma = support(catalog, members)
-    return SupportTilting(ids=members, sigma=tuple(sorted(sigma)))
-
-
-def zero_facet(catalog: RootCatalog) -> SupportTilting:
-    return SupportTilting(ids=(), sigma=tuple(range(catalog.algebra.n)))
-
-
-def encode_face(n: int, st: SupportTilting) -> int:
-    """The int bitmask of a face: vertex v is bit v, member k is bit n + k."""
-    return mask_of(st.sigma) | mask_of(n + i for i in st.ids)
+def zero_facet(catalog: RootCatalog) -> int:
+    """The facet of the zero module: every vertex and no member."""
+    return (1 << catalog.algebra.n) - 1
 
 
 def decode_face(n: int, face: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(member ids, sigma vertices) of an encoded face."""
+    """(member ids, sigma vertices) of a face."""
     vertices = ids_of(face)
     return tuple(v - n for v in vertices if v >= n), tuple(v for v in vertices if v < n)
 
@@ -69,8 +58,8 @@ def rigid_faces(catalog: RootCatalog) -> Iterator[int]:
 
     A face is a pair (T, sigma): a rigid set T and a set sigma of vertices
     outside the support of T (T. Adachi, O. Iyama, I. Reiten, "tau-tilting
-    theory", 2014).  Each rigid T is emitted with every such sigma, encoded
-    as in `encode_face`.  `RootCatalog.faces` keeps them.
+    theory", 2014).  Each rigid T is emitted with every such sigma.
+    `RootCatalog.faces` keeps them.
     """
     n = catalog.algebra.n
     everything = (1 << n) - 1
@@ -85,17 +74,13 @@ def rigid_faces(catalog: RootCatalog) -> Iterator[int]:
             sigma = (sigma - 1) & free
 
 
-def support_tilting_sets(catalog: RootCatalog) -> list[SupportTilting]:
-    """The faces with n vertices, of any catalog kind: the rigid sets with as
-    many members as supported vertices, each with all its unsupported ones."""
-    n = catalog.algebra.n
-    out = [SupportTilting(*decode_face(n, face)) for face in catalog.faces if face.bit_count() == n]
-    out.sort(key=lambda st: (len(st.ids), st.ids))
-    return out
+def facets_among(n: int, faces: Iterable[int]) -> list[int]:
+    """The faces with n vertices, by ascending vertex tuple."""
+    return sorted((face for face in faces if face.bit_count() == n), key=ids_of)
 
 
-def enumerate_support_tilting(catalog: RootCatalog) -> list[SupportTilting]:
-    """All facets, the zero module included, in a deterministic order.
+def enumerate_support_tilting(catalog: RootCatalog) -> list[int]:
+    """All facets, the zero facet included, by ascending vertex tuple.
 
     The catalog walks its rigid sets once for its faces and keeps the facets
     among them (`RootCatalog.facets`); each call returns a fresh list.

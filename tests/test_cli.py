@@ -74,7 +74,8 @@ def test_failed_checks_print_witnesses(monkeypatch, capsys):
     victim = whole.facets[0]
     monkeypatch.setattr(cli, "build_complex", lambda catalog: ClusterComplex(
         catalog=catalog, faces=build_complex(catalog).faces - {victim}))
-    monkeypatch.setattr(measure, "verify_endos", lambda catalog, facet: bool(facet.ids))
+    monkeypatch.setattr(measure, "verify_endos",
+                        lambda catalog, facet: bool(facet >> catalog.algebra.n))
     code, out, err = run(capsys, "verify", "--fixture", "a3")
     assert code == 1
     assert out == "facets=13 ap1 ✓ ap2 ✓ ap4 ✗ simplicial ✓ strong-flag ✗ endos ✗ descent ✓\n"

@@ -1,6 +1,6 @@
 """Frozen CLI output of every bundled fixture: `verify --format json`,
-`descent` and `graph` (DOT and JSON), with their exit codes and standard
-error.
+`descent`, `graph` (DOT and JSON) and `facets`, and of `g2-demo`, with their
+exit codes and standard error.
 
 A change that means to alter this output regenerates the file with
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -22,15 +22,17 @@ COMMANDS = {
     "descent": ["descent"],
     "graph": ["graph"],
     "graph-json": ["graph", "--format", "json"],
+    "facets": ["facets"],
 }
-CASES = [f"{command} {name}" for name in fixture_names() for command in COMMANDS]
+CASES = [f"{command} {name}" for name in fixture_names() for command in COMMANDS] + ["g2-demo"]
 
 
 def _run(case):
-    command, name = case.split()
+    command, *name = case.split()
+    argv = COMMANDS[command] + ["--fixture", *name] if name else [command]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(COMMANDS[command] + ["--fixture", name])
+        code = main(argv)
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 

@@ -1,8 +1,9 @@
 """Import hygiene of the package: standard library only, no private names
-taken from sibling modules, and the `cli` names that the benchmark's tracer
-patches still there."""
+taken from sibling modules, and the `cli`, `measure` and `tilting` names that
+the benchmark's tracer patches still there."""
 
 import ast
+import importlib
 import runpy
 import sys
 from pathlib import Path
@@ -50,9 +51,9 @@ def test_stdlib_only(path):
 def test_tracer_boundaries_name_cli_attributes():
     # the tracer skips a boundary whose name is gone, and its layer then
     # reads zero; run_path compiles the file without writing bytecode
-    from clustercomplex import cli
-
     boundaries = runpy.run_path(str(ROOT / "perfbench" / "tracer.py"))["BOUNDARIES"]
-    names = [name for module, name, _, _ in boundaries if module == f"{PACKAGE}.cli"]
-    assert names
-    assert [name for name in names if not hasattr(cli, name)] == []
+    for module in ("cli", "measure", "tilting"):
+        namespace = importlib.import_module(f"{PACKAGE}.{module}")
+        names = [name for path, name, _, _ in boundaries if path == f"{PACKAGE}.{module}"]
+        assert names, module
+        assert [name for name in names if not hasattr(namespace, name)] == [], module

@@ -8,6 +8,8 @@ from clustercomplex import (
     MU_ZERO,
     Mu,
     as_facet,
+    build_algebra,
+    decode_face,
     descent_path,
     descent_step,
     enumerate_support_tilting,
@@ -24,7 +26,7 @@ from clustercomplex import (
     verify_total_order,
     zero_facet,
 )
-from clustercomplex import encode_face, face_label, measure
+from clustercomplex import face_label, measure
 from clustercomplex.cli import main
 from clustercomplex.errors import (
     Disconnected,
@@ -91,6 +93,32 @@ def test_lambda_compare():
         lambda_compare(zero, zero + (MU_ZERO,))
 
 
+def _drawn_b6(seed):
+    """B6 with u = (2, ..., 2, 1), each arrow of its chain drawn in a random direction."""
+    n = 6
+    cartan = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
+              for i in range(n)]
+    cartan[5][4] = -2
+    rng = random.Random(seed)
+    arrows = [(i, i + 1) if rng.random() < 0.5 else (i + 1, i) for i in range(n - 1)]
+    return build_algebra(cartan, [2] * 5 + [1], arrows)
+
+
+@pytest.mark.parametrize("name", FINITE_FIXTURES + ("B6",))
+def test_lambda_key_orders_as_lambda_compare(name):
+    # the rank keys the descent compares against the Mu vectors, on every
+    # ordered pair of facets; B6 has members of equal measure
+    cat = positive_roots(_drawn_b6(5) if name == "B6" else fixture(name))
+    if name == "B6":
+        assert len(set(cat.mu_ranks)) < len(cat)
+    facets = enumerate_support_tilting(cat)
+    vectors = [lambda_vector(cat, f) for f in facets]
+    keys = [measure.lambda_key(cat, f) for f in facets]
+    for x, kx in zip(vectors, keys):
+        for y, ky in zip(vectors, keys):
+            assert (kx > ky) - (kx < ky) == lambda_compare(x, y)
+
+
 def test_descent_step_g2():
     cat = g2_catalog()
     d = cat.by_dimv[(1, 2)].id
@@ -155,7 +183,7 @@ def test_a_corrupt_descent_move_fails_verify(monkeypatch, capsys):
     assert main(["verify", "--fixture", "d4"]) == 1
     captured = capsys.readouterr()
     assert "descent ✗" in captured.out and "endos ✓" in captured.out
-    assert captured.err == f"witness: descent {face_label(cat, encode_face(4, victim))}\n"
+    assert captured.err == f"witness: descent {face_label(cat, victim)}\n"
 
 
 def test_total_order_examples():
@@ -207,7 +235,8 @@ def test_verify_endos():
     top = as_facet(cat, (cat.by_dimv[(1, 2)].id, cat.by_dimv[(2, 3)].id))
     assert verify_endos(cat, top)
     assert verify_endos(cat, zero_facet(cat))
-    assert sorted(cat.entries[i].q for i in lam.ids) == [1, 3]
+    ids, _ = decode_face(cat.algebra.n, lam)
+    assert sorted(cat.entries[i].q for i in ids) == [1, 3]
 
 
 def test_verify_endos_all_fixtures():

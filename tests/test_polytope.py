@@ -9,8 +9,8 @@ from clustercomplex import (
     build_algebra,
     build_complex,
     coface_profile,
+    as_facet,
     decode_face,
-    encode_face,
     enumerate_support_tilting,
     exchange_graph,
     fixture,
@@ -26,7 +26,7 @@ from clustercomplex import (
 from clustercomplex import cli, polytope
 from clustercomplex.cli import main
 from clustercomplex.errors import NotFiniteType, NotProperFace, NotRankTwoInfinite
-from clustercomplex.homext import ids_of
+from clustercomplex.homext import ids_of, mask_of
 from clustercomplex.polytope import (
     ClusterComplex,
     is_path,
@@ -34,7 +34,7 @@ from clustercomplex.polytope import (
     window_complex_from_facets,
 )
 from clustercomplex.roots import RootCatalog
-from clustercomplex.tilting import support_tilting_sets
+from clustercomplex.tilting import rigid_faces
 from oracles import (
     downward_closure,
     oracle_diamonds,
@@ -186,11 +186,11 @@ def test_strong_flag_fails_at_any_size(monkeypatch, capsys, tmp_path):
                                 "arrows": [[i, i + 1] for i in range(1, n)]}))
     cat = positive_roots(build_algebra(cartan, [1] * n, [(i, i + 1) for i in range(n - 1)]))
     victim = enumerate_support_tilting(cat)[-1]  # a sincere facet
-    assert len(victim.ids) == n
+    assert len(decode_face(n, victim)[0]) == n
 
     def without_victim(catalog):
         faces = build_complex(catalog).faces
-        return ClusterComplex(catalog=catalog, faces=faces - {encode_face(n, victim)})
+        return ClusterComplex(catalog=catalog, faces=faces - {victim})
 
     monkeypatch.setattr(cli, "build_complex", without_victim)
     assert main(["verify", "--input", str(path)]) == 1
@@ -358,9 +358,12 @@ def test_coface_polygon_classification_everywhere():
 
 def test_face_encoding_roundtrip():
     cat = positive_roots(fixture("a3"))
-    for st in enumerate_support_tilting(cat):
-        face = encode_face(cat.algebra.n, st)
-        assert decode_face(cat.algebra.n, face) == (st.ids, st.sigma)
+    n = cat.algebra.n
+    for face in enumerate_support_tilting(cat):
+        ids, sigma = decode_face(n, face)
+        assert mask_of(sigma) | mask_of(n + i for i in ids) == face
+        assert as_facet(cat, ids) == face
+        assert sigma == tuple(sorted(support(cat, ids)[1]))
 
 
 def test_window_complex_kronecker():
@@ -370,8 +373,8 @@ def test_window_complex_kronecker():
     assert window.interior_ridges_ok
     assert window.path_ok
     assert len(window.facets) == 21  # 9 + 9 neighbour pairs and 3 coordinate facets
-    sincere = [st for st in window.support_tiltings if not st.sigma]
-    assert all(len(st.ids) == 2 and is_rigid(cat, st.ids) for st in sincere)
+    sincere = [ids for ids, sigma in (decode_face(2, f) for f in window.facets) if not sigma]
+    assert all(len(ids) == 2 and is_rigid(cat, ids) for ids in sincere)
 
 
 def test_window_complex_valued15():
@@ -397,17 +400,17 @@ def test_window_checks_fail_on_dropped_facet(monkeypatch, capsys):
     # drop one neighbour pair from the middle of the forward family: the facet
     # list is wrong, its two members lie in one facet each, and the path splits
     cat = rank2_sequences(fixture("kronecker"), 4)
-    sts = support_tilting_sets(cat)
-    pairs = [st for st in sts if len(st.ids) == 2]
+    facets = rank2_window_complex(cat).facets
+    pairs = sorted((f for f in facets if (f >> 2).bit_count() == 2), key=lambda f: ids_of(f >> 2))
     victim = pairs[len(pairs) // 4]
-    kept = [st for st in sts if st != victim]
+    kept = [f for f in facets if f != victim]
     window = window_complex_from_facets(cat, kept)
     assert not window.facets_expected
     assert not window.interior_ridges_ok
     assert not window.path_ok
 
-    monkeypatch.setattr(polytope, "support_tilting_sets",
-                        lambda catalog: [st for st in support_tilting_sets(catalog) if st != victim])
+    monkeypatch.setattr(polytope, "rigid_faces",
+                        lambda catalog: (f for f in rigid_faces(catalog) if f != victim))
     assert main(["verify", "--fixture", "kronecker", "--t-max", "4"]) == 1
     out = capsys.readouterr().out
     assert "window-facets ✗" in out and "interior-ridges ✗" in out and "path ✗" in out

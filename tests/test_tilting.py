@@ -5,6 +5,7 @@ from clustercomplex import (
     bongartz,
     bongartz_split,
     complements,
+    decode_face,
     dual_bongartz,
     dual_bongartz_split,
     enumerate_support_tilting,
@@ -41,20 +42,21 @@ def test_facet_counts(name):
     cat = positive_roots(alg)
     facets = enumerate_support_tilting(cat)
     assert len(facets) == KNOWN_FACET_COUNTS[name]
-    expected = {frozenset(cat.entries[i].dimv for i in st.ids) for st in facets}
+    expected = {frozenset(cat.entries[i].dimv for i in decode_face(alg.n, f)[0]) for f in facets}
     assert expected == set(oracle_facets(alg.euler, cat.dimvs()))
 
 
 def test_facets_have_basis_dimvs():
     for name in ("a3", "b3", "g2", "d4"):
         cat = positive_roots(fixture(name))
-        for st in enumerate_support_tilting(cat):
-            if not st.ids:
+        for face in enumerate_support_tilting(cat):
+            ids, face_sigma = decode_face(cat.algebra.n, face)
+            if not ids:
                 continue
-            supp, sigma = support(cat, st.ids)
-            assert len(st.ids) == len(supp)
-            assert tuple(sorted(sigma)) == st.sigma
-            restricted = [[cat.entries[i].dimv[v] for v in sorted(supp)] for i in st.ids]
+            supp, sigma = support(cat, ids)
+            assert len(ids) == len(supp)
+            assert tuple(sorted(sigma)) == face_sigma
+            restricted = [[cat.entries[i].dimv[v] for v in sorted(supp)] for i in ids]
             assert linalg.det(restricted) != 0
 
 
@@ -85,10 +87,11 @@ def test_complement_dichotomy():
     sincere, one way otherwise."""
     for name in ("a2", "a3", "b2", "g2", "d4"):
         cat = positive_roots(fixture(name))
-        for st in enumerate_support_tilting(cat):
-            w, _ = support(cat, st.ids)
-            for m in st.ids:
-                rest = tuple(i for i in st.ids if i != m)
+        for face in enumerate_support_tilting(cat):
+            ids, _ = decode_face(cat.algebra.n, face)
+            w, _ = support(cat, ids)
+            for m in ids:
+                rest = tuple(i for i in ids if i != m)
                 rest_supp, _ = support(cat, rest)
                 found = complements(cat, rest, within=w)
                 assert m in found
@@ -206,10 +209,11 @@ def test_endo_length_shadow_of_b2():
     for name in ("a3", "g2", "b3"):
         cat = positive_roots(fixture(name))
         u = cat.algebra.symmetrizer
-        for st in enumerate_support_tilting(cat):
-            _, b2 = bongartz_split(cat, st.ids)
+        for face in enumerate_support_tilting(cat):
+            ids, sigma = decode_face(cat.algebra.n, face)
+            _, b2 = bongartz_split(cat, ids)
             got = sorted(cat.entries[i].q for i in b2)
-            want = sorted(u[v] for v in st.sigma)
+            want = sorted(u[v] for v in sigma)
             assert got == want
 
 
