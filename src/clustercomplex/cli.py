@@ -42,7 +42,7 @@ from .polytope import (
     verify_ap_axioms,
     verify_flag_connected,
 )
-from .roots import FINITE, RANK2_INFINITE, catalog_for, classify_type, rank2_sequences
+from .roots import FINITE, catalog_for, rank2_sequences
 from .tilting import decode_face, enumerate_support_tilting, zero_facet
 
 EXIT_OK = 0
@@ -73,7 +73,8 @@ def _load(args: argparse.Namespace) -> AlgebraData:
 
 
 def _non_negative(text: str) -> int:
-    """argparse type for --t-max: a non-negative integer, else exit 2."""
+    """argparse type for --t-max and --random-weights: a non-negative
+    integer, else exit 2."""
     try:
         value = int(text)
     except ValueError:
@@ -126,11 +127,7 @@ def _by_members(n: int, facets) -> list[int]:
 def _cmd_facets(args) -> int:
     algebra = _load(args)
     catalog = catalog_for(algebra, t_max=args.t_max)
-    if catalog.kind == FINITE:
-        facets = enumerate_support_tilting(catalog)
-    else:
-        facets = rank2_window_complex(catalog).facets
-    for face in _by_members(algebra.n, facets):
+    for face in _by_members(algebra.n, catalog.facets):
         ids, sigma = decode_face(algebra.n, face)
         print(json.dumps({
             "T": [list(catalog.entries[i].dimv) for i in ids],
@@ -177,9 +174,11 @@ def _verify_finite(catalog, fmt: str) -> int:
     return code
 
 
-def _verify_rank2_infinite(algebra, catalog, fmt: str) -> int:
-    window = rank2_window_complex(catalog)
-    inequality = verify_rank2_inequality(algebra, t_max=catalog.cutoff)
+def _verify_rank2_infinite(catalog, fmt: str) -> int:
+    cx = build_complex(catalog)
+    window = rank2_window_complex(cx)
+    inequality = verify_rank2_inequality(catalog)
+    algebra = catalog.algebra
     src, snk = next(iter(algebra.arrows))
     r, s = -algebra.cartan[src][snk], -algebra.cartan[snk][src]
     u, v = algebra.symmetrizer[src], algebra.symmetrizer[snk]
@@ -191,27 +190,19 @@ def _verify_rank2_infinite(algebra, catalog, fmt: str) -> int:
         "total-order": order.ok,
         "rank2-descent": inequality.ok,
     }
-    return _verdict(len(window.facets), checks, fmt)
+    return _verdict(len(cx.facets), checks, fmt)
 
 
 def _cmd_verify(args) -> int:
-    algebra = _load(args)
-    kind = classify_type(algebra)
-    if kind == FINITE:
-        return _verify_finite(catalog_for(algebra), args.format)
-    if kind == RANK2_INFINITE:
-        return _verify_rank2_infinite(algebra, rank2_sequences(algebra, args.t_max), args.format)
-    raise UnsupportedAlgebra("representation-infinite of rank >= 3")
+    catalog = catalog_for(_load(args), t_max=args.t_max)
+    if catalog.kind == FINITE:
+        return _verify_finite(catalog, args.format)
+    return _verify_rank2_infinite(catalog, args.format)
 
 
 def _cmd_graph(args) -> int:
-    algebra = _load(args)
-    catalog = catalog_for(algebra, t_max=args.t_max)
-    if catalog.kind == FINITE:
-        cx = build_complex(catalog)
-    else:
-        cx = rank2_window_complex(catalog)
-    labels = [face_label(catalog, f) for f in cx.facets]
+    cx = build_complex(catalog_for(_load(args), t_max=args.t_max))
+    labels = [face_label(cx.catalog, f) for f in cx.facets]
     edges = [(i, j) for i, nbrs in exchange_graph(cx).items() for j in nbrs if i < j]
     if args.format == "json":
         print(json.dumps({"nodes": labels, "edges": edges}))
@@ -318,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_order.add_argument("--u", type=int, required=True)
     p_order.add_argument("--v", type=int, required=True)
     p_order.add_argument("--t-max", type=_non_negative, default=30)
-    p_order.add_argument("--random-weights", type=int, default=0)
+    p_order.add_argument("--random-weights", type=_non_negative, default=0)
     p_order.add_argument("--seed", type=int, default=0)
     p_order.set_defaults(func=_cmd_total_order)
 

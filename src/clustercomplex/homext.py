@@ -111,16 +111,16 @@ class ExtKernel:
         outside = mask_of(v for v in range(self.n) if v not in vertices)
         return mask_of(i for i, s in enumerate(self.support) if not s & outside)
 
-    def cliques(self, pool: int, cap: int) -> Iterator[tuple[int, ...]]:
-        """Every set of pairwise compatible members of `pool` with at most
-        `cap` members, as an ascending id tuple, in depth-first pre-order
-        starting with the empty set.  Candidates are the AND of the chosen
-        members' compat masks, walked by lowest set bit."""
+    def cliques(self) -> Iterator[tuple[int, ...]]:
+        """Every set of pairwise compatible members with at most n members,
+        as an ascending id tuple, in depth-first pre-order starting with the
+        empty set.  Candidates are the AND of the chosen members' compat
+        masks, walked by lowest set bit."""
         stack: list[int] = []
 
         def extend(cands: int) -> Iterator[tuple[int, ...]]:
             yield tuple(stack)
-            if len(stack) >= cap:
+            if len(stack) >= self.n:
                 return
             while cands:
                 low = cands & -cands
@@ -130,7 +130,7 @@ class ExtKernel:
                 yield from extend(cands & self.compat[i])
                 stack.pop()
 
-        return extend(pool)
+        return extend(self.everyone)
 
 
 def build_kernel(catalog: RootCatalog) -> ExtKernel:
@@ -215,20 +215,13 @@ def support(catalog: RootCatalog, ids: Iterable[int]) -> tuple[frozenset[int], f
     return supp, sigma
 
 
-def iter_rigid_sets(catalog: RootCatalog,
-                    within: frozenset[int] | None = None,
-                    max_size: int | None = None):
+def iter_rigid_sets(catalog: RootCatalog) -> Iterator[tuple[int, ...]]:
     """Yield every rigid subset (as a sorted id tuple), the empty set included.
 
-    `within` restricts to members supported inside the given vertex set.
     Sets larger than the algebra rank cannot be rigid and are never produced.
     The catalog's kernel is built on the first item if it does not exist yet.
     """
-    kernel = catalog.kernel
-    n = catalog.algebra.n
-    cap = n if max_size is None else min(max_size, n)
-    pool = kernel.everyone if within is None else kernel.within(within)
-    yield from kernel.cliques(pool, cap)
+    yield from catalog.kernel.cliques()
 
 
 @dataclass

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .algebra import AlgebraData, length
 from .errors import (
     Disconnected,
     LengthMismatch,
@@ -30,17 +29,7 @@ from .errors import (
     ZeroModule,
 )
 from .homext import ids_of
-from .roots import (
-    FINITE,
-    PREINJ,
-    PREPROJ,
-    Indec,
-    RootCatalog,
-    classify_type,
-    positive_roots,
-    rank2_sequences,
-    two_term_chain,
-)
+from .roots import FINITE, Indec, RootCatalog, two_term_chain
 from .tilting import (
     as_facet,
     bongartz,
@@ -283,63 +272,45 @@ class Rank2Report:
     failures: list[tuple]
 
 
-def verify_rank2_inequality(algebra: AlgebraData, t_max: int = 10,
-                           unit_endo_lengths: bool = False) -> Rank2Report:
+def verify_rank2_inequality(catalog: RootCatalog, unit_endo_lengths: bool = False) -> Rank2Report:
     """Every sincere member has a strictly smaller canonical neighbour.
 
-    For each sincere catalog member T the canonical completion B and its dual
-    C are computed (brute force in the finite case, family neighbours in the
-    infinite one) and min(mu(B), mu(C)) < mu(T) is asserted exactly.  With
-    unit_endo_lengths the denominators are forced to 1, i.e. the measure
-    degenerates to plain length; the check is then expected to fail in
-    general.
+    For each sincere member T of a rank-2 catalog, its canonical completion B
+    and the dual one C are read off, and min(mu(B), mu(C)) < mu(T) is
+    asserted exactly.  A finite catalog finds them by the direct `bongartz`
+    and `dual_bongartz` rules.  In a window they are T's neighbours k - 1 and
+    k + 1 in its own family: the forward family is stored first and the
+    backward one after it, both in quiver order, so the completion sits to
+    the left and its dual to the right.  A member with a neighbour outside
+    its family or the window is skipped.  With unit_endo_lengths the
+    denominators are forced to 1, i.e. the measure degenerates to plain
+    length; the check is then expected to fail in general.
     """
+    algebra = catalog.algebra
     if algebra.n != 2:
         raise NotRankTwo("rank-2 check requires two vertices")
     if algebra.cartan[0][1] == 0:
         raise Disconnected("rank-2 check requires a connected algebra")
+    entries = catalog.entries
 
-    def measure(x: Indec) -> Mu:
-        return Mu(length(algebra, x.dimv), 1 if unit_endo_lengths else x.q)
+    def measure(i: int) -> Mu:
+        return Mu(catalog.lengths[i], 1 if unit_endo_lengths else entries[i].q)
 
     failures = []
     checked = 0
-    if classify_type(algebra) == FINITE:
-        catalog = positive_roots(algebra)
-        for entry in catalog.entries:
-            if any(c == 0 for c in entry.dimv):
+    for k, entry in enumerate(entries):
+        if any(c == 0 for c in entry.dimv):
+            continue
+        if catalog.kind == FINITE:
+            (b,), (c,) = bongartz(catalog, (k,)), dual_bongartz(catalog, (k,))
+        else:
+            b, c = k - 1, k + 1
+            if b < 0 or c >= len(entries) or not (
+                    entries[b].component == entry.component == entries[c].component):
                 continue
-            b = bongartz(catalog, (entry.id,))
-            c = dual_bongartz(catalog, (entry.id,))
-            (b_id,) = b
-            (c_id,) = c
-            checked += 1
-            best = min(measure(catalog.entries[b_id]), measure(catalog.entries[c_id]))
-            if not best < measure(entry):
-                failures.append((entry.dimv, catalog.entries[b_id].dimv,
-                                 catalog.entries[c_id].dimv))
-    else:
-        catalog = rank2_sequences(algebra, t_max)
-        entries = catalog.entries
-        for k, entry in enumerate(entries):
-            if any(c == 0 for c in entry.dimv):
-                continue
-            if entry.component == PREPROJ:
-                b_idx, c_idx = k - 1, k + 1
-                if c_idx >= len(entries) or entries[c_idx].component != PREPROJ:
-                    continue
-            else:
-                # backward family is stored in quiver order, so the canonical
-                # completion sits to the left and its dual to the right
-                b_idx, c_idx = k - 1, k + 1
-                if b_idx < 0 or entries[b_idx].component != PREINJ:
-                    continue
-                if c_idx >= len(entries):
-                    continue
-            checked += 1
-            best = min(measure(entries[b_idx]), measure(entries[c_idx]))
-            if not best < measure(entry):
-                failures.append((entry.dimv, entries[b_idx].dimv, entries[c_idx].dimv))
+        checked += 1
+        if not min(measure(b), measure(c)) < measure(k):
+            failures.append((entry.dimv, entries[b].dimv, entries[c].dimv))
     return Rank2Report(ok=not failures, checked=checked, failures=failures)
 
 

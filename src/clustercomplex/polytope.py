@@ -36,19 +36,26 @@ of F has the vertices up[F], and v and w are joined when w is in up[F + v],
 so one flood decides each link.  The lemma needs purity, so a complex that
 is not pure fails `strong-flag` as well as AP2.  With every ridge thin,
 this also decides the literal walk on flags, which `tests/oracles.py` keeps.
+
+A rank-2 window, the infinite rank-2 complex cut down to a line, is a
+`ClusterComplex` like the others, built from the same walk.  Its checks
+differ: `rank2_window_complex` checks that its facets are the expected
+ones, that every vertex but the two window ends lies in two of them, and
+that they form a path.  It does not ask for the polytope axioms, which the
+cut breaks at the two ends.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Mapping
+from typing import Mapping
 
 from .algebra import format_dimv
-from .errors import NotFiniteType, NotProperFace, NotRankTwoInfinite
+from .errors import NotProperFace, NotRankTwoInfinite
 from .homext import ids_of, mask_of
-from .roots import FINITE, PREINJ, PREPROJ, RANK2_INFINITE, RootCatalog
-from .tilting import decode_face, facets_among, rigid_faces
+from .roots import PREINJ, PREPROJ, RANK2_INFINITE, RootCatalog
+from .tilting import decode_face, facets_among
 
 Face = int
 
@@ -65,21 +72,6 @@ def face_label(catalog: RootCatalog, face: Face) -> str:
     ids, sigma = decode_face(catalog.algebra.n, face)
     dimvs = ",".join(format_dimv(catalog.entries[i].dimv) for i in ids)
     return dimvs + "|" + ",".join(str(v + 1) for v in sigma)
-
-
-def up_masks(faces: Collection[Face]) -> dict[Face, int]:
-    """up[F], the mask of the vertices v with F + v in `faces`, for every F
-    in `faces` and every face minus one vertex; a key outside `faces` is a
-    subface that a face lost."""
-    up = dict.fromkeys(faces, 0)
-    for face in faces:
-        rest = face
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            sub = face ^ low
-            up[sub] = up.get(sub, 0) | low
-    return up
 
 
 def _unreached(up: Mapping[int, int], within: int, base: Face = 0) -> int:
@@ -103,7 +95,8 @@ def _unreached(up: Mapping[int, int], within: int, base: Face = 0) -> int:
 
 @dataclass
 class ClusterComplex:
-    """The faces of a complex; the rest is found on first use."""
+    """The faces of a complex, a finite one or a rank-2 window; the rest is
+    found on first use."""
 
     catalog: RootCatalog
     faces: frozenset[Face]
@@ -119,8 +112,18 @@ class ClusterComplex:
 
     @cached_property
     def up(self) -> dict[Face, int]:
-        """`up_masks` of the faces."""
-        return up_masks(self.faces)
+        """up[F], the mask of the vertices v with F + v a face, for every
+        face F and every face minus one vertex; a key outside `faces` is a
+        subface that a face lost."""
+        up = dict.fromkeys(self.faces, 0)
+        for face in self.faces:
+            rest = face
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                sub = face ^ low
+                up[sub] = up.get(sub, 0) | low
+        return up
 
     @cached_property
     def pure(self) -> bool:
@@ -138,9 +141,8 @@ class ClusterComplex:
 
 
 def build_complex(catalog: RootCatalog) -> ClusterComplex:
-    """The faces of the rigid-set walk, as they are."""
-    if catalog.kind != FINITE:
-        raise NotFiniteType("complex construction requires a finite catalog")
+    """The faces of the rigid-set walk, as they are, for a finite catalog or
+    a rank-2 window alike."""
     return ClusterComplex(catalog=catalog, faces=catalog.faces)
 
 
@@ -174,7 +176,7 @@ def verify_ap_axioms(cx: ClusterComplex) -> AxiomReport:
                        bad_ridges=bad_ridges)
 
 
-def exchange_graph(cx: ClusterComplex | WindowComplex) -> dict[int, tuple[int, ...]]:
+def exchange_graph(cx: ClusterComplex) -> dict[int, tuple[int, ...]]:
     """Facet adjacency, as indices into cx.facets: each ridge R whose up is
     {v, w} joins the facets R + v and R + w."""
     ridge_size = cx.n - 1
@@ -271,43 +273,30 @@ def coface_profile(cx: ClusterComplex, face: Face) -> CofaceProfile:
 
 
 @dataclass
-class WindowComplex:
-    """Truncation of the infinite rank-2 complex to a catalog window."""
+class WindowReport:
+    """The line shape of a rank-2 window's complex, one verdict per check."""
 
-    catalog: RootCatalog
-    facets: tuple[Face, ...]
     facets_expected: bool
     interior_ridges_ok: bool
     path_ok: bool
-    up: dict[Face, int] = field(repr=False)
 
     @property
     def ok(self) -> bool:
         return self.facets_expected and self.interior_ridges_ok and self.path_ok
 
-    @property
-    def n(self) -> int:
-        return self.catalog.algebra.n
 
-
-def rank2_window_complex(catalog: RootCatalog) -> WindowComplex:
-    """Walk the rigid sets of a rank-2 window and check its facets' line shape."""
-    if catalog.kind != RANK2_INFINITE:
-        raise NotRankTwoInfinite("window complex requires an infinite rank-2 catalog")
-    return window_complex_from_facets(catalog, facets_among(catalog.algebra.n, rigid_faces(catalog)))
-
-
-def window_complex_from_facets(catalog: RootCatalog, facets: Collection[Face]) -> WindowComplex:
-    """Check given window facets against the expected line shape.
+def rank2_window_complex(cx: ClusterComplex) -> WindowReport:
+    """Check the facets of a rank-2 window's complex against the line shape.
 
     Facets must be exactly: the zero module, the two single-vertex members,
     and the neighbouring pairs inside each family.  Every vertex other than
     the two window-boundary members must lie in exactly two facets, and the
-    facet adjacency graph must be a path.  Both read the up masks of the
-    vertices, from one sweep over the facets.
+    facet adjacency graph must be a path.  In rank 2 the faces with two
+    vertices are the facets, so both read the up masks of the vertices.
     """
-    n = catalog.algebra.n
-    facets = tuple(sorted(facets, key=ids_of))
+    catalog, n = cx.catalog, cx.n
+    if catalog.kind != RANK2_INFINITE:
+        raise NotRankTwoInfinite("window complex requires an infinite rank-2 catalog")
 
     zero = (1 << n) - 1
     expected: set[Face] = {zero}
@@ -317,21 +306,14 @@ def window_complex_from_facets(catalog: RootCatalog, facets: Collection[Face]) -
     for a, b in zip(catalog.entries, catalog.entries[1:]):
         if a.component == b.component:
             expected.add((1 << (n + a.id)) | (1 << (n + b.id)))
-    facets_expected = set(facets) == expected
 
     # Boundary members: last of the forward family, first of the backward one.
     preproj = [e.id for e in catalog.entries if e.component == PREPROJ]
     preinj = [e.id for e in catalog.entries if e.component == PREINJ]
     boundary = {n + preproj[-1], n + preinj[0]}
-    up = up_masks(facets)
     vertices = set(range(n)) | {n + e.id for e in catalog.entries}
-    interior_ridges_ok = all(up.get(1 << v, 0).bit_count() == (1 if v in boundary else 2)
+    interior_ridges_ok = all(cx.up.get(1 << v, 0).bit_count() == (1 if v in boundary else 2)
                              for v in vertices)
-    window = WindowComplex(catalog=catalog,
-                           facets=facets,
-                           facets_expected=facets_expected,
-                           interior_ridges_ok=interior_ridges_ok,
-                           path_ok=False,
-                           up=up)
-    window.path_ok = is_path(exchange_graph(window))
-    return window
+    return WindowReport(facets_expected=set(cx.facets) == expected,
+                        interior_ridges_ok=interior_ridges_ok,
+                        path_ok=is_path(exchange_graph(cx)))

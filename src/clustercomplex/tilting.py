@@ -91,9 +91,18 @@ def enumerate_support_tilting(catalog: RootCatalog) -> list[int]:
 
 
 def _window(catalog: RootCatalog, within: Iterable[int] | None) -> frozenset[int]:
+    """The window's vertices; all of them when `within` is None.
+
+    A vertex outside 0..n-1 raises ValueError naming it.
+    """
+    n = catalog.algebra.n
     if within is None:
-        return frozenset(range(catalog.algebra.n))
-    return frozenset(within)
+        return frozenset(range(n))
+    window = frozenset(within)
+    for v in sorted(window):
+        if not 0 <= v < n:
+            raise ValueError(f"window vertex {v} is not a vertex 0..{n - 1} of the algebra")
+    return window
 
 
 def complements(catalog: RootCatalog, t_ids: Iterable[int],
@@ -102,7 +111,8 @@ def complements(catalog: RootCatalog, t_ids: Iterable[int],
 
     T must be almost complete for the window: one member short of the window
     size.  There are exactly two complements when T is sincere in the window
-    and exactly one otherwise.
+    and exactly one otherwise.  A window vertex outside the algebra raises
+    ValueError.
     """
     members = validate_ids(catalog, t_ids)
     window = _window(catalog, within)
@@ -154,7 +164,7 @@ def bongartz(catalog: RootCatalog, t_ids: Iterable[int],
     that orthogonal set, so T + G is rigid and has at most |window| members;
     any completion passing the test lies inside G, so it is G.  The one
     check left is |T| + |G| = |window|; NoCompletion names T and the window
-    when it fails.
+    when it fails.  A window vertex outside the algebra raises ValueError.
     """
     return _canonical_complement(catalog, t_ids, within, dual=False)
 

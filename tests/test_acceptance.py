@@ -102,7 +102,7 @@ def test_criterion_5_mutation_connectedness():
                     queue.append(w)
         assert len(seen) == len(cx.facets), name
     for name in ("kronecker", "valued15"):
-        window = rank2_window_complex(rank2_sequences(fixture(name), 6))
+        window = rank2_window_complex(build_complex(rank2_sequences(fixture(name), 6)))
         assert window.path_ok  # connected, so the zero facet reaches everything
     print("criterion 5 (mutation connectedness): PASS")
 
@@ -131,12 +131,12 @@ def test_criterion_6_total_order_sweep():
 
 def test_criterion_7_rank2_descent_inequality():
     for name in ("a2", "b2", "g2"):
-        report = verify_rank2_inequality(fixture(name))
+        report = verify_rank2_inequality(positive_roots(fixture(name)))
         assert report.ok and report.checked > 0, name
     for name in ("kronecker", "valued15"):
-        report = verify_rank2_inequality(fixture(name), t_max=10)
+        report = verify_rank2_inequality(rank2_sequences(fixture(name), 10))
         assert report.ok and report.checked > 10, name
-    control = verify_rank2_inequality(fixture("g2"), unit_endo_lengths=True)
+    control = verify_rank2_inequality(positive_roots(fixture("g2")), unit_endo_lengths=True)
     assert not control.ok
     assert [f[0] for f in control.failures] == [(1, 2)]
     assert control.failures[0][1:] == ((1, 3), (2, 3))  # both plain sizes larger
@@ -176,16 +176,17 @@ def test_criterion_10_rigid_uniqueness_and_independence():
 
 def test_criterion_11_kronecker_window_classification():
     cat = rank2_sequences(fixture("kronecker"), 10)
-    window = rank2_window_complex(cat)
+    cx = build_complex(cat)
+    window = rank2_window_complex(cx)
     assert window.facets_expected
     assert window.interior_ridges_ok
     assert window.path_ok
     # facet census: neighbour pairs in each family plus three coordinate facets
-    pairs = [ids for ids, _ in (decode_face(2, f) for f in window.facets) if len(ids) == 2]
+    pairs = [ids for ids, _ in (decode_face(2, f) for f in cx.facets) if len(ids) == 2]
     entries = cat.entries
     for a, b in pairs:
         assert abs(a - b) == 1 and entries[a].component == entries[b].component
         assert is_rigid(cat, (a, b))
     assert len(pairs) == 2 * (2 * 10 + 1)
-    assert len(window.facets) == len(pairs) + 3
+    assert len(cx.facets) == len(pairs) + 3
     print("criterion 11 (rank-2 infinite window classification): PASS")

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clustercomplex import ClusterComplex, build_complex, face_label, fixture, positive_roots
+from clustercomplex import (
+    ClusterComplex,
+    algebra_to_dict,
+    build_complex,
+    face_label,
+    fixture,
+    positive_roots,
+)
 from clustercomplex import cli, measure, roots
 from clustercomplex.cli import main
 from clustercomplex.homext import ids_of
@@ -51,6 +58,24 @@ def test_verify_kronecker(capsys):
     code, out, _ = run(capsys, "verify", "--fixture", "kronecker", "--t-max", "6")
     assert code == 0
     assert "path ✓" in out and "total-order ✓" in out
+
+
+@pytest.mark.parametrize("t_max", [0, 1, 7])
+@pytest.mark.parametrize("reverse", [False, True], ids=["arrow", "reversed"])
+@pytest.mark.parametrize("name", ["kronecker", "valued15"])
+def test_verify_window_both_arrow_directions(capsys, tmp_path, name, reverse, t_max):
+    data = algebra_to_dict(fixture(name))
+    if reverse:
+        data["arrows"] = [[b, a] for a, b in data["arrows"]]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", "--input", str(path), "--t-max", str(t_max),
+                       "--format", "json")
+    assert code == 0
+    # 2 (2 t_max + 1) neighbour pairs and 3 coordinate facets
+    assert json.loads(out) == {"facets": 4 * t_max + 5, "window-facets": True,
+                               "interior-ridges": True, "path": True, "total-order": True,
+                               "rank2-descent": True}
 
 
 def test_verify_unsupported(capsys):
@@ -281,12 +306,14 @@ def test_deterministic_output(capsys):
 
 
 def test_negative_t_max_is_misuse(capsys):
+    order = ["total-order", "--r", "2", "--s", "2", "--u", "1", "--v", "1"]
     for argv in (["verify", "--fixture", "kronecker", "--t-max", "-1"],
                  ["roots", "--fixture", "g2", "--t-max", "-3"],
-                 ["total-order", "--r", "2", "--s", "2", "--u", "1", "--v", "1", "--t-max", "-1"]):
+                 order + ["--t-max", "-1"],
+                 order + ["--random-weights", "-3"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "--t-max: must be non-negative, got" in err
+        assert f"{argv[-2]}: must be non-negative, got {argv[-1]}" in err
         assert "Traceback" not in err

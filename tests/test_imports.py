@@ -1,6 +1,7 @@
 """Import hygiene of the package: standard library only, no private names
-taken from sibling modules, and the `cli`, `measure` and `tilting` names that
-the benchmark's tracer patches still there."""
+taken from sibling modules, no imported name left unused outside
+`__init__`, and the `cli`, `measure` and `tilting` names that the
+benchmark's tracer patches still there."""
 
 import ast
 import importlib
@@ -36,6 +37,21 @@ def test_no_private_names_from_siblings(path):
         if module is None or module.split(".")[0] == PACKAGE:
             private = [n for n in names if n.startswith("_")]
             assert not private, f"{path.name} imports {private} from {module or 'a sibling'}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_imported_names_are_used(path):
+    # `__init__` imports to re-export; every other module imports to use
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == [], f"{path.name} imports names it never uses"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

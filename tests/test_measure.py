@@ -19,6 +19,7 @@ from clustercomplex import (
     mu,
     mu_compare,
     positive_roots,
+    rank2_sequences,
     verify_descent,
     verify_endos,
     verify_endos_all,
@@ -207,9 +208,9 @@ def test_total_order_kronecker_lengths():
 
 def test_rank2_inequality_finite():
     for name in ("a2", "b2", "g2"):
-        report = verify_rank2_inequality(fixture(name))
+        report = verify_rank2_inequality(positive_roots(fixture(name)))
         assert report.ok and report.checked > 0
-    report = verify_rank2_inequality(fixture("g2"), unit_endo_lengths=True)
+    report = verify_rank2_inequality(positive_roots(fixture("g2")), unit_endo_lengths=True)
     assert not report.ok
     assert [f[0] for f in report.failures] == [(1, 2)]
     assert report.failures[0][1:] == ((1, 3), (2, 3))
@@ -217,15 +218,15 @@ def test_rank2_inequality_finite():
 
 def test_rank2_inequality_infinite():
     for name in ("kronecker", "valued15"):
-        report = verify_rank2_inequality(fixture(name), t_max=10)
+        report = verify_rank2_inequality(rank2_sequences(fixture(name), 10))
         assert report.ok and report.checked > 10
 
 
 def test_rank2_inequality_gates():
     with pytest.raises(NotRankTwo):
-        verify_rank2_inequality(fixture("a3"))
+        verify_rank2_inequality(positive_roots(fixture("a3")))
     with pytest.raises(Disconnected):
-        verify_rank2_inequality(fixture("a1xa1"))
+        verify_rank2_inequality(positive_roots(fixture("a1xa1")))
 
 
 def test_verify_endos():

@@ -23,18 +23,12 @@ from clustercomplex import (
     verify_ap_axioms,
     verify_flag_connected,
 )
-from clustercomplex import cli, polytope
+from clustercomplex import cli
 from clustercomplex.cli import main
-from clustercomplex.errors import NotFiniteType, NotProperFace, NotRankTwoInfinite
+from clustercomplex.errors import NotProperFace, NotRankTwoInfinite
 from clustercomplex.homext import ids_of, mask_of
-from clustercomplex.polytope import (
-    ClusterComplex,
-    is_path,
-    is_single_cycle,
-    window_complex_from_facets,
-)
+from clustercomplex.polytope import ClusterComplex, is_path, is_single_cycle
 from clustercomplex.roots import RootCatalog
-from clustercomplex.tilting import rigid_faces
 from oracles import (
     downward_closure,
     oracle_diamonds,
@@ -368,26 +362,25 @@ def test_face_encoding_roundtrip():
 
 def test_window_complex_kronecker():
     cat = rank2_sequences(fixture("kronecker"), 4)
-    window = rank2_window_complex(cat)
+    cx = build_complex(cat)
+    window = rank2_window_complex(cx)
     assert window.facets_expected
     assert window.interior_ridges_ok
     assert window.path_ok
-    assert len(window.facets) == 21  # 9 + 9 neighbour pairs and 3 coordinate facets
-    sincere = [ids for ids, sigma in (decode_face(2, f) for f in window.facets) if not sigma]
+    assert len(cx.facets) == 21  # 9 + 9 neighbour pairs and 3 coordinate facets
+    sincere = [ids for ids, sigma in (decode_face(2, f) for f in cx.facets) if not sigma]
     assert all(len(ids) == 2 and is_rigid(cat, ids) for ids in sincere)
 
 
 def test_window_complex_valued15():
     cat = rank2_sequences(fixture("valued15"), 3)
-    window = rank2_window_complex(cat)
+    window = rank2_window_complex(build_complex(cat))
     assert window.ok
 
 
 def test_window_complex_rejects_finite():
     with pytest.raises(NotRankTwoInfinite):
-        rank2_window_complex(rank2_sequences(fixture("g2"), 4))
-    with pytest.raises(NotFiniteType):
-        build_complex(rank2_sequences(fixture("kronecker"), 4))
+        rank2_window_complex(build_complex(rank2_sequences(fixture("g2"), 4)))
 
 
 def test_is_path_helper():
@@ -400,17 +393,16 @@ def test_window_checks_fail_on_dropped_facet(monkeypatch, capsys):
     # drop one neighbour pair from the middle of the forward family: the facet
     # list is wrong, its two members lie in one facet each, and the path splits
     cat = rank2_sequences(fixture("kronecker"), 4)
-    facets = rank2_window_complex(cat).facets
-    pairs = sorted((f for f in facets if (f >> 2).bit_count() == 2), key=lambda f: ids_of(f >> 2))
+    faces = build_complex(cat).faces
+    pairs = sorted((f for f in faces if (f >> 2).bit_count() == 2), key=lambda f: ids_of(f >> 2))
     victim = pairs[len(pairs) // 4]
-    kept = [f for f in facets if f != victim]
-    window = window_complex_from_facets(cat, kept)
+    window = rank2_window_complex(ClusterComplex(catalog=cat, faces=faces - {victim}))
     assert not window.facets_expected
     assert not window.interior_ridges_ok
     assert not window.path_ok
 
-    monkeypatch.setattr(polytope, "rigid_faces",
-                        lambda catalog: (f for f in rigid_faces(catalog) if f != victim))
+    monkeypatch.setattr(cli, "build_complex", lambda catalog: ClusterComplex(
+        catalog=catalog, faces=build_complex(catalog).faces - {victim}))
     assert main(["verify", "--fixture", "kronecker", "--t-max", "4"]) == 1
     out = capsys.readouterr().out
     assert "window-facets ✗" in out and "interior-ridges ✗" in out and "path ✗" in out

@@ -74,6 +74,17 @@ def test_complements_g2():
     assert dimvs_of(cat, complements(cat, (p2,))) == [(1, 3)]
 
 
+@pytest.mark.parametrize("bad", [7, -1])
+def test_out_of_range_window_vertex_is_rejected(bad):
+    # a valid window always has one or two complements and a completion
+    cat = positive_roots(fixture("a2"))
+    s = cat.by_dimv[(1, 0)].id
+    window = {0, bad}
+    for call in (complements, bongartz, dual_bongartz):
+        with pytest.raises(ValueError, match=f"window vertex {bad} "):
+            call(cat, (s,), within=window)
+
+
 def test_complements_a1_and_errors():
     cat = positive_roots(fixture("a1"))
     assert dimvs_of(cat, complements(cat, ())) == [(1,)]
