@@ -15,7 +15,7 @@ import json
 import random
 import sys
 
-from .algebra import AlgebraData, algebra_to_dict, format_dimv, length, load_algebra
+from .algebra import AlgebraData, algebra_to_dict, format_dimv, load_algebra
 from .errors import (
     ClusterComplexError,
     NotRepresentationInfinite,
@@ -42,7 +42,7 @@ from .polytope import (
     verify_ap_axioms,
     verify_flag_connected,
 )
-from .roots import FINITE, catalog_for, rank2_sequences
+from .roots import FINITE, catalog_for, rank2_roles, rank2_sequences
 from .tilting import decode_face, enumerate_support_tilting, zero_facet
 
 EXIT_OK = 0
@@ -179,7 +179,7 @@ def _verify_rank2_infinite(catalog, fmt: str) -> int:
     window = rank2_window_complex(cx)
     inequality = verify_rank2_inequality(catalog)
     algebra = catalog.algebra
-    src, snk = next(iter(algebra.arrows))
+    src, snk = rank2_roles(algebra)
     r, s = -algebra.cartan[src][snk], -algebra.cartan[snk][src]
     u, v = algebra.symmetrizer[src], algebra.symmetrizer[snk]
     order = verify_total_order(r, s, u, v, t_max=catalog.cutoff)
@@ -256,10 +256,9 @@ def _cmd_g2_demo(args) -> int:
     algebra = fixture("g2")
     catalog = rank2_sequences(algebra, t_max=10)
     dimvs = [entry.dimv for entry in catalog.entries]
-    lengths = [length(algebra, d) for d in dimvs]
     mus = [mu(catalog, entry).squared for entry in catalog.entries]
     print("dimv:   " + " ".join(format_dimv(d) for d in dimvs))
-    print("length: " + " ".join(str(x) for x in lengths))
+    print("length: " + " ".join(str(x) for x in catalog.lengths))
     print("mu2:    " + " ".join(str(x) for x in mus))
     facets = enumerate_support_tilting(catalog)
     print(f"facets: {len(facets)}")

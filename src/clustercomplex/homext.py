@@ -22,7 +22,7 @@ themselves are computed on demand, one pair per `hom_ext` call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import product, repeat
 from operator import add, ge, gt, mul
 from typing import Iterable, Iterator, Sequence
 
@@ -31,6 +31,7 @@ from .algebra import euler_form
 from .errors import MixedCatalogs, NotFiniteType, OracleViolation, UnknownId
 from .roots import FINITE, PREINJ, PREPROJ, Indec, RootCatalog
 
+MULTIPLICITY_BOUND = 2
 # bytes of 0/1 flags -> ASCII digits, for int(..., 2)
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -106,10 +107,9 @@ class ExtKernel:
             out |= self.support[i]
         return out
 
-    def within(self, vertices: frozenset[int]) -> int:
-        """Members supported inside the vertex set."""
-        outside = mask_of(v for v in range(self.n) if v not in vertices)
-        return mask_of(i for i, s in enumerate(self.support) if not s & outside)
+    def within(self, vertices: int) -> int:
+        """Members supported inside the vertex mask."""
+        return mask_of(i for i, s in enumerate(self.support) if not s & ~vertices)
 
     def cliques(self) -> Iterator[tuple[int, ...]]:
         """Every set of pairwise compatible members with at most n members,
@@ -233,11 +233,12 @@ class UniquenessReport:
     collisions: list[tuple]
 
 
-def rigid_dimv_unique(catalog: RootCatalog, bound: int = 2) -> UniquenessReport:
+def rigid_dimv_unique(catalog: RootCatalog) -> UniquenessReport:
     """No two distinct rigid multiplicity combinations share a total dimension vector.
 
-    Every rigid id set is expanded with all multiplicities in 1..bound per
-    member; the total dimension vectors must be pairwise distinct.
+    Every rigid id set is expanded with all multiplicities in
+    1..MULTIPLICITY_BOUND per member; the total dimension vectors must be
+    pairwise distinct.
     """
     if catalog.kind != FINITE:
         raise NotFiniteType("uniqueness sweep requires a finite catalog")
@@ -248,8 +249,7 @@ def rigid_dimv_unique(catalog: RootCatalog, bound: int = 2) -> UniquenessReport:
     for ids in iter_rigid_sets(catalog):
         if not ids:
             continue
-        mults = [1] * len(ids)
-        while True:
+        for mults in product(range(1, MULTIPLICITY_BOUND + 1), repeat=len(ids)):
             total = tuple(sum(m * catalog.entries[i].dimv[k] for m, i in zip(mults, ids))
                           for k in range(n))
             key = tuple(zip(ids, mults))
@@ -258,13 +258,6 @@ def rigid_dimv_unique(catalog: RootCatalog, bound: int = 2) -> UniquenessReport:
             else:
                 totals[total] = key
             checked += 1
-            pos = 0
-            while pos < len(mults) and mults[pos] == bound:
-                mults[pos] = 1
-                pos += 1
-            if pos == len(mults):
-                break
-            mults[pos] += 1
     return UniquenessReport(ok=not collisions, checked=checked, collisions=collisions)
 
 

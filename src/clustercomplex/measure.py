@@ -230,7 +230,7 @@ def verify_total_order(r: int, s: int, u: int, v: int, t_max: int = 30,
 
     on the forward family seeded with (0,1) and (1,s), and the mirrored chain
     on the backward family seeded with (1,0) and (r,1); all comparisons are
-    by squares.
+    by squares.  The weights default to (u, v); an empty list is a ValueError.
     """
     if r < 0 or s < 0 or u < 1 or v < 1:
         raise ValueError("need r, s >= 0 and u, v >= 1")
@@ -239,6 +239,8 @@ def verify_total_order(r: int, s: int, u: int, v: int, t_max: int = 30,
     if r * s < 4:
         raise NotRepresentationInfinite(f"r*s = {r * s} < 4")
     weight_list = [(u, v)] if weights is None else [tuple(w) for w in weights]
+    if not weight_list:
+        raise ValueError("weights must not be empty")
     if any(w1 < 1 or w2 < 1 for w1, w2 in weight_list):
         raise ValueError("weights must be positive")
 

@@ -183,7 +183,7 @@ def positive_roots(algebra: AlgebraData) -> RootCatalog:
     return RootCatalog(kind=FINITE, algebra=algebra, entries=tuple(entries))
 
 
-def _rank2_roles(algebra: AlgebraData) -> tuple[int, int]:
+def rank2_roles(algebra: AlgebraData) -> tuple[int, int]:
     """(source, sink) of the unique arrow; (0, 1) when there is no arrow."""
     if algebra.arrows:
         ((src, snk),) = algebra.arrows
@@ -229,7 +229,7 @@ def rank2_sequences(algebra: AlgebraData, t_max: int) -> RootCatalog:
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
     kind = classify_type(algebra)
-    src, snk = _rank2_roles(algebra)
+    src, snk = rank2_roles(algebra)
     r = -algebra.cartan[src][snk]
     s = -algebra.cartan[snk][src]
     steps = 2 * (t_max + 1)

@@ -14,13 +14,19 @@ directly (K. Bongartz, "Tilted algebras", LNM 903, 1981): it is the set G of
 members B outside T, compatible with T, with ext(B, M) = 0 for every
 in-window M that is ext-orthogonal to T.  The mirror test (swap the pairing
 order) gives the dual completion.  That G completes T is checked, not
-assumed: |T| + |G| must equal |W|.
+assumed: |T| + |G| must equal |W|.  The part B2 of the full completion
+outside T's support pairs each vertex v in sigma, the vertices T leaves
+unsupported, with one member exceeding the projective P(v) by a non-negative
+combination of T (the dual part C2 likewise with the injectives).  T has no
+support on sigma and the sigma x sigma block of the projectives is
+unitriangular in a topological order, so only the v whose P(v) agrees with
+a member on sigma can take it: the pairing is read off sigma, not searched for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import linalg
 from .algebra import injective_dimv, projective_dimv
@@ -31,7 +37,7 @@ from .errors import (
     NotFiniteType,
     OracleViolation,
 )
-from .homext import ids_of, is_rigid, iter_rigid_sets, mask_of, support, validate_ids
+from .homext import ids_of, is_rigid, iter_rigid_sets, mask_of, validate_ids
 from .roots import FINITE, RootCatalog
 
 
@@ -90,19 +96,17 @@ def enumerate_support_tilting(catalog: RootCatalog) -> list[int]:
     return list(catalog.facets)
 
 
-def _window(catalog: RootCatalog, within: Iterable[int] | None) -> frozenset[int]:
-    """The window's vertices; all of them when `within` is None.
+def _window(catalog: RootCatalog, within: Iterable[int] | None) -> int:
+    """The window's vertex mask; every vertex when `within` is None.
 
     A vertex outside 0..n-1 raises ValueError naming it.
     """
     n = catalog.algebra.n
-    if within is None:
-        return frozenset(range(n))
-    window = frozenset(within)
-    for v in sorted(window):
+    vertices = range(n) if within is None else sorted(set(within))
+    for v in vertices:
         if not 0 <= v < n:
             raise ValueError(f"window vertex {v} is not a vertex 0..{n - 1} of the algebra")
-    return window
+    return mask_of(vertices)
 
 
 def complements(catalog: RootCatalog, t_ids: Iterable[int],
@@ -116,42 +120,43 @@ def complements(catalog: RootCatalog, t_ids: Iterable[int],
     """
     members = validate_ids(catalog, t_ids)
     window = _window(catalog, within)
-    supp, _ = support(catalog, members)
-    if not supp <= window or len(members) + 1 != len(window):
+    if catalog.kernel.support_of(members) & ~window or len(members) + 1 != window.bit_count():
         raise NotAlmostComplete(
-            f"{len(members)} members cannot be almost complete in window of size {len(window)}")
+            f"{len(members)} members cannot be almost complete in window of size {window.bit_count()}")
     if not is_rigid(catalog, members):
         raise ValueError("T must be rigid")
-    return list(ids_of(_pool(catalog, members, window)))
+    return list(ids_of(_pool(catalog, members, catalog.kernel.within(window))))
 
 
-def _pool(catalog: RootCatalog, members: tuple[int, ...], window: frozenset[int]) -> int:
-    """Members outside T, supported in the window, compatible with all of T."""
+def _pool(catalog: RootCatalog, members: tuple[int, ...], inside: int) -> int:
+    """Members of `inside` outside T and compatible with all of T."""
     kernel = catalog.kernel
-    return kernel.within(window) & kernel.meet(kernel.compat, members) & ~mask_of(members)
+    return inside & kernel.meet(kernel.compat, members) & ~mask_of(members)
 
 
 def _canonical_complement(catalog: RootCatalog, t_ids: Iterable[int],
-                          within: Iterable[int] | None, dual: bool) -> frozenset[int]:
+                          window_of: Callable[[tuple[int, ...]], int], dual: bool) -> frozenset[int]:
+    """The completion of T inside the vertex mask window_of(T's sorted ids)."""
     if catalog.kind != FINITE:
         raise NotFiniteType("canonical completion requires a finite catalog")
     members = validate_ids(catalog, t_ids)
     if not is_rigid(catalog, members):
         raise ValueError("T must be rigid")
-    window = _window(catalog, within)
-    supp, _ = support(catalog, members)
-    if not supp <= window:
-        raise ValueError(f"support {sorted(supp)} escapes window {sorted(window)}")
+    window = window_of(members)
+    kernel = catalog.kernel
+    supp = kernel.support_of(members)
+    if supp & ~window:
+        raise ValueError(f"support {list(ids_of(supp))} escapes window {list(ids_of(window))}")
     # ext(i, m) = 0 puts m in ext_free_out[i]; the dual test ext(m, i) = 0
     # puts m in ext_free_in[i].
-    kernel = catalog.kernel
     free = kernel.ext_free_in if dual else kernel.ext_free_out
-    orthogonal = kernel.within(window) & kernel.meet(free, members)
-    good = [c for c in ids_of(_pool(catalog, members, window))
+    inside = kernel.within(window)
+    orthogonal = inside & kernel.meet(free, members)
+    good = [c for c in ids_of(_pool(catalog, members, inside))
             if free[c] & orthogonal == orthogonal]
-    if len(members) + len(good) != len(window):
-        raise NoCompletion(f"no canonical completion of {members} in window {sorted(window)}: "
-                           f"{len(good)} candidates for {len(window) - len(members)} places")
+    if len(members) + len(good) != window.bit_count():
+        raise NoCompletion(f"no canonical completion of {members} in window {list(ids_of(window))}: "
+                           f"{len(good)} candidates for {window.bit_count() - len(members)} places")
     return frozenset(good)
 
 
@@ -166,26 +171,31 @@ def bongartz(catalog: RootCatalog, t_ids: Iterable[int],
     check left is |T| + |G| = |window|; NoCompletion names T and the window
     when it fails.  A window vertex outside the algebra raises ValueError.
     """
-    return _canonical_complement(catalog, t_ids, within, dual=False)
+    return _canonical_complement(catalog, t_ids, lambda _: _window(catalog, within), dual=False)
 
 
 def dual_bongartz(catalog: RootCatalog, t_ids: Iterable[int],
                   within: Iterable[int] | None = None) -> frozenset[int]:
     """Mirror of `bongartz` with the pairing order swapped."""
-    return _canonical_complement(catalog, t_ids, within, dual=True)
+    return _canonical_complement(catalog, t_ids, lambda _: _window(catalog, within), dual=True)
 
 
 def relative_bongartz(catalog: RootCatalog, t_ids: Iterable[int]) -> frozenset[int]:
     """Canonical completion computed inside the support of T."""
-    members = validate_ids(catalog, t_ids)
-    supp, _ = support(catalog, members)
-    return bongartz(catalog, members, within=supp)
+    return _canonical_complement(catalog, t_ids, catalog.kernel.support_of, dual=False)
 
 
 def relative_dual_bongartz(catalog: RootCatalog, t_ids: Iterable[int]) -> frozenset[int]:
-    members = validate_ids(catalog, t_ids)
-    supp, _ = support(catalog, members)
-    return dual_bongartz(catalog, members, within=supp)
+    return _canonical_complement(catalog, t_ids, catalog.kernel.support_of, dual=True)
+
+
+def _split(catalog: RootCatalog, t_ids: Iterable[int], dual: bool) -> tuple[frozenset[int], frozenset[int]]:
+    full = _canonical_complement(catalog, t_ids, lambda _: _window(catalog, None), dual)
+    part = _canonical_complement(catalog, t_ids, catalog.kernel.support_of, dual)
+    if not part <= full:
+        raise OracleViolation(f"relative {'dual ' if dual else ''}completion {sorted(part)} "
+                              f"not inside full {sorted(full)}")
+    return part, full - part
 
 
 def bongartz_split(catalog: RootCatalog, t_ids: Iterable[int]) -> tuple[frozenset[int], frozenset[int]]:
@@ -194,19 +204,11 @@ def bongartz_split(catalog: RootCatalog, t_ids: Iterable[int]) -> tuple[frozense
     B1 is always contained in the full completion; violation signals an
     oracle bug.
     """
-    full = bongartz(catalog, t_ids)
-    b1 = relative_bongartz(catalog, t_ids)
-    if not b1 <= full:
-        raise OracleViolation(f"relative completion {sorted(b1)} not inside full {sorted(full)}")
-    return b1, full - b1
+    return _split(catalog, t_ids, dual=False)
 
 
 def dual_bongartz_split(catalog: RootCatalog, t_ids: Iterable[int]) -> tuple[frozenset[int], frozenset[int]]:
-    full = dual_bongartz(catalog, t_ids)
-    c1 = relative_dual_bongartz(catalog, t_ids)
-    if not c1 <= full:
-        raise OracleViolation(f"relative dual completion {sorted(c1)} not inside full {sorted(full)}")
-    return c1, full - c1
+    return _split(catalog, t_ids, dual=True)
 
 
 @dataclass
@@ -221,29 +223,23 @@ class SplitReport:
 
 def _match(catalog: RootCatalog, part: Sequence[int], sigma: Sequence[int],
            base_dimv, t_dimvs) -> dict[int, int]:
-    """Perfect matching vertex -> member with dimv(member) - base(vertex) in the T-cone."""
-    fits = {
-        v: [b for b in part
-            if linalg.nonneg_int_combination(
-                t_dimvs, tuple(catalog.entries[b].dimv[k] - base_dimv(v)[k]
-                               for k in range(catalog.algebra.n))) is not None]
-        for v in sigma
-    }
+    """The matching vertex -> member with dimv(member) - base(vertex) in the T-cone.
 
-    def assign(vs: list[int], used: frozenset[int]) -> dict[int, int] | None:
-        if not vs:
-            return {}
-        v, rest = vs[0], vs[1:]
-        for b in fits[v]:
-            if b not in used:
-                sub = assign(rest, used | {b})
-                if sub is not None:
-                    return {v: b, **sub}
-        return None
-
-    matching = assign(list(sigma), frozenset())
-    if matching is None:
-        raise MatchingFailed(f"no perfect matching for vertices {list(sigma)}")
+    T has no support on sigma, so member b can only go to the vertex v whose
+    base (projective or injective) agrees with b on sigma; their sigma x sigma
+    block is unitriangular in a topological order, so that v is unique.  One
+    cone solve per member checks the forced pair.
+    """
+    bases = {v: base_dimv(v) for v in sigma}
+    vertex_of = {tuple(base[w] for w in sigma): v for v, base in bases.items()}
+    matching: dict[int, int] = {}
+    for b in part:
+        dimv = catalog.entries[b].dimv
+        v = vertex_of.get(tuple(dimv[w] for w in sigma))
+        if v is None or v in matching or linalg.nonneg_int_combination(
+                t_dimvs, tuple(x - y for x, y in zip(dimv, bases[v]))) is None:
+            raise MatchingFailed(f"no perfect matching for vertices {list(sigma)}")
+        matching[v] = b
     return matching
 
 
@@ -257,17 +253,16 @@ def verify_b2_structure(catalog: RootCatalog, t_ids: Iterable[int]) -> SplitRepo
     if catalog.kind != FINITE:
         raise NotFiniteType("split verification requires a finite catalog")
     members = validate_ids(catalog, t_ids)
-    _, sigma = support(catalog, members)
-    sigma_sorted = tuple(sorted(sigma))
+    sigma = ids_of(_window(catalog, None) & ~catalog.kernel.support_of(members))
     _, b2 = bongartz_split(catalog, members)
     _, c2 = dual_bongartz_split(catalog, members)
-    if len(b2) != len(sigma_sorted) or len(c2) != len(sigma_sorted):
+    if len(b2) != len(sigma) or len(c2) != len(sigma):
         raise MatchingFailed(
-            f"|B2| = {len(b2)}, |C2| = {len(c2)}, expected {len(sigma_sorted)}")
+            f"|B2| = {len(b2)}, |C2| = {len(c2)}, expected {len(sigma)}")
     t_dimvs = [catalog.entries[i].dimv for i in members]
     algebra = catalog.algebra
-    b_matching = _match(catalog, sorted(b2), sigma_sorted,
+    b_matching = _match(catalog, sorted(b2), sigma,
                         lambda v: projective_dimv(algebra, v), t_dimvs)
-    c_matching = _match(catalog, sorted(c2), sigma_sorted,
+    c_matching = _match(catalog, sorted(c2), sigma,
                         lambda v: injective_dimv(algebra, v), t_dimvs)
-    return SplitReport(ok=True, sigma=sigma_sorted, b2_matching=b_matching, c2_matching=c_matching)
+    return SplitReport(ok=True, sigma=sigma, b2_matching=b_matching, c2_matching=c_matching)

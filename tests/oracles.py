@@ -4,15 +4,16 @@ Nothing here calls into the package's enumeration or pairing machinery: ext
 lengths are recomputed from the raw Euler matrix, facets and canonical
 completions by exhaustive subset search, root lists are classical tables
 written out by hand, flag connectivity is the literal walk on every flag of
-every facet, and the face-poset axioms enumerate every subset and every
-two-step interval of every face.  The package stores a face as the int
-bitmask of its vertices; `vertex_sets` turns such faces into the frozensets
-these oracles read, and `downward_closure` gives the faces that a list of
-such facets spans, as the package built its faces before they came from
-the rigid-set walk.
+every facet, the face-poset axioms enumerate every subset and every
+two-step interval of every face, and the pairing of a completion's
+out-of-support part with the unsupported vertices tries every ordering.
+The package stores a face as the int bitmask of its vertices; `vertex_sets`
+turns such faces into the frozensets these oracles read, and
+`downward_closure` gives the faces that a list of such facets spans, as the
+package built its faces before they came from the rigid-set walk.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 # Positive roots in simple-root coordinates, straight from the tables.
 KNOWN_ROOTS = {
@@ -147,6 +148,44 @@ def oracle_canonical_completions(euler, roots, t, window, dual=False):
             for extra in combinations(candidates, len(window) - len(t))
             if oracle_is_rigid(euler, extra)
             and all(ext(c, m) == 0 for c in extra for m in orthogonal)]
+
+
+def oracle_bases(euler, roots, dual=False):
+    """The projective dimension vector of every vertex v, by search over the
+    roots: the one root p with <p, e_j> = 0 for every j != v and <p, e_v> =
+    <e_v, e_v>.  With dual, the injective one, the pairing order swapped."""
+    n = len(euler)
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+
+    def pairing(r, j):
+        return oracle_form(euler, units[j], r) if dual else oracle_form(euler, r, units[j])
+
+    return [next(r for r in roots
+                 if all(pairing(r, j) == (euler[v][v] if j == v else 0) for j in range(n)))
+            for v in range(n)]
+
+
+def oracle_in_cone(vectors, x):
+    """x is a non-negative integer combination of the non-negative nonzero
+    `vectors`: every coefficient tuple is tried, each coefficient up to the
+    largest multiple of its vector that still fits under x."""
+    if any(c < 0 for c in x):
+        return False
+    bounds = [min(a // b for a, b in zip(x, y) if b) for y in vectors]
+    return any(all(a == sum(c * y[k] for c, y in zip(coeffs, vectors)) for k, a in enumerate(x))
+               for coeffs in product(*(range(top + 1) for top in bounds)))
+
+
+def oracle_matchings(bases, t, part, sigma):
+    """Every bijection from the vertices `sigma` to the roots in `part` that
+    sends v to a root r with r - bases[v] in the non-negative integer cone of
+    the roots in t, by trying every ordering of `part`."""
+    if len(part) != len(sigma):
+        return []
+    fits = {(v, r): oracle_in_cone(t, tuple(a - b for a, b in zip(r, bases[v])))
+            for v in sigma for r in part}
+    return [dict(zip(sigma, order)) for order in permutations(part)
+            if all(fits[v, r] for v, r in zip(sigma, order))]
 
 
 def oracle_pure(faces, n):

@@ -165,7 +165,7 @@ def test_criterion_9_endo_multisets():
 
 def test_criterion_10_rigid_uniqueness_and_independence():
     for name in ("a2", "a3", "g2"):
-        report = rigid_dimv_unique(positive_roots(fixture(name)), bound=2)
+        report = rigid_dimv_unique(positive_roots(fixture(name)))
         assert report.ok, report.collisions
     for name in FINITE_NAMES:
         cat = positive_roots(fixture(name))

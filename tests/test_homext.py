@@ -116,7 +116,7 @@ def test_rigid_sets_are_linearly_independent():
 
 def test_rigid_dimv_unique():
     for name in ("a1", "a2", "a3", "g2"):
-        report = rigid_dimv_unique(positive_roots(fixture(name)), bound=2)
+        report = rigid_dimv_unique(positive_roots(fixture(name)))
         assert report.ok and not report.collisions
         assert report.checked > 0
     with pytest.raises(NotFiniteType):

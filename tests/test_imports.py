@@ -1,7 +1,8 @@
 """Import hygiene of the package: standard library only, no private names
 taken from sibling modules, no imported name left unused outside
-`__init__`, and the `cli`, `measure` and `tilting` names that the
-benchmark's tracer patches still there."""
+`__init__`, no function-level import besides the catalog's four lazy ones,
+and the `cli`, `measure` and `tilting` names that the benchmark's tracer
+patches still there."""
 
 import ast
 import importlib
@@ -52,6 +53,28 @@ def test_imported_names_are_used(path):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == [], f"{path.name} imports names it never uses"
+
+
+def test_function_level_imports_are_the_catalog_edges():
+    # `roots` sits below the layers it imports lazily: RootCatalog builds its
+    # kernel, faces, facets and descent moves on first use.  Any other import
+    # inside a function is a new upward edge, which can close an import cycle.
+    found = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(function):
+                    if isinstance(node, ast.ImportFrom):
+                        found.update((path.name, node.module, a.name) for a in node.names)
+                    elif isinstance(node, ast.Import):
+                        found.update((path.name, a.name, None) for a in node.names)
+    assert sorted(found) == [
+        ("roots.py", "homext", "build_kernel"),
+        ("roots.py", "measure", "member_moves"),
+        ("roots.py", "tilting", "facets_among"),
+        ("roots.py", "tilting", "rigid_faces"),
+    ]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

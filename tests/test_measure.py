@@ -198,6 +198,34 @@ def test_total_order_examples():
         verify_total_order(2, 2, 1, 2)
     with pytest.raises(ValueError):
         verify_total_order(2, 2, 1, 1, weights=[(0, 1)])
+    with pytest.raises(ValueError, match="weights must not be empty"):
+        verify_total_order(2, 2, 1, 1, weights=[])
+
+
+def _perturb_chain(monkeypatch, family):
+    """Scale term 3 of the forward chain (seeded with (0, 1)) or of the
+    backward one tenfold, where the check reads it at t = 1."""
+    original = measure.two_term_chain
+
+    def chain(seed0, seed1, mult0, mult1, steps):
+        out = original(seed0, seed1, mult0, mult1, steps)
+        if (seed0 == (0, 1)) == (family == "preproj"):
+            out[3] = tuple(10 * c for c in out[3])
+        return out
+
+    monkeypatch.setattr(measure, "two_term_chain", chain)
+
+
+@pytest.mark.parametrize("family", ["preproj", "preinj"])
+def test_total_order_fails_on_a_perturbed_chain(monkeypatch, capsys, family):
+    _perturb_chain(monkeypatch, family)
+    rep = verify_total_order(2, 2, 1, 1, t_max=5)
+    assert not rep.ok and rep.first_violation == (family, (1, 1), 1) and rep.checked == 1
+    assert main(["verify", "--fixture", "kronecker"]) == 1
+    out = capsys.readouterr().out
+    assert "total-order ✗" in out and out.count("✗") == 1
+    assert main(["total-order", "--r", "2", "--s", "2", "--u", "1", "--v", "1"]) == 1
+    assert capsys.readouterr().out == f"FAIL at ('{family}', (1, 1), 1)\n"
 
 
 def test_total_order_kronecker_lengths():

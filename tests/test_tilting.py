@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from clustercomplex import (
     FINITE_FIXTURES,
     bongartz,
     bongartz_split,
+    build_algebra,
     complements,
     decode_face,
     dual_bongartz,
@@ -18,15 +21,18 @@ from clustercomplex import (
     relative_bongartz,
     relative_dual_bongartz,
     support,
+    tilting,
     verify_b2_structure,
 )
-from clustercomplex.errors import NoCompletion, NotAlmostComplete, NotFiniteType
+from clustercomplex.errors import MatchingFailed, NoCompletion, NotAlmostComplete, NotFiniteType
 from clustercomplex.roots import RootCatalog
 
 from oracles import (
     KNOWN_FACET_COUNTS,
+    oracle_bases,
     oracle_canonical_completions,
     oracle_facets,
+    oracle_matchings,
     oracle_rigid_sets,
     oracle_support,
 )
@@ -83,6 +89,31 @@ def test_out_of_range_window_vertex_is_rejected(bad):
     for call in (complements, bongartz, dual_bongartz):
         with pytest.raises(ValueError, match=f"window vertex {bad} "):
             call(cat, (s,), within=window)
+
+
+def test_completions_reject_a_window_catalog():
+    cat = rank2_sequences(fixture("kronecker"), 3)
+    for complete in (bongartz, dual_bongartz):
+        with pytest.raises(NotFiniteType, match="canonical completion requires a finite catalog"):
+            complete(cat, ())
+
+
+def test_completions_reject_a_non_rigid_set():
+    # adjacent simples of A3 have ext in one direction
+    cat = positive_roots(fixture("a3"))
+    t = (cat.by_dimv[(1, 0, 0)].id, cat.by_dimv[(0, 1, 0)].id)
+    assert not is_rigid(cat, t)
+    for call in (bongartz, complements):
+        with pytest.raises(ValueError, match="T must be rigid"):
+            call(cat, t)
+
+
+def test_support_escaping_the_window_names_both():
+    cat = positive_roots(fixture("a3"))
+    t = (cat.by_dimv[(1, 1, 0)].id,)
+    for complete in (bongartz, dual_bongartz):
+        with pytest.raises(ValueError, match=r"^support \[0, 1\] escapes window \[1, 2\]$"):
+            complete(cat, t, within=[2, 1])
 
 
 def test_complements_a1_and_errors():
@@ -205,14 +236,53 @@ def test_verify_b2_structure_examples():
     assert rep.ok and rep.sigma == (0, 2)
 
 
+def _drawn_chain(n, doubled, symmetrizer, seed):
+    """A chain of n vertices with c[i][j] = -2 at `doubled`, each arrow drawn
+    in a random direction."""
+    cartan = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
+              for i in range(n)]
+    cartan[doubled[0]][doubled[1]] = -2
+    rng = random.Random(seed)
+    arrows = [(i, i + 1) if rng.random() < 0.5 else (i + 1, i) for i in range(n - 1)]
+    return build_algebra(cartan, symmetrizer, arrows)
+
+
+DRAWN = {
+    "B6": lambda: _drawn_chain(6, (5, 4), [2] * 5 + [1], 3),
+    "F4": lambda: _drawn_chain(4, (1, 2), [1, 1, 2, 2], 3),
+}
+
+
 def test_verify_b2_structure_all_rigid_sets():
-    for name in ("a2", "a3", "b2", "g2"):
-        cat = positive_roots(fixture(name))
+    # the matchings read off sigma against every bijection tried in turn, on
+    # every rigid set of every finite fixture and two drawn orientations; the
+    # oracle finds exactly one
+    algebras = [fixture(name) for name in FINITE_FIXTURES] + [draw() for draw in DRAWN.values()]
+    for alg in algebras:
+        cat = positive_roots(alg)
+        bases = {dual: oracle_bases(alg.euler, cat.dimvs(), dual) for dual in (False, True)}
         for ids in iter_rigid_sets(cat):
             rep = verify_b2_structure(cat, ids)
-            assert rep.ok
             _, sigma = support(cat, ids)
-            assert len(rep.b2_matching) == len(sigma)
+            assert rep.ok and rep.sigma == tuple(sorted(sigma))
+            t = [cat.entries[i].dimv for i in ids]
+            for dual, split, got in ((False, bongartz_split, rep.b2_matching),
+                                     (True, dual_bongartz_split, rep.c2_matching)):
+                part = [cat.entries[i].dimv for i in sorted(split(cat, ids)[1])]
+                want = oracle_matchings(bases[dual], t, part, rep.sigma)
+                assert want == [{v: cat.entries[b].dimv for v, b in got.items()}], (ids, dual)
+
+
+@pytest.mark.parametrize("wrong", [(2, 2), (1, 2)])
+def test_wrong_projective_fails_the_matching(monkeypatch, wrong):
+    # B2 of the simple (0,1) is P(0) = (1,1); (2,2) disagrees with it on
+    # sigma = {0}, and (1,2) agrees there but leaves the cone of T
+    cat = positive_roots(fixture("a2"))
+    s2 = cat.by_dimv[(0, 1)].id
+    assert verify_b2_structure(cat, (s2,)).b2_matching == {0: cat.by_dimv[(1, 1)].id}
+    monkeypatch.setattr(tilting, "projective_dimv", lambda algebra, v: wrong)
+    with pytest.raises(MatchingFailed, match=r"no perfect matching for vertices \[0\]"):
+        verify_b2_structure(cat, (s2,))
 
 
 def test_endo_length_shadow_of_b2():
