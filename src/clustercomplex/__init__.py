@@ -25,14 +25,11 @@ from .homext import (
     support,
 )
 from .measure import (
-    Mu,
-    MU_ZERO,
     descent_path,
     descent_step,
     lambda_compare,
     lambda_vector,
     mu,
-    mu_compare,
     verify_descent,
     verify_endos,
     verify_endos_all,

@@ -256,7 +256,7 @@ def _cmd_g2_demo(args) -> int:
     algebra = fixture("g2")
     catalog = rank2_sequences(algebra, t_max=10)
     dimvs = [entry.dimv for entry in catalog.entries]
-    mus = [mu(catalog, entry).squared for entry in catalog.entries]
+    mus = [mu(catalog, entry) for entry in catalog.entries]
     print("dimv:   " + " ".join(format_dimv(d) for d in dimvs))
     print("length: " + " ".join(str(x) for x in catalog.lengths))
     print("mu2:    " + " ".join(str(x) for x in mus))

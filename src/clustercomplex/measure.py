@@ -2,19 +2,19 @@
 
 A catalog member X gets the measure ell(X) / sqrt(q(X)), where ell is the
 total length and q the endomorphism length.  The measure is never evaluated
-numerically: comparisons cross-multiply the squared values, so everything
-stays in exact integers.  A facet (an int face, as in `tilting`) gets the
-vector of its members' measures, padded in front with one zero per
-unsupported vertex and compared lexicographically.  The descent compares
-int keys instead: -1 per unsupported vertex, then the members' ranks by
-measure (`RootCatalog.mu_ranks`), ascending.  Replacing a measure-minimal
-member by its canonical in-support completion (or the dual one) strictly
-drops the vector, which drives every facet down to the zero module.
+numerically: since sqrt is monotone it is compared by its exact square
+ell^2 / q, a `Fraction` each catalog keeps once (`RootCatalog.mu_squares`).
+A facet (an int face, as in `tilting`) gets the vector of its members'
+squared measures, padded in front with one zero per unsupported vertex and
+compared lexicographically.  The descent compares int keys instead: -1 per
+unsupported vertex, then the members' ranks by measure
+(`RootCatalog.mu_ranks`), ascending.  Replacing a measure-minimal member by
+its canonical in-support completion (or the dual one) strictly drops the
+vector, which drives every facet down to the zero module.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -39,69 +39,25 @@ from .tilting import (
 )
 
 
-@functools.total_ordering
-class Mu:
-    """Exact measure value ell / sqrt(q); ordered by cross-multiplied squares."""
-
-    __slots__ = ("ell", "q")
-
-    def __init__(self, ell: int, q: int):
-        if ell < 0 or q < 1:
-            raise ValueError(f"invalid measure ({ell}, {q})")
-        self.ell = ell
-        self.q = q
-
-    @property
-    def squared(self) -> Fraction:
-        return Fraction(self.ell * self.ell, self.q)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Mu):
-            return NotImplemented
-        return self.ell * self.ell * other.q == other.ell * other.ell * self.q
-
-    def __lt__(self, other) -> bool:
-        if not isinstance(other, Mu):
-            return NotImplemented
-        return self.ell * self.ell * other.q < other.ell * other.ell * self.q
-
-    def __hash__(self) -> int:
-        return hash(self.squared)
-
-    def __repr__(self) -> str:
-        return f"Mu({self.ell}, {self.q})"
+def mu(catalog: RootCatalog, x: Indec) -> Fraction:
+    """The square of x's measure ell / sqrt(q), exact: `RootCatalog.mu_squares`."""
+    return catalog.mu_squares[x.id]
 
 
-MU_ZERO = Mu(0, 1)
+def lambda_vector(catalog: RootCatalog, facet: int) -> tuple[Fraction, ...]:
+    """Zeros for the unsupported vertices, then the member measures ascending
+    (as squares, like `mu`)."""
+    n, squares = catalog.algebra.n, catalog.mu_squares
+    zeros = (Fraction(0),) * (facet & ((1 << n) - 1)).bit_count()
+    return zeros + tuple(sorted(squares[i] for i in ids_of(facet >> n)))
 
 
-def mu(catalog: RootCatalog, x: Indec) -> Mu:
-    return Mu(catalog.lengths[x.id], x.q)
-
-
-def mu_compare(a: Mu, b: Mu) -> int:
-    """-1, 0, or 1; exact."""
-    lhs = a.ell * a.ell * b.q
-    rhs = b.ell * b.ell * a.q
-    return (lhs > rhs) - (lhs < rhs)
-
-
-def lambda_vector(catalog: RootCatalog, facet: int) -> tuple[Mu, ...]:
-    """Zeros for the unsupported vertices, then the member measures ascending."""
-    n = catalog.algebra.n
-    mus = sorted(mu(catalog, catalog.entries[i]) for i in ids_of(facet >> n))
-    return tuple([MU_ZERO] * (facet & ((1 << n) - 1)).bit_count() + mus)
-
-
-def lambda_compare(x: Sequence[Mu], y: Sequence[Mu]) -> int:
+def lambda_compare(x: Sequence[Fraction], y: Sequence[Fraction]) -> int:
     """Lexicographic comparison; -1, 0, or 1."""
     if len(x) != len(y):
         raise LengthMismatch(f"cannot compare lengths {len(x)} and {len(y)}")
-    for a, b in zip(x, y):
-        c = mu_compare(a, b)
-        if c:
-            return c
-    return 0
+    x, y = tuple(x), tuple(y)
+    return (x > y) - (x < y)
 
 
 def lambda_key(catalog: RootCatalog, facet: int) -> tuple[int, ...]:
@@ -295,8 +251,7 @@ def verify_rank2_inequality(catalog: RootCatalog, unit_endo_lengths: bool = Fals
         raise Disconnected("rank-2 check requires a connected algebra")
     entries = catalog.entries
 
-    def measure(i: int) -> Mu:
-        return Mu(catalog.lengths[i], 1 if unit_endo_lengths else entries[i].q)
+    squares = [ell * ell for ell in catalog.lengths] if unit_endo_lengths else catalog.mu_squares
 
     failures = []
     checked = 0
@@ -311,7 +266,7 @@ def verify_rank2_inequality(catalog: RootCatalog, unit_endo_lengths: bool = Fals
                     entries[b].component == entry.component == entries[c].component):
                 continue
         checked += 1
-        if not min(measure(b), measure(c)) < measure(k):
+        if not min(squares[b], squares[c]) < squares[k]:
             failures.append((entry.dimv, entries[b].dimv, entries[c].dimv))
     return Rank2Report(ok=not failures, checked=checked, failures=failures)
 

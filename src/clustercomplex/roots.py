@@ -83,11 +83,25 @@ class RootCatalog:
         return tuple(length(self.algebra, e.dimv) for e in self.entries)
 
     @functools.cached_property
+    def mu_squares(self) -> tuple[Fraction, ...]:
+        """Each member's exact squared measure length^2 / q, by id."""
+        return tuple(Fraction(ell * ell, e.q) for ell, e in zip(self.lengths, self.entries))
+
+    @functools.cached_property
     def mu_ranks(self) -> tuple[int, ...]:
-        """Each member's rank by exact squared measure length^2 / q, by id."""
-        squares = [Fraction(ell * ell, e.q) for ell, e in zip(self.lengths, self.entries)]
-        rank = {value: r for r, value in enumerate(sorted(set(squares)))}
-        return tuple(rank[value] for value in squares)
+        """Each member's rank in `mu_squares` (equal measures share a rank), by id."""
+        rank = {value: r for r, value in enumerate(sorted(set(self.mu_squares)))}
+        return tuple(rank[value] for value in self.mu_squares)
+
+    @functools.cached_property
+    def projectives(self) -> tuple[DimVector, ...]:
+        """The projective dimension vector P(v) of each vertex v."""
+        return tuple(projective_dimv(self.algebra, v) for v in range(self.algebra.n))
+
+    @functools.cached_property
+    def injectives(self) -> tuple[DimVector, ...]:
+        """The injective dimension vector I(v) of each vertex v."""
+        return tuple(injective_dimv(self.algebra, v) for v in range(self.algebra.n))
 
     @functools.cached_property
     def kernel(self):
@@ -221,8 +235,10 @@ def rank2_sequences(algebra: AlgebraData, t_max: int) -> RootCatalog:
     with r = -c[src][snk] and s = -c[snk][src]; the backward family starts at
     I(src), I(snk) with the roles of r, s and of the two vertices swapped.
     In the finite case the two families exhaust each other and the merged
-    catalog is the set of positive roots, kept here in quiver order.  In the
-    infinite case they stay disjoint and each term is tagged with its family.
+    catalog is the set of positive roots, kept here in quiver order: there
+    t_max cuts nothing, and each chain runs until it leaves the positive
+    cone (within 6 terms).  In the infinite case the families stay disjoint,
+    each is cut at 2(t_max + 1) terms and each term is tagged with its family.
     """
     if algebra.n != 2:
         raise NotRankTwo("rank2_sequences requires exactly two vertices")
@@ -232,7 +248,7 @@ def rank2_sequences(algebra: AlgebraData, t_max: int) -> RootCatalog:
     src, snk = rank2_roles(algebra)
     r = -algebra.cartan[src][snk]
     s = -algebra.cartan[snk][src]
-    steps = 2 * (t_max + 1)
+    steps = ROOT_LIMIT if kind == FINITE else 2 * (t_max + 1)
 
     prep = two_term_chain(projective_dimv(algebra, snk), projective_dimv(algebra, src), r, s, steps)
     prei = two_term_chain(injective_dimv(algebra, src), injective_dimv(algebra, snk), s, r, steps)

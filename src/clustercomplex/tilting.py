@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import linalg
-from .algebra import injective_dimv, projective_dimv
 from .errors import (
     MatchingFailed,
     NoCompletion,
@@ -222,16 +221,15 @@ class SplitReport:
 
 
 def _match(catalog: RootCatalog, part: Sequence[int], sigma: Sequence[int],
-           base_dimv, t_dimvs) -> dict[int, int]:
-    """The matching vertex -> member with dimv(member) - base(vertex) in the T-cone.
+           bases, t_dimvs) -> dict[int, int]:
+    """The matching vertex -> member with dimv(member) - bases[vertex] in the T-cone.
 
     T has no support on sigma, so member b can only go to the vertex v whose
     base (projective or injective) agrees with b on sigma; their sigma x sigma
     block is unitriangular in a topological order, so that v is unique.  One
     cone solve per member checks the forced pair.
     """
-    bases = {v: base_dimv(v) for v in sigma}
-    vertex_of = {tuple(base[w] for w in sigma): v for v, base in bases.items()}
+    vertex_of = {tuple(bases[v][w] for w in sigma): v for v in sigma}
     matching: dict[int, int] = {}
     for b in part:
         dimv = catalog.entries[b].dimv
@@ -260,9 +258,6 @@ def verify_b2_structure(catalog: RootCatalog, t_ids: Iterable[int]) -> SplitRepo
         raise MatchingFailed(
             f"|B2| = {len(b2)}, |C2| = {len(c2)}, expected {len(sigma)}")
     t_dimvs = [catalog.entries[i].dimv for i in members]
-    algebra = catalog.algebra
-    b_matching = _match(catalog, sorted(b2), sigma,
-                        lambda v: projective_dimv(algebra, v), t_dimvs)
-    c_matching = _match(catalog, sorted(c2), sigma,
-                        lambda v: injective_dimv(algebra, v), t_dimvs)
+    b_matching = _match(catalog, sorted(b2), sigma, catalog.projectives, t_dimvs)
+    c_matching = _match(catalog, sorted(c2), sigma, catalog.injectives, t_dimvs)
     return SplitReport(ok=True, sigma=sigma, b2_matching=b_matching, c2_matching=c_matching)

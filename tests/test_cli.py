@@ -299,6 +299,12 @@ def test_fixture_dump_and_roundtrip(capsys, tmp_path):
     assert code == 0 and "kronecker" in out.split()
 
 
+def test_unknown_fixture_dump_exits_3(capsys):
+    code, out, err = run(capsys, "fixture", "nope")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "unknown fixture 'nope'" in err and err.count("\n") == 1
+
+
 def test_deterministic_output(capsys):
     _, first, _ = run(capsys, "facets", "--fixture", "d4")
     _, second, _ = run(capsys, "facets", "--fixture", "d4")
@@ -317,3 +323,11 @@ def test_negative_t_max_is_misuse(capsys):
         err = capsys.readouterr().err
         assert f"{argv[-2]}: must be non-negative, got {argv[-1]}" in err
         assert "Traceback" not in err
+
+
+def test_non_integer_t_max_is_misuse(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--fixture", "a2", "--t-max", "abc"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--t-max: invalid int value: 'abc'" in err and "Traceback" not in err

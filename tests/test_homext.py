@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from clustercomplex import (
@@ -121,3 +123,14 @@ def test_rigid_dimv_unique():
         assert report.checked > 0
     with pytest.raises(NotFiniteType):
         rigid_dimv_unique(rank2_sequences(fixture("kronecker"), 2))
+
+
+def test_rigid_dimv_unique_reports_a_collision():
+    # once every pair counts as compatible, 2 (0, 1) + (1, 0) and
+    # (0, 1) + (1, 1) are both rigid combinations totalling (1, 2)
+    cat = positive_roots(fixture("a2"))
+    kernel = cat.kernel
+    vars(cat)["kernel"] = dataclasses.replace(kernel, compat=(kernel.everyone,) * len(cat))
+    report = rigid_dimv_unique(cat)
+    assert not report.ok
+    assert report.collisions[0] == (((0, 2), (1, 1)), ((0, 1), (2, 1)), (1, 2))

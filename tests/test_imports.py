@@ -1,8 +1,8 @@
 """Import hygiene of the package: standard library only, no private names
 taken from sibling modules, no imported name left unused outside
 `__init__`, no function-level import besides the catalog's four lazy ones,
-and the `cli`, `measure` and `tilting` names that the benchmark's tracer
-patches still there."""
+no floating point, and the `cli`, `measure` and `tilting` names that the
+benchmark's tracer patches still there."""
 
 import ast
 import importlib
@@ -15,6 +15,7 @@ import pytest
 PACKAGE = "clustercomplex"
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / PACKAGE).glob("*.py"))
+FLOAT_MODULES = {"math", "cmath", "decimal", "statistics"}
 
 
 def imports(path):
@@ -85,6 +86,27 @@ def test_stdlib_only(path):
         top = module.split(".")[0]
         assert top == PACKAGE or top in sys.stdlib_module_names, \
             f"{path.name} imports {module}, which is outside the standard library"
+
+
+def test_exact_arithmetic_only():
+    # no floats in `src/`: no float or complex literal, no floating-point
+    # module, and the name `float` only where JSON input is checked for
+    # integral values
+    found = set()
+    for path in SOURCES:
+        for module, _ in imports(path):
+            assert (module or "").split(".")[0] not in FLOAT_MODULES, f"{path.name} imports {module}"
+        tree = ast.parse(path.read_text(), filename=str(path))
+        literals = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                    and isinstance(node.value, (float, complex))]
+        assert literals == [], f"{path.name} has inexact literals {literals}"
+        function_of = {}
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function_of.update((node, function.name) for node in ast.walk(function))
+        found.update((path.name, function_of.get(node)) for node in ast.walk(tree)
+                     if isinstance(node, ast.Name) and node.id == "float")
+    assert found == {("algebra.py", "_integer")}
 
 
 def test_tracer_boundaries_name_cli_attributes():

@@ -11,6 +11,7 @@ from clustercomplex import (
     RANK2_INFINITE_FIXTURES,
     catalog_for,
     fixture,
+    hom_ext,
     iter_rigid_sets,
     positive_roots,
     rank2_sequences,
@@ -63,3 +64,19 @@ def test_flipped_family_tag_is_an_oracle_violation(name):
     broken = dataclasses.replace(cat, entries=tuple(entries))
     with pytest.raises(OracleViolation, match="pairing"):
         list(iter_rigid_sets(broken))
+
+
+def test_backward_member_tagged_forward_is_an_oracle_violation():
+    # (1, 0) tagged forward pairs negatively with the backward (6, 5):
+    # `hom_ext` names both; the kernel build meets (6, 5) first and reports
+    # the same pair from the other side
+    cat = rank2_sequences(fixture("kronecker"), 2)
+    entries = list(cat.entries)
+    last = entries[-1]
+    assert (last.dimv, last.component) == ((1, 0), PREINJ)
+    entries[-1] = dataclasses.replace(last, component=PREPROJ)
+    broken = dataclasses.replace(cat, entries=tuple(entries))
+    with pytest.raises(OracleViolation, match=r"forward-to-backward pairing \(1, 0\) -> \(6, 5\)"):
+        hom_ext(broken, broken.entries[-1], broken.by_dimv[(6, 5)])
+    with pytest.raises(OracleViolation, match=r"\(6, 5\) -> \(1, 0\)"):
+        broken.kernel

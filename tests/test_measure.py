@@ -5,8 +5,6 @@ import pytest
 
 from clustercomplex import (
     FINITE_FIXTURES,
-    MU_ZERO,
-    Mu,
     as_facet,
     build_algebra,
     decode_face,
@@ -17,7 +15,6 @@ from clustercomplex import (
     lambda_compare,
     lambda_vector,
     mu,
-    mu_compare,
     positive_roots,
     rank2_sequences,
     verify_descent,
@@ -48,38 +45,29 @@ def test_mu_g2_values():
     table = {(0, 1): 1, (1, 0): 3, (1, 1): 16, (1, 2): 25, (1, 3): 12, (2, 3): 27}
     for dimv, squared in table.items():
         value = mu(cat, cat.by_dimv[dimv])
-        assert value.squared == Fraction(squared)
+        assert isinstance(value, Fraction) and value == Fraction(squared)
+    assert cat.mu_squares == tuple(mu(cat, e) for e in cat.entries)
 
 
-def test_mu_compare():
+def test_mu_order():
     cat = g2_catalog()
     m = {d: mu(cat, cat.by_dimv[d]) for d in [(1, 3), (1, 2), (2, 3)]}
-    assert mu_compare(m[(1, 3)], m[(1, 2)]) == -1
-    assert mu_compare(m[(2, 3)], m[(1, 2)]) == 1
-    assert mu_compare(m[(1, 2)], m[(1, 2)]) == 0
-    assert mu_compare(MU_ZERO, m[(1, 3)]) == -1
-    assert Mu(2, 4) == Mu(1, 1)  # 4/4 == 1/1
-    with pytest.raises(ValueError):
-        Mu(1, 0)
-
-
-def test_mu_compare_transitive_random():
-    rng = random.Random(23)
-    values = [Mu(rng.randint(0, 30), rng.randint(1, 9)) for _ in range(60)]
-    for _ in range(300):
-        a, b, c = rng.sample(values, 3)
-        if mu_compare(a, b) <= 0 and mu_compare(b, c) <= 0:
-            assert mu_compare(a, c) <= 0
+    assert m[(1, 3)] < m[(1, 2)] < m[(2, 3)]
+    assert Fraction(0) < m[(1, 3)]
+    # the ranks order the members as their squared measures do
+    for a, b in zip(cat.mu_ranks, cat.mu_squares):
+        for c, d in zip(cat.mu_ranks, cat.mu_squares):
+            assert (a < c) == (b < d) and (a == c) == (b == d)
 
 
 def test_lambda_vector():
     cat = g2_catalog()
     zero = zero_facet(cat)
-    assert lambda_vector(cat, zero) == (MU_ZERO, MU_ZERO)
+    assert lambda_vector(cat, zero) == (Fraction(0), Fraction(0))
     lam = lambda_vector(cat, as_facet(cat, (cat.by_dimv[(1, 3)].id, cat.by_dimv[(0, 1)].id)))
-    assert [m.squared for m in lam] == [1, 12]
+    assert lam == (1, 12) and all(isinstance(m, Fraction) for m in lam)
     lam = lambda_vector(cat, as_facet(cat, (cat.by_dimv[(1, 2)].id, cat.by_dimv[(2, 3)].id)))
-    assert [m.squared for m in lam] == [25, 27]
+    assert lam == (25, 27)
 
 
 def test_lambda_compare():
@@ -91,7 +79,7 @@ def test_lambda_compare():
     assert lambda_compare(lam_proj, lam_top) == -1
     assert lambda_compare(lam_top, lam_top) == 0
     with pytest.raises(LengthMismatch):
-        lambda_compare(zero, zero + (MU_ZERO,))
+        lambda_compare(zero, zero + (Fraction(0),))
 
 
 def _drawn_b6(seed):
@@ -107,7 +95,7 @@ def _drawn_b6(seed):
 
 @pytest.mark.parametrize("name", FINITE_FIXTURES + ("B6",))
 def test_lambda_key_orders_as_lambda_compare(name):
-    # the rank keys the descent compares against the Mu vectors, on every
+    # the rank keys the descent compares against the Fraction vectors, on every
     # ordered pair of facets; B6 has members of equal measure
     cat = positive_roots(_drawn_b6(5) if name == "B6" else fixture(name))
     if name == "B6":

@@ -8,6 +8,7 @@ from clustercomplex import (
     PREPROJ,
     RANK2_INFINITE,
     UNSUPPORTED,
+    build_complex,
     catalog_for,
     classify_type,
     euler_form,
@@ -17,6 +18,8 @@ from clustercomplex import (
     rank2_sequences,
     simple_reflection,
     symmetrized_form,
+    verify_ap_axioms,
+    verify_flag_connected,
 )
 from clustercomplex.errors import NotFiniteType, NotRankTwo, UnsupportedAlgebra
 
@@ -122,6 +125,19 @@ def test_finite_rank2_merge_equals_positive_roots():
     for name in ("a1xa1", "a2", "b2", "g2"):
         alg = fixture(name)
         assert set(rank2_sequences(alg, 30).dimvs()) == set(positive_roots(alg).dimvs())
+
+
+@pytest.mark.parametrize("name", ["a1xa1", "a2", "b2", "g2"])
+@pytest.mark.parametrize("t_max", [0, 1, 2, 3])
+def test_finite_rank2_sequences_ignore_the_cutoff(name, t_max):
+    # a finite chain runs until it leaves the positive cone, so a small
+    # t_max still gives every positive root and a complex that passes
+    alg = fixture(name)
+    cat = rank2_sequences(alg, t_max)
+    assert cat.kind == FINITE
+    assert sorted(cat.dimvs()) == sorted(positive_roots(alg).dimvs())
+    cx = build_complex(cat)
+    assert verify_ap_axioms(cx).ok and verify_flag_connected(cx).ok
 
 
 def test_catalog_for_dispatch():

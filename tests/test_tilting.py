@@ -21,7 +21,6 @@ from clustercomplex import (
     relative_bongartz,
     relative_dual_bongartz,
     support,
-    tilting,
     verify_b2_structure,
 )
 from clustercomplex.errors import MatchingFailed, NoCompletion, NotAlmostComplete, NotFiniteType
@@ -96,6 +95,12 @@ def test_completions_reject_a_window_catalog():
     for complete in (bongartz, dual_bongartz):
         with pytest.raises(NotFiniteType, match="canonical completion requires a finite catalog"):
             complete(cat, ())
+
+
+def test_split_verification_rejects_a_window_catalog():
+    cat = rank2_sequences(fixture("kronecker"), 3)
+    with pytest.raises(NotFiniteType, match="split verification requires a finite catalog"):
+        verify_b2_structure(cat, ())
 
 
 def test_completions_reject_a_non_rigid_set():
@@ -280,7 +285,7 @@ def test_wrong_projective_fails_the_matching(monkeypatch, wrong):
     cat = positive_roots(fixture("a2"))
     s2 = cat.by_dimv[(0, 1)].id
     assert verify_b2_structure(cat, (s2,)).b2_matching == {0: cat.by_dimv[(1, 1)].id}
-    monkeypatch.setattr(tilting, "projective_dimv", lambda algebra, v: wrong)
+    monkeypatch.setitem(vars(cat), "projectives", (wrong,) + cat.projectives[1:])
     with pytest.raises(MatchingFailed, match=r"no perfect matching for vertices \[0\]"):
         verify_b2_structure(cat, (s2,))
 
