@@ -13,10 +13,30 @@ Python-int bitmasks over member ids: ext_free_out[x] has bit y and
 ext_free_in[y] has bit x when ext(x, y) = 0, and compat[x] is their AND,
 the members that can share a rigid set with x.  It also holds each
 member's vertex support as a mask.  A catalog builds its kernel once, on
-the first rigidity query (`RootCatalog.kernel`), with one dot product per
-ordered pair against the precomputed row x^T E; in an infinite catalog the
-build asserts the cross-family sign on every pair.  Hom and ext lengths
-themselves are computed on demand, one pair per `hom_ext` call.
+the first rigidity query (`RootCatalog.kernel`).
+
+A finite catalog pairs each member against the whole catalog.  A rank-2
+window uses the Coxeter shift instead (Dlab-Ringel, "Indecomposable
+representations of graphs and algebras", Mem. AMS 173, 1976): with src ->
+snk the arrow, M = s_snk s_src moves every stored member two places along
+its run of equal family tags, in the forward family and in the stored
+(reversed) backward family alike, and preserves the Euler form.  The build
+checks three things exactly, on every window:
+
+- M^T E M = E, once;
+- X_j = M X_{j-2} for every member j whose j - 2 is in the same run;
+- the cross-family sign (forward-to-backward pairings >= 0,
+  backward-to-forward <= 0) on every directly computed row and column.
+
+Lemma: given the first two, <X_i, X_j> = <X_{i-2}, X_{j-2}> whenever i - 2
+and j - 2 lie in the runs of i and j, and the tags, hence the sign rule,
+are the same for both pairs.  So only the first two members of each run
+(the heads) are paired directly, as rows and as columns; every other row
+is the row two places before it moved up by 2, with its head bits read off
+the head columns, and the columns likewise.  Every pair, and its sign
+check, reduces to a direct one, in O(N) pairings instead of N^2.  Hom and
+ext lengths themselves are computed on demand, one pair per `hom_ext`
+call.
 """
 
 from __future__ import annotations
@@ -27,9 +47,17 @@ from operator import add, ge, gt, mul
 from typing import Iterable, Iterator, Sequence
 
 from . import linalg
-from .algebra import euler_form
+from .algebra import DimVector, euler_form, unit_vector
 from .errors import MixedCatalogs, NotFiniteType, OracleViolation, UnknownId
-from .roots import FINITE, PREINJ, PREPROJ, Indec, RootCatalog
+from .roots import (
+    FINITE,
+    PREINJ,
+    PREPROJ,
+    Indec,
+    RootCatalog,
+    rank2_roles,
+    simple_reflection,
+)
 
 MULTIPLICITY_BOUND = 2
 # bytes of 0/1 flags -> ASCII digits, for int(..., 2)
@@ -133,48 +161,120 @@ class ExtKernel:
         return extend(self.everyone)
 
 
-def build_kernel(catalog: RootCatalog) -> ExtKernel:
-    """All ext-vanishing bits of a catalog, one dot product per ordered pair.
+def _pairings(form: Sequence[Sequence[int]], x: Sequence[int],
+              columns: Sequence[Sequence[int]]) -> list[int]:
+    """x^T form y for every member y, where columns[k] holds coordinate k of
+    every member: the row x^T form is formed once and applied coordinate by
+    coordinate over the whole catalog at once."""
+    n = len(form)
+    coeffs = [sum(x[i] * form[i][k] for i in range(n)) for k in range(n)]
+    pairing = map(mul, columns[0], repeat(coeffs[0]))
+    for k in range(1, n):
+        pairing = map(add, pairing, map(mul, columns[k], repeat(coeffs[k])))
+    return list(pairing)
 
-    Row x holds the pairings <x, y> = (x^T E) . y for every member y,
-    computed coordinate by coordinate over the whole catalog at once.  In an
-    infinite catalog every forward-to-backward pairing must be >= 0 and every
-    backward-to-forward pairing <= 0; the first pair that breaks this is
-    reported by `_pair`.
-    """
+
+def _dense_masks(catalog: RootCatalog, columns: list) -> tuple[list[int], list[int]]:
+    """(ext_free_out, ext_free_in) from one `_pairings` row per member."""
+    rows = [bytes(map(ge, _pairings(catalog.algebra.euler, x.dimv, columns), repeat(0)))
+            for x in catalog.entries]
+    return [_flags_mask(row) for row in rows], [_flags_mask(column) for column in zip(*rows)]
+
+
+def _direct_mask(catalog: RootCatalog, x: Indec, columns: list, family: dict[str, int],
+                 as_row: bool) -> int:
+    """Ext-free mask of x's row (pairs (x, y)) or column (pairs (y, x)),
+    from one `_pairings` call, with the cross-family sign asserted on it:
+    forward-to-backward pairings are >= 0 and backward-to-forward <= 0."""
+    euler = catalog.algebra.euler
+    form = euler if as_row else tuple(zip(*euler))
+    pairing = _pairings(form, x.dimv, columns)
+    free = _flags_mask(map(ge, pairing, repeat(0)))
+    other = family[PREINJ if x.component == PREPROJ else PREPROJ]
+    if as_row == (x.component == PREPROJ):
+        bad = other & ~free
+    else:
+        bad = other & _flags_mask(map(gt, pairing, repeat(0)))
+    if bad:
+        y = catalog.entries[(bad & -bad).bit_length() - 1]
+        _pair(catalog, *((x, y) if as_row else (y, x)))  # raises, naming the pair
+    return free
+
+
+def _shifted_masks(direct: dict[int, int], across: dict[int, int], size: int) -> list[int]:
+    """Every member's mask from the direct ones: a non-head's mask is the
+    mask two places before it moved up by 2 on the non-head bits, plus its
+    head bits, read off the direct masks of the other side."""
+    tails = ((1 << size) - 1) & ~mask_of(direct)
+    masks: list[int] = []
+    for i in range(size):
+        if i in direct:
+            masks.append(direct[i])
+            continue
+        mask = (masks[i - 2] << 2) & tails
+        for h, other in across.items():
+            mask |= (other >> i & 1) << h
+        masks.append(mask)
+    return masks
+
+
+def _window_masks(catalog: RootCatalog, columns: list) -> tuple[list[int], list[int]]:
+    """(ext_free_out, ext_free_in) of a rank-2 window by the Coxeter shift,
+    after the three checks of the module docstring: M^T E M = E on the unit
+    vectors, then every shift in id order, then the sign on the head rows
+    and the head columns."""
     algebra = catalog.algebra
-    n = algebra.n
+    entries = catalog.entries
+    for x in entries:
+        if x.component not in (PREPROJ, PREINJ):
+            raise OracleViolation(f"untagged member {x.dimv} in infinite catalog")
+    src, snk = rank2_roles(algebra)
+
+    def shift(x: Sequence[int]) -> DimVector:
+        return simple_reflection(algebra, snk, simple_reflection(algebra, src, x))
+
+    units = [unit_vector(algebra.n, k) for k in range(algebra.n)]
+    for a in units:
+        for b in units:
+            if euler_form(algebra, shift(a), shift(b)) != euler_form(algebra, a, b):
+                raise OracleViolation(f"the Coxeter shift does not preserve <{a}, {b}>")
+    tags = [x.component for x in entries]
+    tails = [j for j in range(2, len(entries)) if tags[j - 2] == tags[j - 1] == tags[j]]
+    for j in tails:
+        moved = shift(entries[j - 2].dimv)
+        if moved != entries[j].dimv:
+            raise OracleViolation(f"member {j} is {entries[j].dimv}, but the shift of "
+                                  f"member {j - 2} {entries[j - 2].dimv} is {moved}")
+    family = {c: mask_of(j for j, tag in enumerate(tags) if tag == c) for c in (PREPROJ, PREINJ)}
+    heads = sorted(set(range(len(entries))).difference(tails))
+    rows = {j: _direct_mask(catalog, entries[j], columns, family, True) for j in heads}
+    cols = {j: _direct_mask(catalog, entries[j], columns, family, False) for j in heads}
+    return _shifted_masks(rows, cols, len(entries)), _shifted_masks(cols, rows, len(entries))
+
+
+def build_kernel(catalog: RootCatalog) -> ExtKernel:
+    """All ext-vanishing bits of a catalog, and each member's support.
+
+    A finite catalog pairs every member against the whole catalog, one
+    `_pairings` row per member.  A rank-2 window pairs only the first two
+    members of each family run directly, as rows and as columns, and reads
+    every other bit off them by the Coxeter shift (`_window_masks`), so it
+    makes at most eight `_pairings` calls at any `t_max`.  Every direct row
+    and column of a window asserts the cross-family sign; the first pair
+    that breaks it is reported by `_pair`.
+    """
     entries = catalog.entries
     columns = list(zip(*(e.dimv for e in entries)))  # columns[k][j] = entries[j].dimv[k]
-    infinite = catalog.kind != FINITE
-    family = {c: mask_of(e.id for e in entries if e.component == c) for c in (PREPROJ, PREINJ)}
-    rows, out = [], []
-    for x in entries:
-        xe = [sum(x.dimv[i] * algebra.euler[i][k] for i in range(n)) for k in range(n)]
-        pairing = map(mul, columns[0], repeat(xe[0]))
-        for k in range(1, n):
-            pairing = map(add, pairing, map(mul, columns[k], repeat(xe[k])))
-        pairing = list(pairing)
-        row = bytes(map(ge, pairing, repeat(0)))
-        free = _flags_mask(row)
-        if infinite:
-            if x.component == PREPROJ:
-                bad = family[PREINJ] & ~free
-            elif x.component == PREINJ:
-                bad = family[PREPROJ] & _flags_mask(map(gt, pairing, repeat(0)))
-            else:
-                raise OracleViolation(f"untagged member {x.dimv} in infinite catalog")
-            if bad:
-                _pair(catalog, x, entries[(bad & -bad).bit_length() - 1])  # raises, naming the pair
-        rows.append(row)
-        out.append(free)
-    into = [_flags_mask(column) for column in zip(*rows)]
+    if catalog.kind == FINITE:
+        out, into = _dense_masks(catalog, columns)
+    else:
+        out, into = _window_masks(catalog, columns)
     return ExtKernel(
         ext_free_out=tuple(out),
         ext_free_in=tuple(into),
         compat=tuple(a & b for a, b in zip(out, into)),
         support=tuple(mask_of(v for v, c in enumerate(e.dimv) if c > 0) for e in entries),
-        n=n,
+        n=catalog.algebra.n,
     )
 
 

@@ -60,7 +60,7 @@ def test_verify_kronecker(capsys):
     assert "path ✓" in out and "total-order ✓" in out
 
 
-@pytest.mark.parametrize("t_max", [0, 1, 7])
+@pytest.mark.parametrize("t_max", range(41))
 @pytest.mark.parametrize("reverse", [False, True], ids=["arrow", "reversed"])
 @pytest.mark.parametrize("name", ["kronecker", "valued15"])
 def test_verify_window_both_arrow_directions(capsys, tmp_path, name, reverse, t_max):

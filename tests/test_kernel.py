@@ -1,6 +1,8 @@
-"""The ext-compatibility kernel against the raw-Euler oracle."""
+"""The ext-compatibility kernel against the raw-Euler oracle, and each check
+of the rank-2 shift build failing on a mutant."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -9,6 +11,7 @@ from clustercomplex import (
     PREINJ,
     PREPROJ,
     RANK2_INFINITE_FIXTURES,
+    build_algebra,
     catalog_for,
     fixture,
     hom_ext,
@@ -16,23 +19,106 @@ from clustercomplex import (
     positive_roots,
     rank2_sequences,
 )
+from clustercomplex import homext
 from clustercomplex.errors import OracleViolation
 
-from oracles import oracle_ext, oracle_rigid_sets
+from oracles import oracle_ext, oracle_form, oracle_rigid_sets
+
+
+def reversed_arrow(alg):
+    return build_algebra(alg.cartan, alg.symmetrizer, [(b, a) for a, b in alg.arrows])
+
+
+def grid(name):
+    """The fixture's catalog, or for a rank-2 window every arrow direction
+    at `t_max` 0-12 and 40."""
+    alg = fixture(name)
+    if name not in RANK2_INFINITE_FIXTURES:
+        return [catalog_for(alg, t_max=10)]
+    return [rank2_sequences(a, t) for a in (alg, reversed_arrow(alg)) for t in [*range(13), 40]]
 
 
 @pytest.mark.parametrize("name", FINITE_FIXTURES + RANK2_INFINITE_FIXTURES)
 def test_masks_match_oracle_ext(name):
-    cat = catalog_for(fixture(name), t_max=10)
+    for cat in grid(name):
+        euler = cat.algebra.euler
+        kernel = cat.kernel
+        for x in cat.entries:
+            for y in cat.entries:
+                free = oracle_ext(euler, x.dimv, y.dimv) == 0
+                assert bool(kernel.ext_free_out[x.id] >> y.id & 1) == free, (name, x.dimv, y.dimv)
+                assert bool(kernel.ext_free_in[y.id] >> x.id & 1) == free, (name, x.dimv, y.dimv)
+            assert kernel.compat[x.id] == kernel.ext_free_out[x.id] & kernel.ext_free_in[x.id]
+            assert kernel.support[x.id] == sum(1 << v for v, c in enumerate(x.dimv) if c > 0)
+        assert all(mask < 1 << len(cat) for mask in kernel.ext_free_out + kernel.ext_free_in)
+
+
+def test_window_masks_match_oracle_form_at_scale():
+    cat = rank2_sequences(fixture("valued15"), 1000)
     euler = cat.algebra.euler
     kernel = cat.kernel
-    for x in cat.entries:
-        for y in cat.entries:
-            free = oracle_ext(euler, x.dimv, y.dimv) == 0
-            assert bool(kernel.ext_free_out[x.id] >> y.id & 1) == free, (name, x.dimv, y.dimv)
-            assert bool(kernel.ext_free_in[y.id] >> x.id & 1) == free, (name, x.dimv, y.dimv)
-        assert kernel.compat[x.id] == kernel.ext_free_out[x.id] & kernel.ext_free_in[x.id]
-        assert kernel.support[x.id] == sum(1 << v for v, c in enumerate(x.dimv) if c > 0)
+    rng = random.Random(1000)
+    for _ in range(2000):
+        x, y = rng.choice(cat.entries), rng.choice(cat.entries)
+        free = oracle_form(euler, x.dimv, y.dimv) >= 0
+        assert bool(kernel.ext_free_out[x.id] >> y.id & 1) == free, (x.id, y.id)
+        assert bool(kernel.ext_free_in[y.id] >> x.id & 1) == free, (x.id, y.id)
+
+
+def test_pairings_per_build(monkeypatch):
+    # a window pairs two rows and two columns per family at any size; a
+    # finite catalog pairs one row per member
+    calls = []
+    original = homext._pairings
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(homext, "_pairings", counting)
+    for name in RANK2_INFINITE_FIXTURES:
+        for t_max in (0, 1, 5, 40, 300):
+            calls.clear()
+            cat = rank2_sequences(fixture(name), t_max)
+            cat.kernel
+            assert len(calls) <= 8, (name, t_max)
+    for name in FINITE_FIXTURES:
+        calls.clear()
+        cat = catalog_for(fixture(name))
+        cat.kernel
+        assert len(calls) == len(cat), name
+
+
+def test_wrong_interior_member_breaks_the_shift():
+    cat = rank2_sequences(fixture("kronecker"), 4)
+    entries = list(cat.entries)
+    middle = entries[4]
+    assert middle.component == PREPROJ and middle.dimv == (4, 5)
+    entries[4] = dataclasses.replace(middle, dimv=(5, 4))
+    broken = dataclasses.replace(cat, entries=tuple(entries))
+    with pytest.raises(OracleViolation, match=r"member 4 is \(5, 4\), but the shift of member 2"):
+        broken.kernel
+
+
+def test_euler_form_not_preserved_by_the_shift():
+    cat = rank2_sequences(fixture("kronecker"), 4)
+    assert cat.algebra.euler == ((1, -2), (0, 1))
+    algebra = dataclasses.replace(cat.algebra, euler=((1, -3), (0, 1)))
+    broken = dataclasses.replace(cat, algebra=algebra)
+    with pytest.raises(OracleViolation, match="Coxeter shift does not preserve"):
+        broken.kernel
+
+
+def test_sign_violation_seen_only_by_the_head_columns():
+    # -E - 2E^T is preserved by the shift like E, and its only cross-family
+    # sign violations pair a backward non-head with a forward head, so only
+    # the direct columns of the window see them
+    cat = rank2_sequences(fixture("kronecker"), 3)
+    e = cat.algebra.euler
+    form = tuple(tuple(-e[i][j] - 2 * e[j][i] for j in range(2)) for i in range(2))
+    broken = dataclasses.replace(cat, algebra=dataclasses.replace(cat.algebra, euler=form))
+    with pytest.raises(OracleViolation, match=r"backward-to-forward pairing \(2, 1\) -> \(0, 1\)"):
+        broken.kernel
 
 
 @pytest.mark.parametrize("name", FINITE_FIXTURES)
