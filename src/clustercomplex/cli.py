@@ -162,13 +162,16 @@ def _verify_finite(catalog, fmt: str) -> int:
     }
     # the first witness of each check that can name one
     witnesses = {
+        "ap2": [axioms.short_face],
         "ap4": axioms.bad_ridges[:1],
-        "strong-flag": [f for f in (flags.ridge_witness, flags.coface_witness) if f is not None][:1],
+        "simplicial": [axioms.lost_face],
+        "strong-flag": [flags.ridge_witness, flags.coface_witness],
         "endos": endos.failures[:1],
         "descent": descent.stalled[:1],
     }
     code = _verdict(len(cx.facets), checks, fmt)
     for name, faces in witnesses.items():
+        faces = [f for f in faces if f is not None]
         if faces and not checks[name]:
             print(f"witness: {name} {face_label(catalog, faces[0])}", file=sys.stderr)
     return code

@@ -13,7 +13,11 @@ Python-int bitmasks over member ids: ext_free_out[x] has bit y and
 ext_free_in[y] has bit x when ext(x, y) = 0, and compat[x] is their AND,
 the members that can share a rigid set with x.  It also holds each
 member's vertex support as a mask.  A catalog builds its kernel once, on
-the first rigidity query (`RootCatalog.kernel`).
+the first rigidity query (`RootCatalog.kernel`).  The rigid sets are the
+cliques of compat with at most n members; `cliques` walks them on one
+explicit stack and hands each over as a pair of ints, its member mask and
+the OR of its members' support masks, so no caller rebuilds either from
+ids (`ids_of` gives the ids where they are needed).
 
 A finite catalog pairs each member against the whole catalog.  A rank-2
 window uses the Coxeter shift instead (Dlab-Ringel, "Indecomposable
@@ -139,26 +143,36 @@ class ExtKernel:
         """Members supported inside the vertex mask."""
         return mask_of(i for i, s in enumerate(self.support) if not s & ~vertices)
 
-    def cliques(self) -> Iterator[tuple[int, ...]]:
+    def cliques(self) -> Iterator[tuple[int, int]]:
         """Every set of pairwise compatible members with at most n members,
-        as an ascending id tuple, in depth-first pre-order starting with the
-        empty set.  Candidates are the AND of the chosen members' compat
-        masks, walked by lowest set bit."""
-        stack: list[int] = []
+        as a (member mask, support mask) pair, in depth-first pre-order
+        starting with the empty set (0, 0).
 
-        def extend(cands: int) -> Iterator[tuple[int, ...]]:
-            yield tuple(stack)
-            if len(stack) >= self.n:
-                return
-            while cands:
-                low = cands & -cands
-                cands ^= low
-                i = low.bit_length() - 1
-                stack.append(i)
-                yield from extend(cands & self.compat[i])
-                stack.pop()
-
-        return extend(self.everyone)
+        One explicit stack holds a frame per open set: its member mask, its
+        support mask and the candidates left to try, the AND of the chosen
+        members' compat masks above the last one chosen.  Candidates are
+        taken by lowest set bit, and a set with n members is not extended.
+        """
+        compat, support, n = self.compat, self.support, self.n
+        yield 0, 0
+        members, supports, cands = [0], [0], [self.everyone]
+        while cands:
+            left = cands[-1]
+            if not left:
+                members.pop()
+                supports.pop()
+                cands.pop()
+                continue
+            low = left & -left
+            left ^= low
+            cands[-1] = left
+            i = low.bit_length() - 1
+            mask, supp = members[-1] | low, supports[-1] | support[i]
+            yield mask, supp
+            if len(cands) < n:
+                members.append(mask)
+                supports.append(supp)
+                cands.append(left & compat[i])
 
 
 def _pairings(form: Sequence[Sequence[int]], x: Sequence[int],
@@ -315,8 +329,10 @@ def support(catalog: RootCatalog, ids: Iterable[int]) -> tuple[frozenset[int], f
     return supp, sigma
 
 
-def iter_rigid_sets(catalog: RootCatalog) -> Iterator[tuple[int, ...]]:
-    """Yield every rigid subset (as a sorted id tuple), the empty set included.
+def iter_rigid_sets(catalog: RootCatalog) -> Iterator[tuple[int, int]]:
+    """Yield every rigid set as a (member mask, support mask) pair, the
+    empty set (0, 0) first: bit i of the member mask is member i, bit v of
+    the support mask is vertex v, and `ids_of` gives the ids.
 
     Sets larger than the algebra rank cannot be rigid and are never produced.
     The catalog's kernel is built on the first item if it does not exist yet.
@@ -346,9 +362,10 @@ def rigid_dimv_unique(catalog: RootCatalog) -> UniquenessReport:
     totals: dict[tuple, tuple] = {}
     collisions = []
     checked = 0
-    for ids in iter_rigid_sets(catalog):
-        if not ids:
+    for members, _ in iter_rigid_sets(catalog):
+        if not members:
             continue
+        ids = ids_of(members)
         for mults in product(range(1, MULTIPLICITY_BOUND + 1), repeat=len(ids)):
             total = tuple(sum(m * catalog.entries[i].dimv[k] for m, i in zip(mults, ids))
                           for k in range(n))

@@ -1,6 +1,8 @@
 """Exact rational linear algebra for small integer matrices.
 
-Everything here works over Fractions; no floating point is used anywhere.
+Everything here is exact: eliminations work over Fractions, and the
+positive-definiteness test over integers alone.  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -88,10 +90,26 @@ def nonneg_int_combination(columns: Sequence[Sequence[int]], target: Sequence[in
 
 
 def is_positive_definite(sym: Sequence[Sequence[int]]) -> bool:
-    """Sylvester criterion: all leading principal minors positive."""
-    n = len(sym)
-    for k in range(1, n + 1):
-        minor = det([row[:k] for row in sym[:k]])
-        if minor <= 0:
+    """Sylvester criterion: all leading principal minors positive.
+
+    One fraction-free elimination in integers, without row swaps (E. H.
+    Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", Math. Comp. 22, 1968): after step k every entry below and
+    right of the pivot is a (k + 1)-by-(k + 1) minor bordering the leading
+    block, so the k-th pivot is the k-th leading minor, and each division by
+    the previous pivot is exact.  The walk stops at the first pivot <= 0.
+    """
+    rows = [list(row) for row in sym]
+    n = len(rows)
+    prev = 1
+    for k in range(n):
+        pivot = rows[k][k]
+        if pivot <= 0:
             return False
+        top = rows[k]
+        for row in rows[k + 1:]:
+            head = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - head * top[j]) // prev
+        prev = pivot
     return True

@@ -11,6 +11,11 @@ unsupported vertex, then the members' ranks by measure
 (`RootCatalog.mu_ranks`), ascending.  Replacing a measure-minimal member by
 its canonical in-support completion (or the dual one) strictly drops the
 vector, which drives every facet down to the zero module.
+
+The endomorphism check asks that a facet's member endo lengths and
+unsupported symmetrizer entries form the symmetrizer multiset.  It counts
+instead of sorting: per symmetrizer value, a popcount of the facet against
+one class mask kept per catalog (`RootCatalog.endo_classes`).
 """
 
 from __future__ import annotations
@@ -64,7 +69,8 @@ def lambda_key(catalog: RootCatalog, facet: int) -> tuple[int, ...]:
     """-1 for each unsupported vertex, then the members' measure ranks
     ascending; compares as `lambda_compare` compares the lambda vectors."""
     n, ranks = catalog.algebra.n, catalog.mu_ranks
-    return tuple(sorted(-1 if v < n else ranks[v - n] for v in ids_of(facet)))
+    return ((-1,) * (facet & ((1 << n) - 1)).bit_count()
+            + tuple(sorted(map(ranks.__getitem__, ids_of(facet >> n)))))
 
 
 def member_moves(catalog: RootCatalog) -> tuple[int, ...]:
@@ -93,21 +99,26 @@ def descent_step(catalog: RootCatalog, facet: int) -> int:
     members = ids_of(facet >> catalog.algebra.n)
     if not members:
         raise ZeroModule("the zero facet has no descent step")
-    chosen = min(members, key=lambda i: (catalog.mu_ranks[i], i))
+    # min keeps the first of equal keys, and the ids ascend
+    chosen = min(members, key=catalog.mu_ranks.__getitem__)
     if len(members) == 1 and catalog.kernel.support[chosen].bit_count() == 1:
         return zero_facet(catalog)
     return catalog.descent_moves[chosen]
 
 
-def _descend(catalog: RootCatalog, facet: int) -> int | None:
-    """The next facet of the descent, or None where the walk stops: at the
-    zero facet, and before a step that fails to drop the lambda key."""
+def _descend(catalog: RootCatalog, facet: int,
+             key: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
+    """The next facet of the descent and its lambda key, given the facet's
+    own key, or None where the walk stops: at the zero facet, and before a
+    step that fails to drop the lambda key.  A walk carries each key on to
+    the next step, so it computes one key per step."""
     if facet == zero_facet(catalog):
         return None
     nxt = descent_step(catalog, facet)
-    if lambda_key(catalog, nxt) >= lambda_key(catalog, facet):
+    nxt_key = lambda_key(catalog, nxt)
+    if nxt_key >= key:
         return None
-    return nxt
+    return nxt, nxt_key
 
 
 def descent_path(catalog: RootCatalog, facet: int, max_steps: int) -> list[int]:
@@ -117,11 +128,12 @@ def descent_path(catalog: RootCatalog, facet: int, max_steps: int) -> list[int]:
     `max_steps` steps; the last facet of the path is then where the descent
     stalled.
     """
-    path = [facet]
+    path, key = [facet], lambda_key(catalog, facet)
     while len(path) <= max_steps + 1:
-        nxt = _descend(catalog, path[-1])
-        if nxt is None:
+        step = _descend(catalog, path[-1], key)
+        if step is None:
             break
+        nxt, key = step
         path.append(nxt)
     return path
 
@@ -144,19 +156,24 @@ def verify_descent(catalog: RootCatalog) -> DescentReport:
     Walks share their tails: each facet's (steps, end) is recorded once, and
     a walk stops at the first recorded facet.  `steps[f]` is what
     `descent_path(catalog, f, len(facets))` gives, which cuts a walk after
-    len(facets) + 1 steps.
+    len(facets) + 1 steps.  A walk starts only from a facet not yet
+    recorded and carries each lambda key on to the next step, so a step
+    computes one key, that of the facet it moves to.
     """
     facets = enumerate_support_tilting(catalog)
     zero = zero_facet(catalog)
     bound = len(facets) + 1
     walks: dict[int, tuple[int, int]] = {}
     for start in facets:
-        path = [start]
+        if start in walks:
+            continue
+        path, key = [start], lambda_key(catalog, start)
         while path[-1] not in walks:
-            nxt = _descend(catalog, path[-1])
-            if nxt is None:
+            step = _descend(catalog, path[-1], key)
+            if step is None:
                 walks[path[-1]] = (0, path[-1])
             else:
+                nxt, key = step
                 path.append(nxt)
         count, end = walks[path.pop()]
         for facet in reversed(path):
@@ -280,12 +297,15 @@ class EndoReport:
 
 def verify_endos(catalog: RootCatalog, facet: int) -> bool:
     """Member endo lengths plus dropped-vertex symmetrizer entries must give
-    back the full symmetrizer multiset."""
-    algebra = catalog.algebra
-    n = algebra.n
-    got = sorted(algebra.symmetrizer[v] if v < n else catalog.entries[v - n].q
-                 for v in ids_of(facet))
-    return got == sorted(algebra.symmetrizer)
+    back the full symmetrizer multiset.
+
+    Counted per class, not sorted: for every symmetrizer value c, the facet
+    must hold as many vertices and members of value c as there are vertices
+    with u_v = c (`RootCatalog.endo_classes`), and it must have n vertices,
+    so that none lies outside the classes.
+    """
+    return facet.bit_count() == catalog.algebra.n and all(
+        (facet & mask).bit_count() == count for mask, count in catalog.endo_classes)
 
 
 def verify_endos_all(catalog: RootCatalog) -> EndoReport:

@@ -33,9 +33,10 @@ connected, the whole complex included as the link of the empty face.  The
 proof is an induction on dimension: the link of a vertex connects the
 facets through it, and a path of vertices joins any two facets.  The link
 of F has the vertices up[F], and v and w are joined when w is in up[F + v],
-so one flood decides each link.  The lemma needs purity, so a complex that
-is not pure fails `strong-flag` as well as AP2.  With every ridge thin,
-this also decides the literal walk on flags, which `tests/oracles.py` keeps.
+so one flood decides each link; it stops once every link vertex is seen.
+The lemma needs purity, so a complex that is not pure fails `strong-flag`
+as well as AP2.  With every ridge thin, this also decides the literal walk
+on flags, which `tests/oracles.py` keeps.
 
 A rank-2 window, the infinite rank-2 complex cut down to a line, is a
 `ClusterComplex` like the others, built from the same walk.  Its checks
@@ -77,20 +78,22 @@ def face_label(catalog: RootCatalog, face: Face) -> str:
 def _unreached(up: Mapping[int, int], within: int, base: Face = 0) -> int:
     """The bits of `within` that a flood from its lowest bit misses.
 
-    Each round ORs `up[base | bit]` over the bits of the frontier and keeps
-    what is left unreached; `within` is connected when nothing is left.
+    A depth-first flood: each bit taken off the stack adds the unseen bits
+    of `up[base | bit]` inside `within`.  It stops with 0 as soon as every
+    bit of `within` is seen, so a connected `within` costs no more lookups
+    than it needs; otherwise it runs out and returns what the component of
+    the lowest bit left unseen.
     """
-    frontier = within & -within
-    rest = within ^ frontier
-    while frontier:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= up[base | low]
-            frontier ^= low
-        frontier = reach & rest
-        rest ^= frontier
-    return rest
+    seen = stack = within & -within
+    while seen != within:
+        if not stack:
+            return within ^ seen
+        low = stack & -stack
+        stack ^= low
+        new = up[base | low] & within & ~seen
+        seen |= new
+        stack |= new
+    return 0
 
 
 @dataclass
@@ -107,7 +110,10 @@ class ClusterComplex:
 
     @cached_property
     def facets(self) -> tuple[Face, ...]:
-        """The faces with n vertices, by ascending vertex tuple."""
+        """The faces with n vertices, by ascending vertex tuple: the
+        catalog's own list when these are the faces its walk found."""
+        if self.faces is vars(self.catalog).get("faces"):
+            return self.catalog.facets
         return tuple(facets_among(self.n, self.faces))
 
     @cached_property
@@ -116,20 +122,28 @@ class ClusterComplex:
         face F and every face minus one vertex; a key outside `faces` is a
         subface that a face lost."""
         up = dict.fromkeys(self.faces, 0)
+        get = up.get
         for face in self.faces:
             rest = face
             while rest:
                 low = rest & -rest
                 rest ^= low
                 sub = face ^ low
-                up[sub] = up.get(sub, 0) | low
+                up[sub] = get(sub, 0) | low
         return up
 
     @cached_property
+    def short_face(self) -> Face | None:
+        """The first maximal face (one with an empty up) without n vertices,
+        by size and then vertex tuple; None when there is none."""
+        n, up = self.n, self.up
+        return min((f for f in self.faces if not up[f] and f.bit_count() != n),
+                   key=_face_key, default=None)
+
+    @property
     def pure(self) -> bool:
         """Every face with an empty up, a maximal face, has n vertices."""
-        n, up = self.n, self.up
-        return all(f.bit_count() == n for f in self.faces if not up[f])
+        return self.short_face is None
 
     @cached_property
     def bad_ridges(self) -> list[Face]:
@@ -149,13 +163,17 @@ def build_complex(catalog: RootCatalog) -> ClusterComplex:
 @dataclass
 class AxiomReport:
     """`bad_ridges` are the faces of size n - 1 not held by exactly two
-    facets, by size and then vertex tuple."""
+    facets, by size and then vertex tuple.  The witnesses of AP2 and
+    simpliciality, each the first by size and then vertex tuple or None,
+    are the maximal face without n vertices and the subface a face lost."""
 
     ap1: bool
     ap2: bool
     ap4: bool
     simplicial: bool
     bad_ridges: list[Face]
+    short_face: Face | None
+    lost_face: Face | None
 
     @property
     def ok(self) -> bool:
@@ -173,7 +191,9 @@ def verify_ap_axioms(cx: ClusterComplex) -> AxiomReport:
                        ap2=cx.pure,
                        ap4=not bad_ridges and lost <= {0},
                        simplicial=not lost,
-                       bad_ridges=bad_ridges)
+                       bad_ridges=bad_ridges,
+                       short_face=cx.short_face,
+                       lost_face=min(lost, key=_face_key, default=None))
 
 
 def exchange_graph(cx: ClusterComplex) -> dict[int, tuple[int, ...]]:

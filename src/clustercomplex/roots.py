@@ -94,6 +94,16 @@ class RootCatalog:
         return tuple(rank[value] for value in self.mu_squares)
 
     @functools.cached_property
+    def endo_classes(self) -> tuple[tuple[int, int], ...]:
+        """One (class mask, count) per symmetrizer value c, ascending: the
+        mask has, as face bits, every vertex v with u_v = c and every member
+        with q = c (bit n + id); count is the number of vertices with u_v = c."""
+        n, u = self.algebra.n, self.algebra.symmetrizer
+        return tuple((sum(1 << v for v in range(n) if u[v] == c)
+                      | sum(1 << (n + e.id) for e in self.entries if e.q == c), u.count(c))
+                     for c in sorted(set(u)))
+
+    @functools.cached_property
     def projectives(self) -> tuple[DimVector, ...]:
         """The projective dimension vector P(v) of each vertex v."""
         return tuple(projective_dimv(self.algebra, v) for v in range(self.algebra.n))
@@ -170,6 +180,11 @@ def positive_roots(algebra: AlgebraData) -> RootCatalog:
     """
     if classify_type(algebra) != FINITE:
         raise NotFiniteType("positive_roots requires a representation-finite algebra")
+    return _root_closure(algebra)
+
+
+def _root_closure(algebra: AlgebraData) -> RootCatalog:
+    """The catalog of `positive_roots` for an algebra already classified FINITE."""
     n = algebra.n
     orbit: dict[DimVector, int] = {}
     queue: deque[DimVector] = deque()
@@ -240,11 +255,15 @@ def rank2_sequences(algebra: AlgebraData, t_max: int) -> RootCatalog:
     cone (within 6 terms).  In the infinite case the families stay disjoint,
     each is cut at 2(t_max + 1) terms and each term is tagged with its family.
     """
+    return _shift_orbits(algebra, t_max, classify_type(algebra))
+
+
+def _shift_orbits(algebra: AlgebraData, t_max: int, kind: str) -> RootCatalog:
+    """The catalog of `rank2_sequences` for an algebra already classified as `kind`."""
     if algebra.n != 2:
         raise NotRankTwo("rank2_sequences requires exactly two vertices")
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
-    kind = classify_type(algebra)
     src, snk = rank2_roles(algebra)
     r = -algebra.cartan[src][snk]
     s = -algebra.cartan[snk][src]
@@ -279,10 +298,11 @@ def rank2_sequences(algebra: AlgebraData, t_max: int) -> RootCatalog:
 
 
 def catalog_for(algebra: AlgebraData, t_max: int = 10) -> RootCatalog:
-    """Dispatch on the algebra type; raises UnsupportedAlgebra outside scope."""
+    """Dispatch on the algebra type, classified once; raises
+    UnsupportedAlgebra outside scope."""
     kind = classify_type(algebra)
     if kind == FINITE:
-        return positive_roots(algebra)
+        return _root_closure(algebra)
     if kind == RANK2_INFINITE:
-        return rank2_sequences(algebra, t_max)
+        return _shift_orbits(algebra, t_max, kind)
     raise UnsupportedAlgebra("representation-infinite of rank >= 3")

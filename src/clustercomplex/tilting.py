@@ -63,14 +63,15 @@ def rigid_faces(catalog: RootCatalog) -> Iterator[int]:
 
     A face is a pair (T, sigma): a rigid set T and a set sigma of vertices
     outside the support of T (T. Adachi, O. Iyama, I. Reiten, "tau-tilting
-    theory", 2014).  Each rigid T is emitted with every such sigma.
+    theory", 2014).  The walk hands over each rigid T as its member and
+    support masks, and T is emitted with every such sigma.
     `RootCatalog.faces` keeps them.
     """
     n = catalog.algebra.n
     everything = (1 << n) - 1
-    for ids in iter_rigid_sets(catalog):
-        members = mask_of(ids) << n
-        free = everything & ~catalog.kernel.support_of(ids)
+    for members, supp in iter_rigid_sets(catalog):
+        members <<= n
+        free = everything & ~supp
         sigma = free
         while True:
             yield members | sigma

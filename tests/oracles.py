@@ -5,10 +5,13 @@ lengths are recomputed from the raw Euler matrix, facets and canonical
 completions by exhaustive subset search, root lists are classical tables
 written out by hand, flag connectivity is the literal walk on every flag of
 every facet, the face-poset axioms enumerate every subset and every
-two-step interval of every face, and the pairing of a completion's
-out-of-support part with the unsupported vertices tries every ordering.
-The package stores a face as the int bitmask of its vertices; `vertex_sets`
-turns such faces into the frozensets these oracles read, and
+two-step interval of every face, the pairing of a completion's
+out-of-support part with the unsupported vertices tries every ordering,
+links are searched breadth-first on the face set, determinants are Leibniz
+expansions, and endomorphism multisets are compared sorted.  Rigid sets
+are grown one root at a time, which finds every one since rigidity is
+pairwise.  The package stores a face as the int bitmask of its vertices;
+`vertex_sets` turns such faces into the frozensets these oracles read, and
 `downward_closure` gives the faces that a list of such facets spans, as the
 package built its faces before they came from the rigid-set walk.
 """
@@ -75,11 +78,22 @@ def oracle_is_rigid(euler, dimvs):
 
 
 def oracle_rigid_sets(euler, roots):
-    """All rigid subsets of at most n roots by exhaustive enumeration."""
-    return [frozenset(subset)
-            for size in range(len(euler) + 1)
-            for subset in combinations(roots, size)
-            if oracle_is_rigid(euler, subset)]
+    """All rigid subsets of at most n roots, by size and then index tuple.
+
+    Rigidity is pairwise, so every subset of a rigid set is rigid: the sets
+    of size k + 1 are those of size k, each extended by every later root
+    with no ext either way against each of its roots (a table from
+    `oracle_ext` on the raw Euler matrix).
+    """
+    free = [[x == y or oracle_ext(euler, x, y) == oracle_ext(euler, y, x) == 0 for y in roots]
+            for x in roots]
+    level = [()]
+    found = [frozenset()]
+    for _ in range(len(euler)):
+        level = [t + (j,) for t in level for j in range(t[-1] + 1 if t else 0, len(roots))
+                 if all(free[i][j] for i in t)]
+        found += [frozenset(roots[i] for i in t) for t in level]
+    return found
 
 
 def oracle_support(dimvs, n):
@@ -207,3 +221,46 @@ def oracle_diamonds(faces):
     return all(sum(1 for v in pair if upper - frozenset(pair) | {v} in faces) == 2
                for upper in faces if len(upper) >= 2
                for pair in combinations(sorted(upper), 2))
+
+
+def oracle_link_unreached(faces, face):
+    """The link vertices of `face` that a breadth-first search from the
+    lowest one leaves unreached, as a mask.  The faces are int bitmasks; v is
+    a link vertex when face + v is a face, and two link vertices v, w are
+    joined when face + v + w is a face."""
+    width = max(f.bit_length() for f in faces)
+    link = [v for v in range(width) if not face >> v & 1 and face | 1 << v in faces]
+    seen, queue = set(link[:1]), link[:1]
+    for v in queue:
+        for w in link:
+            if w not in seen and face | 1 << v | 1 << w in faces:
+                seen.add(w)
+                queue.append(w)
+    return sum(1 << w for w in link if w not in seen)
+
+
+def oracle_det(matrix):
+    """Determinant by the Leibniz expansion over every permutation."""
+    total = 0
+    for perm in permutations(range(len(matrix))):
+        inversions = sum(1 for i, j in combinations(range(len(perm)), 2) if perm[i] > perm[j])
+        term = (-1) ** inversions
+        for row, col in enumerate(perm):
+            term *= matrix[row][col]
+        total += term
+    return total
+
+
+def oracle_positive_definite(matrix):
+    """Sylvester's criterion: every leading principal minor, each its own
+    determinant, is positive."""
+    return all(oracle_det([row[:k] for row in matrix[:k]]) > 0 for k in range(1, len(matrix) + 1))
+
+
+def oracle_endos(symmetrizer, qs, face):
+    """The symmetrizer entries of a face's vertices and the endo lengths q of
+    its members, sorted, are the sorted symmetrizer: vertex v < n carries
+    symmetrizer[v] and vertex n + i carries qs[i]."""
+    n = len(symmetrizer)
+    got = [symmetrizer[v] if v < n else qs[v - n] for v in range(face.bit_length()) if face >> v & 1]
+    return sorted(got) == sorted(symmetrizer)

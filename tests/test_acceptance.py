@@ -31,6 +31,7 @@ from clustercomplex import (
     verify_total_order,
 )
 from clustercomplex.cli import main
+from clustercomplex.homext import ids_of
 from clustercomplex.polytope import is_single_cycle
 from oracles import oracle_flags_connected, vertex_sets
 
@@ -169,8 +170,8 @@ def test_criterion_10_rigid_uniqueness_and_independence():
         assert report.ok, report.collisions
     for name in FINITE_NAMES:
         cat = positive_roots(fixture(name))
-        for ids in iter_rigid_sets(cat):
-            assert independent_dimvs(cat, ids)
+        for members, _ in iter_rigid_sets(cat):
+            assert independent_dimvs(cat, ids_of(members))
     print("criterion 10 (rigid dimv uniqueness and independence): PASS")
 
 

@@ -19,7 +19,8 @@ from clustercomplex import (
 from clustercomplex import cli, measure, roots
 from clustercomplex.cli import main
 from clustercomplex.homext import ids_of
-from oracles import downward_closure
+from clustercomplex.polytope import _unreached
+from oracles import downward_closure, oracle_link_unreached
 
 
 def run(capsys, *argv):
@@ -108,6 +109,56 @@ def test_failed_checks_print_witnesses(monkeypatch, capsys):
     assert err.splitlines() == [f"witness: ap4 {face_label(cat, ridge)}",
                                 f"witness: strong-flag {face_label(cat, ridge)}",
                                 "witness: endos |1,2,3"]
+
+
+def test_the_first_maximal_short_face_is_the_ap2_witness(monkeypatch, capsys):
+    # a3 without the facets through its first and its last ridge: those two
+    # ridges are then the maximal faces with two vertices, and the first one
+    # by vertex tuple is the witness
+    cat = positive_roots(fixture("a3"))
+    whole = build_complex(cat)
+    ridges = sorted((f for f in whole.faces if f.bit_count() == 2), key=ids_of)
+    first, last = ridges[0], ridges[-1]
+    dropped = {f for f in whole.facets if f & first == first or f & last == last}
+    faces = whole.faces - dropped
+    assert sorted((f for f in faces if f.bit_count() < 3
+                   and not any(g != f and g & f == f for g in faces)), key=ids_of) == [first, last]
+    monkeypatch.setattr(cli, "build_complex", lambda catalog: ClusterComplex(
+        catalog=catalog, faces=build_complex(catalog).faces - dropped))
+    code, out, err = run(capsys, "verify", "--fixture", "a3")
+    assert code == 1
+    assert out == "facets=10 ap1 ✓ ap2 ✗ ap4 ✗ simplicial ✓ strong-flag ✗ endos ✓ descent ✓\n"
+    lines = err.splitlines()
+    assert lines[0] == f"witness: ap2 {face_label(cat, first)}"
+    assert [line.split()[1] for line in lines] == ["ap2", "ap4", "strong-flag"]
+
+
+def test_the_first_lost_subface_is_the_simplicial_witness(monkeypatch, capsys):
+    # a3 without one of its edges and one vertex outside it: both are lost
+    # subfaces, and the vertex comes first by size
+    cat = positive_roots(fixture("a3"))
+    whole = build_complex(cat)
+    edge = min((f for f in whole.faces if f.bit_count() == 2), key=ids_of)
+    vertex = max((f for f in whole.faces if f.bit_count() == 1 and not f & edge), key=ids_of)
+    monkeypatch.setattr(cli, "build_complex", lambda catalog: ClusterComplex(
+        catalog=catalog, faces=build_complex(catalog).faces - {edge, vertex}))
+    code, out, err = run(capsys, "verify", "--fixture", "a3")
+    assert code == 1
+    assert out == "facets=14 ap1 ✓ ap2 ✓ ap4 ✗ simplicial ✗ strong-flag ✓ endos ✓ descent ✓\n"
+    assert err == f"witness: simplicial {face_label(cat, vertex)}\n"
+
+
+def test_split_link_flood_matches_a_breadth_first_search():
+    # two tetrahedron boundaries sharing vertex 3: the flood stops early on
+    # the connected links and, on the split link of vertex 3, returns what a
+    # search from its lowest vertex misses
+    spheres = [sum(1 << v for v in block) - (1 << v) for block in ((0, 1, 2, 3), (3, 4, 5, 6))
+               for v in block]
+    cx = ClusterComplex(catalog=positive_roots(fixture("a3")), faces=downward_closure(spheres))
+    for face in cx.faces:
+        if face.bit_count() <= 1:
+            assert _unreached(cx.up, cx.up[face], face) == oracle_link_unreached(cx.faces, face)
+    assert _unreached(cx.up, cx.up[1 << 3], 1 << 3) == 0b1110000
 
 
 def test_thin_complex_with_a_split_link_prints_the_link(monkeypatch, capsys):

@@ -17,6 +17,7 @@ from clustercomplex import (
     support,
 )
 from clustercomplex.errors import MixedCatalogs, NotFiniteType, UnknownId
+from clustercomplex.homext import ids_of
 
 from oracles import oracle_ext
 
@@ -109,7 +110,8 @@ def test_rigid_sets_are_linearly_independent():
     for name in ("a2", "a3", "b2", "b3", "g2", "d4"):
         cat = positive_roots(fixture(name))
         count = 0
-        for ids in iter_rigid_sets(cat):
+        for members, _ in iter_rigid_sets(cat):
+            ids = ids_of(members)
             assert independent_dimvs(cat, ids)
             assert len(ids) <= cat.algebra.n
             count += 1

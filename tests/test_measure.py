@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from clustercomplex import (
     verify_total_order,
     zero_facet,
 )
-from clustercomplex import face_label, measure
+from clustercomplex import cli, face_label, measure
 from clustercomplex.cli import main
 from clustercomplex.errors import (
     Disconnected,
@@ -34,6 +35,8 @@ from clustercomplex.errors import (
     SymmetrizabilityViolation,
     ZeroModule,
 )
+
+from oracles import oracle_endos
 
 
 def g2_catalog():
@@ -158,6 +161,28 @@ def test_descent_stalls_where_the_vector_does_not_drop(monkeypatch):
     assert report.stalled == [victim]  # the one facet where walks stop short of zero
 
 
+def test_each_step_is_compared_with_the_facet_before_it(monkeypatch):
+    # route a walk X -> Y -> Z with key(Y) <= key(Z) < key(X): the second
+    # step climbs from Y, so the walk stops at Y although Z is below X
+    cat = positive_roots(fixture("d4"))
+    facets = enumerate_support_tilting(cat)
+    zero = zero_facet(cat)
+
+    def key(f):
+        return measure.lambda_key(cat, f)
+
+    x, y, z = next((x, y, z) for i, x in enumerate(facets) for y in facets[i + 1:]
+                   if y != zero and key(y) < key(x)
+                   for z in facets if z != y and key(y) <= key(z) < key(x))
+    step = measure.descent_step
+    monkeypatch.setattr(measure, "descent_step",
+                        lambda catalog, facet: {x: y, y: z}.get(facet) or step(catalog, facet))
+    report = verify_descent(cat)
+    assert not report.ok and report.stalled == [y]
+    assert report.steps[x] == 1
+    assert descent_path(cat, x, len(facets)) == [x, y]
+
+
 def test_a_corrupt_descent_move_fails_verify(monkeypatch, capsys):
     # point the move that the top facet takes back at the top facet: its walk
     # cannot drop the vector there, and `verify` reports where it stalls
@@ -261,3 +286,46 @@ def test_verify_endos_all_fixtures():
         report = verify_endos_all(positive_roots(fixture(name)))
         assert report.ok and report.checked == len(enumerate_support_tilting(
             positive_roots(fixture(name))))
+
+
+@pytest.mark.parametrize("name", FINITE_FIXTURES + ("B6",))
+def test_endo_classes_agree_with_the_sorted_multisets(name):
+    # per-class popcounts against the sorted multisets, on every face (the
+    # faces below n vertices fail both) and so on every facet
+    cat = positive_roots(_drawn_b6(5) if name == "B6" else fixture(name))
+    u, qs = cat.algebra.symmetrizer, [e.q for e in cat.entries]
+    assert len(cat.endo_classes) == len(set(u))
+    if name in ("B6", "c3", "g2"):
+        assert len(cat.endo_classes) == 2
+    facets = set(enumerate_support_tilting(cat))
+    for face in cat.faces:
+        assert verify_endos(cat, face) == oracle_endos(u, qs, face), face
+        if face in facets:
+            assert verify_endos(cat, face)
+
+
+@pytest.mark.parametrize("name", ["a3", "b3"])
+def test_a_wrong_endo_length_fails_verify(monkeypatch, capsys, name):
+    # give one member the endo length of the other class (a3: 2): every
+    # facet holding it fails, the other checks pass, and the witness is the
+    # first of those facets
+    cat = positive_roots(fixture(name))
+    facets = enumerate_support_tilting(cat)
+    n = cat.algebra.n
+    for k, entry in enumerate(cat.entries):
+        other = next(iter(set(cat.algebra.symmetrizer) - {entry.q}), 2)
+        entries = list(cat.entries)
+        entries[k] = dataclasses.replace(entry, q=other)
+        mutant = dataclasses.replace(cat, entries=tuple(entries))
+        held = [f for f in facets if f >> (n + k) & 1]
+        assert verify_endos_all(mutant).failures == held
+        # one vertex too many: in a3 the new length lies in no class
+        extra = next(f for f in facets if f not in held) | 1 << (n + k)
+        assert not verify_endos(mutant, extra)
+        assert not oracle_endos(cat.algebra.symmetrizer, [e.q for e in entries], extra)
+        monkeypatch.setattr(cli, "catalog_for", lambda algebra, t_max: mutant)
+        assert main(["verify", "--fixture", name]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == (f"facets={len(facets)} ap1 ✓ ap2 ✓ ap4 ✓ simplicial ✓ "
+                                "strong-flag ✓ endos ✗ descent ✓\n")
+        assert captured.err == f"witness: endos {face_label(cat, held[0])}\n"

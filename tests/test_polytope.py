@@ -27,12 +27,13 @@ from clustercomplex import cli
 from clustercomplex.cli import main
 from clustercomplex.errors import NotProperFace, NotRankTwoInfinite
 from clustercomplex.homext import ids_of, mask_of
-from clustercomplex.polytope import ClusterComplex, is_path, is_single_cycle
+from clustercomplex.polytope import ClusterComplex, _unreached, is_path, is_single_cycle
 from clustercomplex.roots import RootCatalog
 from oracles import (
     downward_closure,
     oracle_diamonds,
     oracle_flags_connected,
+    oracle_link_unreached,
     oracle_pure,
     oracle_simplicial,
     vertex_sets,
@@ -74,7 +75,8 @@ def test_face_set_equals_all_valid_pairs():
         cx = build_complex(cat)
         n = cx.n
         expected = set()
-        for ids in iter_rigid_sets(cat):
+        for members, _ in iter_rigid_sets(cat):
+            ids = ids_of(members)
             _, sigma = support(cat, ids)
             for size in range(len(sigma) + 1):
                 for sub in combinations(sorted(sigma), size):
@@ -259,6 +261,34 @@ def test_flag_witnesses_name_the_first_faulty_faces():
             assert not _coface_connected(cx, link)
         kinds.add((len(dropped), link is None))
     assert kinds == {(1, True), (2, True), (2, False)}
+
+
+def _floods_agree(cx):
+    """`_unreached` on the link of every face with at most n - 2 vertices
+    equals what a breadth-first search on the face set leaves unreached;
+    the number of split links."""
+    split = 0
+    for face in cx.faces:
+        if face.bit_count() <= cx.n - 2:
+            want = oracle_link_unreached(cx.faces, face)
+            assert _unreached(cx.up, cx.up[face], face) == want, ids_of(face)
+            split += want != 0
+    return split
+
+
+@pytest.mark.parametrize("name", FINITE_FIXTURES)
+def test_link_floods_match_a_breadth_first_search(name):
+    assert _floods_agree(build(name)) == 0
+
+
+def test_split_link_floods_match_a_breadth_first_search():
+    # a3 with every pair of its facets dropped: some leave a vertex whose
+    # link splits, and the flood must miss what the search misses
+    whole = build("a3")
+    split = sum(_floods_agree(ClusterComplex(catalog=whole.catalog,
+                                             faces=downward_closure(set(whole.facets) - set(pair))))
+                for pair in combinations(whole.facets, 2))
+    assert split > 0
 
 
 def test_walk_kernel_mutants_fail_a_face_check():

@@ -1,9 +1,12 @@
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
 from clustercomplex import (
     FINITE_FIXTURES,
+    as_facet,
     bongartz,
     bongartz_split,
     build_algebra,
@@ -23,7 +26,9 @@ from clustercomplex import (
     support,
     verify_b2_structure,
 )
+from clustercomplex import tilting
 from clustercomplex.errors import MatchingFailed, NoCompletion, NotAlmostComplete, NotFiniteType
+from clustercomplex.homext import ExtKernel, ids_of
 from clustercomplex.roots import RootCatalog
 
 from oracles import (
@@ -164,7 +169,8 @@ def test_bongartz_a2():
 def test_bongartz_completion_is_tilting():
     for name in ("a3", "b2", "b3", "g2"):
         cat = positive_roots(fixture(name))
-        for ids in iter_rigid_sets(cat):
+        for members, _ in iter_rigid_sets(cat):
+            ids = ids_of(members)
             full = set(ids) | bongartz(cat, ids)
             assert is_rigid(cat, full)
             assert len(full) == cat.algebra.n
@@ -220,7 +226,8 @@ def test_relative_dual_bongartz_a3():
 @pytest.mark.parametrize("name", FINITE_FIXTURES)
 def test_relative_completions_lie_inside_the_full_ones(name):
     cat = positive_roots(fixture(name))
-    for ids in iter_rigid_sets(cat):
+    for members, _ in iter_rigid_sets(cat):
+        ids = ids_of(members)
         assert relative_bongartz(cat, ids) <= bongartz(cat, ids)
         assert relative_dual_bongartz(cat, ids) <= dual_bongartz(cat, ids)
 
@@ -258,6 +265,44 @@ DRAWN = {
 }
 
 
+@pytest.mark.parametrize("name", FINITE_FIXTURES + tuple(DRAWN))
+def test_walk_yields_member_and_support_masks(name):
+    # the walk's (members, support) pairs against the grown oracle: the same
+    # rigid sets, each once, the empty set first, in pre-order (ascending id
+    # tuples, a set before its extensions), each with its support's mask
+    alg = DRAWN[name]() if name in DRAWN else fixture(name)
+    cat = positive_roots(alg)
+    items = list(iter_rigid_sets(cat))
+    assert items[0] == (0, 0)
+    ids = [ids_of(members) for members, _ in items]
+    assert ids == sorted(ids)
+    found = [frozenset(cat.entries[i].dimv for i in t) for t in ids]
+    assert len(found) == len(set(found))
+    assert set(found) == set(oracle_rigid_sets(alg.euler, cat.dimvs()))
+    for t, (_, supp) in zip(ids, items):
+        assert supp == reduce(or_, (cat.kernel.support[i] for i in t), 0)
+        assert ids_of(supp) == tuple(sorted(oracle_support([cat.entries[i].dimv for i in t], alg.n)))
+
+
+def test_faces_rebuild_no_member_or_support_mask(monkeypatch):
+    # the walk hands over both masks, so building d4's faces builds neither
+    # again from ids
+    calls = []
+    for owner, name in ((tilting, "mask_of"), (ExtKernel, "support_of")):
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    cat = positive_roots(fixture("d4"))
+    assert 0 in cat.faces and len(cat.facets) == KNOWN_FACET_COUNTS["d4"]
+    assert calls == []
+    as_facet(cat, (0,))  # the wrappers count when called
+    assert sorted(set(calls)) == ["mask_of", "support_of"]
+
+
 def test_verify_b2_structure_all_rigid_sets():
     # the matchings read off sigma against every bijection tried in turn, on
     # every rigid set of every finite fixture and two drawn orientations; the
@@ -266,7 +311,8 @@ def test_verify_b2_structure_all_rigid_sets():
     for alg in algebras:
         cat = positive_roots(alg)
         bases = {dual: oracle_bases(alg.euler, cat.dimvs(), dual) for dual in (False, True)}
-        for ids in iter_rigid_sets(cat):
+        for members, _ in iter_rigid_sets(cat):
+            ids = ids_of(members)
             rep = verify_b2_structure(cat, ids)
             _, sigma = support(cat, ids)
             assert rep.ok and rep.sigma == tuple(sorted(sigma))
