@@ -160,11 +160,12 @@ def _verify_finite(catalog, fmt: str) -> int:
         "endos": endos.ok,
         "descent": descent.ok,
     }
-    # the first witness of each check that can name one
+    # the first witness of each check that can name one; AP4 names its
+    # first bad ridge, else the first lost subface with a vertex
     witnesses = {
         "ap2": [axioms.short_face],
-        "ap4": axioms.bad_ridges[:1],
-        "simplicial": [axioms.lost_face],
+        "ap4": (axioms.bad_ridges or [f for f in axioms.lost_faces if f])[:1],
+        "simplicial": axioms.lost_faces[:1],
         "strong-flag": [flags.ridge_witness, flags.coface_witness],
         "endos": endos.failures[:1],
         "descent": descent.stalled[:1],
@@ -177,7 +178,7 @@ def _verify_finite(catalog, fmt: str) -> int:
     return code
 
 
-def _verify_rank2_infinite(catalog, fmt: str) -> int:
+def _verify_rank2_infinite(catalog, t_max: int, fmt: str) -> int:
     cx = build_complex(catalog)
     window = rank2_window_complex(cx)
     inequality = verify_rank2_inequality(catalog)
@@ -185,7 +186,7 @@ def _verify_rank2_infinite(catalog, fmt: str) -> int:
     src, snk = rank2_roles(algebra)
     r, s = -algebra.cartan[src][snk], -algebra.cartan[snk][src]
     u, v = algebra.symmetrizer[src], algebra.symmetrizer[snk]
-    order = verify_total_order(r, s, u, v, t_max=catalog.cutoff)
+    order = verify_total_order(r, s, u, v, t_max=t_max)
     checks = {
         "window-facets": window.facets_expected,
         "interior-ridges": window.interior_ridges_ok,
@@ -200,7 +201,7 @@ def _cmd_verify(args) -> int:
     catalog = catalog_for(_load(args), t_max=args.t_max)
     if catalog.kind == FINITE:
         return _verify_finite(catalog, args.format)
-    return _verify_rank2_infinite(catalog, args.format)
+    return _verify_rank2_infinite(catalog, args.t_max, args.format)
 
 
 def _cmd_graph(args) -> int:

@@ -1,8 +1,11 @@
-"""Exact rational linear algebra for small integer matrices.
+"""Exact linear algebra for small integer matrices.
 
-Everything here is exact: eliminations work over Fractions, and the
-positive-definiteness test over integers alone.  No floating point is used
-anywhere.
+One elimination serves every question: a fraction-free Gauss-Jordan
+elimination in integers (E. H. Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22, 1968).  Rank,
+solutions and Sylvester's criterion are all read off its pivots and reduced
+rows.  `Fraction` appears only in the coefficients a solve returns, and no
+floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -11,72 +14,59 @@ from fractions import Fraction
 from typing import Sequence
 
 
-def gauss_jordan(matrix: Sequence[Sequence[int]],
-                 ncols: int | None = None) -> tuple[list[list[Fraction]], list[int], int]:
-    """Exact Gauss-Jordan elimination, pivoting only in the first `ncols` columns.
+def _eliminate(matrix: Sequence[Sequence[int]],
+               ncols: int) -> tuple[list[list[int]], list[tuple[int, int, int]]]:
+    """Fraction-free Gauss-Jordan elimination, pivoting only in the first `ncols` columns.
 
-    Returns the reduced rows, the pivot columns and the sign of the row swaps.
-    The k-th row holds the k-th pivot, which is cleared from every other row;
-    rows are never scaled, so the determinant of a square matrix is the swap
-    sign times the product of its pivots.
+    Each step takes the first row at or below the next pivot row with a
+    nonzero entry in the next column that has one, swaps it up, and sets
+    every other row to (pivot * row - head * pivot row) / previous pivot,
+    head being the row's entry in the pivot column.  Every entry is then a
+    minor of the input, so each division is exact.  Returns the reduced rows
+    and one (row, column, value) per pivot: the row it was found in before
+    the swap, its column and its value when chosen.  After the last step
+    every pivot row holds the last pivot in its pivot column.
     """
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    sign = 1
+    rows = [list(row) for row in matrix]
+    pivots: list[tuple[int, int, int]] = []
+    prev = 1
     for col in range(ncols):
-        if len(pivots) == len(rows):
-            break
         top = len(pivots)
-        pivot = next((r for r in range(top, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
+        found = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        if found is None:
             continue
-        if pivot != top:
-            rows[top], rows[pivot] = rows[pivot], rows[top]
-            sign = -sign
-        pv = rows[top][col]
-        for r in range(len(rows)):
-            if r != top and rows[r][col]:
-                factor = rows[r][col] / pv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[top])]
-        pivots.append(col)
-    return rows, pivots, sign
-
-
-def det(matrix: Sequence[Sequence[int]]) -> Fraction:
-    """Determinant of a square matrix."""
-    rows, pivots, sign = gauss_jordan(matrix)
-    if len(pivots) < len(matrix):
-        return Fraction(0)
-    result = Fraction(sign)
-    for k in range(len(rows)):
-        result *= rows[k][k]
-    return result
+        rows[top], rows[found] = rows[found], rows[top]
+        lead = rows[top]
+        pivot = lead[col]
+        for r, row in enumerate(rows):
+            if r != top:
+                head = row[col]
+                rows[r] = [(pivot * a - head * b) // prev for a, b in zip(row, lead)]
+        pivots.append((found, col, pivot))
+        prev = pivot
+    return rows, pivots
 
 
 def rank(vectors: Sequence[Sequence[int]]) -> int:
-    """Rank of the span of the given vectors over the rationals."""
-    return len(gauss_jordan(vectors)[1])
-
-
-def solve_square(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[Fraction] | None:
-    """Solve M x = rhs for square M; None when M is singular."""
-    return solve_columns(list(zip(*matrix)), rhs)
+    """Rank of the span of the given vectors over the rationals: the number of pivots."""
+    return len(_eliminate(vectors, len(vectors[0]) if vectors else 0)[1])
 
 
 def solve_columns(columns: Sequence[Sequence[int]], target: Sequence[int]) -> list[Fraction] | None:
     """Coefficients a with sum_j a_j * columns[j] = target, or None.
 
     Requires the columns to be linearly independent, so a solution is unique
-    when it exists.  An empty column list solves only the zero target.
+    when it exists.  An empty column list solves only the zero target.  Each
+    coefficient is a reduced right-hand side over the last pivot, the
+    determinant of the pivot block.
     """
     ncols = len(columns)
     aug = [[column[i] for column in columns] + [target[i]] for i in range(len(target))]
-    rows, pivots, _ = gauss_jordan(aug, ncols)
+    rows, pivots = _eliminate(aug, ncols)
     if len(pivots) < ncols or any(row[ncols] for row in rows[ncols:]):
         return None
-    return [rows[k][ncols] / rows[k][k] for k in range(ncols)]
+    det = pivots[-1][2] if pivots else 1
+    return [Fraction(rows[k][ncols], det) for k in range(ncols)]
 
 
 def nonneg_int_combination(columns: Sequence[Sequence[int]], target: Sequence[int]) -> list[int] | None:
@@ -92,24 +82,12 @@ def nonneg_int_combination(columns: Sequence[Sequence[int]], target: Sequence[in
 def is_positive_definite(sym: Sequence[Sequence[int]]) -> bool:
     """Sylvester criterion: all leading principal minors positive.
 
-    One fraction-free elimination in integers, without row swaps (E. H.
-    Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
-    elimination", Math. Comp. 22, 1968): after step k every entry below and
-    right of the pivot is a (k + 1)-by-(k + 1) minor bordering the leading
-    block, so the k-th pivot is the k-th leading minor, and each division by
-    the previous pivot is exact.  The walk stops at the first pivot <= 0.
+    Without a row swap the k-th pivot of the elimination is the k-th leading
+    minor; a zero leading minor forces a row swap or a skipped column.  So
+    the criterion holds exactly when every pivot is the diagonal entry of
+    its own row and was positive when it was chosen.
     """
-    rows = [list(row) for row in sym]
-    n = len(rows)
-    prev = 1
-    for k in range(n):
-        pivot = rows[k][k]
-        if pivot <= 0:
-            return False
-        top = rows[k]
-        for row in rows[k + 1:]:
-            head = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - head * top[j]) // prev
-        prev = pivot
-    return True
+    n = len(sym)
+    _, pivots = _eliminate(sym, n)
+    return len(pivots) == n and all(
+        row == k and col == k and value > 0 for k, (row, col, value) in enumerate(pivots))

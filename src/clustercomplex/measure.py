@@ -151,18 +151,19 @@ class DescentReport:
 
 def verify_descent(catalog: RootCatalog) -> DescentReport:
     """Iterate descent from every facet; the vector must drop each step and
-    the zero facet must be reached within (number of facets) steps.
+    the zero facet must be reached.
 
-    Walks share their tails: each facet's (steps, end) is recorded once, and
-    a walk stops at the first recorded facet.  `steps[f]` is what
-    `descent_path(catalog, f, len(facets))` gives, which cuts a walk after
-    len(facets) + 1 steps.  A walk starts only from a facet not yet
-    recorded and carries each lambda key on to the next step, so a step
-    computes one key, that of the facet it moves to.
+    `_descend` stops a walk before any step that fails to drop the lambda
+    key, so a walk never revisits a facet and takes fewer than len(facets)
+    steps; no step bound is needed.  Walks share their tails: each facet's
+    (steps, end) is recorded once, and a walk stops at the first recorded
+    facet.  `steps[f]` is what `descent_path(catalog, f, len(facets))` gives.
+    A walk starts only from a facet not yet recorded and carries each lambda
+    key on to the next step, so a step computes one key, that of the facet
+    it moves to.
     """
     facets = enumerate_support_tilting(catalog)
     zero = zero_facet(catalog)
-    bound = len(facets) + 1
     walks: dict[int, tuple[int, int]] = {}
     for start in facets:
         if start in walks:
@@ -179,8 +180,8 @@ def verify_descent(catalog: RootCatalog) -> DescentReport:
         for facet in reversed(path):
             count += 1
             walks[facet] = (count, end)
-    steps = {f: min(walks[f][0], bound) for f in facets}
-    ok = all(walks[f][1] == zero and walks[f][0] <= bound for f in facets)
+    steps = {f: walks[f][0] for f in facets}
+    ok = all(walks[f][1] == zero for f in facets)
     stalled = [f for f in facets if f != zero and walks[f] == (0, f)]
     return DescentReport(ok=ok, steps=steps, max_steps=max(steps.values(), default=0),
                          stalled=stalled)

@@ -163,9 +163,9 @@ def build_complex(catalog: RootCatalog) -> ClusterComplex:
 @dataclass
 class AxiomReport:
     """`bad_ridges` are the faces of size n - 1 not held by exactly two
-    facets, by size and then vertex tuple.  The witnesses of AP2 and
-    simpliciality, each the first by size and then vertex tuple or None,
-    are the maximal face without n vertices and the subface a face lost."""
+    facets, and `lost_faces` the subfaces that a face lost, each by size and
+    then vertex tuple.  `short_face`, the witness of AP2, is the first
+    maximal face without n vertices in that order, or None."""
 
     ap1: bool
     ap2: bool
@@ -173,7 +173,7 @@ class AxiomReport:
     simplicial: bool
     bad_ridges: list[Face]
     short_face: Face | None
-    lost_face: Face | None
+    lost_faces: list[Face]
 
     @property
     def ok(self) -> bool:
@@ -193,7 +193,7 @@ def verify_ap_axioms(cx: ClusterComplex) -> AxiomReport:
                        simplicial=not lost,
                        bad_ridges=bad_ridges,
                        short_face=cx.short_face,
-                       lost_face=min(lost, key=_face_key, default=None))
+                       lost_faces=sorted(lost, key=_face_key))
 
 
 def exchange_graph(cx: ClusterComplex) -> dict[int, tuple[int, ...]]:

@@ -68,7 +68,6 @@ class RootCatalog:
     kind: str
     algebra: AlgebraData
     entries: tuple[Indec, ...]
-    cutoff: int | None = None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -288,13 +287,13 @@ def _shift_orbits(algebra: AlgebraData, t_max: int, kind: str) -> RootCatalog:
         for pos in range(len(prei) - 1, -1, -1):
             if prei[pos] not in known:
                 entries.append(make(len(entries), prei[pos], PREINJ, pos, src, snk))
-        return RootCatalog(kind=FINITE, algebra=algebra, entries=tuple(entries), cutoff=t_max)
+        return RootCatalog(kind=FINITE, algebra=algebra, entries=tuple(entries))
     forward = {e.dimv for e in entries}
     for pos in range(len(prei) - 1, -1, -1):
         if prei[pos] in forward:
             raise OracleViolation(f"families intersect at {prei[pos]} although rs >= 4")
         entries.append(make(len(entries), prei[pos], PREINJ, pos, src, snk))
-    return RootCatalog(kind=RANK2_INFINITE, algebra=algebra, entries=tuple(entries), cutoff=t_max)
+    return RootCatalog(kind=RANK2_INFINITE, algebra=algebra, entries=tuple(entries))
 
 
 def catalog_for(algebra: AlgebraData, t_max: int = 10) -> RootCatalog:

@@ -8,7 +8,8 @@ every facet, the face-poset axioms enumerate every subset and every
 two-step interval of every face, the pairing of a completion's
 out-of-support part with the unsupported vertices tries every ordering,
 links are searched breadth-first on the face set, determinants are Leibniz
-expansions, and endomorphism multisets are compared sorted.  Rigid sets
+expansions, rank and solves are a Gauss-Jordan elimination over
+`Fraction`s, and endomorphism multisets are compared sorted.  Rigid sets
 are grown one root at a time, which finds every one since rigidity is
 pairwise.  The package stores a face as the int bitmask of its vertices;
 `vertex_sets` turns such faces into the frozensets these oracles read, and
@@ -16,6 +17,7 @@ pairwise.  The package stores a face as the int bitmask of its vertices;
 package built its faces before they came from the rigid-set walk.
 """
 
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
 # Positive roots in simple-root coordinates, straight from the tables.
@@ -249,6 +251,41 @@ def oracle_det(matrix):
             term *= matrix[row][col]
         total += term
     return total
+
+
+def oracle_gauss_jordan(matrix, ncols):
+    """Gauss-Jordan elimination over `Fraction`s, pivoting only in the first
+    `ncols` columns: the reduced rows and the pivot columns.  The k-th row
+    holds the k-th pivot, which is cleared from every other row."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        for r in range(len(rows)):
+            if r != top and rows[r][col]:
+                factor = rows[r][col] / rows[top][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[top])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def oracle_rank(vectors):
+    return len(oracle_gauss_jordan(vectors, len(vectors[0]) if vectors else 0)[1])
+
+
+def oracle_solve_columns(columns, target):
+    """The unique coefficients a with sum_j a_j * columns[j] = target, or
+    None when the columns are dependent or miss the target."""
+    ncols = len(columns)
+    aug = [[column[i] for column in columns] + [target[i]] for i in range(len(target))]
+    rows, pivots = oracle_gauss_jordan(aug, ncols)
+    if len(pivots) < ncols or any(row[ncols] for row in rows[ncols:]):
+        return None
+    return [rows[k][ncols] / rows[k][k] for k in range(ncols)]
 
 
 def oracle_positive_definite(matrix):

@@ -9,6 +9,7 @@ from clustercomplex import (
     components,
     euler_form,
     fixture,
+    fixture_names,
     injective_dimv,
     is_connected,
     length,
@@ -23,6 +24,8 @@ from clustercomplex.errors import (
     NotSymmetrizable,
     ParseError,
 )
+
+from oracles import oracle_solve_columns
 
 
 def test_build_g2_euler_matrix():
@@ -137,6 +140,17 @@ def test_projectives_represent_coordinates():
                 x = tuple(rng.randint(-4, 4) for _ in range(alg.n))
                 assert euler_form(alg, p, x) == alg.symmetrizer[i] * x[i]
                 assert euler_form(alg, x, q) == alg.symmetrizer[i] * x[i]
+
+
+def test_projectives_and_injectives_match_the_reference_solve():
+    # E^T p = u_i e_i and E q = u_i e_i, solved over Fractions
+    for name in fixture_names():
+        alg = fixture(name)
+        rows, columns = alg.euler, tuple(zip(*alg.euler))
+        for i in range(alg.n):
+            rhs = [alg.symmetrizer[i] if k == i else 0 for k in range(alg.n)]
+            assert list(projective_dimv(alg, i)) == oracle_solve_columns(rows, rhs), (name, i)
+            assert list(injective_dimv(alg, i)) == oracle_solve_columns(columns, rhs), (name, i)
 
 
 def test_non_integral_solution_on_corrupt_data():

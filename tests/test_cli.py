@@ -135,7 +135,8 @@ def test_the_first_maximal_short_face_is_the_ap2_witness(monkeypatch, capsys):
 
 def test_the_first_lost_subface_is_the_simplicial_witness(monkeypatch, capsys):
     # a3 without one of its edges and one vertex outside it: both are lost
-    # subfaces, and the vertex comes first by size
+    # subfaces, and the vertex comes first by size; with every ridge thin it
+    # is the AP4 witness too
     cat = positive_roots(fixture("a3"))
     whole = build_complex(cat)
     edge = min((f for f in whole.faces if f.bit_count() == 2), key=ids_of)
@@ -145,7 +146,22 @@ def test_the_first_lost_subface_is_the_simplicial_witness(monkeypatch, capsys):
     code, out, err = run(capsys, "verify", "--fixture", "a3")
     assert code == 1
     assert out == "facets=14 ap1 ✓ ap2 ✓ ap4 ✗ simplicial ✗ strong-flag ✓ endos ✓ descent ✓\n"
-    assert err == f"witness: simplicial {face_label(cat, vertex)}\n"
+    assert err == (f"witness: ap4 {face_label(cat, vertex)}\n"
+                   f"witness: simplicial {face_label(cat, vertex)}\n")
+
+
+def test_the_ap4_witness_is_a_lost_subface_with_a_vertex(monkeypatch, capsys):
+    # a3 without its empty face and one vertex: the empty face comes first
+    # and is the simplicial witness, but AP4 names the vertex
+    cat = positive_roots(fixture("a3"))
+    vertex = max((f for f in build_complex(cat).faces if f.bit_count() == 1), key=ids_of)
+    monkeypatch.setattr(cli, "build_complex", lambda catalog: ClusterComplex(
+        catalog=catalog, faces=build_complex(catalog).faces - {0, vertex}))
+    code, out, err = run(capsys, "verify", "--fixture", "a3")
+    assert code == 1
+    assert out == "facets=14 ap1 ✗ ap2 ✓ ap4 ✗ simplicial ✗ strong-flag ✓ endos ✓ descent ✓\n"
+    assert err == (f"witness: ap4 {face_label(cat, vertex)}\n"
+                   f"witness: simplicial {face_label(cat, 0)}\n")
 
 
 def test_split_link_flood_matches_a_breadth_first_search():

@@ -1,8 +1,9 @@
 """Import hygiene of the package: standard library only, no private names
 taken from sibling modules, no imported name left unused outside
 `__init__`, no function-level import besides the catalog's four lazy ones,
-no floating point, and the `cli`, `measure` and `tilting` names that the
-benchmark's tracer patches still there."""
+no floating point, no public top-level name that nothing uses, and the
+`cli`, `measure` and `tilting` names that the benchmark's tracer patches
+still there."""
 
 import ast
 import importlib
@@ -107,6 +108,33 @@ def test_exact_arithmetic_only():
         found.update((path.name, function_of.get(node)) for node in ast.walk(tree)
                      if isinstance(node, ast.Name) and node.id == "float")
     assert found == {("algebra.py", "_integer")}
+
+
+def test_public_names_are_used_or_exported():
+    # a public top-level function or class must be referenced outside its
+    # own definition, in any module, or be re-exported by `__init__`
+    referenced = set()
+    defined = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for statement in tree.body:
+            own = None
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = statement.name
+                if path.name not in ("__init__.py", "__main__.py") and not own.startswith("_"):
+                    defined.append((path.name, own))
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.asname or node.name
+                else:
+                    continue
+                if name != own:
+                    referenced.add(name)
+    assert [(module, name) for module, name in defined if name not in referenced] == []
 
 
 def test_tracer_boundaries_name_cli_attributes():

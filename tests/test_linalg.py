@@ -16,14 +16,7 @@ from clustercomplex import (
     linalg,
 )
 
-from oracles import oracle_positive_definite
-
-
-def test_det():
-    assert linalg.det([[2]]) == 2
-    assert linalg.det([[1, 2], [3, 4]]) == -2
-    assert linalg.det([[1, 2], [2, 4]]) == 0
-    assert linalg.det([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]) == 4
+from oracles import oracle_positive_definite, oracle_rank, oracle_solve_columns
 
 
 def test_rank():
@@ -32,18 +25,56 @@ def test_rank():
     assert linalg.rank([(1, 1, 0), (0, 1, 1), (1, 0, -1)]) == 2
 
 
-def test_solve_square():
-    sol = linalg.solve_square([[2, 1], [1, 3]], [5, 10])
-    assert sol == [Fraction(1), Fraction(3)]
-    assert linalg.solve_square([[1, 1], [2, 2]], [1, 2]) is None
-
-
 def test_solve_columns():
     assert linalg.solve_columns([], (0, 0)) == []
     assert linalg.solve_columns([], (1, 0)) is None
     coeffs = linalg.solve_columns([(1, 0, 1), (0, 1, 1)], (2, 3, 5))
     assert coeffs == [2, 3]
     assert linalg.solve_columns([(1, 0, 1), (0, 1, 1)], (2, 3, 4)) is None
+    # square systems by their columns: a regular, a singular and a fractional one
+    assert linalg.solve_columns([(2, 1), (1, 3)], (5, 10)) == [Fraction(1), Fraction(3)]
+    assert linalg.solve_columns([(1, 2), (1, 2)], (1, 2)) is None
+    assert linalg.solve_columns([(2, 0), (0, 3)], (1, 1)) == [Fraction(1, 2), Fraction(1, 3)]
+
+
+@st.composite
+def integer_matrices(draw):
+    """0-6 by 0-6 matrices with entries -3..3; some with a zeroed column or a
+    row that combines two others, so rank deficiency is common."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rows = [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)) for _ in range(m)]
+    if n and draw(st.booleans()):
+        col = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[col] = 0
+    if m >= 3 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[2] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(integer_matrices())
+def test_rank_agrees_with_the_fraction_elimination(matrix):
+    assert linalg.rank(matrix) == oracle_rank(matrix)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(integer_matrices(), st.data())
+def test_solves_agree_with_the_fraction_elimination(columns, data):
+    # the matrix's rows are the columns; the target is either any vector,
+    # mostly outside the span, or an integer combination of the columns
+    size = len(columns[0]) if columns else data.draw(st.integers(0, 6))
+    if data.draw(st.booleans()):
+        target = data.draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    else:
+        mults = data.draw(st.lists(st.integers(-3, 3), min_size=len(columns), max_size=len(columns)))
+        target = [sum(m * column[i] for m, column in zip(mults, columns)) for i in range(size)]
+    expected = oracle_solve_columns(columns, target)
+    assert linalg.solve_columns(columns, target) == expected
+    integral = expected is not None and all(c.denominator == 1 and c >= 0 for c in expected)
+    assert linalg.nonneg_int_combination(columns, target) == (
+        [int(c) for c in expected] if integral else None)
 
 
 def test_nonneg_int_combination():
