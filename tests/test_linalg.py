@@ -31,10 +31,17 @@ def test_solve_columns():
     coeffs = linalg.solve_columns([(1, 0, 1), (0, 1, 1)], (2, 3, 5))
     assert coeffs == [2, 3]
     assert linalg.solve_columns([(1, 0, 1), (0, 1, 1)], (2, 3, 4)) is None
-    # square systems by their columns: a regular, a singular and a fractional one
-    assert linalg.solve_columns([(2, 1), (1, 3)], (5, 10)) == [Fraction(1), Fraction(3)]
-    assert linalg.solve_columns([(1, 2), (1, 2)], (1, 2)) is None
-    assert linalg.solve_columns([(2, 0), (0, 3)], (1, 1)) == [Fraction(1, 2), Fraction(1, 3)]
+
+
+def test_solve_square():
+    # square systems given by rows, solved through their columns:
+    # a regular, a singular and a fractional one
+    def solve_rows(rows, rhs):
+        return linalg.solve_columns(list(zip(*rows)), rhs)
+
+    assert solve_rows([[2, 1], [1, 3]], [5, 10]) == [Fraction(1), Fraction(3)]
+    assert solve_rows([[1, 1], [2, 2]], [1, 2]) is None
+    assert solve_rows([[2, 0], [0, 3]], [1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
 
 
 @st.composite
