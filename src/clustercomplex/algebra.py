@@ -235,9 +235,12 @@ def algebra_from_dict(data: dict) -> AlgebraData:
 
 
 def load_algebra(path: str) -> AlgebraData:
+    """The algebra in a JSON file.  A file that cannot be opened, is not
+    UTF-8 (ValueError, as is a JSON error) or nests too deeply to decode
+    (RecursionError) raises ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read algebra from {path}: {exc}") from exc
     return algebra_from_dict(data)

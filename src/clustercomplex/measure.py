@@ -12,6 +12,18 @@ unsupported vertex, then the members' ranks by measure
 its canonical in-support completion (or the dual one) strictly drops the
 vector, which drives every facet down to the zero module.
 
+Drop rule: a walk asks at each step whether key(g) < key(f), g the facet a
+step moves f to, and it decides on the counts of unsupported vertices, the
+keys' runs of -1, before it builds a key.  Ranks are >= 0.  If g has more
+unsupported vertices, g has a -1 where f has a rank, so the key drops,
+unless f has no members and its key is a proper prefix of g's.  If g has
+fewer, the key rises, unless g has no members and its key is a proper
+prefix of f's.  Only on a tie are the keys compared: the keys of the descent
+moves and the zero facet come from one table per `verify_descent` call,
+and any other facet's key is computed (a lone `descent_path` builds no
+table).  The rule holds for facets of any size, as a patched step may
+return.
+
 The endomorphism check asks that a facet's member endo lengths and
 unsupported symmetrizer entries form the symmetrizer multiset.  It counts
 instead of sorting: per symmetrizer value, a popcount of the facet against
@@ -106,19 +118,25 @@ def descent_step(catalog: RootCatalog, facet: int) -> int:
     return catalog.descent_moves[chosen]
 
 
-def _descend(catalog: RootCatalog, facet: int,
-             key: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """The next facet of the descent and its lambda key, given the facet's
-    own key, or None where the walk stops: at the zero facet, and before a
-    step that fails to drop the lambda key.  A walk carries each key on to
-    the next step, so it computes one key per step."""
+def _drops(catalog: RootCatalog, nxt: int, facet: int, keys: dict[int, tuple[int, ...]]) -> bool:
+    """lambda_key(nxt) < lambda_key(facet), by the drop rule of the module
+    docstring: on the counts of unsupported vertices first, and on the keys
+    only when the counts tie, each read from `keys` or computed when absent."""
+    n = catalog.algebra.n
+    low = (1 << n) - 1
+    ahead, behind = (nxt & low).bit_count(), (facet & low).bit_count()
+    if ahead != behind:
+        return facet >> n != 0 if ahead > behind else nxt >> n == 0
+    return (keys.get(nxt) or lambda_key(catalog, nxt)) < (keys.get(facet) or lambda_key(catalog, facet))
+
+
+def _descend(catalog: RootCatalog, facet: int, keys: dict[int, tuple[int, ...]]) -> int | None:
+    """The next facet of the descent, or None where the walk stops: at the
+    zero facet, and before a step that fails to drop the lambda key."""
     if facet == zero_facet(catalog):
         return None
     nxt = descent_step(catalog, facet)
-    nxt_key = lambda_key(catalog, nxt)
-    if nxt_key >= key:
-        return None
-    return nxt, nxt_key
+    return nxt if _drops(catalog, nxt, facet, keys) else None
 
 
 def descent_path(catalog: RootCatalog, facet: int, max_steps: int) -> list[int]:
@@ -128,12 +146,11 @@ def descent_path(catalog: RootCatalog, facet: int, max_steps: int) -> list[int]:
     `max_steps` steps; the last facet of the path is then where the descent
     stalled.
     """
-    path, key = [facet], lambda_key(catalog, facet)
+    path = [facet]
     while len(path) <= max_steps + 1:
-        step = _descend(catalog, path[-1], key)
-        if step is None:
+        nxt = _descend(catalog, path[-1], {})
+        if nxt is None:
             break
-        nxt, key = step
         path.append(nxt)
     return path
 
@@ -158,23 +175,23 @@ def verify_descent(catalog: RootCatalog) -> DescentReport:
     steps; no step bound is needed.  Walks share their tails: each facet's
     (steps, end) is recorded once, and a walk stops at the first recorded
     facet.  `steps[f]` is what `descent_path(catalog, f, len(facets))` gives.
-    A walk starts only from a facet not yet recorded and carries each lambda
-    key on to the next step, so a step computes one key, that of the facet
-    it moves to.
+    A walk starts only from a facet not yet recorded, and every facet takes
+    one `descent_step`; the drop rule builds a key only on a tie.
     """
     facets = enumerate_support_tilting(catalog)
     zero = zero_facet(catalog)
+    # the keys of the facets an unpatched step can reach
+    keys = {f: lambda_key(catalog, f) for f in (*catalog.descent_moves, zero)}
     walks: dict[int, tuple[int, int]] = {}
     for start in facets:
         if start in walks:
             continue
-        path, key = [start], lambda_key(catalog, start)
+        path = [start]
         while path[-1] not in walks:
-            step = _descend(catalog, path[-1], key)
-            if step is None:
+            nxt = _descend(catalog, path[-1], keys)
+            if nxt is None:
                 walks[path[-1]] = (0, path[-1])
             else:
-                nxt, key = step
                 path.append(nxt)
         count, end = walks[path.pop()]
         for facet in reversed(path):

@@ -38,6 +38,15 @@ The lemma needs purity, so a complex that is not pure fails `strong-flag`
 as well as AP2.  With every ridge thin, this also decides the literal walk
 on flags, which `tests/oracles.py` keeps.
 
+Most links are too small to split, and are not flooded.  Small-link lemma:
+let m be the fewest up bits of any face with k + 1 vertices, and let no
+face lose a subface.  Then every link of a face F with k vertices that has
+fewer than 2 (1 + m) vertices is connected.  Proof: take v in up[F] and w
+in up[F + v].  F + w is F + v + w minus v, a face, so w is in up[F], and v
+and w are joined since F + v + w is a face.  So the component of v holds v
+and the at least m vertices of up[F + v]; two components need 2 (1 + m)
+vertices.  When a face lost a subface, every link is flooded.
+
 A rank-2 window, the infinite rank-2 complex cut down to a line, is a
 `ClusterComplex` like the others, built from the same walk.  Its checks
 differ: `rank2_window_complex` checks that its facets are the expected
@@ -252,9 +261,34 @@ class FlagReport:
         return self.pure and self.thin and self.cofaces_connected
 
 
-def verify_flag_connected(cx: ClusterComplex) -> FlagReport:
+def _flood_floor(cx: ClusterComplex) -> list[int]:
+    """floor[k], for k < n - 1: the fewest link vertices that a face with k
+    vertices needs before its link can be disconnected, 2 (1 + m) with m the
+    fewest up bits of a face with k + 1 vertices (the small-link lemma); all
+    0 when a face lost a subface, so that every link is flooded."""
     n, up = cx.n, cx.up
-    split = [f for f in cx.faces if f.bit_count() < n - 1 and _unreached(up, up[f], f)]
+    if len(up) != len(cx.faces):
+        return [0] * (n - 1)
+    least: dict[int, int] = {}
+    for face in cx.faces:
+        k, links = face.bit_count(), up[face].bit_count()
+        if links < least.get(k, links + 1):
+            least[k] = links
+    # with no face of k + 1 vertices every face of k vertices has an empty up
+    return [2 * (1 + least.get(k + 1, 0)) for k in range(n - 1)]
+
+
+def _split_links(cx: ClusterComplex) -> list[Face]:
+    """The faces with at most n - 2 vertices whose link is disconnected; a
+    link below its `_flood_floor` is connected and is not flooded."""
+    n, up, floor = cx.n, cx.up, _flood_floor(cx)
+    return [f for f in cx.faces
+            if (k := f.bit_count()) < n - 1 and up[f].bit_count() >= floor[k]
+            and _unreached(up, up[f], f)]
+
+
+def verify_flag_connected(cx: ClusterComplex) -> FlagReport:
+    split = _split_links(cx)
     thick = cx.bad_ridges
     return FlagReport(pure=cx.pure,
                       thin=not thick,

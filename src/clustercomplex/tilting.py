@@ -80,9 +80,32 @@ def rigid_faces(catalog: RootCatalog) -> Iterator[int]:
             sigma = (sigma - 1) & free
 
 
+def _reversed_bytes() -> bytes:
+    """Byte b maps to b with its eight bits in reverse order: reversing b
+    is reversing b >> 1, shifted down one place, with b's low bit on top."""
+    rev = [0] * 256
+    for b in range(1, 256):
+        rev[b] = rev[b >> 1] >> 1 | (b & 1) << 7
+    return bytes(rev)
+
+
+REV8 = _reversed_bytes()
+
+
 def facets_among(n: int, faces: Iterable[int]) -> list[int]:
-    """The faces with n vertices, by ascending vertex tuple."""
-    return sorted((face for face in faces if face.bit_count() == n), key=ids_of)
+    """The faces with n vertices, by ascending vertex tuple.
+
+    Among masks with equal popcount, ascending vertex tuples are descending
+    bit reversals: at the first vertex where two tuples differ, the smaller
+    one has a lower bit that the other lacks, above the bits they share once
+    reversed.  Each mask is reversed over one common byte width, byte by
+    byte through REV8, so the per-byte work is done in C.
+    """
+    facets = [face for face in faces if face.bit_count() == n]
+    width = (max(facets, default=0).bit_length() + 7) // 8
+    facets.sort(key=lambda face: int.from_bytes(face.to_bytes(width, "little").translate(REV8),
+                                                 "big"), reverse=True)
+    return facets
 
 
 def enumerate_support_tilting(catalog: RootCatalog) -> list[int]:

@@ -191,6 +191,18 @@ def test_thin_complex_with_a_split_link_prints_the_link(monkeypatch, capsys):
     assert err == f"witness: strong-flag {face_label(cat, 1 << 3)}\n"
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000],
+                         ids=["not-utf8", "deeply-nested"])
+def test_unreadable_input_is_a_parse_error(capsys, tmp_path, content):
+    # a file that is not UTF-8 and one too deeply nested to decode: exit 3
+    # with one error line, not a traceback
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: cannot read algebra from ") and err.count("\n") == 1
+
+
 def test_parse_error_exit(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

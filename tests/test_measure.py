@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clustercomplex import (
     FINITE_FIXTURES,
@@ -27,6 +29,8 @@ from clustercomplex import (
 )
 from clustercomplex import cli, face_label, measure
 from clustercomplex.cli import main
+from clustercomplex.homext import mask_of
+from clustercomplex.measure import _drops, lambda_key
 from clustercomplex.errors import (
     Disconnected,
     LengthMismatch,
@@ -181,6 +185,57 @@ def test_each_step_is_compared_with_the_facet_before_it(monkeypatch):
     assert not report.ok and report.stalled == [y]
     assert report.steps[x] == 1
     assert descent_path(cat, x, len(facets)) == [x, y]
+
+
+def _any_facet(rng, cat, size, members):
+    """A mask with `size` vertices, of which `members` are catalog members
+    (as many as the coordinate vertices allow)."""
+    n = cat.algebra.n
+    members = max(members, size - n)
+    return (mask_of(rng.sample(range(n), size - members))
+            | mask_of(rng.sample(range(len(cat)), members)) << n)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(FINITE_FIXTURES), seed=st.integers(0, 2**32),
+       sizes=st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+       members=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+       table=st.booleans())
+def test_the_drop_rule_is_the_key_comparison(name, seed, sizes, members, table):
+    # facets of n - 1 to n + 1 vertices, memberless or not, and the moves
+    # and zero facet the table holds: the rule decides as the keys compare
+    cat, rng = positive_roots(fixture(name)), random.Random(seed)
+    n, zero = cat.algebra.n, zero_facet(cat)
+    known = (*cat.descent_moves, zero)
+    keys = {f: lambda_key(cat, f) for f in known} if table else {}
+    g, f = (rng.choice(known) if rng.random() < 0.25
+            else _any_facet(rng, cat, n + size, min(count, n + size, len(cat)))
+            for size, count in zip(sizes, members))
+    assert _drops(cat, g, f, keys) == (lambda_key(cat, g) < lambda_key(cat, f))
+
+
+def test_a_step_to_higher_ranks_stalls_there(monkeypatch):
+    # a step from the victim to a facet with as many unsupported vertices and
+    # higher ranks: the counts tie, the keys rise, and the walk stops at the
+    # victim
+    cat = positive_roots(fixture("d4"))
+    facets = enumerate_support_tilting(cat)
+    n = cat.algebra.n
+
+    def unsupported(f):
+        return (f & zero_facet(cat)).bit_count()
+
+    victim, higher = next((f, g) for f in facets for g in facets
+                          if f >> n and unsupported(g) == unsupported(f)
+                          and lambda_key(cat, g) > lambda_key(cat, f)
+                          and g not in cat.descent_moves)
+    step = measure.descent_step
+    monkeypatch.setattr(measure, "descent_step",
+                        lambda catalog, facet: higher if facet == victim else step(catalog, facet))
+    report = verify_descent(cat)
+    assert not report.ok and report.stalled == [victim]
+    assert report.steps[victim] == 0 and list(report.steps) == facets
+    assert descent_path(cat, victim, len(facets)) == [victim]
 
 
 def test_a_corrupt_descent_move_fails_verify(monkeypatch, capsys):

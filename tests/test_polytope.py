@@ -23,11 +23,18 @@ from clustercomplex import (
     verify_ap_axioms,
     verify_flag_connected,
 )
-from clustercomplex import cli
+from clustercomplex import cli, polytope
 from clustercomplex.cli import main
 from clustercomplex.errors import NotProperFace, NotRankTwoInfinite
 from clustercomplex.homext import ids_of, mask_of
-from clustercomplex.polytope import ClusterComplex, _unreached, is_path, is_single_cycle
+from clustercomplex.polytope import (
+    ClusterComplex,
+    _flood_floor,
+    _split_links,
+    _unreached,
+    is_path,
+    is_single_cycle,
+)
 from clustercomplex.roots import RootCatalog
 from oracles import (
     downward_closure,
@@ -265,15 +272,18 @@ def test_flag_witnesses_name_the_first_faulty_faces():
 
 def _floods_agree(cx):
     """`_unreached` on the link of every face with at most n - 2 vertices
-    equals what a breadth-first search on the face set leaves unreached;
-    the number of split links."""
-    split = 0
+    equals what a breadth-first search on the face set leaves unreached,
+    and the links the small-link lemma leaves to flood find the same split
+    faces; the number of split links."""
+    split = []
     for face in cx.faces:
         if face.bit_count() <= cx.n - 2:
             want = oracle_link_unreached(cx.faces, face)
             assert _unreached(cx.up, cx.up[face], face) == want, ids_of(face)
-            split += want != 0
-    return split
+            if want:
+                split.append(face)
+    assert sorted(_split_links(cx)) == sorted(split)
+    return len(split)
 
 
 @pytest.mark.parametrize("name", FINITE_FIXTURES)
@@ -282,13 +292,55 @@ def test_link_floods_match_a_breadth_first_search(name):
 
 
 def test_split_link_floods_match_a_breadth_first_search():
-    # a3 with every pair of its facets dropped: some leave a vertex whose
-    # link splits, and the flood must miss what the search misses
+    # a3 with every one and every pair of its facets dropped: some leave a
+    # vertex whose link splits, and the flood must miss what the search misses
     whole = build("a3")
+    drops = [(a,) for a in whole.facets] + list(combinations(whole.facets, 2))
     split = sum(_floods_agree(ClusterComplex(catalog=whole.catalog,
-                                             faces=downward_closure(set(whole.facets) - set(pair))))
-                for pair in combinations(whole.facets, 2))
+                                             faces=downward_closure(set(whole.facets) - set(drop))))
+                for drop in drops)
     assert split > 0
+
+
+def _counted_floods(monkeypatch):
+    """A list that grows by one entry per `_unreached` call."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _unreached(*args)
+
+    monkeypatch.setattr(polytope, "_unreached", counted)
+    return calls
+
+
+def test_every_link_is_flooded_when_a_face_lost_a_subface(monkeypatch):
+    # d4 without one face of two vertices: the faces above it lose it, the
+    # lemma does not hold, and every face below ridge size is flooded
+    cx = build("d4")
+    middle = min((f for f in cx.faces if f.bit_count() == 2), key=ids_of)
+    mutant = ClusterComplex(catalog=cx.catalog, faces=cx.faces - {middle})
+    assert not verify_ap_axioms(mutant).simplicial
+    assert _flood_floor(mutant) == [0] * (cx.n - 1)
+    calls = _counted_floods(monkeypatch)
+    _split_links(mutant)
+    assert len(calls) == sum(1 for f in mutant.faces if f.bit_count() <= cx.n - 2)
+    _floods_agree(mutant)
+
+
+def test_flood_count_on_a6(monkeypatch):
+    # a work count, not a time: the linear A6 floods 54 of its 2,563 links
+    # below ridge size; the other links are below the lemma's floor
+    n = 6
+    cartan = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
+              for i in range(n)]
+    cx = build_complex(positive_roots(build_algebra(cartan, [1] * n,
+                                                    [(i, i + 1) for i in range(n - 1)])))
+    assert sum(1 for f in cx.faces if f.bit_count() <= n - 2) == 2563
+    assert _flood_floor(cx) == [30, 20, 14, 10, 6]
+    calls = _counted_floods(monkeypatch)
+    assert verify_flag_connected(cx).ok
+    assert len(calls) == 54
 
 
 def test_walk_kernel_mutants_fail_a_face_check():

@@ -3,6 +3,8 @@ from functools import reduce
 from operator import or_
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clustercomplex import (
     FINITE_FIXTURES,
@@ -10,6 +12,7 @@ from clustercomplex import (
     bongartz,
     bongartz_split,
     build_algebra,
+    catalog_for,
     complements,
     decode_face,
     dual_bongartz,
@@ -27,7 +30,8 @@ from clustercomplex import (
 )
 from clustercomplex import tilting
 from clustercomplex.errors import MatchingFailed, NoCompletion, NotAlmostComplete, NotFiniteType
-from clustercomplex.homext import ExtKernel, ids_of
+from clustercomplex.fixtures import RANK2_INFINITE_FIXTURES
+from clustercomplex.homext import ExtKernel, ids_of, mask_of
 from clustercomplex.roots import RootCatalog
 
 from oracles import (
@@ -44,6 +48,31 @@ from oracles import (
 
 def dimvs_of(cat, ids):
     return sorted(cat.entries[i].dimv for i in ids)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(width=st.integers(1, 1000), size=st.integers(0, 1000), count=st.integers(0, 30),
+       seed=st.integers(0, 2**32))
+def test_facet_order_is_the_vertex_tuple_order(width, size, count, seed):
+    # the bit-reversal key orders equal-popcount masks of any width by
+    # ascending vertex tuple; masks of other popcounts are left out
+    size, rng = min(size, width), random.Random(seed)
+    faces = {mask_of(rng.sample(range(width), rng.choice((size, size, rng.randint(0, width)))))
+             for _ in range(count)}
+    want = sorted((f for f in faces if f.bit_count() == size), key=ids_of)
+    assert tilting.facets_among(size, faces) == want
+
+
+def test_rev8_reverses_each_byte():
+    assert [tilting.REV8[b] for b in range(256)] == [int(f"{b:08b}"[::-1], 2) for b in range(256)]
+
+
+@pytest.mark.parametrize("name", RANK2_INFINITE_FIXTURES)
+def test_window_facet_order_is_the_vertex_tuple_order(name):
+    # 806-bit facets at t_max 200
+    cat = catalog_for(fixture(name), t_max=200)
+    assert max(cat.facets).bit_length() > 800
+    assert list(cat.facets) == sorted((f for f in cat.faces if f.bit_count() == 2), key=ids_of)
 
 
 @pytest.mark.parametrize("name", sorted(KNOWN_FACET_COUNTS))
