@@ -12,6 +12,12 @@ unsupported vertex, then the members' ranks by measure
 its canonical in-support completion (or the dual one) strictly drops the
 vector, which drives every facet down to the zero module.
 
+Step rule: a step picks the facet's member of least measure, the smallest
+id among equal measures.  That is the first bit of
+`RootCatalog.measure_order`, every member's bit ordered by (rank, id), that
+the facet's member mask holds; `filter` finds it in C.  The member is the
+whole facet when the member mask equals its bit.
+
 Drop rule: a walk asks at each step whether key(g) < key(f), g the facet a
 step moves f to, and it decides on the counts of unsupported vertices, the
 keys' runs of -1, before it builds a key.  Ranks are >= 0.  If g has more
@@ -102,18 +108,19 @@ def member_moves(catalog: RootCatalog) -> tuple[int, ...]:
 def descent_step(catalog: RootCatalog, facet: int) -> int:
     """The descent move away from a nonzero facet.
 
-    Pick the member M with minimal measure (ties: smallest id).  When M is
-    the whole facet and lives on a single vertex, drop it for the zero facet.
-    Otherwise return M's descent move: whichever of the two canonical
-    in-support completions of M has the smaller lambda key.  The walk
-    (`_descend`) checks that the move drops the facet's lambda key.
+    Pick the member M with minimal measure (ties: smallest id), the first
+    of `RootCatalog.measure_order` in the facet.  When M is the whole facet
+    and lives on a single vertex, drop it for the zero facet.  Otherwise
+    return M's descent move: whichever of the two canonical in-support
+    completions of M has the smaller lambda key.  The walk (`_descend`)
+    checks that the move drops the facet's lambda key.
     """
-    members = ids_of(facet >> catalog.algebra.n)
+    members = facet >> catalog.algebra.n
     if not members:
         raise ZeroModule("the zero facet has no descent step")
-    # min keeps the first of equal keys, and the ids ascend
-    chosen = min(members, key=catalog.mu_ranks.__getitem__)
-    if len(members) == 1 and catalog.kernel.support[chosen].bit_count() == 1:
+    bit = next(filter(members.__and__, catalog.measure_order))
+    chosen = bit.bit_length() - 1
+    if members == bit and catalog.kernel.support[chosen].bit_count() == 1:
         return zero_facet(catalog)
     return catalog.descent_moves[chosen]
 

@@ -16,16 +16,19 @@ Axioms checked here, for a poset with bottom and top:
 plus simpliciality (each proper face's lower interval is boolean) and strong
 flag connectivity (the facet adjacency graph of every co-face is connected).
 
-One sweep over every face minus one vertex (`face ^ bit`) fills `up[F]`,
-the mask of the vertices v such that F + v is a face; it is the vertex set
-of the link of F, and it decides every check.  A face with an empty up is
-maximal, and AP2 asks that it have n vertices.  Every subset of a face is a
-face once no face loses a subface, by induction on size (simpliciality).
-The middle of the interval from U - {a, b} up to U is U - a and U - b, so
-the inner diamonds exist when no face of size >= 2 loses one.  A ridge (a
-face with n - 1 vertices) is thin when its up has two bits, v and w; AP4 at
-the top asks that every ridge be thin, and the facets R + v and R + w are
-then exchange neighbours.
+One sweep fills `up`, one scan reads it.  The sweep over every face minus
+one vertex (`face ^ bit`) fills `up[F]`, the mask of the vertices v such
+that F + v is a face; it is the vertex set of the link of F, and it decides
+every check.  The scan (`ClusterComplex.scan`) passes once over the faces'
+up masks.  A face with an empty up is maximal, and AP2 asks that it have n
+vertices.  Every subset of a face is a face once no face loses a subface,
+by induction on size (simpliciality).  The keys of up are every face and
+every lost subface, so equal lengths of up and the face set mean that no
+face lost a subface.  The middle of the interval from U - {a, b} up to U is
+U - a and U - b, so the inner diamonds exist when no face of size >= 2
+loses one.  A ridge (a face with n - 1 vertices) is thin when its up has
+two bits, v and w; AP4 at the top asks that every ridge be thin, and the
+facets R + v and R + w are then exchange neighbours.
 
 Strong flag connectivity comes from links.  In a pure complex every
 co-face is strongly connected exactly when every link of dimension >= 1 is
@@ -59,6 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Mapping
 
 from .algebra import format_dimv
@@ -129,7 +133,9 @@ class ClusterComplex:
     def up(self) -> dict[Face, int]:
         """up[F], the mask of the vertices v with F + v a face, for every
         face F and every face minus one vertex; a key outside `faces` is a
-        subface that a face lost."""
+        subface that a face lost.  The faces are the first len(faces) keys:
+        up starts as `dict.fromkeys(faces, 0)`, and the sweep appends only
+        the lost subfaces after them."""
         up = dict.fromkeys(self.faces, 0)
         get = up.get
         for face in self.faces:
@@ -142,25 +148,50 @@ class ClusterComplex:
         return up
 
     @cached_property
-    def short_face(self) -> Face | None:
-        """The first maximal face (one with an empty up) without n vertices,
-        by size and then vertex tuple; None when there is none."""
-        n, up = self.n, self.up
-        return min((f for f in self.faces if not up[f] and f.bit_count() != n),
-                   key=_face_key, default=None)
+    def scan(self) -> FaceScan:
+        """What the one pass over the faces' up masks finds (`_scan`)."""
+        return _scan(self)
 
     @property
     def pure(self) -> bool:
         """Every face with an empty up, a maximal face, has n vertices."""
-        return self.short_face is None
+        return self.scan.short_face is None
 
-    @cached_property
-    def bad_ridges(self) -> list[Face]:
-        """The faces with n - 1 vertices whose up does not have two bits, by
-        size and then vertex tuple."""
-        n, up = self.n, self.up
-        return sorted((f for f in self.faces
-                       if f.bit_count() == n - 1 and up[f].bit_count() != 2), key=_face_key)
+
+@dataclass
+class FaceScan:
+    """`least[k]` is the fewest up bits of a face with k vertices.
+    `short_face` is the first maximal face without n vertices, or None;
+    `bad_ridges` are the faces with n - 1 vertices whose up does not have
+    two bits, and `lost_faces` the keys of up that are not faces.  Each is
+    by size and then vertex tuple."""
+
+    least: dict[int, int]
+    short_face: Face | None
+    bad_ridges: list[Face]
+    lost_faces: list[Face]
+
+
+def _scan(cx: ClusterComplex) -> FaceScan:
+    """One pass over the (face, up) entries of the faces, the first
+    len(faces) of up; the keys after them are the lost subfaces."""
+    n, up, count = cx.n, cx.up, len(cx.faces)
+    least: dict[int, int] = {}
+    get = least.get
+    short, thick = [], []
+    for face, above in islice(up.items(), count):
+        k, links = face.bit_count(), above.bit_count()
+        if links < get(k, links + 1):
+            least[k] = links
+        if not above and k != n:
+            short.append(face)
+        if k == n - 1 and links != 2:
+            thick.append(face)
+    lost = list(islice(up, count, None)) if len(up) != count else []
+    return FaceScan(least=least,
+                    short_face=min(short, key=_face_key, default=None),
+                    bad_ridges=sorted(thick, key=_face_key),
+                    lost_faces=sorted(lost, key=_face_key))
 
 
 def build_complex(catalog: RootCatalog) -> ClusterComplex:
@@ -190,19 +221,18 @@ class AxiomReport:
 
 
 def verify_ap_axioms(cx: ClusterComplex) -> AxiomReport:
-    faces = cx.faces
-    lost = cx.up.keys() - faces
-    bad_ridges = cx.bad_ridges
+    faces, scan = cx.faces, cx.scan
+    lost = scan.lost_faces
     # AP4 at the top: every ridge is thin; inside the proper part, a diamond
     # is missing below every face of size >= 2 that lost a subface, and that
     # subface is not empty.
     return AxiomReport(ap1=0 in faces and len(cx.facets) > 0,
                        ap2=cx.pure,
-                       ap4=not bad_ridges and lost <= {0},
+                       ap4=not scan.bad_ridges and not any(lost),
                        simplicial=not lost,
-                       bad_ridges=bad_ridges,
-                       short_face=cx.short_face,
-                       lost_faces=sorted(lost, key=_face_key))
+                       bad_ridges=scan.bad_ridges,
+                       short_face=scan.short_face,
+                       lost_faces=lost)
 
 
 def exchange_graph(cx: ClusterComplex) -> dict[int, tuple[int, ...]]:
@@ -266,30 +296,25 @@ def _flood_floor(cx: ClusterComplex) -> list[int]:
     vertices needs before its link can be disconnected, 2 (1 + m) with m the
     fewest up bits of a face with k + 1 vertices (the small-link lemma); all
     0 when a face lost a subface, so that every link is flooded."""
-    n, up = cx.n, cx.up
-    if len(up) != len(cx.faces):
+    n, scan = cx.n, cx.scan
+    if scan.lost_faces:
         return [0] * (n - 1)
-    least: dict[int, int] = {}
-    for face in cx.faces:
-        k, links = face.bit_count(), up[face].bit_count()
-        if links < least.get(k, links + 1):
-            least[k] = links
     # with no face of k + 1 vertices every face of k vertices has an empty up
-    return [2 * (1 + least.get(k + 1, 0)) for k in range(n - 1)]
+    return [2 * (1 + scan.least.get(k + 1, 0)) for k in range(n - 1)]
 
 
 def _split_links(cx: ClusterComplex) -> list[Face]:
     """The faces with at most n - 2 vertices whose link is disconnected; a
     link below its `_flood_floor` is connected and is not flooded."""
     n, up, floor = cx.n, cx.up, _flood_floor(cx)
-    return [f for f in cx.faces
-            if (k := f.bit_count()) < n - 1 and up[f].bit_count() >= floor[k]
-            and _unreached(up, up[f], f)]
+    return [f for f, above in islice(up.items(), len(cx.faces))
+            if (k := f.bit_count()) < n - 1 and above.bit_count() >= floor[k]
+            and _unreached(up, above, f)]
 
 
 def verify_flag_connected(cx: ClusterComplex) -> FlagReport:
     split = _split_links(cx)
-    thick = cx.bad_ridges
+    thick = cx.scan.bad_ridges
     return FlagReport(pure=cx.pure,
                       thin=not thick,
                       cofaces_connected=not split,

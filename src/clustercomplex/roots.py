@@ -93,6 +93,12 @@ class RootCatalog:
         return tuple(rank[value] for value in self.mu_squares)
 
     @functools.cached_property
+    def measure_order(self) -> tuple[int, ...]:
+        """Each member's bit 1 << id, by measure rank and then id (the sort
+        is stable)."""
+        return tuple(1 << i for i in sorted(range(len(self)), key=self.mu_ranks.__getitem__))
+
+    @functools.cached_property
     def endo_classes(self) -> tuple[tuple[int, int], ...]:
         """One (class mask, count) per symmetrizer value c, ascending: the
         mask has, as face bits, every vertex v with u_v = c and every member

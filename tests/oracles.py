@@ -7,7 +7,10 @@ written out by hand, flag connectivity is the literal walk on every flag of
 every facet, the face-poset axioms enumerate every subset and every
 two-step interval of every face, the pairing of a completion's
 out-of-support part with the unsupported vertices tries every ordering,
-links are searched breadth-first on the face set, determinants are Leibniz
+links are searched breadth-first on the face set, the face-poset scan's
+findings are one comprehension each over the faces and their up masks, the
+descent step's member is the minimum by measure rank over the facet's ids,
+determinants are Leibniz
 expansions, rank and solves are a Gauss-Jordan elimination over
 `Fraction`s, and endomorphism multisets are compared sorted.  Rigid sets
 are grown one root at a time, which finds every one since rigidity is
@@ -239,6 +242,49 @@ def oracle_link_unreached(faces, face):
                 seen.add(w)
                 queue.append(w)
     return sum(1 << w for w in link if w not in seen)
+
+
+def _by_size_then_vertices(face):
+    return face.bit_count(), [v for v in range(face.bit_length()) if face >> v & 1]
+
+
+def oracle_short_face(faces, up, n):
+    """The first face with an empty up and without n vertices, by size and
+    then vertex tuple, or None."""
+    return min((f for f in faces if not up[f] and f.bit_count() != n),
+               key=_by_size_then_vertices, default=None)
+
+
+def oracle_bad_ridges(faces, up, n):
+    """The faces with n - 1 vertices whose up does not have two bits, by size
+    and then vertex tuple."""
+    return sorted((f for f in faces if f.bit_count() == n - 1 and up[f].bit_count() != 2),
+                  key=_by_size_then_vertices)
+
+
+def oracle_least_up(faces, up):
+    """The fewest up bits of a face with k vertices, for every size k a face has."""
+    least = {}
+    for face in faces:
+        k, links = face.bit_count(), up[face].bit_count()
+        least[k] = min(links, least.get(k, links))
+    return least
+
+
+def oracle_lost(faces, up):
+    """The keys of up that are not faces, by size and then vertex tuple."""
+    return sorted(up.keys() - faces, key=_by_size_then_vertices)
+
+
+def oracle_descent_step(n, ranks, supports, moves, facet):
+    """The facet's member of least measure rank, the smallest id among
+    equals; the zero facet when it is the only member and has one support
+    vertex, else its move."""
+    members = [i for i in range(len(ranks)) if facet >> (n + i) & 1]
+    chosen = min(members, key=ranks.__getitem__)
+    if len(members) == 1 and supports[chosen].bit_count() == 1:
+        return (1 << n) - 1
+    return moves[chosen]
 
 
 def oracle_det(matrix):

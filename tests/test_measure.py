@@ -40,7 +40,7 @@ from clustercomplex.errors import (
     ZeroModule,
 )
 
-from oracles import oracle_endos
+from oracles import oracle_descent_step, oracle_endos
 
 
 def g2_catalog():
@@ -126,6 +126,23 @@ def test_descent_step_g2():
     assert descent_step(cat, as_facet(cat, (b,))) == zero_facet(cat)
     with pytest.raises(ZeroModule):
         descent_step(cat, zero_facet(cat))
+
+
+@pytest.mark.parametrize("name", FINITE_FIXTURES + ("B6 seed 1", "B6 seed 5"))
+def test_descent_step_matches_the_least_measure_rule(name):
+    # every nonzero facet; the drawn B6 catalogs have facets whose two least
+    # members share a rank, where the smaller id must win
+    cat = positive_roots(_drawn_b6(int(name.split()[-1])) if name.startswith("B6")
+                         else fixture(name))
+    n, ranks = cat.algebra.n, cat.mu_ranks
+    ties = 0
+    for facet in enumerate_support_tilting(cat):
+        if facet >> n:
+            want = oracle_descent_step(n, ranks, cat.kernel.support, cat.descent_moves, facet)
+            assert descent_step(cat, facet) == want
+            least = sorted(ranks[i] for i in decode_face(n, facet)[0])
+            ties += least[1:2] == least[:1]
+    assert ties > 0 or not name.startswith("B6")
 
 
 def test_verify_descent_fixtures():

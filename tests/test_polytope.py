@@ -38,10 +38,14 @@ from clustercomplex.polytope import (
 from clustercomplex.roots import RootCatalog
 from oracles import (
     downward_closure,
+    oracle_bad_ridges,
     oracle_diamonds,
     oracle_flags_connected,
+    oracle_least_up,
     oracle_link_unreached,
+    oracle_lost,
     oracle_pure,
+    oracle_short_face,
     oracle_simplicial,
     vertex_sets,
 )
@@ -137,6 +141,46 @@ def test_every_axiom_key_can_fail():
             failed |= {key for key in ("ap1", "ap2", "ap4", "simplicial")
                        if not getattr(report, key)}
     assert failed == {"ap1", "ap2", "ap4", "simplicial"}
+
+
+def test_the_scan_matches_its_oracles():
+    # every mutant of a3, b3 and d4, every single-facet drop of a3, and d4
+    # without one face of two vertices, which the faces above it lose
+    complexes = []
+    for name in ("a3", "b3", "d4"):
+        cx = build(name)
+        complexes += [ClusterComplex(catalog=cx.catalog, faces=faces)
+                      for faces in _mutants(cx).values()]
+    a3, d4 = build("a3"), build("d4")
+    complexes += [ClusterComplex(catalog=a3.catalog, faces=a3.faces - {f}) for f in a3.facets]
+    middle = min((f for f in d4.faces if f.bit_count() == 2), key=ids_of)
+    complexes.append(ClusterComplex(catalog=d4.catalog, faces=d4.faces - {middle}))
+    leaks = 0
+    for cx in complexes:
+        faces, up, n, scan = cx.faces, cx.up, cx.n, cx.scan
+        assert scan.short_face == oracle_short_face(faces, up, n)
+        assert scan.bad_ridges == oracle_bad_ridges(faces, up, n)
+        assert scan.least == oracle_least_up(faces, up)
+        assert scan.lost_faces == oracle_lost(faces, up)
+        # the lost keys of up never enter the scan, though they would show
+        leaks += oracle_least_up(up, up) != scan.least
+    assert leaks
+
+
+def test_verify_builds_one_scan(monkeypatch, capsys):
+    # a work count, not a time: the axioms, the flag check and the flood
+    # floors of one `verify` all read one scan
+    builds = []
+    scan = polytope._scan
+
+    def counted(cx):
+        builds.append(cx)
+        return scan(cx)
+
+    monkeypatch.setattr(polytope, "_scan", counted)
+    assert main(["verify", "--fixture", "d4"]) == 0
+    assert "facets=50" in capsys.readouterr().out
+    assert len(builds) == 1
 
 
 def test_axioms_fail_on_corrupted_complex():
