@@ -27,8 +27,6 @@ from .homext import (
 from .measure import (
     descent_path,
     descent_step,
-    lambda_compare,
-    lambda_vector,
     mu,
     verify_descent,
     verify_endos,
@@ -70,8 +68,6 @@ from .tilting import (
     dual_bongartz,
     dual_bongartz_split,
     enumerate_support_tilting,
-    relative_bongartz,
-    relative_dual_bongartz,
     verify_b2_structure,
     zero_facet,
 )

@@ -229,7 +229,7 @@ def _cmd_descent(args) -> int:
     facets = _by_members(algebra.n, enumerate_support_tilting(catalog))
     all_ok = True
     for start in facets:
-        path = descent_path(catalog, start, len(facets))
+        path = descent_path(catalog, start)
         labels = [face_label(catalog, facet) for facet in path]
         ok = path[-1] == zero
         all_ok = all_ok and ok

@@ -93,10 +93,6 @@ class Disconnected(ClusterComplexError):
     """Operation requires a connected algebra."""
 
 
-class LengthMismatch(ClusterComplexError):
-    """Measure vectors of different lengths cannot be compared."""
-
-
 class ParseError(ClusterComplexError):
     """Input file could not be parsed as algebra data."""
 

@@ -4,13 +4,14 @@ A catalog member X gets the measure ell(X) / sqrt(q(X)), where ell is the
 total length and q the endomorphism length.  The measure is never evaluated
 numerically: since sqrt is monotone it is compared by its exact square
 ell^2 / q, a `Fraction` each catalog keeps once (`RootCatalog.mu_squares`).
-A facet (an int face, as in `tilting`) gets the vector of its members'
-squared measures, padded in front with one zero per unsupported vertex and
-compared lexicographically.  The descent compares int keys instead: -1 per
-unsupported vertex, then the members' ranks by measure
-(`RootCatalog.mu_ranks`), ascending.  Replacing a measure-minimal member by
-its canonical in-support completion (or the dual one) strictly drops the
-vector, which drives every facet down to the zero module.
+A facet (an int face, as in `tilting`) is ordered by its lambda vector,
+its members' squared measures ascending, padded in front with one zero per
+unsupported vertex and compared lexicographically.  The rank key
+`lambda_key` is that order in ints: -1 per unsupported vertex, then the
+members' ranks by measure (`RootCatalog.mu_ranks`), ascending.  Replacing a
+measure-minimal member by its canonical in-support completion (or the dual
+one) strictly drops the key, which drives every facet down to the zero
+module.
 
 Step rule: a step picks the facet's member of least measure, the smallest
 id among equal measures.  That is the first bit of
@@ -40,11 +41,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     Disconnected,
-    LengthMismatch,
     NotRankTwo,
     NotRepresentationInfinite,
     OracleViolation,
@@ -67,25 +67,9 @@ def mu(catalog: RootCatalog, x: Indec) -> Fraction:
     return catalog.mu_squares[x.id]
 
 
-def lambda_vector(catalog: RootCatalog, facet: int) -> tuple[Fraction, ...]:
-    """Zeros for the unsupported vertices, then the member measures ascending
-    (as squares, like `mu`)."""
-    n, squares = catalog.algebra.n, catalog.mu_squares
-    zeros = (Fraction(0),) * (facet & ((1 << n) - 1)).bit_count()
-    return zeros + tuple(sorted(squares[i] for i in ids_of(facet >> n)))
-
-
-def lambda_compare(x: Sequence[Fraction], y: Sequence[Fraction]) -> int:
-    """Lexicographic comparison; -1, 0, or 1."""
-    if len(x) != len(y):
-        raise LengthMismatch(f"cannot compare lengths {len(x)} and {len(y)}")
-    x, y = tuple(x), tuple(y)
-    return (x > y) - (x < y)
-
-
 def lambda_key(catalog: RootCatalog, facet: int) -> tuple[int, ...]:
     """-1 for each unsupported vertex, then the members' measure ranks
-    ascending; compares as `lambda_compare` compares the lambda vectors."""
+    ascending; compares as the lambda vectors compare."""
     n, ranks = catalog.algebra.n, catalog.mu_ranks
     return ((-1,) * (facet & ((1 << n) - 1)).bit_count()
             + tuple(sorted(map(ranks.__getitem__, ids_of(facet >> n)))))
@@ -146,15 +130,15 @@ def _descend(catalog: RootCatalog, facet: int, keys: dict[int, tuple[int, ...]])
     return nxt if _drops(catalog, nxt, facet, keys) else None
 
 
-def descent_path(catalog: RootCatalog, facet: int, max_steps: int) -> list[int]:
+def descent_path(catalog: RootCatalog, facet: int) -> list[int]:
     """The descent from `facet` towards the zero facet, `facet` first.
 
-    The walk stops where `_descend` stops it, or once it has taken more than
-    `max_steps` steps; the last facet of the path is then where the descent
-    stalled.
+    The walk stops where `_descend` stops it, or once it has taken more
+    steps than the catalog has facets; the last facet of the path is then
+    where the descent stalled.
     """
     path = [facet]
-    while len(path) <= max_steps + 1:
+    while len(path) <= len(catalog.facets) + 1:
         nxt = _descend(catalog, path[-1], {})
         if nxt is None:
             break
@@ -181,7 +165,7 @@ def verify_descent(catalog: RootCatalog) -> DescentReport:
     key, so a walk never revisits a facet and takes fewer than len(facets)
     steps; no step bound is needed.  Walks share their tails: each facet's
     (steps, end) is recorded once, and a walk stops at the first recorded
-    facet.  `steps[f]` is what `descent_path(catalog, f, len(facets))` gives.
+    facet.  `steps[f]` is what `descent_path(catalog, f)` gives.
     A walk starts only from a facet not yet recorded, and every facet takes
     one `descent_step`; the drop rule builds a key only on a tie.
     """
@@ -272,7 +256,7 @@ class Rank2Report:
     failures: list[tuple]
 
 
-def verify_rank2_inequality(catalog: RootCatalog, unit_endo_lengths: bool = False) -> Rank2Report:
+def verify_rank2_inequality(catalog: RootCatalog) -> Rank2Report:
     """Every sincere member has a strictly smaller canonical neighbour.
 
     For each sincere member T of a rank-2 catalog, its canonical completion B
@@ -282,19 +266,14 @@ def verify_rank2_inequality(catalog: RootCatalog, unit_endo_lengths: bool = Fals
     k + 1 in its own family: the forward family is stored first and the
     backward one after it, both in quiver order, so the completion sits to
     the left and its dual to the right.  A member with a neighbour outside
-    its family or the window is skipped.  With unit_endo_lengths the
-    denominators are forced to 1, i.e. the measure degenerates to plain
-    length; the check is then expected to fail in general.
+    its family or the window is skipped.
     """
     algebra = catalog.algebra
     if algebra.n != 2:
         raise NotRankTwo("rank-2 check requires two vertices")
     if algebra.cartan[0][1] == 0:
         raise Disconnected("rank-2 check requires a connected algebra")
-    entries = catalog.entries
-
-    squares = [ell * ell for ell in catalog.lengths] if unit_endo_lengths else catalog.mu_squares
-
+    entries, squares = catalog.entries, catalog.mu_squares
     failures = []
     checked = 0
     for k, entry in enumerate(entries):

@@ -148,33 +148,42 @@ class ClusterComplex:
         return up
 
     @cached_property
-    def scan(self) -> FaceScan:
-        """What the one pass over the faces' up masks finds (`_scan`)."""
+    def scan(self) -> AxiomReport:
+        """The axioms, from the one pass over the faces' up masks (`_scan`)."""
         return _scan(self)
-
-    @property
-    def pure(self) -> bool:
-        """Every face with an empty up, a maximal face, has n vertices."""
-        return self.scan.short_face is None
 
 
 @dataclass
-class FaceScan:
-    """`least[k]` is the fewest up bits of a face with k vertices.
-    `short_face` is the first maximal face without n vertices, or None;
-    `bad_ridges` are the faces with n - 1 vertices whose up does not have
-    two bits, and `lost_faces` the keys of up that are not faces.  Each is
-    by size and then vertex tuple."""
+class AxiomReport:
+    """`bad_ridges` are the faces of size n - 1 not held by exactly two
+    facets (their up does not have two bits), and `lost_faces` the subfaces
+    that a face lost (the keys of up that are not faces), each by size and
+    then vertex tuple.  `short_face`, the witness of AP2, is the first
+    maximal face without n vertices in that order, or None.  `least[k]` is
+    the fewest up bits of a face with k vertices, for the flood floors."""
 
-    least: dict[int, int]
-    short_face: Face | None
+    ap1: bool
+    ap2: bool
+    ap4: bool
+    simplicial: bool
     bad_ridges: list[Face]
+    short_face: Face | None
     lost_faces: list[Face]
+    least: dict[int, int]
+
+    @property
+    def ok(self) -> bool:
+        return self.ap1 and self.ap2 and self.ap4 and self.simplicial
 
 
-def _scan(cx: ClusterComplex) -> FaceScan:
+def _scan(cx: ClusterComplex) -> AxiomReport:
     """One pass over the (face, up) entries of the faces, the first
-    len(faces) of up; the keys after them are the lost subfaces."""
+    len(faces) of up; the keys after them are the lost subfaces.
+
+    AP2 holds when no maximal face is short.  AP4 at the top asks that
+    every ridge be thin; inside the proper part, a diamond is missing below
+    every face of size >= 2 that lost a subface, and that subface is not
+    empty."""
     n, up, count = cx.n, cx.up, len(cx.faces)
     least: dict[int, int] = {}
     get = least.get
@@ -187,11 +196,15 @@ def _scan(cx: ClusterComplex) -> FaceScan:
             short.append(face)
         if k == n - 1 and links != 2:
             thick.append(face)
-    lost = list(islice(up, count, None)) if len(up) != count else []
-    return FaceScan(least=least,
-                    short_face=min(short, key=_face_key, default=None),
-                    bad_ridges=sorted(thick, key=_face_key),
-                    lost_faces=sorted(lost, key=_face_key))
+    lost = sorted(islice(up, count, None), key=_face_key) if len(up) != count else []
+    return AxiomReport(ap1=0 in cx.faces and len(cx.facets) > 0,
+                       ap2=not short,
+                       ap4=not thick and not any(lost),
+                       simplicial=not lost,
+                       bad_ridges=sorted(thick, key=_face_key),
+                       short_face=min(short, key=_face_key, default=None),
+                       lost_faces=lost,
+                       least=least)
 
 
 def build_complex(catalog: RootCatalog) -> ClusterComplex:
@@ -200,39 +213,9 @@ def build_complex(catalog: RootCatalog) -> ClusterComplex:
     return ClusterComplex(catalog=catalog, faces=catalog.faces)
 
 
-@dataclass
-class AxiomReport:
-    """`bad_ridges` are the faces of size n - 1 not held by exactly two
-    facets, and `lost_faces` the subfaces that a face lost, each by size and
-    then vertex tuple.  `short_face`, the witness of AP2, is the first
-    maximal face without n vertices in that order, or None."""
-
-    ap1: bool
-    ap2: bool
-    ap4: bool
-    simplicial: bool
-    bad_ridges: list[Face]
-    short_face: Face | None
-    lost_faces: list[Face]
-
-    @property
-    def ok(self) -> bool:
-        return self.ap1 and self.ap2 and self.ap4 and self.simplicial
-
-
 def verify_ap_axioms(cx: ClusterComplex) -> AxiomReport:
-    faces, scan = cx.faces, cx.scan
-    lost = scan.lost_faces
-    # AP4 at the top: every ridge is thin; inside the proper part, a diamond
-    # is missing below every face of size >= 2 that lost a subface, and that
-    # subface is not empty.
-    return AxiomReport(ap1=0 in faces and len(cx.facets) > 0,
-                       ap2=cx.pure,
-                       ap4=not scan.bad_ridges and not any(lost),
-                       simplicial=not lost,
-                       bad_ridges=scan.bad_ridges,
-                       short_face=scan.short_face,
-                       lost_faces=lost)
+    """The axioms as the one scan of `cx` found them."""
+    return cx.scan
 
 
 def exchange_graph(cx: ClusterComplex) -> dict[int, tuple[int, ...]]:
@@ -315,7 +298,7 @@ def _split_links(cx: ClusterComplex) -> list[Face]:
 def verify_flag_connected(cx: ClusterComplex) -> FlagReport:
     split = _split_links(cx)
     thick = cx.scan.bad_ridges
-    return FlagReport(pure=cx.pure,
+    return FlagReport(pure=cx.scan.ap2,
                       thin=not thick,
                       cofaces_connected=not split,
                       coface_witness=min(split, key=_face_key, default=None),
@@ -338,7 +321,9 @@ def coface_profile(cx: ClusterComplex, face: Face) -> CofaceProfile:
     of `face`, so the facet cycle is verified as the link's cycle.
     """
     if face not in cx.faces:
-        raise NotProperFace(f"{list(ids_of(face))} is not a proper face")
+        if face >> (cx.n + len(cx.catalog)):
+            raise NotProperFace(f"vertex {face.bit_length() - 1} is outside the vertex pool")
+        raise NotProperFace(f"{face_label(cx.catalog, face)} is not a proper face")
     rank = cx.n - face.bit_count()
     count = sum(1 for f in cx.facets if f & face == face)
     polygon = None

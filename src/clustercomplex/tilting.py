@@ -26,7 +26,7 @@ a member on sigma can take it: the pairing is read off sigma, not searched for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import linalg
 from .errors import (
@@ -36,7 +36,7 @@ from .errors import (
     NotFiniteType,
     OracleViolation,
 )
-from .homext import ids_of, is_rigid, iter_rigid_sets, mask_of, validate_ids
+from .homext import ids_of, is_rigid, iter_rigid_sets, mask_of, support, validate_ids
 from .roots import FINITE, RootCatalog
 
 
@@ -158,14 +158,14 @@ def _pool(catalog: RootCatalog, members: tuple[int, ...], inside: int) -> int:
 
 
 def _canonical_complement(catalog: RootCatalog, t_ids: Iterable[int],
-                          window_of: Callable[[tuple[int, ...]], int], dual: bool) -> frozenset[int]:
-    """The completion of T inside the vertex mask window_of(T's sorted ids)."""
+                          within: Iterable[int] | None, dual: bool) -> frozenset[int]:
+    """The completion of T inside the window `within` (every vertex when None)."""
     if catalog.kind != FINITE:
         raise NotFiniteType("canonical completion requires a finite catalog")
     members = validate_ids(catalog, t_ids)
     if not is_rigid(catalog, members):
         raise ValueError("T must be rigid")
-    window = window_of(members)
+    window = _window(catalog, within)
     kernel = catalog.kernel
     supp = kernel.support_of(members)
     if supp & ~window:
@@ -194,27 +194,19 @@ def bongartz(catalog: RootCatalog, t_ids: Iterable[int],
     check left is |T| + |G| = |window|; NoCompletion names T and the window
     when it fails.  A window vertex outside the algebra raises ValueError.
     """
-    return _canonical_complement(catalog, t_ids, lambda _: _window(catalog, within), dual=False)
+    return _canonical_complement(catalog, t_ids, within, dual=False)
 
 
 def dual_bongartz(catalog: RootCatalog, t_ids: Iterable[int],
                   within: Iterable[int] | None = None) -> frozenset[int]:
     """Mirror of `bongartz` with the pairing order swapped."""
-    return _canonical_complement(catalog, t_ids, lambda _: _window(catalog, within), dual=True)
-
-
-def relative_bongartz(catalog: RootCatalog, t_ids: Iterable[int]) -> frozenset[int]:
-    """Canonical completion computed inside the support of T."""
-    return _canonical_complement(catalog, t_ids, catalog.kernel.support_of, dual=False)
-
-
-def relative_dual_bongartz(catalog: RootCatalog, t_ids: Iterable[int]) -> frozenset[int]:
-    return _canonical_complement(catalog, t_ids, catalog.kernel.support_of, dual=True)
+    return _canonical_complement(catalog, t_ids, within, dual=True)
 
 
 def _split(catalog: RootCatalog, t_ids: Iterable[int], dual: bool) -> tuple[frozenset[int], frozenset[int]]:
-    full = _canonical_complement(catalog, t_ids, lambda _: _window(catalog, None), dual)
-    part = _canonical_complement(catalog, t_ids, catalog.kernel.support_of, dual)
+    members = validate_ids(catalog, t_ids)
+    full = _canonical_complement(catalog, members, None, dual)
+    part = _canonical_complement(catalog, members, support(catalog, members)[0], dual)
     if not part <= full:
         raise OracleViolation(f"relative {'dual ' if dual else ''}completion {sorted(part)} "
                               f"not inside full {sorted(full)}")

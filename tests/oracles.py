@@ -10,8 +10,8 @@ out-of-support part with the unsupported vertices tries every ordering,
 links are searched breadth-first on the face set, the face-poset scan's
 findings are one comprehension each over the faces and their up masks, the
 descent step's member is the minimum by measure rank over the facet's ids,
-determinants are Leibniz
-expansions, rank and solves are a Gauss-Jordan elimination over
+the lambda order compares tuples of `Fraction` measures, determinants are
+Leibniz expansions, rank and solves are a Gauss-Jordan elimination over
 `Fraction`s, and endomorphism multisets are compared sorted.  Rigid sets
 are grown one root at a time, which finds every one since rigidity is
 pairwise.  The package stores a face as the int bitmask of its vertices;
@@ -285,6 +285,15 @@ def oracle_descent_step(n, ranks, supports, moves, facet):
     if len(members) == 1 and supports[chosen].bit_count() == 1:
         return (1 << n) - 1
     return moves[chosen]
+
+
+def oracle_lambda_vector(n, squares, facet):
+    """The facet's lambda vector: a Fraction 0 per unsupported vertex, then
+    its members' squared measures ascending; facets are ordered by these
+    vectors, lexicographically."""
+    vertices = [v for v in range(facet.bit_length()) if facet >> v & 1]
+    zeros = [Fraction(0) for v in vertices if v < n]
+    return tuple(zeros + sorted(Fraction(squares[v - n]) for v in vertices if v >= n))
 
 
 def oracle_det(matrix):

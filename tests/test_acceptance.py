@@ -137,7 +137,10 @@ def test_criterion_7_rank2_descent_inequality():
     for name in ("kronecker", "valued15"):
         report = verify_rank2_inequality(rank2_sequences(fixture(name), 10))
         assert report.ok and report.checked > 10, name
-    control = verify_rank2_inequality(positive_roots(fixture("g2")), unit_endo_lengths=True)
+    # negative control: the squared plain lengths in place of the measure
+    plain = positive_roots(fixture("g2"))
+    vars(plain)["mu_squares"] = tuple(ell * ell for ell in plain.lengths)
+    control = verify_rank2_inequality(plain)
     assert not control.ok
     assert [f[0] for f in control.failures] == [(1, 2)]
     assert control.failures[0][1:] == ((1, 3), (2, 3))  # both plain sizes larger

@@ -1,9 +1,9 @@
 """Import hygiene of the package: standard library only, no private names
 taken from sibling modules, no imported name left unused outside
 `__init__`, no function-level import besides the catalog's four lazy ones,
-no floating point, no public top-level name that nothing uses, and the
-`cli`, `measure` and `tilting` names that the benchmark's tracer patches
-still there."""
+no floating point, no public top-level name that nothing uses, no error
+class that nothing raises, and the `cli`, `measure` and `tilting` names
+that the benchmark's tracer patches still there."""
 
 import ast
 import importlib
@@ -135,6 +135,31 @@ def test_public_names_are_used_or_exported():
                 if name != own:
                     referenced.add(name)
     assert [(module, name) for module, name in defined if name not in referenced] == []
+
+
+def test_error_classes_are_raised_or_caught():
+    # every class of `errors` is raised or caught somewhere in `src/`, or is
+    # a base of one that is; an error nothing raises is dead code
+    used = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                target = node.type
+            else:
+                continue
+            used.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    tree = ast.parse((ROOT / "src" / PACKAGE / "errors.py").read_text())
+    bases = {c.name: {b.id for b in c.bases if isinstance(b, ast.Name)}
+             for c in tree.body if isinstance(c, ast.ClassDef)}
+    live, todo = set(), [name for name in bases if name in used]
+    while todo:
+        name = todo.pop()
+        if name in bases and name not in live:
+            live.add(name)
+            todo.extend(bases[name])
+    assert sorted(bases.keys() - live) == []
 
 
 def test_tracer_boundaries_name_cli_attributes():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from clustercomplex import (
     FINITE_FIXTURES,
+    RootCatalog,
     as_facet,
     build_algebra,
     decode_face,
@@ -15,8 +16,6 @@ from clustercomplex import (
     descent_step,
     enumerate_support_tilting,
     fixture,
-    lambda_compare,
-    lambda_vector,
     mu,
     positive_roots,
     rank2_sequences,
@@ -33,14 +32,13 @@ from clustercomplex.homext import mask_of
 from clustercomplex.measure import _drops, lambda_key
 from clustercomplex.errors import (
     Disconnected,
-    LengthMismatch,
     NotRankTwo,
     NotRepresentationInfinite,
     SymmetrizabilityViolation,
     ZeroModule,
 )
 
-from oracles import oracle_descent_step, oracle_endos
+from oracles import oracle_descent_step, oracle_endos, oracle_lambda_vector
 
 
 def g2_catalog():
@@ -67,26 +65,35 @@ def test_mu_order():
             assert (a < c) == (b < d) and (a == c) == (b == d)
 
 
+def _g2_facets(cat):
+    """g2's zero facet, its facet {(1,3), (0,1)} and its facet {(1,2), (2,3)}."""
+    return (zero_facet(cat),
+            as_facet(cat, (cat.by_dimv[(1, 3)].id, cat.by_dimv[(0, 1)].id)),
+            as_facet(cat, (cat.by_dimv[(1, 2)].id, cat.by_dimv[(2, 3)].id)))
+
+
 def test_lambda_vector():
+    # g2's squared measures 1 < 3 < 12 < 16 < 25 < 27 have ranks 0 to 5
     cat = g2_catalog()
-    zero = zero_facet(cat)
-    assert lambda_vector(cat, zero) == (Fraction(0), Fraction(0))
-    lam = lambda_vector(cat, as_facet(cat, (cat.by_dimv[(1, 3)].id, cat.by_dimv[(0, 1)].id)))
-    assert lam == (1, 12) and all(isinstance(m, Fraction) for m in lam)
-    lam = lambda_vector(cat, as_facet(cat, (cat.by_dimv[(1, 2)].id, cat.by_dimv[(2, 3)].id)))
-    assert lam == (25, 27)
+    zero, proj, top = _g2_facets(cat)
+    assert lambda_key(cat, zero) == (-1, -1)
+    assert lambda_key(cat, proj) == (0, 2)
+    assert lambda_key(cat, top) == (4, 5)
+    n, squares = cat.algebra.n, cat.mu_squares
+    assert oracle_lambda_vector(n, squares, zero) == (Fraction(0), Fraction(0))
+    assert oracle_lambda_vector(n, squares, proj) == (1, 12)
+    assert oracle_lambda_vector(n, squares, top) == (25, 27)
 
 
 def test_lambda_compare():
+    # the keys rise from g2's zero facet to its top one as the vectors do
     cat = g2_catalog()
-    zero = lambda_vector(cat, zero_facet(cat))
-    lam_proj = lambda_vector(cat, as_facet(cat, (cat.by_dimv[(1, 3)].id, cat.by_dimv[(0, 1)].id)))
-    lam_top = lambda_vector(cat, as_facet(cat, (cat.by_dimv[(1, 2)].id, cat.by_dimv[(2, 3)].id)))
-    assert lambda_compare(zero, lam_proj) == -1
-    assert lambda_compare(lam_proj, lam_top) == -1
-    assert lambda_compare(lam_top, lam_top) == 0
-    with pytest.raises(LengthMismatch):
-        lambda_compare(zero, zero + (Fraction(0),))
+    facets = _g2_facets(cat)
+    zero, proj, top = (lambda_key(cat, f) for f in facets)
+    assert zero < proj < top
+    assert top == lambda_key(cat, facets[2])
+    zero, proj, top = (oracle_lambda_vector(cat.algebra.n, cat.mu_squares, f) for f in facets)
+    assert zero < proj < top
 
 
 def _drawn_b6(seed):
@@ -102,17 +109,22 @@ def _drawn_b6(seed):
 
 @pytest.mark.parametrize("name", FINITE_FIXTURES + ("B6",))
 def test_lambda_key_orders_as_lambda_compare(name):
-    # the rank keys the descent compares against the Fraction vectors, on every
-    # ordered pair of facets; B6 has members of equal measure
+    # the rank keys the descent compares against the Fraction vectors; B6
+    # has members of equal measure, so facets whose vectors tie.  Both
+    # orders are total preorders, so comparing neighbours of one sorted list
+    # decides every pair: sorted by (vector, key), the vectors do not fall
+    # along the list.  When each neighbouring pair compares alike by key and
+    # by vector, the keys do not fall either, and two facets i < j have equal
+    # vectors exactly when every step from i to j keeps the vector, that is
+    # exactly when every step keeps the key, when their keys are equal.
     cat = positive_roots(_drawn_b6(5) if name == "B6" else fixture(name))
     if name == "B6":
         assert len(set(cat.mu_ranks)) < len(cat)
-    facets = enumerate_support_tilting(cat)
-    vectors = [lambda_vector(cat, f) for f in facets]
-    keys = [measure.lambda_key(cat, f) for f in facets]
-    for x, kx in zip(vectors, keys):
-        for y, ky in zip(vectors, keys):
-            assert (kx > ky) - (kx < ky) == lambda_compare(x, y)
+    n, squares = cat.algebra.n, cat.mu_squares
+    pairs = sorted((oracle_lambda_vector(n, squares, f), lambda_key(cat, f))
+                   for f in enumerate_support_tilting(cat))
+    for (x, kx), (y, ky) in zip(pairs, pairs[1:]):
+        assert (kx > ky) - (kx < ky) == (x > y) - (x < y)
 
 
 def test_descent_step_g2():
@@ -155,7 +167,7 @@ def test_verify_descent_fixtures():
         assert report.max_steps <= len(facets)
         assert list(report.steps) == facets
         for f in facets:
-            path = descent_path(cat, f, len(facets))
+            path = descent_path(cat, f)
             assert report.steps[f] == len(path) - 1
             assert path[-1] == zero_facet(cat)
 
@@ -174,7 +186,7 @@ def test_descent_stalls_where_the_vector_does_not_drop(monkeypatch):
     assert not report.ok
     stalled = []
     for f in facets:
-        path = descent_path(cat, f, len(facets))
+        path = descent_path(cat, f)
         assert report.steps[f] == len(path) - 1
         if path[-1] == victim:
             stalled.append(f)
@@ -201,7 +213,7 @@ def test_each_step_is_compared_with_the_facet_before_it(monkeypatch):
     report = verify_descent(cat)
     assert not report.ok and report.stalled == [y]
     assert report.steps[x] == 1
-    assert descent_path(cat, x, len(facets)) == [x, y]
+    assert descent_path(cat, x) == [x, y]
 
 
 def _any_facet(rng, cat, size, members):
@@ -252,7 +264,7 @@ def test_a_step_to_higher_ranks_stalls_there(monkeypatch):
     report = verify_descent(cat)
     assert not report.ok and report.stalled == [victim]
     assert report.steps[victim] == 0 and list(report.steps) == facets
-    assert descent_path(cat, victim, len(facets)) == [victim]
+    assert descent_path(cat, victim) == [victim]
 
 
 def test_a_corrupt_descent_move_fails_verify(monkeypatch, capsys):
@@ -260,7 +272,7 @@ def test_a_corrupt_descent_move_fails_verify(monkeypatch, capsys):
     # cannot drop the vector there, and `verify` reports where it stalls
     cat = positive_roots(fixture("d4"))
     facets = enumerate_support_tilting(cat)
-    victim = max(facets, key=lambda f: lambda_vector(cat, f))
+    victim = max(facets, key=lambda f: oracle_lambda_vector(cat.algebra.n, cat.mu_squares, f))
     moves = list(cat.descent_moves)
     moves[moves.index(descent_step(cat, victim))] = victim
     monkeypatch.setattr(measure, "member_moves", lambda catalog: tuple(moves))
@@ -323,7 +335,10 @@ def test_rank2_inequality_finite():
     for name in ("a2", "b2", "g2"):
         report = verify_rank2_inequality(positive_roots(fixture(name)))
         assert report.ok and report.checked > 0
-    report = verify_rank2_inequality(positive_roots(fixture("g2")), unit_endo_lengths=True)
+    # negative control: the squared plain lengths in place of the measure
+    control = positive_roots(fixture("g2"))
+    vars(control)["mu_squares"] = tuple(ell * ell for ell in control.lengths)
+    report = verify_rank2_inequality(control)
     assert not report.ok
     assert [f[0] for f in report.failures] == [(1, 2)]
     assert report.failures[0][1:] == ((1, 3), (2, 3))
@@ -333,6 +348,17 @@ def test_rank2_inequality_infinite():
     for name in ("kronecker", "valued15"):
         report = verify_rank2_inequality(rank2_sequences(fixture(name), 10))
         assert report.ok and report.checked > 10
+
+
+@pytest.mark.parametrize("name", ["kronecker", "valued15"])
+def test_a_constant_measure_fails_rank2_descent(monkeypatch, capsys, name):
+    # with every member of equal measure no neighbour is strictly smaller;
+    # plain lengths would not do, since on kronecker they are the measure
+    monkeypatch.setattr(RootCatalog, "mu_squares",
+                        property(lambda catalog: (Fraction(1),) * len(catalog)))
+    assert main(["verify", "--fixture", name]) == 1
+    out = capsys.readouterr().out
+    assert "rank2-descent ✗" in out and out.count("✗") == 1
 
 
 def test_rank2_inequality_gates():

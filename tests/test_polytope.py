@@ -434,6 +434,11 @@ def test_coface_profiles_g2():
     assert prof.rank == 1 and prof.facet_count == 2
     empty = coface_profile(cx, 0)
     assert empty.rank == 2 and empty.polygon == "octagon" and empty.ok
+    # three members are no face of a rank-2 complex; the error labels them
+    # as a `verify` witness would
+    three = sum(1 << (cx.n + cat.by_dimv[d].id) for d in ((0, 1), (1, 0), (1, 1)))
+    with pytest.raises(NotProperFace, match=r"^\(0,1\),\(1,0\),\(1,1\)\| is not a proper face$"):
+        coface_profile(cx, three)
 
 
 def test_coface_profiles_a3():
@@ -444,7 +449,7 @@ def test_coface_profiles_a3():
     assert prof.rank == 0 and prof.facet_count == 1
     sincere = 1 << (cx.n + cat.by_dimv[(1, 1, 1)].id)
     assert coface_profile(cx, sincere).polygon == "pentagon"
-    with pytest.raises(NotProperFace):
+    with pytest.raises(NotProperFace, match="^vertex 999 is outside the vertex pool$"):
         coface_profile(cx, 1 << 999)
 
 

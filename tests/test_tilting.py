@@ -23,8 +23,6 @@ from clustercomplex import (
     iter_rigid_sets,
     positive_roots,
     rank2_sequences,
-    relative_bongartz,
-    relative_dual_bongartz,
     support,
     verify_b2_structure,
 )
@@ -206,13 +204,13 @@ def test_bongartz_completion_is_tilting():
             dual = set(ids) | dual_bongartz(cat, ids)
             assert is_rigid(cat, dual)
             assert len(dual) == cat.algebra.n
-            assert relative_bongartz(cat, ids) <= bongartz(cat, ids)
+            assert bongartz(cat, ids, within=support(cat, ids)[0]) <= bongartz(cat, ids)
 
 
 def test_relative_bongartz_g2():
     cat = positive_roots(fixture("g2"))
     p2 = cat.by_dimv[(0, 1)].id
-    assert relative_bongartz(cat, (p2,)) == frozenset()
+    assert bongartz(cat, (p2,), within=support(cat, (p2,))[0]) == frozenset()
     b1, b2 = bongartz_split(cat, (p2,))
     assert b1 == frozenset() and dimvs_of(cat, b2) == [(1, 3)]
     d = cat.by_dimv[(1, 2)].id
@@ -233,7 +231,7 @@ def test_relative_bongartz_a3():
 def test_relative_dual_bongartz_g2():
     cat = positive_roots(fixture("g2"))
     s1 = cat.by_dimv[(1, 0)].id
-    assert relative_dual_bongartz(cat, (s1,)) == frozenset()
+    assert dual_bongartz(cat, (s1,), within=support(cat, (s1,))[0]) == frozenset()
     c1, c2 = dual_bongartz_split(cat, (s1,))
     assert c1 == frozenset() and dimvs_of(cat, c2) == [(1, 1)]
     d = cat.by_dimv[(1, 2)].id
@@ -244,12 +242,14 @@ def test_relative_dual_bongartz_g2():
 def test_relative_dual_bongartz_a3():
     cat = positive_roots(fixture("a3"))
     e2 = cat.by_dimv[(0, 1, 0)].id
-    assert relative_dual_bongartz(cat, (e2,)) == frozenset()
+    assert dual_bongartz(cat, (e2,), within=support(cat, (e2,))[0]) == frozenset()
     c1, c2 = dual_bongartz_split(cat, (e2,))
     assert c1 == frozenset() and dimvs_of(cat, c2) == [(1, 1, 0), (1, 1, 1)]
     t = cat.by_dimv[(1, 1, 0)].id
     c1, c2 = dual_bongartz_split(cat, (t,))
     assert dimvs_of(cat, c1) == [(1, 0, 0)] and dimvs_of(cat, c2) == [(1, 1, 1)]
+    # ids given as an iterator are read once, for both parts
+    assert dual_bongartz_split(cat, iter([t])) == (c1, c2)
 
 
 @pytest.mark.parametrize("name", FINITE_FIXTURES)
@@ -257,8 +257,8 @@ def test_relative_completions_lie_inside_the_full_ones(name):
     cat = positive_roots(fixture(name))
     for members, _ in iter_rigid_sets(cat):
         ids = ids_of(members)
-        assert relative_bongartz(cat, ids) <= bongartz(cat, ids)
-        assert relative_dual_bongartz(cat, ids) <= dual_bongartz(cat, ids)
+        assert bongartz(cat, ids, within=support(cat, ids)[0]) <= bongartz(cat, ids)
+        assert dual_bongartz(cat, ids, within=support(cat, ids)[0]) <= dual_bongartz(cat, ids)
 
 
 def test_verify_b2_structure_examples():
