@@ -5,23 +5,18 @@ from .algebra import (
     algebra_from_dict,
     algebra_to_dict,
     build_algebra,
-    components,
     euler_form,
     injective_dimv,
-    is_connected,
     length,
     load_algebra,
     projective_dimv,
-    restrict,
 )
 from .errors import ClusterComplexError
 from .fixtures import FINITE_FIXTURES, RANK2_INFINITE_FIXTURES, fixture, fixture_names
 from .homext import (
     hom_ext,
-    independent_dimvs,
     is_rigid,
     iter_rigid_sets,
-    rigid_dimv_unique,
     support,
 )
 from .measure import (
@@ -57,18 +52,14 @@ from .roots import (
     positive_roots,
     rank2_sequences,
     simple_reflection,
-    symmetrized_form,
 )
 from .tilting import (
     as_facet,
     bongartz,
-    bongartz_split,
     complements,
     decode_face,
     dual_bongartz,
-    dual_bongartz_split,
     enumerate_support_tilting,
-    verify_b2_structure,
     zero_facet,
 )
 

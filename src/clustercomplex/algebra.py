@@ -136,20 +136,6 @@ def length(algebra: AlgebraData, x: Sequence[int]) -> int:
     return sum(u * c for u, c in zip(algebra.symmetrizer, x))
 
 
-def restrict(algebra: AlgebraData, sigma: Iterable[int]) -> AlgebraData:
-    """Delete the vertices in sigma; the result is again valid Cartan data.
-
-    The remaining vertices are renumbered in increasing order.
-    """
-    drop = set(sigma)
-    kept = [v for v in range(algebra.n) if v not in drop]
-    index = {v: k for k, v in enumerate(kept)}
-    cartan = [[algebra.cartan[a][b] for b in kept] for a in kept]
-    symm = [algebra.symmetrizer[v] for v in kept]
-    arrows = [(index[a], index[b]) for (a, b) in algebra.arrows if a in index and b in index]
-    return build_algebra(cartan, symm, arrows)
-
-
 def unit_vector(n: int, i: int) -> DimVector:
     return tuple(1 if k == i else 0 for k in range(n))
 
@@ -177,32 +163,6 @@ def injective_dimv(algebra: AlgebraData, i: int) -> DimVector:
     """Dimension vector q_i with <e_j, q_i> = delta_ij * u_i: E q = u_i e_i,
     so q combines the columns of E."""
     return _unit_combination(tuple(zip(*algebra.euler)), algebra, i)
-
-
-def components(algebra: AlgebraData) -> list[tuple[int, ...]]:
-    """Connected components of the underlying diagram (nonzero Cartan couplings)."""
-    seen: set[int] = set()
-    comps = []
-    for start in range(algebra.n):
-        if start in seen:
-            continue
-        stack = [start]
-        comp = set()
-        while stack:
-            v = stack.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            for w in range(algebra.n):
-                if w != v and algebra.cartan[v][w] != 0 and w not in comp:
-                    stack.append(w)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
-    return comps
-
-
-def is_connected(algebra: AlgebraData) -> bool:
-    return len(components(algebra)) <= 1
 
 
 # -- JSON interchange --------------------------------------------------------

@@ -3,8 +3,8 @@
 Exit codes: 0 all good, 1 a verification failed, 2 command-line misuse,
 3 input could not be parsed or breaks a rule, 4 the algebra is out of the
 supported range (including one whose root search passes the search limit).
-A failed `verify` check prints its first witness on stderr as
-`witness: <check> <face label>`.
+A failed `verify` check that can name a witness prints the first one on
+stderr as `witness: <check> <face label>`.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from .algebra import AlgebraData, algebra_to_dict, format_dimv, load_algebra
 from .errors import (
     ClusterComplexError,
     NotRepresentationInfinite,
+    NotSymmetrizable,
     ParseError,
     SearchLimitExceeded,
-    SymmetrizabilityViolation,
     UnsupportedAlgebra,
 )
 from .fixtures import fixture, fixture_names
@@ -136,12 +136,18 @@ def _cmd_facets(args) -> int:
     return EXIT_OK
 
 
-def _verdict(facets: int, checks: dict[str, bool], fmt: str) -> int:
-    """Print the facet count and every check on one line; the exit code."""
+def _verdict(catalog, facets: int, checks: dict[str, bool],
+             witnesses: dict[str, list], fmt: str) -> int:
+    """Print the facet count and every check on one line, then on stderr
+    the first witness of each failed check that names one; the exit code."""
     if fmt == "json":
         print(json.dumps({"facets": facets, **{k: bool(v) for k, v in checks.items()}}))
     else:
         print(" ".join([f"facets={facets}"] + [f"{k} {_mark(ok)}" for k, ok in checks.items()]))
+    for name, faces in witnesses.items():
+        faces = [f for f in faces if f is not None]
+        if faces and not checks[name]:
+            print(f"witness: {name} {face_label(catalog, faces[0])}", file=sys.stderr)
     return EXIT_OK if all(checks.values()) else EXIT_VERIFY_FAILED
 
 
@@ -170,12 +176,7 @@ def _verify_finite(catalog, fmt: str) -> int:
         "endos": endos.failures[:1],
         "descent": descent.stalled[:1],
     }
-    code = _verdict(len(cx.facets), checks, fmt)
-    for name, faces in witnesses.items():
-        faces = [f for f in faces if f is not None]
-        if faces and not checks[name]:
-            print(f"witness: {name} {face_label(catalog, faces[0])}", file=sys.stderr)
-    return code
+    return _verdict(catalog, len(cx.facets), checks, witnesses, fmt)
 
 
 def _verify_rank2_infinite(catalog, t_max: int, fmt: str) -> int:
@@ -194,7 +195,14 @@ def _verify_rank2_infinite(catalog, t_max: int, fmt: str) -> int:
         "total-order": order.ok,
         "rank2-descent": inequality.ok,
     }
-    return _verdict(len(cx.facets), checks, fmt)
+    # the first member that fails the descent inequality, as a one-member face
+    witnesses = {
+        "window-facets": [window.facet_witness],
+        "interior-ridges": [window.vertex_witness],
+        "rank2-descent": [1 << (algebra.n + catalog.by_dimv[dimv].id)
+                          for dimv, _, _ in inequality.failures[:1]],
+    }
+    return _verdict(catalog, len(cx.facets), checks, witnesses, fmt)
 
 
 def _cmd_verify(args) -> int:
@@ -247,7 +255,7 @@ def _cmd_total_order(args) -> int:
                                     t_max=args.t_max, weights=weights)
     except NotRepresentationInfinite as exc:
         raise UnsupportedAlgebra(str(exc)) from exc
-    except (SymmetrizabilityViolation, ValueError) as exc:
+    except (NotSymmetrizable, ValueError) as exc:
         raise ParseError(f"invalid parameters: {exc}") from exc
     if report.ok:
         print(f"ok checked={report.checked}")

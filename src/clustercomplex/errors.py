@@ -10,7 +10,8 @@ class InvalidAlgebra(ClusterComplexError, ValueError):
 
 
 class NotSymmetrizable(ClusterComplexError):
-    """diag(u) * C is not symmetric for the given symmetrizer."""
+    """diag(u) * C is not symmetric for the given symmetrizer: some
+    u_i * c_ij != u_j * c_ji (in rank 2, r * u != s * v)."""
 
 
 class CyclicOrientation(ClusterComplexError):
@@ -69,10 +70,6 @@ class NoCompletion(ClusterComplexError):
     """No tilting completion satisfies the defining property."""
 
 
-class MatchingFailed(ClusterComplexError):
-    """No perfect matching between complement summands and dropped vertices."""
-
-
 class NotProperFace(ClusterComplexError):
     """The given face is not a proper face of the complex."""
 
@@ -83,10 +80,6 @@ class ZeroModule(ClusterComplexError):
 
 class NotRepresentationInfinite(ClusterComplexError):
     """Operation requires r*s >= 4."""
-
-
-class SymmetrizabilityViolation(ClusterComplexError):
-    """The rank-2 parameters do not satisfy r*u = s*v."""
 
 
 class Disconnected(ClusterComplexError):

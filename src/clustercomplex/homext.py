@@ -46,13 +46,12 @@ call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import repeat
 from operator import add, ge, gt, mul
 from typing import Iterable, Iterator, Sequence
 
-from . import linalg
 from .algebra import DimVector, euler_form, unit_vector
-from .errors import MixedCatalogs, NotFiniteType, OracleViolation, UnknownId
+from .errors import MixedCatalogs, OracleViolation, UnknownId
 from .roots import (
     FINITE,
     PREINJ,
@@ -63,7 +62,6 @@ from .roots import (
     simple_reflection,
 )
 
-MULTIPLICITY_BOUND = 2
 # bytes of 0/1 flags -> ASCII digits, for int(..., 2)
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -338,50 +336,3 @@ def iter_rigid_sets(catalog: RootCatalog) -> Iterator[tuple[int, int]]:
     The catalog's kernel is built on the first item if it does not exist yet.
     """
     yield from catalog.kernel.cliques()
-
-
-@dataclass
-class UniquenessReport:
-    """Result of the dimension-vector uniqueness sweep."""
-
-    ok: bool
-    checked: int
-    collisions: list[tuple]
-
-
-def rigid_dimv_unique(catalog: RootCatalog) -> UniquenessReport:
-    """No two distinct rigid multiplicity combinations share a total dimension vector.
-
-    Every rigid id set is expanded with all multiplicities in
-    1..MULTIPLICITY_BOUND per member; the total dimension vectors must be
-    pairwise distinct.
-    """
-    if catalog.kind != FINITE:
-        raise NotFiniteType("uniqueness sweep requires a finite catalog")
-    n = catalog.algebra.n
-    totals: dict[tuple, tuple] = {}
-    collisions = []
-    checked = 0
-    for members, _ in iter_rigid_sets(catalog):
-        if not members:
-            continue
-        ids = ids_of(members)
-        for mults in product(range(1, MULTIPLICITY_BOUND + 1), repeat=len(ids)):
-            total = tuple(sum(m * catalog.entries[i].dimv[k] for m, i in zip(mults, ids))
-                          for k in range(n))
-            key = tuple(zip(ids, mults))
-            if total in totals and totals[total] != key:
-                collisions.append((totals[total], key, total))
-            else:
-                totals[total] = key
-            checked += 1
-    return UniquenessReport(ok=not collisions, checked=checked, collisions=collisions)
-
-
-def independent_dimvs(catalog: RootCatalog, ids: Sequence[int]) -> bool:
-    """Exact rank check: the members' dimension vectors are linearly independent."""
-    members = validate_ids(catalog, ids)
-    if not members:
-        return True
-    vectors = [catalog.entries[i].dimv for i in members]
-    return linalg.rank(vectors) == len(vectors)

@@ -2,10 +2,10 @@
 
 One elimination serves every question: a fraction-free Gauss-Jordan
 elimination in integers (E. H. Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 22, 1968).  Rank,
-solutions and Sylvester's criterion are all read off its pivots and reduced
-rows.  `Fraction` appears only in the coefficients a solve returns, and no
-floating point is used anywhere.
+integer-preserving Gaussian elimination", Math. Comp. 22, 1968).
+Solutions and Sylvester's criterion are both read off its pivots and
+reduced rows.  `Fraction` appears only in the coefficients a solve
+returns, and no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -45,11 +45,6 @@ def _eliminate(matrix: Sequence[Sequence[int]],
         pivots.append((found, col, pivot))
         prev = pivot
     return rows, pivots
-
-
-def rank(vectors: Sequence[Sequence[int]]) -> int:
-    """Rank of the span of the given vectors over the rationals: the number of pivots."""
-    return len(_eliminate(vectors, len(vectors[0]) if vectors else 0)[1])
 
 
 def solve_columns(columns: Sequence[Sequence[int]], target: Sequence[int]) -> list[Fraction] | None:

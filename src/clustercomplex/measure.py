@@ -47,8 +47,8 @@ from .errors import (
     Disconnected,
     NotRankTwo,
     NotRepresentationInfinite,
+    NotSymmetrizable,
     OracleViolation,
-    SymmetrizabilityViolation,
     ZeroModule,
 )
 from .homext import ids_of
@@ -217,7 +217,7 @@ def verify_total_order(r: int, s: int, u: int, v: int, t_max: int = 30,
     if r < 0 or s < 0 or u < 1 or v < 1:
         raise ValueError("need r, s >= 0 and u, v >= 1")
     if r * u != s * v:
-        raise SymmetrizabilityViolation(f"r*u = {r * u} != {s * v} = s*v")
+        raise NotSymmetrizable(f"r*u = {r * u} != {s * v} = s*v")
     if r * s < 4:
         raise NotRepresentationInfinite(f"r*s = {r * s} < 4")
     weight_list = [(u, v)] if weights is None else [tuple(w) for w in weights]

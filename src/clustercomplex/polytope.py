@@ -338,11 +338,19 @@ def coface_profile(cx: ClusterComplex, face: Face) -> CofaceProfile:
 
 @dataclass
 class WindowReport:
-    """The line shape of a rank-2 window's complex, one verdict per check."""
+    """The line shape of a rank-2 window's complex, one verdict per check.
+
+    The witnesses, each None when its check holds, are the first facet by
+    size and then vertex tuple that is found but not expected or expected
+    but not found, and the first vertex, as a one-vertex face, in the wrong
+    number of facets.
+    """
 
     facets_expected: bool
     interior_ridges_ok: bool
     path_ok: bool
+    facet_witness: Face | None
+    vertex_witness: Face | None
 
     @property
     def ok(self) -> bool:
@@ -375,9 +383,11 @@ def rank2_window_complex(cx: ClusterComplex) -> WindowReport:
     preproj = [e.id for e in catalog.entries if e.component == PREPROJ]
     preinj = [e.id for e in catalog.entries if e.component == PREINJ]
     boundary = {n + preproj[-1], n + preinj[0]}
-    vertices = set(range(n)) | {n + e.id for e in catalog.entries}
-    interior_ridges_ok = all(cx.up.get(1 << v, 0).bit_count() == (1 if v in boundary else 2)
-                             for v in vertices)
-    return WindowReport(facets_expected=set(cx.facets) == expected,
-                        interior_ridges_ok=interior_ridges_ok,
-                        path_ok=is_path(exchange_graph(cx)))
+    bad = next((v for v in range(n + len(catalog))
+                if cx.up.get(1 << v, 0).bit_count() != (1 if v in boundary else 2)), None)
+    wrong = set(cx.facets) ^ expected
+    return WindowReport(facets_expected=not wrong,
+                        interior_ridges_ok=bad is None,
+                        path_ok=is_path(exchange_graph(cx)),
+                        facet_witness=min(wrong, key=_face_key) if wrong else None,
+                        vertex_witness=None if bad is None else 1 << bad)

@@ -109,16 +109,6 @@ class RootCatalog:
                      for c in sorted(set(u)))
 
     @functools.cached_property
-    def projectives(self) -> tuple[DimVector, ...]:
-        """The projective dimension vector P(v) of each vertex v."""
-        return tuple(projective_dimv(self.algebra, v) for v in range(self.algebra.n))
-
-    @functools.cached_property
-    def injectives(self) -> tuple[DimVector, ...]:
-        """The injective dimension vector I(v) of each vertex v."""
-        return tuple(injective_dimv(self.algebra, v) for v in range(self.algebra.n))
-
-    @functools.cached_property
     def kernel(self):
         """Ext-compatibility bitmasks (`homext.ExtKernel`), built on first use."""
         from .homext import build_kernel
@@ -156,11 +146,6 @@ def simple_reflection(algebra: AlgebraData, i: int, x: Sequence[int]) -> DimVect
     """Reflect x in the i-th coordinate: only x_i changes, by sum_j c_ij x_j."""
     shift = sum(algebra.cartan[i][j] * x[j] for j in range(algebra.n))
     return tuple(c - shift if k == i else c for k, c in enumerate(x))
-
-
-def symmetrized_form(algebra: AlgebraData, x: Sequence[int], y: Sequence[int]) -> int:
-    """<x, y> + <y, x>; invariant under every simple reflection."""
-    return euler_form(algebra, x, y) + euler_form(algebra, y, x)
 
 
 def classify_type(algebra: AlgebraData) -> str:
@@ -285,21 +270,15 @@ def _shift_orbits(algebra: AlgebraData, t_max: int, kind: str) -> RootCatalog:
                                   f"expected u[{vertex}] = {algebra.symmetrizer[vertex]}")
         return Indec(id=idx, dimv=dimv, q=q, component=comp, t=pos // 2, vertex=vertex)
 
-    entries: list[Indec] = []
-    for pos, dimv in enumerate(prep):
-        entries.append(make(len(entries), dimv, PREPROJ, pos, snk, src))
-    if kind == FINITE:
-        known = {e.dimv for e in entries}
-        for pos in range(len(prei) - 1, -1, -1):
-            if prei[pos] not in known:
-                entries.append(make(len(entries), prei[pos], PREINJ, pos, src, snk))
-        return RootCatalog(kind=FINITE, algebra=algebra, entries=tuple(entries))
-    forward = {e.dimv for e in entries}
+    entries = [make(pos, dimv, PREPROJ, pos, snk, src) for pos, dimv in enumerate(prep)]
+    forward = set(prep)
     for pos in range(len(prei) - 1, -1, -1):
         if prei[pos] in forward:
+            if kind == FINITE:
+                continue
             raise OracleViolation(f"families intersect at {prei[pos]} although rs >= 4")
         entries.append(make(len(entries), prei[pos], PREINJ, pos, src, snk))
-    return RootCatalog(kind=RANK2_INFINITE, algebra=algebra, entries=tuple(entries))
+    return RootCatalog(kind=kind, algebra=algebra, entries=tuple(entries))
 
 
 def catalog_for(algebra: AlgebraData, t_max: int = 10) -> RootCatalog:

@@ -14,29 +14,15 @@ directly (K. Bongartz, "Tilted algebras", LNM 903, 1981): it is the set G of
 members B outside T, compatible with T, with ext(B, M) = 0 for every
 in-window M that is ext-orthogonal to T.  The mirror test (swap the pairing
 order) gives the dual completion.  That G completes T is checked, not
-assumed: |T| + |G| must equal |W|.  The part B2 of the full completion
-outside T's support pairs each vertex v in sigma, the vertices T leaves
-unsupported, with one member exceeding the projective P(v) by a non-negative
-combination of T (the dual part C2 likewise with the injectives).  T has no
-support on sigma and the sigma x sigma block of the projectives is
-unitriangular in a topological order, so only the v whose P(v) agrees with
-a member on sigma can take it: the pairing is read off sigma, not searched for.
+assumed: |T| + |G| must equal |W|.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from . import linalg
-from .errors import (
-    MatchingFailed,
-    NoCompletion,
-    NotAlmostComplete,
-    NotFiniteType,
-    OracleViolation,
-)
-from .homext import ids_of, is_rigid, iter_rigid_sets, mask_of, support, validate_ids
+from .errors import NoCompletion, NotAlmostComplete, NotFiniteType
+from .homext import ids_of, is_rigid, iter_rigid_sets, mask_of, validate_ids
 from .roots import FINITE, RootCatalog
 
 
@@ -201,79 +187,3 @@ def dual_bongartz(catalog: RootCatalog, t_ids: Iterable[int],
                   within: Iterable[int] | None = None) -> frozenset[int]:
     """Mirror of `bongartz` with the pairing order swapped."""
     return _canonical_complement(catalog, t_ids, within, dual=True)
-
-
-def _split(catalog: RootCatalog, t_ids: Iterable[int], dual: bool) -> tuple[frozenset[int], frozenset[int]]:
-    members = validate_ids(catalog, t_ids)
-    full = _canonical_complement(catalog, members, None, dual)
-    part = _canonical_complement(catalog, members, support(catalog, members)[0], dual)
-    if not part <= full:
-        raise OracleViolation(f"relative {'dual ' if dual else ''}completion {sorted(part)} "
-                              f"not inside full {sorted(full)}")
-    return part, full - part
-
-
-def bongartz_split(catalog: RootCatalog, t_ids: Iterable[int]) -> tuple[frozenset[int], frozenset[int]]:
-    """(B1, B2): the in-support part and the rest of the full completion.
-
-    B1 is always contained in the full completion; violation signals an
-    oracle bug.
-    """
-    return _split(catalog, t_ids, dual=False)
-
-
-def dual_bongartz_split(catalog: RootCatalog, t_ids: Iterable[int]) -> tuple[frozenset[int], frozenset[int]]:
-    return _split(catalog, t_ids, dual=True)
-
-
-@dataclass
-class SplitReport:
-    """Structure of the out-of-support completion parts B2 and C2."""
-
-    ok: bool
-    sigma: tuple[int, ...]
-    b2_matching: dict[int, int]
-    c2_matching: dict[int, int]
-
-
-def _match(catalog: RootCatalog, part: Sequence[int], sigma: Sequence[int],
-           bases, t_dimvs) -> dict[int, int]:
-    """The matching vertex -> member with dimv(member) - bases[vertex] in the T-cone.
-
-    T has no support on sigma, so member b can only go to the vertex v whose
-    base (projective or injective) agrees with b on sigma; their sigma x sigma
-    block is unitriangular in a topological order, so that v is unique.  One
-    cone solve per member checks the forced pair.
-    """
-    vertex_of = {tuple(bases[v][w] for w in sigma): v for v in sigma}
-    matching: dict[int, int] = {}
-    for b in part:
-        dimv = catalog.entries[b].dimv
-        v = vertex_of.get(tuple(dimv[w] for w in sigma))
-        if v is None or v in matching or linalg.nonneg_int_combination(
-                t_dimvs, tuple(x - y for x, y in zip(dimv, bases[v]))) is None:
-            raise MatchingFailed(f"no perfect matching for vertices {list(sigma)}")
-        matching[v] = b
-    return matching
-
-
-def verify_b2_structure(catalog: RootCatalog, t_ids: Iterable[int]) -> SplitReport:
-    """Check B2 and C2 against the dropped vertices of T.
-
-    Both out-of-support parts must biject with the unsupported vertices, each
-    member exceeding the matching projective (resp. injective) dimension
-    vector by a non-negative integer combination of T's dimension vectors.
-    """
-    if catalog.kind != FINITE:
-        raise NotFiniteType("split verification requires a finite catalog")
-    members = validate_ids(catalog, t_ids)
-    sigma = ids_of(_window(catalog, None) & ~catalog.kernel.support_of(members))
-    _, b2 = bongartz_split(catalog, members)
-    _, c2 = dual_bongartz_split(catalog, members)
-    if len(b2) != len(sigma) or len(c2) != len(sigma):
-        raise MatchingFailed(
-            f"|B2| = {len(b2)}, |C2| = {len(c2)}, expected {len(sigma)}")
-    t_dimvs = [catalog.entries[i].dimv for i in members]
-    b_matching = _match(catalog, sorted(b2), sigma, catalog.projectives, t_dimvs)
-    c_matching = _match(catalog, sorted(c2), sigma, catalog.injectives, t_dimvs)
-    return SplitReport(ok=True, sigma=sigma, b2_matching=b_matching, c2_matching=c_matching)

@@ -12,9 +12,10 @@ findings are one comprehension each over the faces and their up masks, the
 descent step's member is the minimum by measure rank over the facet's ids,
 the lambda order compares tuples of `Fraction` measures, determinants are
 Leibniz expansions, rank and solves are a Gauss-Jordan elimination over
-`Fraction`s, and endomorphism multisets are compared sorted.  Rigid sets
-are grown one root at a time, which finds every one since rigidity is
-pairwise.  The package stores a face as the int bitmask of its vertices;
+`Fraction`s, endomorphism multisets are compared sorted, and rigid
+combinations with equal total dimension vectors are found by expanding
+every multiplicity.  Rigid sets are grown one root at a time, which finds
+every one since rigidity is pairwise.  The package stores a face as the int bitmask of its vertices;
 `vertex_sets` turns such faces into the frozensets these oracles read, and
 `downward_closure` gives the faces that a list of such facets spans, as the
 package built its faces before they came from the rigid-set walk.
@@ -205,6 +206,22 @@ def oracle_matchings(bases, t, part, sigma):
             for v in sigma for r in part}
     return [dict(zip(sigma, order)) for order in permutations(part)
             if all(fits[v, r] for v, r in zip(sigma, order))]
+
+
+def oracle_rigid_dimv_collisions(dimvs, rigid_sets, bound=2):
+    """Every rigid combination whose total dimension vector an earlier one
+    already has: each id set of `rigid_sets` is expanded with every
+    multiplicity 1..bound per member, in order.  A collision is (first key,
+    later key, total), a key being the ((id, multiplicity), ...) pairs."""
+    first, collisions = {}, []
+    for ids in rigid_sets:
+        for mults in product(range(1, bound + 1), repeat=len(ids)):
+            total = tuple(sum(m * dimvs[i][k] for m, i in zip(mults, ids))
+                          for k in range(len(dimvs[0])))
+            key = tuple(zip(ids, mults))
+            if first.setdefault(total, key) != key:
+                collisions.append((first[total], key, total))
+    return collisions
 
 
 def oracle_pure(faces, n):

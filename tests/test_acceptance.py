@@ -16,13 +16,11 @@ from clustercomplex import (
     enumerate_support_tilting,
     exchange_graph,
     fixture,
-    independent_dimvs,
     is_rigid,
     iter_rigid_sets,
     positive_roots,
     rank2_sequences,
     rank2_window_complex,
-    rigid_dimv_unique,
     verify_ap_axioms,
     verify_descent,
     verify_endos,
@@ -33,7 +31,7 @@ from clustercomplex import (
 from clustercomplex.cli import main
 from clustercomplex.homext import ids_of
 from clustercomplex.polytope import is_single_cycle
-from oracles import oracle_flags_connected, vertex_sets
+from oracles import oracle_flags_connected, oracle_rank, oracle_rigid_dimv_collisions, vertex_sets
 
 FINITE_NAMES = ("a1", "a1xa1", "a2", "a3", "b2", "b3", "c3", "d4", "g2")
 
@@ -168,13 +166,14 @@ def test_criterion_9_endo_multisets():
 
 
 def test_criterion_10_rigid_uniqueness_and_independence():
-    for name in ("a2", "a3", "g2"):
-        report = rigid_dimv_unique(positive_roots(fixture(name)))
-        assert report.ok, report.collisions
     for name in FINITE_NAMES:
         cat = positive_roots(fixture(name))
-        for members, _ in iter_rigid_sets(cat):
-            assert independent_dimvs(cat, ids_of(members))
+        sets = [ids_of(members) for members, _ in iter_rigid_sets(cat)]
+        if name in ("a2", "a3", "g2"):
+            collisions = oracle_rigid_dimv_collisions(cat.dimvs(), sets)
+            assert collisions == [], collisions
+        for ids in sets:
+            assert oracle_rank([cat.entries[i].dimv for i in ids]) == len(ids)
     print("criterion 10 (rigid dimv uniqueness and independence): PASS")
 
 

@@ -6,15 +6,12 @@ from clustercomplex import (
     algebra_from_dict,
     algebra_to_dict,
     build_algebra,
-    components,
     euler_form,
     fixture,
     fixture_names,
     injective_dimv,
-    is_connected,
     length,
     projective_dimv,
-    restrict,
 )
 from clustercomplex.errors import (
     ArrowWithoutEntry,
@@ -100,25 +97,6 @@ def test_length():
     assert length(g2, (0, 0)) == 0
     with pytest.raises(NegativeCoordinate):
         length(g2, (-1, 0))
-
-
-def test_restrict():
-    g2 = fixture("g2")
-    r = restrict(g2, {1})
-    assert r.n == 1 and r.symmetrizer == (3,)
-    same = restrict(g2, set())
-    assert same == g2
-
-    a3 = fixture("a3")
-    mid = restrict(a3, {1})
-    assert mid.n == 2 and len(components(mid)) == 2
-    assert not is_connected(mid)
-
-
-def test_restrict_composes():
-    d4 = fixture("d4")
-    assert restrict(restrict(d4, {0}), {1}) == restrict(d4, {0, 2})
-    # vertex 2 of the first restriction is original vertex 2 shifted down once
 
 
 def test_projective_injective_g2():

@@ -2,16 +2,26 @@
 taken from sibling modules, no imported name left unused outside
 `__init__`, no function-level import besides the catalog's four lazy ones,
 no floating point, no public top-level name that nothing uses, no error
-class that nothing raises, and the `cli`, `measure` and `tilting` names
-that the benchmark's tracer patches still there."""
+class that nothing raises, the `cli`, `measure` and `tilting` names that
+the benchmark's tracer patches still there, and no public function that
+neither the CLI nor the benchmark's completion queries reach."""
 
 import ast
+import contextlib
 import importlib
+import inspect
+import io
+import json
 import runpy
 import sys
 from pathlib import Path
 
 import pytest
+
+from clustercomplex import algebra_to_dict, bongartz, catalog_for, complements, dual_bongartz, fixture
+from clustercomplex import fixture_names, hom_ext
+from clustercomplex.cli import main
+from test_golden import CASES, _run
 
 PACKAGE = "clustercomplex"
 ROOT = Path(__file__).resolve().parent.parent
@@ -171,3 +181,45 @@ def test_tracer_boundaries_name_cli_attributes():
         names = [name for path, name, _, _ in boundaries if path == f"{PACKAGE}.{module}"]
         assert names, module
         assert [name for name in names if not hasattr(namespace, name)] == [], module
+
+
+def test_public_functions_are_reached(tmp_path):
+    # every public module-level function of `src/` is reached by the CLI or
+    # by the library calls that `completion-queries` makes, except the four
+    # that tests and the README quick start use as helpers
+    path = tmp_path / "b2.json"
+    path.write_text(json.dumps(algebra_to_dict(fixture("b2"))), encoding="utf-8")
+    called = set()
+
+    def profile(frame, event, _):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for case in CASES:
+                _run(case)
+            for name in fixture_names():
+                main(["roots", "--fixture", name])
+                main(["table", "--fixture", name])
+            main(["verify", "--input", str(path)])
+            main(["total-order", "--r", "2", "--s", "2", "--u", "1", "--v", "1"])
+            main(["fixture", "a3"])
+        catalog = catalog_for(fixture("a3"))
+        x, y = catalog.entries[:2]
+        facet = sorted({x.id} | bongartz(catalog, (x.id,)))
+        dual_bongartz(catalog, (x.id,))
+        complements(catalog, facet[1:])
+        hom_ext(catalog, x, y)
+    finally:
+        sys.setprofile(None)
+    unreached = []
+    for path in SOURCES:
+        if path.stem == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"{PACKAGE}.{path.stem}")
+        unreached += [name for name, value in vars(module).items()
+                      if inspect.isfunction(value) and value.__module__ == module.__name__
+                      and not name.startswith("_") and value.__code__ not in called]
+    assert sorted(unreached) == ["coface_profile", "is_single_cycle", "positive_roots", "support"]

@@ -16,13 +16,7 @@ from clustercomplex import (
     linalg,
 )
 
-from oracles import oracle_positive_definite, oracle_rank, oracle_solve_columns
-
-
-def test_rank():
-    assert linalg.rank([(1, 0), (0, 1)]) == 2
-    assert linalg.rank([(1, 2), (2, 4)]) == 1
-    assert linalg.rank([(1, 1, 0), (0, 1, 1), (1, 0, -1)]) == 2
+from oracles import oracle_positive_definite, oracle_solve_columns
 
 
 def test_solve_columns():
@@ -58,12 +52,6 @@ def integer_matrices(draw):
         a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
         rows[2] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
     return rows
-
-
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
-@given(integer_matrices())
-def test_rank_agrees_with_the_fraction_elimination(matrix):
-    assert linalg.rank(matrix) == oracle_rank(matrix)
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)

@@ -34,7 +34,7 @@ from clustercomplex.errors import (
     Disconnected,
     NotRankTwo,
     NotRepresentationInfinite,
-    SymmetrizabilityViolation,
+    NotSymmetrizable,
     ZeroModule,
 )
 
@@ -291,7 +291,7 @@ def test_total_order_examples():
     assert rep.ok
     with pytest.raises(NotRepresentationInfinite):
         verify_total_order(1, 3, 3, 1)
-    with pytest.raises(SymmetrizabilityViolation):
+    with pytest.raises(NotSymmetrizable, match=r"r\*u = 2 != 4 = s\*v"):
         verify_total_order(2, 2, 1, 2)
     with pytest.raises(ValueError):
         verify_total_order(2, 2, 1, 1, weights=[(0, 1)])
@@ -353,12 +353,15 @@ def test_rank2_inequality_infinite():
 @pytest.mark.parametrize("name", ["kronecker", "valued15"])
 def test_a_constant_measure_fails_rank2_descent(monkeypatch, capsys, name):
     # with every member of equal measure no neighbour is strictly smaller;
-    # plain lengths would not do, since on kronecker they are the measure
+    # plain lengths would not do, since on kronecker they are the measure.
+    # The witness is the first sincere member, the second of the forward family
     monkeypatch.setattr(RootCatalog, "mu_squares",
                         property(lambda catalog: (Fraction(1),) * len(catalog)))
     assert main(["verify", "--fixture", name]) == 1
-    out = capsys.readouterr().out
-    assert "rank2-descent ✗" in out and out.count("✗") == 1
+    captured = capsys.readouterr()
+    assert "rank2-descent ✗" in captured.out and captured.out.count("✗") == 1
+    member = {"kronecker": "(1,2)", "valued15": "(1,5)"}[name]
+    assert captured.err == f"witness: rank2-descent {member}|\n"
 
 
 def test_rank2_inequality_gates():

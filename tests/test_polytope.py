@@ -498,6 +498,7 @@ def test_window_complex_kronecker():
     assert window.facets_expected
     assert window.interior_ridges_ok
     assert window.path_ok
+    assert window.facet_witness is None and window.vertex_witness is None
     assert len(cx.facets) == 21  # 9 + 9 neighbour pairs and 3 coordinate facets
     sincere = [ids for ids, sigma in (decode_face(2, f) for f in cx.facets) if not sigma]
     assert all(len(ids) == 2 and is_rigid(cat, ids) for ids in sincere)
@@ -531,10 +532,16 @@ def test_window_checks_fail_on_dropped_facet(monkeypatch, capsys):
     assert not window.facets_expected
     assert not window.interior_ridges_ok
     assert not window.path_ok
+    # the dropped pair is the only wrong facet, and its lower member the
+    # first vertex in one facet instead of two; `path` names no witness
+    assert window.facet_witness == victim and window.vertex_witness == victim & -victim
 
     monkeypatch.setattr(cli, "build_complex", lambda catalog: ClusterComplex(
         catalog=catalog, faces=build_complex(catalog).faces - {victim}))
     assert main(["verify", "--fixture", "kronecker", "--t-max", "4"]) == 1
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
+    out = captured.out
     assert "window-facets ✗" in out and "interior-ridges ✗" in out and "path ✗" in out
     assert "total-order ✓" in out and "rank2-descent ✓" in out
+    assert captured.err.splitlines() == ["witness: window-facets (4,5),(5,6)|",
+                                         "witness: interior-ridges (4,5)|"]

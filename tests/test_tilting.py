@@ -10,13 +10,11 @@ from clustercomplex import (
     FINITE_FIXTURES,
     as_facet,
     bongartz,
-    bongartz_split,
     build_algebra,
     catalog_for,
     complements,
     decode_face,
     dual_bongartz,
-    dual_bongartz_split,
     enumerate_support_tilting,
     fixture,
     is_rigid,
@@ -24,10 +22,9 @@ from clustercomplex import (
     positive_roots,
     rank2_sequences,
     support,
-    verify_b2_structure,
 )
 from clustercomplex import tilting
-from clustercomplex.errors import MatchingFailed, NoCompletion, NotAlmostComplete, NotFiniteType
+from clustercomplex.errors import NoCompletion, NotAlmostComplete, NotFiniteType
 from clustercomplex.fixtures import RANK2_INFINITE_FIXTURES
 from clustercomplex.homext import ExtKernel, ids_of, mask_of
 from clustercomplex.roots import RootCatalog
@@ -46,6 +43,25 @@ from oracles import (
 
 def dimvs_of(cat, ids):
     return sorted(cat.entries[i].dimv for i in ids)
+
+
+def split(cat, ids, dual=False):
+    """(in-support part, rest) of T's full completion: B1 and B2, or with
+    dual C1 and C2.  The in-support part is the completion inside T's
+    support, and it lies inside the full one."""
+    complete = dual_bongartz if dual else bongartz
+    part, full = complete(cat, ids, within=support(cat, ids)[0]), complete(cat, ids)
+    assert part <= full, (ids, dual)
+    return part, full - part
+
+
+def matchings(cat, ids, bases, dual=False):
+    """Every pairing of the vertices T leaves unsupported with B2 (with
+    dual, C2) that `oracle_matchings` accepts, as vertex -> dimension
+    vector; `bases` are the projectives (with dual, the injectives)."""
+    part = [cat.entries[i].dimv for i in sorted(split(cat, ids, dual)[1])]
+    sigma = sorted(support(cat, ids)[1])
+    return oracle_matchings(bases, [cat.entries[i].dimv for i in ids], part, sigma)
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
@@ -129,12 +145,6 @@ def test_completions_reject_a_window_catalog():
             complete(cat, ())
 
 
-def test_split_verification_rejects_a_window_catalog():
-    cat = rank2_sequences(fixture("kronecker"), 3)
-    with pytest.raises(NotFiniteType, match="split verification requires a finite catalog"):
-        verify_b2_structure(cat, ())
-
-
 def test_completions_reject_a_non_rigid_set():
     # adjacent simples of A3 have ext in one direction
     cat = positive_roots(fixture("a3"))
@@ -211,20 +221,20 @@ def test_relative_bongartz_g2():
     cat = positive_roots(fixture("g2"))
     p2 = cat.by_dimv[(0, 1)].id
     assert bongartz(cat, (p2,), within=support(cat, (p2,))[0]) == frozenset()
-    b1, b2 = bongartz_split(cat, (p2,))
+    b1, b2 = split(cat, (p2,))
     assert b1 == frozenset() and dimvs_of(cat, b2) == [(1, 3)]
     d = cat.by_dimv[(1, 2)].id
-    b1, b2 = bongartz_split(cat, (d,))
+    b1, b2 = split(cat, (d,))
     assert dimvs_of(cat, b1) == [(1, 3)] and b2 == frozenset()
 
 
 def test_relative_bongartz_a3():
     cat = positive_roots(fixture("a3"))
     e2 = cat.by_dimv[(0, 1, 0)].id
-    b1, b2 = bongartz_split(cat, (e2,))
+    b1, b2 = split(cat, (e2,))
     assert b1 == frozenset()
     assert dimvs_of(cat, b2) == [(0, 1, 1), (1, 1, 1)]
-    c1, c2 = dual_bongartz_split(cat, (e2,))
+    c1, c2 = split(cat, (e2,), dual=True)
     assert c1 == frozenset() and len(c2) == 2
 
 
@@ -232,10 +242,10 @@ def test_relative_dual_bongartz_g2():
     cat = positive_roots(fixture("g2"))
     s1 = cat.by_dimv[(1, 0)].id
     assert dual_bongartz(cat, (s1,), within=support(cat, (s1,))[0]) == frozenset()
-    c1, c2 = dual_bongartz_split(cat, (s1,))
+    c1, c2 = split(cat, (s1,), dual=True)
     assert c1 == frozenset() and dimvs_of(cat, c2) == [(1, 1)]
     d = cat.by_dimv[(1, 2)].id
-    c1, c2 = dual_bongartz_split(cat, (d,))
+    c1, c2 = split(cat, (d,), dual=True)
     assert dimvs_of(cat, c1) == [(2, 3)] and c2 == frozenset()
 
 
@@ -243,13 +253,11 @@ def test_relative_dual_bongartz_a3():
     cat = positive_roots(fixture("a3"))
     e2 = cat.by_dimv[(0, 1, 0)].id
     assert dual_bongartz(cat, (e2,), within=support(cat, (e2,))[0]) == frozenset()
-    c1, c2 = dual_bongartz_split(cat, (e2,))
+    c1, c2 = split(cat, (e2,), dual=True)
     assert c1 == frozenset() and dimvs_of(cat, c2) == [(1, 1, 0), (1, 1, 1)]
     t = cat.by_dimv[(1, 1, 0)].id
-    c1, c2 = dual_bongartz_split(cat, (t,))
+    c1, c2 = split(cat, (t,), dual=True)
     assert dimvs_of(cat, c1) == [(1, 0, 0)] and dimvs_of(cat, c2) == [(1, 1, 1)]
-    # ids given as an iterator are read once, for both parts
-    assert dual_bongartz_split(cat, iter([t])) == (c1, c2)
 
 
 @pytest.mark.parametrize("name", FINITE_FIXTURES)
@@ -262,19 +270,23 @@ def test_relative_completions_lie_inside_the_full_ones(name):
 
 
 def test_verify_b2_structure_examples():
+    # B2 and C2 pair with the vertices T leaves unsupported, one way each
+    def both(cat, dimvs):
+        ids = [cat.by_dimv[d].id for d in dimvs]
+        return [matchings(cat, ids, oracle_bases(cat.algebra.euler, cat.dimvs(), dual), dual)
+                for dual in (False, True)]
+
     g2 = positive_roots(fixture("g2"))
-    rep = verify_b2_structure(g2, (g2.by_dimv[(0, 1)].id,))
-    assert rep.ok and rep.sigma == (0,)
+    assert both(g2, [(0, 1)]) == [[{0: (1, 3)}], [{0: (1, 3)}]]
 
     a2 = positive_roots(fixture("a2"))
-    rep = verify_b2_structure(a2, (a2.by_dimv[(0, 1)].id,))
-    assert rep.ok and a2.entries[rep.b2_matching[0]].dimv == (1, 1)
-    rep = verify_b2_structure(a2, ())
-    assert rep.ok and set(rep.b2_matching) == {0, 1}
+    assert both(a2, [(0, 1)]) == [[{0: (1, 1)}], [{0: (1, 1)}]]
+    # with T empty, B2 and C2 are the projectives and the injectives
+    assert both(a2, []) == [[{0: (1, 1), 1: (0, 1)}], [{0: (1, 0), 1: (1, 1)}]]
 
     a3 = positive_roots(fixture("a3"))
-    rep = verify_b2_structure(a3, (a3.by_dimv[(0, 1, 0)].id,))
-    assert rep.ok and rep.sigma == (0, 2)
+    assert both(a3, [(0, 1, 0)]) == [[{0: (1, 1, 1), 2: (0, 1, 1)}],
+                                     [{0: (1, 1, 0), 2: (1, 1, 1)}]]
 
 
 def _drawn_chain(n, doubled, symmetrizer, seed):
@@ -333,36 +345,18 @@ def test_faces_rebuild_no_member_or_support_mask(monkeypatch):
 
 
 def test_verify_b2_structure_all_rigid_sets():
-    # the matchings read off sigma against every bijection tried in turn, on
-    # every rigid set of every finite fixture and two drawn orientations; the
-    # oracle finds exactly one
+    # B2 is the full completion minus the one inside T's support, C2 the
+    # dual one; on every rigid set of every finite fixture and two drawn
+    # orientations, trying every bijection finds exactly one matching of
+    # each with the vertices T leaves unsupported
     algebras = [fixture(name) for name in FINITE_FIXTURES] + [draw() for draw in DRAWN.values()]
     for alg in algebras:
         cat = positive_roots(alg)
         bases = {dual: oracle_bases(alg.euler, cat.dimvs(), dual) for dual in (False, True)}
         for members, _ in iter_rigid_sets(cat):
             ids = ids_of(members)
-            rep = verify_b2_structure(cat, ids)
-            _, sigma = support(cat, ids)
-            assert rep.ok and rep.sigma == tuple(sorted(sigma))
-            t = [cat.entries[i].dimv for i in ids]
-            for dual, split, got in ((False, bongartz_split, rep.b2_matching),
-                                     (True, dual_bongartz_split, rep.c2_matching)):
-                part = [cat.entries[i].dimv for i in sorted(split(cat, ids)[1])]
-                want = oracle_matchings(bases[dual], t, part, rep.sigma)
-                assert want == [{v: cat.entries[b].dimv for v, b in got.items()}], (ids, dual)
-
-
-@pytest.mark.parametrize("wrong", [(2, 2), (1, 2)])
-def test_wrong_projective_fails_the_matching(monkeypatch, wrong):
-    # B2 of the simple (0,1) is P(0) = (1,1); (2,2) disagrees with it on
-    # sigma = {0}, and (1,2) agrees there but leaves the cone of T
-    cat = positive_roots(fixture("a2"))
-    s2 = cat.by_dimv[(0, 1)].id
-    assert verify_b2_structure(cat, (s2,)).b2_matching == {0: cat.by_dimv[(1, 1)].id}
-    monkeypatch.setitem(vars(cat), "projectives", (wrong,) + cat.projectives[1:])
-    with pytest.raises(MatchingFailed, match=r"no perfect matching for vertices \[0\]"):
-        verify_b2_structure(cat, (s2,))
+            for dual in (False, True):
+                assert len(matchings(cat, ids, bases[dual], dual)) == 1, (ids, dual)
 
 
 def test_endo_length_shadow_of_b2():
@@ -372,7 +366,7 @@ def test_endo_length_shadow_of_b2():
         u = cat.algebra.symmetrizer
         for face in enumerate_support_tilting(cat):
             ids, sigma = decode_face(cat.algebra.n, face)
-            _, b2 = bongartz_split(cat, ids)
+            _, b2 = split(cat, ids)
             got = sorted(cat.entries[i].q for i in b2)
             want = sorted(u[v] for v in sigma)
             assert got == want
