@@ -32,7 +32,6 @@ from .measure import (
 from .polytope import (
     ClusterComplex,
     build_complex,
-    coface_profile,
     exchange_graph,
     face_label,
     rank2_window_complex,

@@ -58,12 +58,18 @@ def _mark(ok: bool) -> str:
     return CHECK if ok else CROSS
 
 
+def _fixture(name: str) -> AlgebraData:
+    """The bundled fixture; an unknown name raises ParseError with the
+    lookup's message as written (`str` of a KeyError would quote it)."""
+    try:
+        return fixture(name)
+    except KeyError as exc:
+        raise ParseError(exc.args[0]) from exc
+
+
 def _load(args: argparse.Namespace) -> AlgebraData:
     if args.fixture:
-        try:
-            return fixture(args.fixture)
-        except KeyError as exc:
-            raise ParseError(str(exc)) from exc
+        return _fixture(args.fixture)
     try:
         return load_algebra(args.input)
     except ParseError:
@@ -339,11 +345,7 @@ def _cmd_fixture(args) -> int:
         for name in fixture_names():
             print(name)
         return EXIT_OK
-    try:
-        algebra = fixture(args.name)
-    except KeyError as exc:
-        raise ParseError(str(exc)) from exc
-    print(json.dumps(algebra_to_dict(algebra)))
+    print(json.dumps(algebra_to_dict(_fixture(args.name))))
     return EXIT_OK
 
 

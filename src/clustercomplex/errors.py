@@ -70,10 +70,6 @@ class NoCompletion(ClusterComplexError):
     """No tilting completion satisfies the defining property."""
 
 
-class NotProperFace(ClusterComplexError):
-    """The given face is not a proper face of the complex."""
-
-
 class ZeroModule(ClusterComplexError):
     """The zero facet admits no descent step."""
 

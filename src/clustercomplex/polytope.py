@@ -66,14 +66,12 @@ from itertools import islice
 from typing import Mapping
 
 from .algebra import format_dimv
-from .errors import NotProperFace, NotRankTwoInfinite
+from .errors import NotRankTwoInfinite
 from .homext import ids_of, mask_of
 from .roots import PREINJ, PREPROJ, RANK2_INFINITE, RootCatalog
 from .tilting import decode_face, facets_among
 
 Face = int
-
-POLYGONS = {4: "square", 5: "pentagon", 6: "hexagon", 8: "octagon"}
 
 
 def _face_key(face: Face) -> tuple[int, tuple[int, ...]]:
@@ -233,25 +231,16 @@ def exchange_graph(cx: ClusterComplex) -> dict[int, tuple[int, ...]]:
     return {i: tuple(sorted(js)) for i, js in adj.items()}
 
 
-def _connected(adj: Mapping[int, tuple[int, ...]]) -> bool:
+def is_path(adj: dict[int, tuple[int, ...]]) -> bool:
+    """One node without edges, or two ends of degree 1, every other node of
+    degree 2, and one flood from the lowest node reaching them all."""
+    degrees = [len(ws) for ws in adj.values()]
+    if degrees == [0]:
+        return True
+    if degrees.count(1) != 2 or not all(d in (1, 2) for d in degrees):
+        return False
     masks = {1 << v: mask_of(ws) for v, ws in adj.items()}
     return not _unreached(masks, mask_of(adj))
-
-
-def is_single_cycle(adj: dict[int, tuple[int, ...]]) -> bool:
-    return (len(adj) >= 3
-            and all(len(ws) == 2 for ws in adj.values())
-            and _connected(adj))
-
-
-def is_path(adj: dict[int, tuple[int, ...]]) -> bool:
-    nodes = list(adj)
-    if len(nodes) == 1:
-        return adj[nodes[0]] == ()
-    degrees = sorted(len(adj[v]) for v in nodes)
-    return (degrees.count(1) == 2
-            and all(d in (1, 2) for d in degrees)
-            and _connected(adj))
 
 
 @dataclass
@@ -303,37 +292,6 @@ def verify_flag_connected(cx: ClusterComplex) -> FlagReport:
                       cofaces_connected=not split,
                       coface_witness=min(split, key=_face_key, default=None),
                       ridge_witness=thick[0] if thick else None)
-
-
-@dataclass
-class CofaceProfile:
-    rank: int
-    facet_count: int
-    polygon: str | None
-    ok: bool
-
-
-def coface_profile(cx: ClusterComplex, face: Face) -> CofaceProfile:
-    """Shape of the interval from `face` up to the top sentinel.
-
-    Its rank as a polytope is n - rank(face) - 1; for rank 2 the co-face must
-    be one of the four polygons.  Its facets are then the edges of the link
-    of `face`, so the facet cycle is verified as the link's cycle.
-    """
-    if face not in cx.faces:
-        if face >> (cx.n + len(cx.catalog)):
-            raise NotProperFace(f"vertex {face.bit_length() - 1} is outside the vertex pool")
-        raise NotProperFace(f"{face_label(cx.catalog, face)} is not a proper face")
-    rank = cx.n - face.bit_count()
-    count = sum(1 for f in cx.facets if f & face == face)
-    polygon = None
-    ok = True
-    if rank == 2:
-        polygon = POLYGONS.get(count)
-        link = cx.up[face]
-        cycle = {v: ids_of(cx.up[face | 1 << v] & link) for v in ids_of(link)}
-        ok = polygon is not None and is_single_cycle(cycle)
-    return CofaceProfile(rank=rank, facet_count=count, polygon=polygon, ok=ok)
 
 
 @dataclass

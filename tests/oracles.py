@@ -4,21 +4,23 @@ Nothing here calls into the package's enumeration or pairing machinery: ext
 lengths are recomputed from the raw Euler matrix, facets and canonical
 completions by exhaustive subset search, root lists are classical tables
 written out by hand, flag connectivity is the literal walk on every flag of
-every facet, the face-poset axioms enumerate every subset and every
-two-step interval of every face, the pairing of a completion's
-out-of-support part with the unsupported vertices tries every ordering,
-links are searched breadth-first on the face set, the face-poset scan's
+every facet, the face-poset axioms enumerate every subset and every two-step
+interval of every face, the pairing of a completion's out-of-support part
+with the unsupported vertices tries every ordering, links are searched
+breadth-first on the face set, a single cycle is a graph of degree two
+everywhere that one breadth-first search covers, the face-poset scan's
 findings are one comprehension each over the faces and their up masks, the
 descent step's member is the minimum by measure rank over the facet's ids,
 the lambda order compares tuples of `Fraction` measures, determinants are
 Leibniz expansions, rank and solves are a Gauss-Jordan elimination over
 `Fraction`s, endomorphism multisets are compared sorted, and rigid
-combinations with equal total dimension vectors are found by expanding
-every multiplicity.  Rigid sets are grown one root at a time, which finds
-every one since rigidity is pairwise.  The package stores a face as the int bitmask of its vertices;
-`vertex_sets` turns such faces into the frozensets these oracles read, and
-`downward_closure` gives the faces that a list of such facets spans, as the
-package built its faces before they came from the rigid-set walk.
+combinations with equal total dimension vectors are found by expanding every
+multiplicity.  Rigid sets are grown one root at a time, which finds every
+one since rigidity is pairwise.  The package stores a face as the int
+bitmask of its vertices; `vertex_sets` turns such faces into the frozensets
+these oracles read, and `downward_closure` gives the faces that a list of
+such facets spans, as the package built its faces before they came from the
+rigid-set walk.
 """
 
 from fractions import Fraction
@@ -147,6 +149,21 @@ def oracle_flags_connected(facets):
                 seen.add(w)
                 stack.append(w)
     return len(seen) == len(flags)
+
+
+def is_single_cycle(adj):
+    """At least three nodes, each with two neighbours, all reached by one
+    breadth-first search: the adjacency lists `adj` form one cycle."""
+    if len(adj) < 3 or any(len(ws) != 2 for ws in adj.values()):
+        return False
+    start = next(iter(adj))
+    seen, queue = {start}, [start]
+    for v in queue:
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == len(adj)
 
 
 def oracle_canonical_completions(euler, roots, t, window, dual=False):

@@ -30,8 +30,13 @@ from clustercomplex import (
 )
 from clustercomplex.cli import main
 from clustercomplex.homext import ids_of
-from clustercomplex.polytope import is_single_cycle
-from oracles import oracle_flags_connected, oracle_rank, oracle_rigid_dimv_collisions, vertex_sets
+from oracles import (
+    is_single_cycle,
+    oracle_flags_connected,
+    oracle_rank,
+    oracle_rigid_dimv_collisions,
+    vertex_sets,
+)
 
 FINITE_NAMES = ("a1", "a1xa1", "a2", "a3", "b2", "b3", "c3", "d4", "g2")
 

@@ -203,13 +203,18 @@ def test_unreadable_input_is_a_parse_error(capsys, tmp_path, content):
     assert err.startswith("error: cannot read algebra from ") and err.count("\n") == 1
 
 
+# the lookup's message as written: no quotes around it from the KeyError
+UNKNOWN_FIXTURE = ("error: unknown fixture 'nope'; choose from a1, a1xa1, a2, a3, affine_a2, "
+                   "b2, b3, c3, d4, g2, kronecker, valued15\n")
+
+
 def test_parse_error_exit(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     code, _, err = run(capsys, "verify", "--input", str(bad))
     assert code == 3 and "error" in err
-    code, _, _ = run(capsys, "verify", "--fixture", "nope")
-    assert code == 3
+    code, out, err = run(capsys, "verify", "--fixture", "nope")
+    assert (code, out, err) == (3, "", UNKNOWN_FIXTURE)
     invalid = tmp_path / "invalid.json"
     invalid.write_text(json.dumps({"cartan": [[2, -1], [-2, 2]],
                                    "symmetrizer": [1, 1], "arrows": [[1, 2]]}))
@@ -234,6 +239,16 @@ def test_bad_algebra_exits_3(capsys, tmp_path, change):
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("arrow", [[0, 1], [1, 5]])
+def test_arrow_outside_the_labels_is_named_as_written(capsys, tmp_path, arrow):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**A2, "arrows": [arrow]}))
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert (code, out) == (3, "")
+    assert err == (f"error: invalid algebra data: arrow [{arrow[0]}, {arrow[1]}] "
+                   "has an end outside the labels 1..2\n")
 
 
 # mostly plausible values, so that valid algebras of every kind come up too
@@ -380,8 +395,7 @@ def test_fixture_dump_and_roundtrip(capsys, tmp_path):
 
 def test_unknown_fixture_dump_exits_3(capsys):
     code, out, err = run(capsys, "fixture", "nope")
-    assert code == 3 and out == ""
-    assert err.startswith("error: ") and "unknown fixture 'nope'" in err and err.count("\n") == 1
+    assert (code, out, err) == (3, "", UNKNOWN_FIXTURE)
 
 
 def test_deterministic_output(capsys):

@@ -8,7 +8,6 @@ from clustercomplex import (
     FINITE_FIXTURES,
     build_algebra,
     build_complex,
-    coface_profile,
     as_facet,
     decode_face,
     enumerate_support_tilting,
@@ -25,7 +24,7 @@ from clustercomplex import (
 )
 from clustercomplex import cli, polytope
 from clustercomplex.cli import main
-from clustercomplex.errors import NotProperFace, NotRankTwoInfinite
+from clustercomplex.errors import NotRankTwoInfinite
 from clustercomplex.homext import ids_of, mask_of
 from clustercomplex.polytope import (
     ClusterComplex,
@@ -33,11 +32,11 @@ from clustercomplex.polytope import (
     _split_links,
     _unreached,
     is_path,
-    is_single_cycle,
 )
 from clustercomplex.roots import RootCatalog
 from oracles import (
     downward_closure,
+    is_single_cycle,
     oracle_bad_ridges,
     oracle_diamonds,
     oracle_flags_connected,
@@ -424,61 +423,6 @@ def test_strong_flag_fails_on_a_non_pure_complex():
     assert report.thin and report.cofaces_connected
     assert not report.pure and not report.ok
     assert not verify_ap_axioms(cx).ap2
-
-
-def test_coface_profiles_g2():
-    cat = positive_roots(fixture("g2"))
-    cx = build_complex(cat)
-    v = 1 << (cx.n + cat.by_dimv[(1, 2)].id)
-    prof = coface_profile(cx, v)
-    assert prof.rank == 1 and prof.facet_count == 2
-    empty = coface_profile(cx, 0)
-    assert empty.rank == 2 and empty.polygon == "octagon" and empty.ok
-    # three members are no face of a rank-2 complex; the error labels them
-    # as a `verify` witness would
-    three = sum(1 << (cx.n + cat.by_dimv[d].id) for d in ((0, 1), (1, 0), (1, 1)))
-    with pytest.raises(NotProperFace, match=r"^\(0,1\),\(1,0\),\(1,1\)\| is not a proper face$"):
-        coface_profile(cx, three)
-
-
-def test_coface_profiles_a3():
-    cat = positive_roots(fixture("a3"))
-    cx = build_complex(cat)
-    facet = cx.facets[0]
-    prof = coface_profile(cx, facet)
-    assert prof.rank == 0 and prof.facet_count == 1
-    sincere = 1 << (cx.n + cat.by_dimv[(1, 1, 1)].id)
-    assert coface_profile(cx, sincere).polygon == "pentagon"
-    with pytest.raises(NotProperFace, match="^vertex 999 is outside the vertex pool$"):
-        coface_profile(cx, 1 << 999)
-
-
-def test_coface_profile_high_rank():
-    cat = positive_roots(fixture("d4"))
-    cx = build_complex(cat)
-    sincere = 1 << (cx.n + cat.by_dimv[(1, 2, 1, 1)].id)
-    prof = coface_profile(cx, sincere)
-    assert prof.rank == 3 and prof.polygon is None and prof.ok
-    assert prof.facet_count > 2
-    whole = coface_profile(cx, 0)
-    assert whole.rank == 4 and whole.facet_count == 50
-
-
-def test_coface_polygon_classification_everywhere():
-    # every rank-2 co-face in every fixture is one of the four polygons
-    for name in ("a3", "b3", "c3", "d4"):
-        cat = positive_roots(fixture(name))
-        cx = build_complex(cat)
-        seen = set()
-        for face in cx.faces:
-            prof = coface_profile(cx, face)
-            if prof.rank == 2:
-                assert prof.ok and prof.polygon is not None
-                seen.add(prof.polygon)
-        if name in ("b3", "c3"):
-            assert "hexagon" in seen
-        if name == "d4":
-            assert seen == {"square", "pentagon"}
 
 
 def test_face_encoding_roundtrip():

@@ -5,21 +5,27 @@ descent move once; both are counted through wrappers patched into the
 namespaces that call them.  Over drawn orientations of larger Dynkin types,
 the facet count is the generalized Catalan number prod (h + e_i + 1)/(e_i + 1)
 and the root count is nh/2 (Fomin-Zelevinsky, "Y-systems and generalized
-associahedra", 2003).  A rank-2 window of 4,004 members, whose dimension
-vectors run to about 1,390 bits, verifies in full.
+associahedra", 2003).  Every rank-2 co-face is a square, pentagon, hexagon or
+octagon (types A1xA1, A2, B2, G2, same paper), and how many of each a type
+has does not depend on its orientation.  A rank-2 window of 4,004 members,
+whose dimension vectors run to about 1,390 bits, verifies in full.
 """
 
 import json
+import random
+from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clustercomplex import build_algebra, enumerate_support_tilting, fixture, positive_roots
-from clustercomplex import measure, tilting
+from clustercomplex import build_algebra, build_complex, enumerate_support_tilting, fixture
+from clustercomplex import measure, positive_roots, tilting
 from clustercomplex.cli import main
+from clustercomplex.homext import ids_of
+from oracles import is_single_cycle
 
 
 def _counting(monkeypatch, module, name, counts):
@@ -88,3 +94,65 @@ def test_counts_match_the_classical_formulas(name, directions):
     assert len(catalog) == n * h // 2
     assert len(enumerate_support_tilting(catalog)) == prod(
         Fraction(h + e + 1, e + 1) for e in exponents)
+
+
+POLYGON_SIZES = (4, 5, 6, 8)
+
+# faces with n - 2 vertices whose link is a square, pentagon, hexagon, octagon
+CENSUS = {
+    "a1xa1": (1, 0, 0, 0),
+    "a2": (0, 1, 0, 0),
+    "b2": (0, 0, 1, 0),
+    "g2": (0, 0, 0, 1),
+    "a3": (3, 6, 0, 0),
+    "b3": (4, 4, 4, 0),
+    "c3": (4, 4, 4, 0),
+    "d4": (30, 36, 0, 0),
+    "A6": (990, 495, 0, 0),
+    "D6": (1470, 840, 0, 0),
+    "E6": (1785, 1071, 0, 0),
+    "B6": (2100, 840, 210, 0),
+    "F4": (63, 42, 28, 0),
+    "E7": (13650, 6552, 0, 0),
+}
+
+
+def _polygon_census(catalog):
+    """The faces F with n - 2 vertices, counted by link length.  The link of
+    F has the vertices up[F], and v, w are joined when w is in up[F + v]; it
+    must be one cycle of 4, 5, 6 or 8 vertices."""
+    cx = build_complex(catalog)
+    up, lengths = cx.up, Counter()
+    for face in cx.faces:
+        if face.bit_count() == cx.n - 2:
+            link = up[face]
+            cycle = {v: ids_of(up[face | 1 << v] & link) for v in ids_of(link)}
+            assert is_single_cycle(cycle), face
+            lengths[len(cycle)] += 1
+    assert set(lengths) <= set(POLYGON_SIZES), lengths
+    return tuple(lengths[size] for size in POLYGON_SIZES)
+
+
+def _orientations(name, count):
+    """`count` distinct edge directions for DYNKIN[name], drawn from a fixed seed."""
+    edges, rng, drawn = DYNKIN[name][1], random.Random(name), []
+    while len(drawn) < count:
+        directions = [rng.random() < 0.5 for _ in edges]
+        if directions not in drawn:
+            drawn.append(directions)
+    return drawn
+
+
+def test_rank2_coface_census():
+    found = {name: _polygon_census(positive_roots(fixture(name)))
+             for name in CENSUS if name not in DYNKIN}
+    for name in DYNKIN:
+        first, *rest = (_polygon_census(positive_roots(_algebra(name, directions)))
+                        for directions in _orientations(name, 1 if name == "E7" else 2))
+        assert all(census == first for census in rest), name
+        found[name] = first
+    assert found == CENSUS
+    # type A_n: the Kirkman-Cayley count of faces with k = n - 2 vertices
+    for name, n in (("a3", 3), ("A6", 6)):
+        k = n - 2
+        assert sum(found[name]) == comb(n, k) * comb(n + k + 2, k) // (k + 1)
