@@ -46,7 +46,10 @@ class AlgebraData:
 def build_algebra(cartan: Sequence[Sequence[int]],
                   symmetrizer: Sequence[int],
                   arrows: Iterable[tuple[int, int]]) -> AlgebraData:
-    """Validate Cartan matrix, symmetrizer and orientation; compute the Euler matrix."""
+    """Validate Cartan matrix, symmetrizer and orientation; compute the Euler matrix.
+
+    The arrows are 0-based vertex pairs, but an error names arrows and
+    vertices by their 1-based labels, the ones JSON input uses."""
     try:
         c = tuple(tuple(_integer(x, "Cartan entry") for x in row) for row in cartan)
         u = tuple(_integer(x, "symmetrizer entry") for x in symmetrizer)
@@ -72,14 +75,19 @@ def build_algebra(cartan: Sequence[Sequence[int]],
                     f"u[{i}]*c[{i}][{j}] = {u[i] * c[i][j]} != {u[j] * c[j][i]} = u[{j}]*c[{j}][{i}]")
 
     for (i, j) in arrow_set:
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise InvalidAlgebra(f"invalid arrow ({i}, {j})")
+        arrow = f"arrow [{i + 1}, {j + 1}]"
+        if not (0 <= i < n and 0 <= j < n):
+            raise InvalidAlgebra(f"{arrow} has an end outside the labels 1..{n}")
+        if i == j:
+            raise InvalidAlgebra(f"{arrow} is a loop")
         if c[i][j] == 0:
-            raise ArrowWithoutEntry(f"arrow ({i}, {j}) but c[{i}][{j}] = 0")
+            raise ArrowWithoutEntry(f"{arrow} joins vertices {i + 1} and {j + 1}, "
+                                    "whose Cartan entry is 0")
     for i in range(n):
         for j in range(i + 1, n):
             if c[i][j] < 0 and (i, j) not in arrow_set and (j, i) not in arrow_set:
-                raise InvalidAlgebra(f"c[{i}][{j}] < 0 but no arrow between {i} and {j}")
+                raise InvalidAlgebra(f"vertices {i + 1} and {j + 1} are coupled in the Cartan "
+                                     "matrix but no arrow joins them")
 
     _check_acyclic(n, arrow_set)
 

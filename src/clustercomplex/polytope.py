@@ -5,9 +5,9 @@ coordinate vertex v is bit v and the catalog member with id k is bit n + k.
 The poset order is containment (`a & b == a`), with one sentinel top face
 above all facets; the sentinel is never materialized as a mask.  Ranks: a
 face with v vertices has rank v - 1, the top has rank n.  The faces are the
-pairs of the rigid-set walk (`RootCatalog.faces`), and nothing closes them
-downwards, so a wrong pair shows up as a failed axiom.  The facets are the
-faces with n vertices, kept in the order of their ascending vertex tuples.
+pairs of the rigid-set walk (`RootCatalog.faces`), as they come, so a wrong
+pair shows up as a failed axiom.  The facets are the faces with n vertices,
+kept in the order of their ascending vertex tuples.
 
 Axioms checked here, for a poset with bottom and top:
   AP1  unique minimal and maximal face,
@@ -16,15 +16,18 @@ Axioms checked here, for a poset with bottom and top:
 plus simpliciality (each proper face's lower interval is boolean) and strong
 flag connectivity (the facet adjacency graph of every co-face is connected).
 
-One sweep fills `up`, one scan reads it.  The sweep over every face minus
-one vertex (`face ^ bit`) fills `up[F]`, the mask of the vertices v such
-that F + v is a face; it is the vertex set of the link of F, and it decides
-every check.  The scan (`ClusterComplex.scan`) passes once over the faces'
-up masks.  A face with an empty up is maximal, and AP2 asks that it have n
-vertices.  Every subset of a face is a face once no face loses a subface,
-by induction on size (simpliciality).  The keys of up are every face and
-every lost subface, so equal lengths of up and the face set mean that no
-face lost a subface.  The middle of the interval from U - {a, b} up to U is
+The walk hands over `up`, one scan reads it.  `up[F]` is the mask of the
+vertices v such that F + v is a face; it is the vertex set of the link of
+F, and it decides every check.  The walk reads each face's up off its
+rigid set's masks (the up lemma in `tilting`), and its faces are down-closed,
+so no face loses a subface.  A face set that a test builds instead gets its
+up from the sweep over every face minus one vertex in `tests/oracles.py`,
+whose keys are every face and then every lost subface.  The scan
+(`ClusterComplex.scan`) passes once over the faces' up masks.  A face with
+an empty up is maximal, and AP2 asks that it have n vertices.  Every subset
+of a face is a face once no face loses a subface, by induction on size
+(simpliciality), and up has as many keys as there are faces exactly when
+no face lost one.  The middle of the interval from U - {a, b} up to U is
 U - a and U - b, so the inner diamonds exist when no face of size >= 2
 loses one.  A ridge (a face with n - 1 vertices) is thin when its up has
 two bits, v and w; AP4 at the top asks that every ridge be thin, and the
@@ -63,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Mapping
+from typing import Collection, Mapping
 
 from .algebra import format_dimv
 from .errors import NotRankTwoInfinite
@@ -109,11 +112,21 @@ def _unreached(up: Mapping[int, int], within: int, base: Face = 0) -> int:
 
 @dataclass
 class ClusterComplex:
-    """The faces of a complex, a finite one or a rank-2 window; the rest is
-    found on first use."""
+    """The faces of a complex, a finite one or a rank-2 window, and their
+    up masks; the rest is found on first use.
+
+    up[F] is the mask of the vertices v with F + v a face, for every face F
+    and for every subface that a face lost; the faces are the first
+    len(faces) keys, and the lost subfaces come after them.  For the
+    catalog's own faces, `build_complex` passes the walk's dict as both
+    (the up lemma in `tilting`), and it has no lost keys.  A face set built
+    in a test gets its up from the sweep over every face minus one vertex,
+    `oracle_up` in `tests/oracles.py`.
+    """
 
     catalog: RootCatalog
-    faces: frozenset[Face]
+    faces: Collection[Face]
+    up: Mapping[Face, int]
 
     @property
     def n(self) -> int:
@@ -126,24 +139,6 @@ class ClusterComplex:
         if self.faces is vars(self.catalog).get("faces"):
             return self.catalog.facets
         return tuple(facets_among(self.n, self.faces))
-
-    @cached_property
-    def up(self) -> dict[Face, int]:
-        """up[F], the mask of the vertices v with F + v a face, for every
-        face F and every face minus one vertex; a key outside `faces` is a
-        subface that a face lost.  The faces are the first len(faces) keys:
-        up starts as `dict.fromkeys(faces, 0)`, and the sweep appends only
-        the lost subfaces after them."""
-        up = dict.fromkeys(self.faces, 0)
-        get = up.get
-        for face in self.faces:
-            rest = face
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                sub = face ^ low
-                up[sub] = get(sub, 0) | low
-        return up
 
     @cached_property
     def scan(self) -> AxiomReport:
@@ -206,9 +201,9 @@ def _scan(cx: ClusterComplex) -> AxiomReport:
 
 
 def build_complex(catalog: RootCatalog) -> ClusterComplex:
-    """The faces of the rigid-set walk, as they are, for a finite catalog or
-    a rank-2 window alike."""
-    return ClusterComplex(catalog=catalog, faces=catalog.faces)
+    """The faces of the rigid-set walk and their up masks, as they are, for
+    a finite catalog or a rank-2 window alike."""
+    return ClusterComplex(catalog=catalog, faces=catalog.faces, up=catalog.faces)
 
 
 def verify_ap_axioms(cx: ClusterComplex) -> AxiomReport:

@@ -116,20 +116,22 @@ class RootCatalog:
         return build_kernel(self)
 
     @functools.cached_property
-    def faces(self) -> frozenset:
-        """Every face of the complex as an int bitmask (`tilting.rigid_faces`),
-        from one walk over the rigid sets."""
+    def faces(self) -> dict:
+        """Every face of the complex as an int bitmask, mapped to its up
+        mask (`tilting.rigid_faces`), from one walk over the rigid sets."""
         from .tilting import rigid_faces
 
-        return frozenset(rigid_faces(self))
+        return dict(rigid_faces(self))
 
     @functools.cached_property
     def facets(self) -> tuple:
         """The faces with n vertices, by ascending vertex tuple
-        (`tilting.facets_among`)."""
-        from .tilting import facets_among
+        (`tilting.facets_among`): read off `faces` when the catalog holds
+        them, else off a walk whose other faces are not kept."""
+        from .tilting import facets_among, rigid_faces
 
-        return tuple(facets_among(self.algebra.n, self.faces))
+        faces = vars(self).get("faces") or (face for face, _ in rigid_faces(self))
+        return tuple(facets_among(self.algebra.n, faces))
 
     @functools.cached_property
     def descent_moves(self) -> tuple:

@@ -3,18 +3,35 @@
 A face is an int bitmask over a combined vertex pool: coordinate vertex v
 is bit v and the catalog member with id k is bit n + k.  The faces of the
 complex are the rigid sets T, each with every set of vertices outside its
-support; one walk over the rigid sets emits them all.  A rigid id set is
-support-tilting when it has as many members as supported vertices; it is
-then a basis of the lattice restricted to its support, and with all its
-unsupported vertices it is a face with n vertices, a facet.  Facets are int
-faces like the others, kept in the order of their ascending vertex tuples;
-`decode_face` splits one into member ids and unsupported vertices.  The
-canonical completion of a rigid set T inside a vertex window W is read off
-directly (K. Bongartz, "Tilted algebras", LNM 903, 1981): it is the set G of
-members B outside T, compatible with T, with ext(B, M) = 0 for every
-in-window M that is ext-orthogonal to T.  The mirror test (swap the pairing
-order) gives the dual completion.  That G completes T is checked, not
-assumed: |T| + |G| must equal |W|.
+support; one walk over the rigid sets emits them all, each with its up
+mask.  A rigid id set is support-tilting when it has as many members as
+supported vertices; it is then a basis of the lattice restricted to its
+support, and with all its unsupported vertices it is a face with n
+vertices, a facet.  Facets are int faces like the others, kept in the order
+of their ascending vertex tuples; `decode_face` splits one into member ids
+and unsupported vertices.  The canonical completion of a rigid set T inside
+a vertex window W is read off directly (K. Bongartz, "Tilted algebras",
+LNM 903, 1981): it is the set G of members B outside T, compatible with T,
+with ext(B, M) = 0 for every in-window M that is ext-orthogonal to T.  The
+mirror test (swap the pairing order) gives the dual completion.  That G
+completes T is checked, not assumed: |T| + |G| must equal |W|.
+
+The faces are down-closed: a subset of the face (T, sigma) is (T', sigma')
+with T' in T and sigma' in sigma.  T' is a smaller clique of compat, so the
+walk yields it, and supp T' lies in supp T, so it misses sigma'.
+
+Up lemma: the vertices x with (T, sigma) + x a face, its up mask, are the
+vertex bits F - sigma and the member bits cand & avoid[sigma], where F is
+the set of vertices outside supp T, cand the members m outside T that are
+compatible with every member of T (0 when T has n members; the walk's
+third mask) and avoid[sigma] the members whose support misses sigma.
+Proof: one vertex is added as a coordinate vertex v or as a member m.
+(T, sigma + v) is a face exactly when v is outside supp T, that is v in
+F - sigma.  compat is symmetric, so T + m is a rigid set of the walk
+exactly when m is in cand, and then (T + m, sigma) is a face exactly when
+supp m misses sigma, as supp T does already.  So the up masks are what a
+sweep over every face minus one vertex finds, and by down-closure that
+sweep finds no subface outside the faces (`tests/oracles.py` keeps it).
 """
 
 from __future__ import annotations
@@ -44,23 +61,29 @@ def decode_face(n: int, face: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(v - n for v in vertices if v >= n), tuple(v for v in vertices if v < n)
 
 
-def rigid_faces(catalog: RootCatalog) -> Iterator[int]:
-    """Every face of the complex, each once, from one walk over the rigid sets.
+def rigid_faces(catalog: RootCatalog) -> Iterator[tuple[int, int]]:
+    """Every face of the complex, each once with its up mask, from one walk
+    over the rigid sets.
 
     A face is a pair (T, sigma): a rigid set T and a set sigma of vertices
     outside the support of T (T. Adachi, O. Iyama, I. Reiten, "tau-tilting
-    theory", 2014).  The walk hands over each rigid T as its member and
-    support masks, and T is emitted with every such sigma.
-    `RootCatalog.faces` keeps them.
+    theory", 2014).  The walk hands over each rigid T as its member,
+    support and cand masks, and T is emitted with every such sigma.  By
+    the up lemma, the up mask of (T, sigma) is the AND of (cand << n) | F
+    and bounds[sigma], the vertices outside sigma with, as member bits, the
+    members whose support misses sigma.  `RootCatalog.faces` keeps them.
     """
     n = catalog.algebra.n
     everything = (1 << n) - 1
-    for members, supp in iter_rigid_sets(catalog):
+    within = catalog.kernel.within
+    bounds = [(within(everything ^ sigma) << n) | (everything ^ sigma) for sigma in range(1 << n)]
+    for members, supp, cand in iter_rigid_sets(catalog):
         members <<= n
         free = everything & ~supp
+        reach = (cand << n) | free
         sigma = free
         while True:
-            yield members | sigma
+            yield members | sigma, reach & bounds[sigma]
             if not sigma:
                 break
             sigma = (sigma - 1) & free

@@ -10,7 +10,8 @@ with the unsupported vertices tries every ordering, links are searched
 breadth-first on the face set, a single cycle is a graph of degree two
 everywhere that one breadth-first search covers, the face-poset scan's
 findings are one comprehension each over the faces and their up masks, the
-descent step's member is the minimum by measure rank over the facet's ids,
+up masks of a face set come from one sweep over every face minus one vertex
+(`oracle_up`), the descent step's member is the minimum by measure rank over the facet's ids,
 the lambda order compares tuples of `Fraction` measures, determinants are
 Leibniz expansions, rank and solves are a Gauss-Jordan elimination over
 `Fraction`s, endomorphism multisets are compared sorted, and rigid
@@ -20,11 +21,14 @@ one since rigidity is pairwise.  The package stores a face as the int
 bitmask of its vertices; `vertex_sets` turns such faces into the frozensets
 these oracles read, and `downward_closure` gives the faces that a list of
 such facets spans, as the package built its faces before they came from the
-rigid-set walk.
+rigid-set walk.  `complex_of` hands a face set built in a test, with its
+`oracle_up` masks, to the package's checks as a `ClusterComplex`.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+
+from clustercomplex.polytope import ClusterComplex
 
 # Positive roots in simple-root coordinates, straight from the tables.
 KNOWN_ROOTS = {
@@ -68,6 +72,31 @@ def downward_closure(facets):
                 break
             sub = (sub - 1) & facet
     return frozenset(faces)
+
+
+def oracle_up(faces):
+    """up[F], the mask of the vertices v such that F + v is a face, for every
+    face F and every face minus one vertex, from one sweep over every face
+    minus one vertex (`face ^ bit`); a key outside `faces` is a subface that
+    a face lost.  The faces are the first len(faces) keys: up starts as
+    `dict.fromkeys(faces, 0)`, and the sweep appends only the lost subfaces
+    after them."""
+    up = dict.fromkeys(faces, 0)
+    get = up.get
+    for face in faces:
+        rest = face
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            sub = face ^ low
+            up[sub] = get(sub, 0) | low
+    return up
+
+
+def complex_of(catalog, faces):
+    """The complex of a face set built in a test, with its `oracle_up` masks."""
+    faces = frozenset(faces)
+    return ClusterComplex(catalog=catalog, faces=faces, up=oracle_up(faces))
 
 
 def oracle_form(euler, x, y):

@@ -173,7 +173,7 @@ def test_criterion_9_endo_multisets():
 def test_criterion_10_rigid_uniqueness_and_independence():
     for name in FINITE_NAMES:
         cat = positive_roots(fixture(name))
-        sets = [ids_of(members) for members, _ in iter_rigid_sets(cat)]
+        sets = [ids_of(members) for members, _, _ in iter_rigid_sets(cat)]
         if name in ("a2", "a3", "g2"):
             collisions = oracle_rigid_dimv_collisions(cat.dimvs(), sets)
             assert collisions == [], collisions

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clustercomplex import (
-    ClusterComplex,
     algebra_to_dict,
     build_complex,
     face_label,
@@ -20,7 +19,7 @@ from clustercomplex import cli, measure, roots
 from clustercomplex.cli import main
 from clustercomplex.homext import ids_of
 from clustercomplex.polytope import _unreached
-from oracles import downward_closure, oracle_link_unreached
+from oracles import complex_of, downward_closure, oracle_link_unreached
 
 
 def run(capsys, *argv):
@@ -98,8 +97,8 @@ def test_failed_checks_print_witnesses(monkeypatch, capsys):
     cat = positive_roots(fixture("a3"))
     whole = build_complex(cat)
     victim = whole.facets[0]
-    monkeypatch.setattr(cli, "build_complex", lambda catalog: ClusterComplex(
-        catalog=catalog, faces=build_complex(catalog).faces - {victim}))
+    monkeypatch.setattr(cli, "build_complex", lambda catalog: complex_of(
+        catalog, build_complex(catalog).faces.keys() - {victim}))
     monkeypatch.setattr(measure, "verify_endos",
                         lambda catalog, facet: bool(facet >> catalog.algebra.n))
     code, out, err = run(capsys, "verify", "--fixture", "a3")
@@ -120,11 +119,11 @@ def test_the_first_maximal_short_face_is_the_ap2_witness(monkeypatch, capsys):
     ridges = sorted((f for f in whole.faces if f.bit_count() == 2), key=ids_of)
     first, last = ridges[0], ridges[-1]
     dropped = {f for f in whole.facets if f & first == first or f & last == last}
-    faces = whole.faces - dropped
+    faces = whole.faces.keys() - dropped
     assert sorted((f for f in faces if f.bit_count() < 3
                    and not any(g != f and g & f == f for g in faces)), key=ids_of) == [first, last]
-    monkeypatch.setattr(cli, "build_complex", lambda catalog: ClusterComplex(
-        catalog=catalog, faces=build_complex(catalog).faces - dropped))
+    monkeypatch.setattr(cli, "build_complex", lambda catalog: complex_of(
+        catalog, build_complex(catalog).faces.keys() - dropped))
     code, out, err = run(capsys, "verify", "--fixture", "a3")
     assert code == 1
     assert out == "facets=10 ap1 ✓ ap2 ✗ ap4 ✗ simplicial ✓ strong-flag ✗ endos ✓ descent ✓\n"
@@ -141,8 +140,8 @@ def test_the_first_lost_subface_is_the_simplicial_witness(monkeypatch, capsys):
     whole = build_complex(cat)
     edge = min((f for f in whole.faces if f.bit_count() == 2), key=ids_of)
     vertex = max((f for f in whole.faces if f.bit_count() == 1 and not f & edge), key=ids_of)
-    monkeypatch.setattr(cli, "build_complex", lambda catalog: ClusterComplex(
-        catalog=catalog, faces=build_complex(catalog).faces - {edge, vertex}))
+    monkeypatch.setattr(cli, "build_complex", lambda catalog: complex_of(
+        catalog, build_complex(catalog).faces.keys() - {edge, vertex}))
     code, out, err = run(capsys, "verify", "--fixture", "a3")
     assert code == 1
     assert out == "facets=14 ap1 ✓ ap2 ✓ ap4 ✗ simplicial ✗ strong-flag ✓ endos ✓ descent ✓\n"
@@ -155,8 +154,8 @@ def test_the_ap4_witness_is_a_lost_subface_with_a_vertex(monkeypatch, capsys):
     # and is the simplicial witness, but AP4 names the vertex
     cat = positive_roots(fixture("a3"))
     vertex = max((f for f in build_complex(cat).faces if f.bit_count() == 1), key=ids_of)
-    monkeypatch.setattr(cli, "build_complex", lambda catalog: ClusterComplex(
-        catalog=catalog, faces=build_complex(catalog).faces - {0, vertex}))
+    monkeypatch.setattr(cli, "build_complex", lambda catalog: complex_of(
+        catalog, build_complex(catalog).faces.keys() - {0, vertex}))
     code, out, err = run(capsys, "verify", "--fixture", "a3")
     assert code == 1
     assert out == "facets=14 ap1 ✗ ap2 ✓ ap4 ✗ simplicial ✗ strong-flag ✓ endos ✓ descent ✓\n"
@@ -170,7 +169,7 @@ def test_split_link_flood_matches_a_breadth_first_search():
     # search from its lowest vertex misses
     spheres = [sum(1 << v for v in block) - (1 << v) for block in ((0, 1, 2, 3), (3, 4, 5, 6))
                for v in block]
-    cx = ClusterComplex(catalog=positive_roots(fixture("a3")), faces=downward_closure(spheres))
+    cx = complex_of(positive_roots(fixture("a3")), downward_closure(spheres))
     for face in cx.faces:
         if face.bit_count() <= 1:
             assert _unreached(cx.up, cx.up[face], face) == oracle_link_unreached(cx.faces, face)
@@ -183,8 +182,8 @@ def test_thin_complex_with_a_split_link_prints_the_link(monkeypatch, capsys):
     cat = positive_roots(fixture("a3"))
     spheres = [sum(1 << v for v in block) - (1 << v) for block in ((0, 1, 2, 3), (3, 4, 5, 6))
                for v in block]
-    monkeypatch.setattr(cli, "build_complex", lambda catalog: ClusterComplex(
-        catalog=catalog, faces=downward_closure(spheres)))
+    monkeypatch.setattr(cli, "build_complex", lambda catalog: complex_of(
+        catalog, downward_closure(spheres)))
     code, out, err = run(capsys, "verify", "--fixture", "a3")
     assert code == 1
     assert out == "facets=8 ap1 ✓ ap2 ✓ ap4 ✓ simplicial ✓ strong-flag ✗ endos ✓ descent ✓\n"
@@ -249,6 +248,18 @@ def test_arrow_outside_the_labels_is_named_as_written(capsys, tmp_path, arrow):
     assert (code, out) == (3, "")
     assert err == (f"error: invalid algebra data: arrow [{arrow[0]}, {arrow[1]}] "
                    "has an end outside the labels 1..2\n")
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"arrows": [[1, 1]]}, "arrow [1, 1] is a loop"),
+    ({"cartan": [[2, 0], [0, 2]]}, "arrow [1, 2] joins vertices 1 and 2, whose Cartan entry is 0"),
+    ({"arrows": []}, "vertices 1 and 2 are coupled in the Cartan matrix but no arrow joins them"),
+], ids=["loop", "arrow-without-entry", "coupling-without-arrow"])
+def test_arrow_errors_name_1_based_labels(capsys, tmp_path, change, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**A2, **change}))
+    assert run(capsys, "verify", "--input", str(path)) == (
+        3, "", f"error: invalid algebra data: {message}\n")
 
 
 # mostly plausible values, so that valid algebras of every kind come up too

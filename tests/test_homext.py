@@ -25,7 +25,7 @@ def g2_catalog():
 
 
 def rigid_id_sets(cat):
-    return [ids_of(members) for members, _ in iter_rigid_sets(cat)]
+    return [ids_of(members) for members, _, _ in iter_rigid_sets(cat)]
 
 
 def test_hom_ext_g2_values():

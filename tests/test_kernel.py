@@ -24,6 +24,7 @@ from clustercomplex.homext import ids_of
 from clustercomplex.errors import OracleViolation
 
 from oracles import oracle_ext, oracle_form, oracle_rigid_sets
+from test_scale import DYNKIN, _algebra, _orientations
 
 
 def reversed_arrow(alg):
@@ -52,6 +53,28 @@ def test_masks_match_oracle_ext(name):
             assert kernel.compat[x.id] == kernel.ext_free_out[x.id] & kernel.ext_free_in[x.id]
             assert kernel.support[x.id] == sum(1 << v for v, c in enumerate(x.dimv) if c > 0)
         assert all(mask < 1 << len(cat) for mask in kernel.ext_free_out + kernel.ext_free_in)
+
+
+def _transpose(masks, size):
+    """The masks with bit j of mask i moved to bit i of mask j."""
+    return tuple(sum(1 << i for i, mask in enumerate(masks) if mask >> j & 1) for j in range(size))
+
+
+def test_compat_is_symmetric_and_ext_free_in_is_the_transpose():
+    # the up lemma of `tilting` reads the members that extend a rigid set
+    # off compat rows, which needs compat symmetric; on every fixture, two
+    # drawn orientations of each Dynkin type, and rank-2 windows whose
+    # masks the Coxeter shift builds
+    catalogs = [catalog_for(fixture(name)) for name in FINITE_FIXTURES + RANK2_INFINITE_FIXTURES]
+    catalogs += [positive_roots(_algebra(name, directions))
+                 for name in sorted(DYNKIN) for directions in _orientations(name, 2)]
+    catalogs += [rank2_sequences(fixture(name), t_max)
+                 for name in RANK2_INFINITE_FIXTURES for t_max in (0, 1, 10, 40)]
+    assert len(catalogs) == 31
+    for cat in catalogs:
+        kernel = cat.kernel
+        assert kernel.compat == _transpose(kernel.compat, len(cat)), cat.algebra
+        assert kernel.ext_free_in == _transpose(kernel.ext_free_out, len(cat)), cat.algebra
 
 
 def test_window_masks_match_oracle_form_at_scale():
@@ -127,7 +150,7 @@ def test_rigid_sets_match_oracle(name):
     alg = fixture(name)
     cat = positive_roots(alg)
     found = [frozenset(cat.entries[i].dimv for i in ids_of(members))
-             for members, _ in iter_rigid_sets(cat)]
+             for members, _, _ in iter_rigid_sets(cat)]
     assert len(found) == len(set(found))
     assert set(found) == set(oracle_rigid_sets(alg.euler, cat.dimvs()))
 
@@ -136,7 +159,7 @@ def test_kernel_is_built_on_first_rigid_set():
     cat = rank2_sequences(fixture("kronecker"), 10)
     sets = iter_rigid_sets(cat)
     assert "kernel" not in vars(cat)
-    assert next(sets) == (0, 0)
+    assert next(sets) == (0, 0, (1 << len(cat)) - 1)
     assert "kernel" in vars(cat)
     # every member, and the neighbour pairs inside each of the two families
     assert sum(1 for _ in sets) == len(cat) + (len(cat) - 2)

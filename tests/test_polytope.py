@@ -6,6 +6,7 @@ import pytest
 
 from clustercomplex import (
     FINITE_FIXTURES,
+    RANK2_INFINITE_FIXTURES,
     build_algebra,
     build_complex,
     as_facet,
@@ -27,7 +28,6 @@ from clustercomplex.cli import main
 from clustercomplex.errors import NotRankTwoInfinite
 from clustercomplex.homext import ids_of, mask_of
 from clustercomplex.polytope import (
-    ClusterComplex,
     _flood_floor,
     _split_links,
     _unreached,
@@ -35,6 +35,7 @@ from clustercomplex.polytope import (
 )
 from clustercomplex.roots import RootCatalog
 from oracles import (
+    complex_of,
     downward_closure,
     is_single_cycle,
     oracle_bad_ridges,
@@ -46,8 +47,10 @@ from oracles import (
     oracle_pure,
     oracle_short_face,
     oracle_simplicial,
+    oracle_up,
     vertex_sets,
 )
+from test_scale import _algebra, _orientations
 
 
 def build(name):
@@ -85,14 +88,14 @@ def test_face_set_equals_all_valid_pairs():
         cx = build_complex(cat)
         n = cx.n
         expected = set()
-        for members, _ in iter_rigid_sets(cat):
+        for members, _, _ in iter_rigid_sets(cat):
             ids = ids_of(members)
             _, sigma = support(cat, ids)
             for size in range(len(sigma) + 1):
                 for sub in combinations(sorted(sigma), size):
                     expected.add(frozenset(sub) | frozenset(n + i for i in ids))
         assert expected == vertex_sets(cx.faces)
-        assert cx.faces == downward_closure(cx.facets)
+        assert cx.faces.keys() == downward_closure(cx.facets)
 
 
 def _agrees_with_oracles(cx):
@@ -114,7 +117,7 @@ def test_axioms_pass(name):
 
 def _mutants(cx):
     """Hand-damaged walk face sets, by name."""
-    faces = cx.faces
+    faces = cx.faces.keys()
     vertex = min(f for f in faces if f.bit_count() == 1)
     middle = min((f for f in faces if 1 < f.bit_count() < cx.n), key=ids_of)
     stray = 1 << max(f.bit_length() for f in faces)
@@ -134,7 +137,7 @@ def test_every_axiom_key_can_fail():
     for name in ("a3", "b3", "d4"):
         cx = build(name)
         for label, faces in _mutants(cx).items():
-            mutant = ClusterComplex(catalog=cx.catalog, faces=faces)
+            mutant = complex_of(cx.catalog, faces)
             report = _agrees_with_oracles(mutant)
             assert not report.ok, (name, label)
             failed |= {key for key in ("ap1", "ap2", "ap4", "simplicial")
@@ -148,12 +151,12 @@ def test_the_scan_matches_its_oracles():
     complexes = []
     for name in ("a3", "b3", "d4"):
         cx = build(name)
-        complexes += [ClusterComplex(catalog=cx.catalog, faces=faces)
+        complexes += [complex_of(cx.catalog, faces)
                       for faces in _mutants(cx).values()]
     a3, d4 = build("a3"), build("d4")
-    complexes += [ClusterComplex(catalog=a3.catalog, faces=a3.faces - {f}) for f in a3.facets]
+    complexes += [complex_of(a3.catalog, a3.faces.keys() - {f}) for f in a3.facets]
     middle = min((f for f in d4.faces if f.bit_count() == 2), key=ids_of)
-    complexes.append(ClusterComplex(catalog=d4.catalog, faces=d4.faces - {middle}))
+    complexes.append(complex_of(d4.catalog, d4.faces.keys() - {middle}))
     leaks = 0
     for cx in complexes:
         faces, up, n, scan = cx.faces, cx.up, cx.n, cx.scan
@@ -184,7 +187,7 @@ def test_verify_builds_one_scan(monkeypatch, capsys):
 
 def test_axioms_fail_on_corrupted_complex():
     cx = build("a2")
-    broken = ClusterComplex(catalog=cx.catalog, faces=cx.faces - {(1 << cx.n) - 1})  # no zero facet
+    broken = complex_of(cx.catalog, cx.faces.keys() - {(1 << cx.n) - 1})  # no zero facet
     report = verify_ap_axioms(broken)
     assert not report.ap4
     assert report.bad_ridges
@@ -214,7 +217,7 @@ def test_flag_check_agrees_with_literal_walk(name):
     # the walk's faces (every proper face of a facet lies in another one)
     whole = build(name)
     for dropped in (None,) + whole.facets:
-        cx = ClusterComplex(catalog=whole.catalog, faces=whole.faces - {dropped})
+        cx = complex_of(whole.catalog, whole.faces.keys() - {dropped})
         assert cx.faces == downward_closure(cx.facets)
         report = verify_flag_connected(cx)
         assert report.ok == oracle_flags_connected(vertex_sets(cx.facets)), (name, dropped)
@@ -235,8 +238,8 @@ def test_strong_flag_fails_at_any_size(monkeypatch, capsys, tmp_path):
     assert len(decode_face(n, victim)[0]) == n
 
     def without_victim(catalog):
-        faces = build_complex(catalog).faces
-        return ClusterComplex(catalog=catalog, faces=faces - {victim})
+        faces = build_complex(catalog).faces.keys()
+        return complex_of(catalog, faces - {victim})
 
     monkeypatch.setattr(cli, "build_complex", without_victim)
     assert main(["verify", "--input", str(path)]) == 1
@@ -298,7 +301,7 @@ def test_flag_witnesses_name_the_first_faulty_faces():
     kinds = set()
     for dropped in drops:
         kept = [f for f in whole.facets if f not in dropped]
-        cx = ClusterComplex(catalog=whole.catalog, faces=downward_closure(kept))
+        cx = complex_of(whole.catalog, downward_closure(kept))
         report = verify_flag_connected(cx)
         link, ridge = _first_faulty_faces(cx)
         assert _vertex_set(report.coface_witness) == link, dropped
@@ -339,8 +342,8 @@ def test_split_link_floods_match_a_breadth_first_search():
     # vertex whose link splits, and the flood must miss what the search misses
     whole = build("a3")
     drops = [(a,) for a in whole.facets] + list(combinations(whole.facets, 2))
-    split = sum(_floods_agree(ClusterComplex(catalog=whole.catalog,
-                                             faces=downward_closure(set(whole.facets) - set(drop))))
+    split = sum(_floods_agree(complex_of(whole.catalog,
+                                         downward_closure(set(whole.facets) - set(drop))))
                 for drop in drops)
     assert split > 0
 
@@ -362,7 +365,7 @@ def test_every_link_is_flooded_when_a_face_lost_a_subface(monkeypatch):
     # lemma does not hold, and every face below ridge size is flooded
     cx = build("d4")
     middle = min((f for f in cx.faces if f.bit_count() == 2), key=ids_of)
-    mutant = ClusterComplex(catalog=cx.catalog, faces=cx.faces - {middle})
+    mutant = complex_of(cx.catalog, cx.faces.keys() - {middle})
     assert not verify_ap_axioms(mutant).simplicial
     assert _flood_floor(mutant) == [0] * (cx.n - 1)
     calls = _counted_floods(monkeypatch)
@@ -386,11 +389,9 @@ def test_flood_count_on_a6(monkeypatch):
     assert len(calls) == 54
 
 
-def test_walk_kernel_mutants_fail_a_face_check():
-    # flip one symmetric pair of compat bits: the walk then emits wrong
-    # pairs, and the face checks must see it
-    failed = {"ap2": 0, "simplicial": 0, "ap4": 0, "strong-flag": 0}
-    mutants = 0
+def _kernel_mutants():
+    """a3, b3, c3 and d4, each with one symmetric pair of compat bits
+    flipped in every way: 153 catalogs whose walk emits wrong pairs."""
     for name in ("a3", "b3", "c3", "d4"):
         base = positive_roots(fixture(name))
         compat = base.kernel.compat
@@ -400,25 +401,53 @@ def test_walk_kernel_mutants_fail_a_face_check():
             flipped[j] ^= 1 << i
             cat = RootCatalog(kind=base.kind, algebra=base.algebra, entries=base.entries)
             vars(cat)["kernel"] = replace(base.kernel, compat=tuple(flipped))
-            cx = build_complex(cat)
-            axioms, flags = verify_ap_axioms(cx), verify_flag_connected(cx)
-            verdicts = {"ap2": axioms.ap2, "simplicial": axioms.simplicial,
-                        "ap4": axioms.ap4, "strong-flag": flags.ok}
-            assert not all(verdicts.values()), (name, i, j)
-            for key, ok in verdicts.items():
-                failed[key] += not ok
-            mutants += 1
+            yield name, i, j, cat
+
+
+def test_walk_kernel_mutants_fail_a_face_check():
+    # flip one symmetric pair of compat bits: the walk then emits wrong
+    # pairs, and the face checks must see it
+    failed = {"ap2": 0, "simplicial": 0, "ap4": 0, "strong-flag": 0}
+    mutants = 0
+    for name, i, j, cat in _kernel_mutants():
+        cx = build_complex(cat)
+        axioms, flags = verify_ap_axioms(cx), verify_flag_connected(cx)
+        verdicts = {"ap2": axioms.ap2, "simplicial": axioms.simplicial,
+                    "ap4": axioms.ap4, "strong-flag": flags.ok}
+        assert not all(verdicts.values()), (name, i, j)
+        for key, ok in verdicts.items():
+            failed[key] += not ok
+        mutants += 1
     assert mutants == 153
     # subsets of a rigid set are rigid, so the walk stays simplicial; the
     # mutants show up as thick ridges (AP4) and non-pure complexes (AP2)
-    assert failed["simplicial"] == 0 and failed["ap2"] and failed["ap4"], failed
+    assert failed == {"ap2": 23, "simplicial": 0, "ap4": 152, "strong-flag": 153}
+
+
+def test_walk_up_is_the_oracle_sweep():
+    # the up masks that the walk hands over are, key for key, what the
+    # sweep over every face minus one vertex finds, and the sweep finds no
+    # lost subface: on every finite fixture, rank-2 windows, every kernel
+    # mutant and two drawn orientations of A6, B6, D6, E6 and E7
+    catalogs = [positive_roots(fixture(name)) for name in FINITE_FIXTURES]
+    catalogs += [rank2_sequences(fixture(name), t_max) for name in RANK2_INFINITE_FIXTURES
+                 for t_max in (0, 3, 10, 40, 200)]
+    catalogs += [cat for _, _, _, cat in _kernel_mutants()]
+    catalogs += [positive_roots(_algebra(name, directions))
+                 for name in ("A6", "B6", "D6", "E6", "E7")
+                 for directions in _orientations(name, 2)]
+    assert len(catalogs) == 182
+    for cat in catalogs:
+        up = oracle_up(cat.faces)
+        assert len(up) == len(cat.faces)
+        assert cat.faces == up
 
 
 def test_strong_flag_fails_on_a_non_pure_complex():
     # one face with n + 1 vertices and all its subsets: every ridge is thin
     # and every link connected, but the link lemma needs purity
     cat = positive_roots(fixture("a3"))
-    cx = ClusterComplex(catalog=cat, faces=downward_closure([(1 << (cat.algebra.n + 1)) - 1]))
+    cx = complex_of(cat, downward_closure([(1 << (cat.algebra.n + 1)) - 1]))
     report = verify_flag_connected(cx)
     assert report.thin and report.cofaces_connected
     assert not report.pure and not report.ok
@@ -469,10 +498,10 @@ def test_window_checks_fail_on_dropped_facet(monkeypatch, capsys):
     # drop one neighbour pair from the middle of the forward family: the facet
     # list is wrong, its two members lie in one facet each, and the path splits
     cat = rank2_sequences(fixture("kronecker"), 4)
-    faces = build_complex(cat).faces
+    faces = build_complex(cat).faces.keys()
     pairs = sorted((f for f in faces if (f >> 2).bit_count() == 2), key=lambda f: ids_of(f >> 2))
     victim = pairs[len(pairs) // 4]
-    window = rank2_window_complex(ClusterComplex(catalog=cat, faces=faces - {victim}))
+    window = rank2_window_complex(complex_of(cat, faces - {victim}))
     assert not window.facets_expected
     assert not window.interior_ridges_ok
     assert not window.path_ok
@@ -480,8 +509,8 @@ def test_window_checks_fail_on_dropped_facet(monkeypatch, capsys):
     # first vertex in one facet instead of two; `path` names no witness
     assert window.facet_witness == victim and window.vertex_witness == victim & -victim
 
-    monkeypatch.setattr(cli, "build_complex", lambda catalog: ClusterComplex(
-        catalog=catalog, faces=build_complex(catalog).faces - {victim}))
+    monkeypatch.setattr(cli, "build_complex", lambda catalog: complex_of(
+        catalog, build_complex(catalog).faces.keys() - {victim}))
     assert main(["verify", "--fixture", "kronecker", "--t-max", "4"]) == 1
     captured = capsys.readouterr()
     out = captured.out

@@ -206,7 +206,7 @@ def test_bongartz_a2():
 def test_bongartz_completion_is_tilting():
     for name in ("a3", "b2", "b3", "g2"):
         cat = positive_roots(fixture(name))
-        for members, _ in iter_rigid_sets(cat):
+        for members, _, _ in iter_rigid_sets(cat):
             ids = ids_of(members)
             full = set(ids) | bongartz(cat, ids)
             assert is_rigid(cat, full)
@@ -263,7 +263,7 @@ def test_relative_dual_bongartz_a3():
 @pytest.mark.parametrize("name", FINITE_FIXTURES)
 def test_relative_completions_lie_inside_the_full_ones(name):
     cat = positive_roots(fixture(name))
-    for members, _ in iter_rigid_sets(cat):
+    for members, _, _ in iter_rigid_sets(cat):
         ids = ids_of(members)
         assert bongartz(cat, ids, within=support(cat, ids)[0]) <= bongartz(cat, ids)
         assert dual_bongartz(cat, ids, within=support(cat, ids)[0]) <= dual_bongartz(cat, ids)
@@ -308,21 +308,25 @@ DRAWN = {
 
 @pytest.mark.parametrize("name", FINITE_FIXTURES + tuple(DRAWN))
 def test_walk_yields_member_and_support_masks(name):
-    # the walk's (members, support) pairs against the grown oracle: the same
-    # rigid sets, each once, the empty set first, in pre-order (ascending id
-    # tuples, a set before its extensions), each with its support's mask
+    # the walk's (members, support, cand) triples against the grown oracle:
+    # the same rigid sets, each once, the empty set first, in pre-order
+    # (ascending id tuples, a set before its extensions), each with its
+    # support's mask and the members that extend it to a rigid set
     alg = DRAWN[name]() if name in DRAWN else fixture(name)
     cat = positive_roots(alg)
     items = list(iter_rigid_sets(cat))
-    assert items[0] == (0, 0)
-    ids = [ids_of(members) for members, _ in items]
+    assert items[0] == (0, 0, (1 << len(cat)) - 1)
+    ids = [ids_of(members) for members, _, _ in items]
     assert ids == sorted(ids)
     found = [frozenset(cat.entries[i].dimv for i in t) for t in ids]
     assert len(found) == len(set(found))
-    assert set(found) == set(oracle_rigid_sets(alg.euler, cat.dimvs()))
-    for t, (_, supp) in zip(ids, items):
+    rigid = set(oracle_rigid_sets(alg.euler, cat.dimvs()))
+    assert set(found) == rigid
+    for t, dimvs, (_, supp, cand) in zip(ids, found, items):
         assert supp == reduce(or_, (cat.kernel.support[i] for i in t), 0)
         assert ids_of(supp) == tuple(sorted(oracle_support([cat.entries[i].dimv for i in t], alg.n)))
+        assert ids_of(cand) == tuple(e.id for e in cat.entries
+                                     if e.id not in t and dimvs | {e.dimv} in rigid)
 
 
 def test_faces_rebuild_no_member_or_support_mask(monkeypatch):
@@ -353,7 +357,7 @@ def test_verify_b2_structure_all_rigid_sets():
     for alg in algebras:
         cat = positive_roots(alg)
         bases = {dual: oracle_bases(alg.euler, cat.dimvs(), dual) for dual in (False, True)}
-        for members, _ in iter_rigid_sets(cat):
+        for members, _, _ in iter_rigid_sets(cat):
             ids = ids_of(members)
             for dual in (False, True):
                 assert len(matchings(cat, ids, bases[dual], dual)) == 1, (ids, dual)
