@@ -48,8 +48,8 @@ def build_algebra(cartan: Sequence[Sequence[int]],
                   arrows: Iterable[tuple[int, int]]) -> AlgebraData:
     """Validate Cartan matrix, symmetrizer and orientation; compute the Euler matrix.
 
-    The arrows are 0-based vertex pairs, but an error names arrows and
-    vertices by their 1-based labels, the ones JSON input uses."""
+    The arrows are 0-based vertex pairs, but an error names every vertex
+    by its 1-based label, the one JSON input uses."""
     try:
         c = tuple(tuple(_integer(x, "Cartan entry") for x in row) for row in cartan)
         u = tuple(_integer(x, "symmetrizer entry") for x in symmetrizer)
@@ -62,17 +62,18 @@ def build_algebra(cartan: Sequence[Sequence[int]],
         raise DimensionMismatch(f"inconsistent shapes: C is {len(c)} rows, u has {len(u)} entries")
     for i in range(n):
         if c[i][i] != 2:
-            raise InvalidAlgebra(f"c[{i}][{i}] = {c[i][i]}, diagonal entries must be 2")
+            raise InvalidAlgebra(f"c[{i + 1}][{i + 1}] = {c[i][i]}, diagonal entries must be 2")
         for j in range(n):
             if i != j and c[i][j] > 0:
-                raise InvalidAlgebra(f"c[{i}][{j}] = {c[i][j]}, off-diagonal entries must be <= 0")
+                raise InvalidAlgebra(f"c[{i + 1}][{j + 1}] = {c[i][j]}, "
+                                     "off-diagonal entries must be <= 0")
         if u[i] < 1:
-            raise InvalidAlgebra(f"symmetrizer entry u[{i}] = {u[i]} must be positive")
+            raise InvalidAlgebra(f"symmetrizer entry u[{i + 1}] = {u[i]} must be positive")
     for i in range(n):
         for j in range(i + 1, n):
             if u[i] * c[i][j] != u[j] * c[j][i]:
-                raise NotSymmetrizable(
-                    f"u[{i}]*c[{i}][{j}] = {u[i] * c[i][j]} != {u[j] * c[j][i]} = u[{j}]*c[{j}][{i}]")
+                raise NotSymmetrizable(f"u[{i + 1}]*c[{i + 1}][{j + 1}] = {u[i] * c[i][j]} != "
+                                       f"{u[j] * c[j][i]} = u[{j + 1}]*c[{j + 1}][{i + 1}]")
 
     for (i, j) in arrow_set:
         arrow = f"arrow [{i + 1}, {j + 1}]"

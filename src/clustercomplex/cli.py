@@ -219,9 +219,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    cx = build_complex(catalog_for(_load(args), t_max=args.t_max))
-    labels = [face_label(cx.catalog, f) for f in cx.facets]
-    edges = [(i, j) for i, nbrs in exchange_graph(cx).items() for j in nbrs if i < j]
+    catalog = catalog_for(_load(args), t_max=args.t_max)
+    labels = [face_label(catalog, f) for f in catalog.facets]
+    edges = [(i, j) for i, nbrs in exchange_graph(catalog.facets).items() for j in nbrs if i < j]
     if args.format == "json":
         print(json.dumps({"nodes": labels, "edges": edges}))
     else:

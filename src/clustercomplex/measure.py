@@ -133,15 +133,13 @@ def _descend(catalog: RootCatalog, facet: int, keys: dict[int, tuple[int, ...]])
 def descent_path(catalog: RootCatalog, facet: int) -> list[int]:
     """The descent from `facet` towards the zero facet, `facet` first.
 
-    The walk stops where `_descend` stops it, or once it has taken more
-    steps than the catalog has facets; the last facet of the path is then
-    where the descent stalled.
+    The walk stops where `_descend` stops it, at the zero facet or where
+    the descent stalled, which is then the last facet of the path.  Each
+    step drops the lambda key, and the keys of a finite catalog cannot drop
+    forever, so no step bound is needed and no facet list is built.
     """
     path = [facet]
-    while len(path) <= len(catalog.facets) + 1:
-        nxt = _descend(catalog, path[-1], {})
-        if nxt is None:
-            break
+    while (nxt := _descend(catalog, path[-1], {})) is not None:
         path.append(nxt)
     return path
 

@@ -16,22 +16,21 @@ Axioms checked here, for a poset with bottom and top:
 plus simpliciality (each proper face's lower interval is boolean) and strong
 flag connectivity (the facet adjacency graph of every co-face is connected).
 
-The walk hands over `up`, one scan reads it.  `up[F]` is the mask of the
-vertices v such that F + v is a face; it is the vertex set of the link of
-F, and it decides every check.  The walk reads each face's up off its
-rigid set's masks (the up lemma in `tilting`), and its faces are down-closed,
-so no face loses a subface.  A face set that a test builds instead gets its
-up from the sweep over every face minus one vertex in `tests/oracles.py`,
-whose keys are every face and then every lost subface.  The scan
-(`ClusterComplex.scan`) passes once over the faces' up masks.  A face with
-an empty up is maximal, and AP2 asks that it have n vertices.  Every subset
-of a face is a face once no face loses a subface, by induction on size
-(simpliciality), and up has as many keys as there are faces exactly when
-no face lost one.  The middle of the interval from U - {a, b} up to U is
-U - a and U - b, so the inner diamonds exist when no face of size >= 2
-loses one.  A ridge (a face with n - 1 vertices) is thin when its up has
-two bits, v and w; AP4 at the top asks that every ridge be thin, and the
-facets R + v and R + w are then exchange neighbours.
+A complex is one dict from each face to its up mask, and its facets.
+`up[F]` is the mask of the vertices v such that F + v is a face; it is the
+vertex set of the link of F, and it decides every check.  The walk reads
+each face's up off its rigid set's masks (the up lemma in `tilting`), and
+its faces are down-closed, so no face loses a subface.  A face set that a
+test builds gets its up from the sweep over every face minus one vertex in
+`tests/oracles.py`.  The scan (`ClusterComplex.scan`) passes once over the
+dict.  A face with an empty up is maximal, and AP2 asks that it have n
+vertices.  Every subset of a face is a face once no face loses a subface,
+by induction on size (simpliciality), and the scan tells whether one did
+from the up masks alone (`_scan`).  The middle of the interval from
+U - {a, b} up to U is U - a and U - b, so the inner diamonds exist when no
+face of size >= 2 loses one.  A ridge (a face with n - 1 vertices) is thin
+when its up has two bits, v and w; AP4 at the top asks that every ridge be
+thin, and the facets R + v and R + w are then exchange neighbours.
 
 Strong flag connectivity comes from links.  In a pure complex every
 co-face is strongly connected exactly when every link of dimension >= 1 is
@@ -65,14 +64,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from typing import Collection, Mapping
+from typing import Mapping, Sequence
 
 from .algebra import format_dimv
 from .errors import NotRankTwoInfinite
 from .homext import ids_of, mask_of
 from .roots import PREINJ, PREPROJ, RANK2_INFINITE, RootCatalog
-from .tilting import decode_face, facets_among
+from .tilting import decode_face
 
 Face = int
 
@@ -112,33 +110,18 @@ def _unreached(up: Mapping[int, int], within: int, base: Face = 0) -> int:
 
 @dataclass
 class ClusterComplex:
-    """The faces of a complex, a finite one or a rank-2 window, and their
-    up masks; the rest is found on first use.
-
-    up[F] is the mask of the vertices v with F + v a face, for every face F
-    and for every subface that a face lost; the faces are the first
-    len(faces) keys, and the lost subfaces come after them.  For the
-    catalog's own faces, `build_complex` passes the walk's dict as both
-    (the up lemma in `tilting`), and it has no lost keys.  A face set built
-    in a test gets its up from the sweep over every face minus one vertex,
-    `oracle_up` in `tests/oracles.py`.
-    """
+    """A complex, a finite one or a rank-2 window: each face mapped to its
+    up mask, and the facets, the faces with n vertices by ascending vertex
+    tuple.  `build_complex` takes both from the catalog's walk, `complex_of`
+    in `tests/oracles.py` from a face set built in a test."""
 
     catalog: RootCatalog
-    faces: Collection[Face]
-    up: Mapping[Face, int]
+    faces: Mapping[Face, int]
+    facets: Sequence[Face]
 
     @property
     def n(self) -> int:
         return self.catalog.algebra.n
-
-    @cached_property
-    def facets(self) -> tuple[Face, ...]:
-        """The faces with n vertices, by ascending vertex tuple: the
-        catalog's own list when these are the faces its walk found."""
-        if self.faces is vars(self.catalog).get("faces"):
-            return self.catalog.facets
-        return tuple(facets_among(self.n, self.faces))
 
     @cached_property
     def scan(self) -> AxiomReport:
@@ -148,12 +131,12 @@ class ClusterComplex:
 
 @dataclass
 class AxiomReport:
-    """`bad_ridges` are the faces of size n - 1 not held by exactly two
-    facets (their up does not have two bits), and `lost_faces` the subfaces
-    that a face lost (the keys of up that are not faces), each by size and
-    then vertex tuple.  `short_face`, the witness of AP2, is the first
-    maximal face without n vertices in that order, or None.  `least[k]` is
-    the fewest up bits of a face with k vertices, for the flood floors."""
+    """`bad_ridges` are the faces of size n - 1 whose up does not have two
+    bits, and `lost_faces` the faces minus one vertex that are not faces,
+    each by size and then vertex tuple.  `short_face`, the witness of AP2,
+    is the first maximal face without n vertices in that order, or None.
+    `least[k]`, for the flood floors, is the fewest up bits of a face with
+    k vertices."""
 
     ap1: bool
     ap2: bool
@@ -170,27 +153,37 @@ class AxiomReport:
 
 
 def _scan(cx: ClusterComplex) -> AxiomReport:
-    """One pass over the (face, up) entries of the faces, the first
-    len(faces) of up; the keys after them are the lost subfaces.
+    """One pass over the (face, up) entries of the faces.
+
+    Double count: the sum of |F| over the faces counts every pair (H, v)
+    with v in the face H, and the sum of |up[F]| counts the pairs where
+    H - v is a face too (F = H - v and v in up[F]).  So the sums are equal
+    exactly when no face lost a subface, and only when they differ are the
+    faces minus one vertex looked up, to name the lost ones.
 
     AP2 holds when no maximal face is short.  AP4 at the top asks that
     every ridge be thin; inside the proper part, a diamond is missing below
     every face of size >= 2 that lost a subface, and that subface is not
     empty."""
-    n, up, count = cx.n, cx.up, len(cx.faces)
+    n, faces = cx.n, cx.faces
     least: dict[int, int] = {}
     get = least.get
     short, thick = [], []
-    for face, above in islice(up.items(), count):
+    held = linked = 0
+    for face, above in faces.items():
         k, links = face.bit_count(), above.bit_count()
+        held += k
+        linked += links
         if links < get(k, links + 1):
             least[k] = links
         if not above and k != n:
             short.append(face)
         if k == n - 1 and links != 2:
             thick.append(face)
-    lost = sorted(islice(up, count, None), key=_face_key) if len(up) != count else []
-    return AxiomReport(ap1=0 in cx.faces and len(cx.facets) > 0,
+    lost = [] if held == linked else sorted(
+        {sub for face in faces for v in ids_of(face) if (sub := face ^ 1 << v) not in faces},
+        key=_face_key)
+    return AxiomReport(ap1=0 in faces and len(cx.facets) > 0,
                        ap2=not short,
                        ap4=not thick and not any(lost),
                        simplicial=not lost,
@@ -201,9 +194,9 @@ def _scan(cx: ClusterComplex) -> AxiomReport:
 
 
 def build_complex(catalog: RootCatalog) -> ClusterComplex:
-    """The faces of the rigid-set walk and their up masks, as they are, for
-    a finite catalog or a rank-2 window alike."""
-    return ClusterComplex(catalog=catalog, faces=catalog.faces, up=catalog.faces)
+    """The walk's faces with their up masks, as they are, and the facets
+    among them, for a finite catalog or a rank-2 window alike."""
+    return ClusterComplex(catalog=catalog, faces=catalog.faces, facets=catalog.facets)
 
 
 def verify_ap_axioms(cx: ClusterComplex) -> AxiomReport:
@@ -211,16 +204,19 @@ def verify_ap_axioms(cx: ClusterComplex) -> AxiomReport:
     return cx.scan
 
 
-def exchange_graph(cx: ClusterComplex) -> dict[int, tuple[int, ...]]:
-    """Facet adjacency, as indices into cx.facets: each ridge R whose up is
-    {v, w} joins the facets R + v and R + w."""
-    ridge_size = cx.n - 1
-    index = {facet: i for i, facet in enumerate(cx.facets)}
-    adj: dict[int, list[int]] = {i: [] for i in index.values()}
-    for ridge, above in cx.up.items():
-        if ridge.bit_count() == ridge_size and above.bit_count() == 2:
-            low = above & -above
-            i, j = index[ridge | low], index[ridge | (above ^ low)]
+def exchange_graph(facets: Sequence[Face]) -> dict[int, tuple[int, ...]]:
+    """Facet adjacency, as indices into `facets`: two facets are joined
+    when they are the only holders of a ridge F - v.  On a complex these
+    are its thin ridges; a face set that lacks such a ridge keeps the
+    edge, though the ridge is not a face."""
+    holders: dict[Face, list[int]] = {}
+    for i, facet in enumerate(facets):
+        for v in ids_of(facet):
+            holders.setdefault(facet ^ 1 << v, []).append(i)
+    adj: dict[int, list[int]] = {i: [] for i in range(len(facets))}
+    for pair in holders.values():
+        if len(pair) == 2:
+            i, j = pair
             adj[i].append(j)
             adj[j].append(i)
     return {i: tuple(sorted(js)) for i, js in adj.items()}
@@ -273,10 +269,10 @@ def _flood_floor(cx: ClusterComplex) -> list[int]:
 def _split_links(cx: ClusterComplex) -> list[Face]:
     """The faces with at most n - 2 vertices whose link is disconnected; a
     link below its `_flood_floor` is connected and is not flooded."""
-    n, up, floor = cx.n, cx.up, _flood_floor(cx)
-    return [f for f, above in islice(up.items(), len(cx.faces))
+    n, faces, floor = cx.n, cx.faces, _flood_floor(cx)
+    return [f for f, above in faces.items()
             if (k := f.bit_count()) < n - 1 and above.bit_count() >= floor[k]
-            and _unreached(up, above, f)]
+            and _unreached(faces, above, f)]
 
 
 def verify_flag_connected(cx: ClusterComplex) -> FlagReport:
@@ -337,10 +333,10 @@ def rank2_window_complex(cx: ClusterComplex) -> WindowReport:
     preinj = [e.id for e in catalog.entries if e.component == PREINJ]
     boundary = {n + preproj[-1], n + preinj[0]}
     bad = next((v for v in range(n + len(catalog))
-                if cx.up.get(1 << v, 0).bit_count() != (1 if v in boundary else 2)), None)
+                if cx.faces.get(1 << v, 0).bit_count() != (1 if v in boundary else 2)), None)
     wrong = set(cx.facets) ^ expected
     return WindowReport(facets_expected=not wrong,
                         interior_ridges_ok=bad is None,
-                        path_ok=is_path(exchange_graph(cx)),
+                        path_ok=is_path(exchange_graph(cx.facets)),
                         facet_witness=min(wrong, key=_face_key) if wrong else None,
                         vertex_witness=None if bad is None else 1 << bad)

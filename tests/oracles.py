@@ -11,7 +11,9 @@ breadth-first on the face set, a single cycle is a graph of degree two
 everywhere that one breadth-first search covers, the face-poset scan's
 findings are one comprehension each over the faces and their up masks, the
 up masks of a face set come from one sweep over every face minus one vertex
-(`oracle_up`), the descent step's member is the minimum by measure rank over the facet's ids,
+(`oracle_up`), the exchange graph joins the two facets above each ridge
+whose up mask has two bits (`oracle_exchange_graph`), the descent step's
+member is the minimum by measure rank over the facet's ids,
 the lambda order compares tuples of `Fraction` measures, determinants are
 Leibniz expansions, rank and solves are a Gauss-Jordan elimination over
 `Fraction`s, endomorphism multisets are compared sorted, and rigid
@@ -21,14 +23,17 @@ one since rigidity is pairwise.  The package stores a face as the int
 bitmask of its vertices; `vertex_sets` turns such faces into the frozensets
 these oracles read, and `downward_closure` gives the faces that a list of
 such facets spans, as the package built its faces before they came from the
-rigid-set walk.  `complex_of` hands a face set built in a test, with its
-`oracle_up` masks, to the package's checks as a `ClusterComplex`.
+rigid-set walk.  `complex_of` hands a face set built in a test to the
+package's checks as a `ClusterComplex`: each face with its `oracle_up`
+mask, which is exact, and the faces with n vertices as the facets.  The
+subfaces that a face lost are not handed over; the scan finds them.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from clustercomplex.polytope import ClusterComplex
+from clustercomplex.tilting import facets_among
 
 # Positive roots in simple-root coordinates, straight from the tables.
 KNOWN_ROOTS = {
@@ -78,9 +83,7 @@ def oracle_up(faces):
     """up[F], the mask of the vertices v such that F + v is a face, for every
     face F and every face minus one vertex, from one sweep over every face
     minus one vertex (`face ^ bit`); a key outside `faces` is a subface that
-    a face lost.  The faces are the first len(faces) keys: up starts as
-    `dict.fromkeys(faces, 0)`, and the sweep appends only the lost subfaces
-    after them."""
+    a face lost."""
     up = dict.fromkeys(faces, 0)
     get = up.get
     for face in faces:
@@ -94,9 +97,31 @@ def oracle_up(faces):
 
 
 def complex_of(catalog, faces):
-    """The complex of a face set built in a test, with its `oracle_up` masks."""
+    """The complex of a face set built in a test: each face with its
+    `oracle_up` mask, and the faces with n vertices as its facets."""
     faces = frozenset(faces)
-    return ClusterComplex(catalog=catalog, faces=faces, up=oracle_up(faces))
+    up = oracle_up(faces)
+    return ClusterComplex(catalog=catalog, faces={face: up[face] for face in faces},
+                          facets=facets_among(catalog.algebra.n, faces))
+
+
+def oracle_exchange_graph(faces, n):
+    """Facet adjacency, as indices into the faces with n vertices by
+    ascending vertex tuple: each ridge R among the faces, a face with n - 1
+    vertices, whose up mask is {v, w} joins the facets R + v and R + w.
+    `faces` maps each face to its up mask; a ridge that is not a face
+    joins nothing."""
+    facets = sorted((face for face in faces if face.bit_count() == n),
+                    key=lambda face: [v for v in range(face.bit_length()) if face >> v & 1])
+    index = {facet: i for i, facet in enumerate(facets)}
+    adj = {i: [] for i in index.values()}
+    for ridge, above in faces.items():
+        if ridge.bit_count() == n - 1 and above.bit_count() == 2:
+            low = above & -above
+            i, j = index[ridge | low], index[ridge | (above ^ low)]
+            adj[i].append(j)
+            adj[j].append(i)
+    return {i: tuple(sorted(js)) for i, js in adj.items()}
 
 
 def oracle_form(euler, x, y):

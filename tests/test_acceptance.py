@@ -68,7 +68,7 @@ def test_criterion_3_rank2_polygons():
     for name, size in (("a1xa1", 4), ("a2", 5), ("b2", 6), ("g2", 8)):
         cx = build_complex(positive_roots(fixture(name)))
         assert len(cx.facets) == size
-        assert is_single_cycle(exchange_graph(cx))
+        assert is_single_cycle(exchange_graph(cx.facets))
     print("criterion 3 (rank-2 polygons 4/5/6/8): PASS")
 
 
@@ -93,7 +93,7 @@ def test_criterion_5_mutation_connectedness():
     for name in FINITE_NAMES:
         cat = positive_roots(fixture(name))
         cx = build_complex(cat)
-        adj = exchange_graph(cx)
+        adj = exchange_graph(cx.facets)
         zero = (1 << cx.n) - 1
         start = cx.facets.index(zero)
         seen = {start}

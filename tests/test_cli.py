@@ -170,10 +170,11 @@ def test_split_link_flood_matches_a_breadth_first_search():
     spheres = [sum(1 << v for v in block) - (1 << v) for block in ((0, 1, 2, 3), (3, 4, 5, 6))
                for v in block]
     cx = complex_of(positive_roots(fixture("a3")), downward_closure(spheres))
-    for face in cx.faces:
+    faces = cx.faces
+    for face in faces:
         if face.bit_count() <= 1:
-            assert _unreached(cx.up, cx.up[face], face) == oracle_link_unreached(cx.faces, face)
-    assert _unreached(cx.up, cx.up[1 << 3], 1 << 3) == 0b1110000
+            assert _unreached(faces, faces[face], face) == oracle_link_unreached(faces, face)
+    assert _unreached(faces, faces[1 << 3], 1 << 3) == 0b1110000
 
 
 def test_thin_complex_with_a_split_link_prints_the_link(monkeypatch, capsys):
@@ -256,6 +257,19 @@ def test_arrow_outside_the_labels_is_named_as_written(capsys, tmp_path, arrow):
     ({"arrows": []}, "vertices 1 and 2 are coupled in the Cartan matrix but no arrow joins them"),
 ], ids=["loop", "arrow-without-entry", "coupling-without-arrow"])
 def test_arrow_errors_name_1_based_labels(capsys, tmp_path, change, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**A2, **change}))
+    assert run(capsys, "verify", "--input", str(path)) == (
+        3, "", f"error: invalid algebra data: {message}\n")
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"cartan": [[3, -1], [-1, 2]]}, "c[1][1] = 3, diagonal entries must be 2"),
+    ({"cartan": [[2, 1], [-1, 2]]}, "c[1][2] = 1, off-diagonal entries must be <= 0"),
+    ({"symmetrizer": [0, 1]}, "symmetrizer entry u[1] = 0 must be positive"),
+    ({"cartan": [[2, -1], [-2, 2]]}, "u[1]*c[1][2] = -1 != -2 = u[2]*c[2][1]"),
+], ids=["diagonal", "off-diagonal", "symmetrizer", "not-symmetrizable"])
+def test_matrix_errors_name_1_based_labels(capsys, tmp_path, change, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**A2, **change}))
     assert run(capsys, "verify", "--input", str(path)) == (

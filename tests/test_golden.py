@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from clustercomplex import cli
 from clustercomplex.cli import main
 from clustercomplex.fixtures import fixture_names
 
@@ -44,6 +45,26 @@ def golden():
 @pytest.mark.parametrize("case", CASES)
 def test_cli_output_is_frozen(golden, case):
     assert _run(case) == golden[case]
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if case.startswith("graph")])
+def test_graph_builds_no_complex(golden, case, monkeypatch):
+    # `graph` reads the catalog's facets alone: it builds no complex, and
+    # the catalog keeps no face dict
+    def no_complex(catalog):
+        raise AssertionError("graph built a complex")
+
+    catalogs, catalog_for = [], cli.catalog_for
+
+    def kept(algebra, t_max):
+        catalogs.append(catalog_for(algebra, t_max=t_max))
+        return catalogs[-1]
+
+    monkeypatch.setattr(cli, "build_complex", no_complex)
+    monkeypatch.setattr(cli, "catalog_for", kept)
+    assert _run(case) == golden[case]
+    assert len(catalogs) == (golden[case]["exit"] == 0)
+    assert all("faces" not in vars(catalog) for catalog in catalogs)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
 """Import hygiene of the package: standard library only, no private names
 taken from sibling modules, no imported name left unused outside
 `__init__`, no function-level import besides the catalog's four lazy ones,
-no floating point, no public top-level name that nothing uses, no error
-class that nothing raises, the `cli`, `measure` and `tilting` names that
-the benchmark's tracer patches still there, and no public function that
-neither the CLI nor the benchmark's completion queries reach but the two
-that tests use as helpers."""
+no `vars(` outside `roots`, no floating point, no public top-level name
+that nothing uses, no error class that nothing raises, the `cli`, `measure`
+and `tilting` names that the benchmark's tracer patches still there, and
+no public function that neither the CLI nor the benchmark's completion
+queries reach but the two that tests use as helpers."""
 
 import ast
 import contextlib
@@ -88,6 +88,16 @@ def test_function_level_imports_are_the_catalog_edges():
         ("roots.py", "tilting", "facets_among"),
         ("roots.py", "tilting", "rigid_faces"),
     ]
+
+
+def test_only_the_catalog_reads_its_cache():
+    # `vars(catalog)` tells whether a cached property was built; only
+    # `roots` may ask, so that only the catalog knows whether it holds its faces
+    found = {path.name for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "vars"}
+    assert found == {"roots.py"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -10,6 +10,7 @@ from clustercomplex import (
     FINITE_FIXTURES,
     RootCatalog,
     as_facet,
+    bongartz,
     build_algebra,
     decode_face,
     descent_path,
@@ -265,6 +266,16 @@ def test_a_step_to_higher_ranks_stalls_there(monkeypatch):
     assert not report.ok and report.stalled == [victim]
     assert report.steps[victim] == 0 and list(report.steps) == facets
     assert descent_path(cat, victim) == [victim]
+
+
+@pytest.mark.parametrize("name", FINITE_FIXTURES)
+def test_a_lone_descent_path_lists_no_facets(name):
+    # a walk from the top facet of a fresh catalog: no facet list is built
+    cat = positive_roots(fixture(name))
+    top = as_facet(cat, bongartz(cat, ()))
+    path = descent_path(cat, top)
+    assert path[-1] == zero_facet(cat) and len(path) > 1
+    assert "facets" not in vars(cat) and "faces" not in vars(cat)
 
 
 def test_a_corrupt_descent_move_fails_verify(monkeypatch, capsys):

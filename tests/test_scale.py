@@ -122,7 +122,7 @@ def _polygon_census(catalog):
     F has the vertices up[F], and v, w are joined when w is in up[F + v]; it
     must be one cycle of 4, 5, 6 or 8 vertices."""
     cx = build_complex(catalog)
-    up, lengths = cx.up, Counter()
+    up, lengths = cx.faces, Counter()
     for face in cx.faces:
         if face.bit_count() == cx.n - 2:
             link = up[face]
