@@ -16,7 +16,6 @@ from .fixtures import FINITE_FIXTURES, RANK2_INFINITE_FIXTURES, fixture, fixture
 from .homext import (
     hom_ext,
     is_rigid,
-    iter_rigid_sets,
     support,
 )
 from .measure import (
@@ -53,7 +52,6 @@ from .roots import (
     simple_reflection,
 )
 from .tilting import (
-    as_facet,
     bongartz,
     complements,
     decode_face,

@@ -14,11 +14,8 @@ ext_free_in[y] has bit x when ext(x, y) = 0, and compat[x] is their AND,
 the members that can share a rigid set with x.  It also holds each
 member's vertex support as a mask.  A catalog builds its kernel once, on
 the first rigidity query (`RootCatalog.kernel`).  The rigid sets are the
-cliques of compat with at most n members; `cliques` walks them on one
-explicit stack and hands each over as a triple of ints: its member mask,
-the OR of its members' support masks, and cand, the members that extend
-it to a larger clique, so no caller rebuilds any of them from ids
-(`ids_of` gives the ids where they are needed).
+cliques of compat with at most n members (`tilting.rigid_faces` walks
+them).
 
 A finite catalog pairs each member against the whole catalog.  A rank-2
 window uses the Coxeter shift instead (Dlab-Ringel, "Indecomposable
@@ -49,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, ge, gt, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .algebra import DimVector, euler_form, unit_vector
 from .errors import MixedCatalogs, OracleViolation, UnknownId
@@ -138,49 +135,13 @@ class ExtKernel:
             out |= self.support[i]
         return out
 
+    def rigid(self, members: int) -> bool:
+        """True when ext vanishes for every ordered pair of the member mask."""
+        return all(self.ext_free_out[i] & members == members for i in ids_of(members))
+
     def within(self, vertices: int) -> int:
         """Members supported inside the vertex mask."""
         return mask_of(i for i, s in enumerate(self.support) if not s & ~vertices)
-
-    def cliques(self) -> Iterator[tuple[int, int, int]]:
-        """Every set T of pairwise compatible members with at most n members,
-        as a (member mask, support mask, cand mask) triple, in depth-first
-        pre-order starting with the empty set (0, 0, everyone).  cand holds
-        the members outside T that are compatible with every member of T,
-        so T + m is one of the sets exactly when m is in cand; it is 0 when
-        T has n members.
-
-        One explicit stack holds a frame per open set: its member mask, its
-        support mask, its cand, and the candidates left to try, the members
-        of cand above the last one chosen.  Candidates are taken by lowest
-        set bit, and a set with n members is not extended.  Member i of
-        cand extends T to T + i, whose cand is cand minus i, AND compat[i].
-        """
-        compat, support, n = self.compat, self.support, self.n
-        yield 0, 0, self.everyone
-        members, supports, cands, lefts = [0], [0], [self.everyone], [self.everyone]
-        while lefts:
-            left = lefts[-1]
-            if not left:
-                members.pop()
-                supports.pop()
-                cands.pop()
-                lefts.pop()
-                continue
-            low = left & -left
-            left ^= low
-            lefts[-1] = left
-            i = low.bit_length() - 1
-            mask, supp = members[-1] | low, supports[-1] | support[i]
-            if len(lefts) < n:
-                cand = (cands[-1] ^ low) & compat[i]
-                yield mask, supp, cand
-                members.append(mask)
-                supports.append(supp)
-                cands.append(cand)
-                lefts.append(left & compat[i])
-            else:
-                yield mask, supp, 0
 
 
 def _pairings(form: Sequence[Sequence[int]], x: Sequence[int],
@@ -323,10 +284,7 @@ def validate_ids(catalog: RootCatalog, ids: Iterable[int]) -> tuple[int, ...]:
 
 def is_rigid(catalog: RootCatalog, ids: Iterable[int]) -> bool:
     """True when ext vanishes for every ordered pair (self-pairs are free)."""
-    members = validate_ids(catalog, ids)
-    mask = mask_of(members)
-    free = catalog.kernel.ext_free_out
-    return all(free[i] & mask == mask for i in members)
+    return catalog.kernel.rigid(mask_of(validate_ids(catalog, ids)))
 
 
 def support(catalog: RootCatalog, ids: Iterable[int]) -> tuple[frozenset[int], frozenset[int]]:
@@ -335,15 +293,3 @@ def support(catalog: RootCatalog, ids: Iterable[int]) -> tuple[frozenset[int], f
     supp = frozenset(ids_of(catalog.kernel.support_of(members)))
     sigma = frozenset(range(catalog.algebra.n)) - supp
     return supp, sigma
-
-
-def iter_rigid_sets(catalog: RootCatalog) -> Iterator[tuple[int, int, int]]:
-    """Yield every rigid set T as a (member mask, support mask, cand mask)
-    triple, the empty set first: bit i of the member mask is member i, bit
-    v of the support mask is vertex v, cand holds the members m outside T
-    with T + m rigid (0 when T has n members), and `ids_of` gives the ids.
-
-    Sets larger than the algebra rank cannot be rigid and are never produced.
-    The catalog's kernel is built on the first item if it does not exist yet.
-    """
-    yield from catalog.kernel.cliques()

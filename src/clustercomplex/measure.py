@@ -45,6 +45,7 @@ from typing import Iterable
 
 from .errors import (
     Disconnected,
+    NotFiniteType,
     NotRankTwo,
     NotRepresentationInfinite,
     NotSymmetrizable,
@@ -54,8 +55,8 @@ from .errors import (
 from .homext import ids_of
 from .roots import FINITE, Indec, RootCatalog, two_term_chain
 from .tilting import (
-    as_facet,
     bongartz,
+    canonical_completion,
     dual_bongartz,
     enumerate_support_tilting,
     zero_facet,
@@ -77,15 +78,19 @@ def lambda_key(catalog: RootCatalog, facet: int) -> tuple[int, ...]:
 
 def member_moves(catalog: RootCatalog) -> tuple[int, ...]:
     """Each member's descent move, by id: the better of its two canonical
-    in-support completions, as a facet (the smaller lambda key; ties keep
-    the forward one).  `RootCatalog.descent_moves` keeps them."""
+    in-support completions (`tilting.canonical_completion` of its member
+    bit in its support), as a facet (the smaller lambda key; ties keep the
+    forward one).  A completion lies in the member's support, so the facet's
+    unsupported vertices are those of the member.  `RootCatalog.descent_moves`
+    keeps them."""
+    if catalog.kind != FINITE:
+        raise NotFiniteType("canonical completion requires a finite catalog")
+    kernel, n, everything = catalog.kernel, catalog.algebra.n, zero_facet(catalog)
     moves = []
-    for m in range(len(catalog)):
-        supp_m = ids_of(catalog.kernel.support[m])
-        forward = bongartz(catalog, (m,), within=supp_m)
-        backward = dual_bongartz(catalog, (m,), within=supp_m)
-        moves.append(min((as_facet(catalog, {m} | part) for part in (forward, backward)),
-                         key=lambda f: lambda_key(catalog, f)))
+    for m, supp in enumerate(kernel.support):
+        free, bit = everything & ~supp, 1 << m
+        moves.append(min((free | (bit | canonical_completion(kernel, bit, supp, dual)) << n
+                          for dual in (False, True)), key=lambda f: lambda_key(catalog, f)))
     return tuple(moves)
 
 

@@ -14,7 +14,19 @@ a vertex window W is read off directly (K. Bongartz, "Tilted algebras",
 LNM 903, 1981): it is the set G of members B outside T, compatible with T,
 with ext(B, M) = 0 for every in-window M that is ext-orthogonal to T.  The
 mirror test (swap the pairing order) gives the dual completion.  That G
-completes T is checked, not assumed: |T| + |G| must equal |W|.
+completes T is checked, not assumed: |T| + |G| must equal |W|.  One
+mask-level rule, `canonical_completion`, reads G off for `bongartz`,
+`dual_bongartz` and the descent moves of `measure`.
+
+The walk: the rigid sets are the cliques of compat with at most n members.
+One explicit stack holds a frame per open clique T: its member mask, the
+OR of its members' support masks, cand (the members outside T compatible
+with every member of T) and left (the members of cand above the last one
+chosen, still to try).  Candidates are taken by lowest set bit, in
+depth-first pre-order from the empty set; member i of left extends T to
+T + i, whose cand is cand minus i, AND compat[i], and whose left is what
+is left, AND compat[i].  A clique with n members is not extended and has
+cand 0.  No mask is rebuilt from ids.
 
 The faces are down-closed: a subset of the face (T, sigma) is (T', sigma')
 with T' in T and sigma' in sigma.  T' is a smaller clique of compat, so the
@@ -32,6 +44,12 @@ exactly when m is in cand, and then (T + m, sigma) is a face exactly when
 supp m misses sigma, as supp T does already.  So the up masks are what a
 sweep over every face minus one vertex finds, and by down-closure that
 sweep finds no subface outside the faces (`tests/oracles.py` keeps it).
+
+The bounds: a support misses sigma exactly when it misses sigma - v and
+{v}, for any vertex v of sigma, so avoid[sigma] = avoid[sigma - v] &
+avoid[{v}], with avoid[0] every member.  Taking v the highest vertex of
+sigma, the table for the vertices 0..v is the one for 0..v-1 followed by
+its copy ANDed with avoid[{v}]: n `within` scans fill all 2^n entries.
 """
 
 from __future__ import annotations
@@ -39,15 +57,8 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .errors import NoCompletion, NotAlmostComplete, NotFiniteType
-from .homext import ids_of, is_rigid, iter_rigid_sets, mask_of, validate_ids
+from .homext import ExtKernel, ids_of, is_rigid, mask_of, validate_ids
 from .roots import FINITE, RootCatalog
-
-
-def as_facet(catalog: RootCatalog, ids: Iterable[int]) -> int:
-    """The face of the members `ids` with every vertex outside their support."""
-    members = validate_ids(catalog, ids)
-    free = zero_facet(catalog) & ~catalog.kernel.support_of(members)
-    return free | (mask_of(members) << catalog.algebra.n)
 
 
 def zero_facet(catalog: RootCatalog) -> int:
@@ -67,26 +78,50 @@ def rigid_faces(catalog: RootCatalog) -> Iterator[tuple[int, int]]:
 
     A face is a pair (T, sigma): a rigid set T and a set sigma of vertices
     outside the support of T (T. Adachi, O. Iyama, I. Reiten, "tau-tilting
-    theory", 2014).  The walk hands over each rigid T as its member,
-    support and cand masks, and T is emitted with every such sigma.  By
-    the up lemma, the up mask of (T, sigma) is the AND of (cand << n) | F
-    and bounds[sigma], the vertices outside sigma with, as member bits, the
-    members whose support misses sigma.  `RootCatalog.faces` keeps them.
+    theory", 2014).  The walk of the module docstring reaches each rigid T
+    with its member, support and cand masks and emits it with every such
+    sigma, the submasks of F from F down to 0.  By the up lemma, the up
+    mask of (T, sigma) is the AND of (cand << n) | F and bounds[sigma], the
+    vertices outside sigma with, as member bits, avoid[sigma].
+    `RootCatalog.faces` keeps them.
     """
     n = catalog.algebra.n
     everything = (1 << n) - 1
-    within = catalog.kernel.within
-    bounds = [(within(everything ^ sigma) << n) | (everything ^ sigma) for sigma in range(1 << n)]
-    for members, supp, cand in iter_rigid_sets(catalog):
-        members <<= n
+    kernel = catalog.kernel
+    compat, support, everyone = kernel.compat, kernel.support, kernel.everyone
+    avoid = [everyone]
+    for v in range(n):
+        miss = kernel.within(everything ^ (1 << v))
+        avoid += [mask & miss for mask in avoid]
+    bounds = [(mask << n) | (everything ^ sigma) for sigma, mask in enumerate(avoid)]
+    members, supp, cand, left = 0, 0, everyone, everyone
+    stack = []
+    while True:
         free = everything & ~supp
         reach = (cand << n) | free
+        top = members << n
         sigma = free
         while True:
-            yield members | sigma, reach & bounds[sigma]
+            yield top | sigma, reach & bounds[sigma]
             if not sigma:
                 break
             sigma = (sigma - 1) & free
+        if not left:
+            if not stack:
+                return
+            members, supp, cand, left = stack.pop()
+        low = left & -left
+        left ^= low
+        if left:
+            stack.append((members, supp, cand, left))
+        i = low.bit_length() - 1
+        members |= low
+        supp |= support[i]
+        if members.bit_count() < n:
+            cand = (cand ^ low) & compat[i]
+            left &= compat[i]
+        else:
+            cand = left = 0
 
 
 def _reversed_bytes() -> bytes:
@@ -157,13 +192,43 @@ def complements(catalog: RootCatalog, t_ids: Iterable[int],
             f"{len(members)} members cannot be almost complete in window of size {window.bit_count()}")
     if not is_rigid(catalog, members):
         raise ValueError("T must be rigid")
-    return list(ids_of(_pool(catalog, members, catalog.kernel.within(window))))
-
-
-def _pool(catalog: RootCatalog, members: tuple[int, ...], inside: int) -> int:
-    """Members of `inside` outside T and compatible with all of T."""
     kernel = catalog.kernel
-    return inside & kernel.meet(kernel.compat, members) & ~mask_of(members)
+    return list(ids_of(_pool(kernel, mask_of(members), kernel.within(window))))
+
+
+def _pool(kernel: ExtKernel, members: int, inside: int) -> int:
+    """Members of `inside` outside the member mask T and compatible with all of T."""
+    return inside & kernel.meet(kernel.compat, ids_of(members)) & ~members
+
+
+def canonical_completion(kernel: ExtKernel, members: int, window: int, dual: bool) -> int:
+    """The completion G of the member mask T inside the vertex mask `window`,
+    as a member mask: the members c outside T, compatible with T, whose ext
+    into (dual: from) every in-window member ext-orthogonal to T vanishes.
+
+    ValueError when T is not rigid or its support escapes the window;
+    NoCompletion, naming T and the window, when |T| + |G| != |window|.
+    """
+    if not kernel.rigid(members):
+        raise ValueError("T must be rigid")
+    t_ids = ids_of(members)
+    supp = kernel.support_of(t_ids)
+    if supp & ~window:
+        raise ValueError(f"support {list(ids_of(supp))} escapes window {list(ids_of(window))}")
+    # ext(i, m) = 0 puts m in ext_free_out[i]; the dual test ext(m, i) = 0
+    # puts m in ext_free_in[i].
+    free = kernel.ext_free_in if dual else kernel.ext_free_out
+    inside = kernel.within(window)
+    orthogonal = inside & kernel.meet(free, t_ids)
+    good = 0
+    for c in ids_of(_pool(kernel, members, inside)):
+        if free[c] & orthogonal == orthogonal:
+            good |= 1 << c
+    places = window.bit_count() - len(t_ids)
+    if good.bit_count() != places:
+        raise NoCompletion(f"no canonical completion of {t_ids} in window {list(ids_of(window))}: "
+                           f"{good.bit_count()} candidates for {places} places")
+    return good
 
 
 def _canonical_complement(catalog: RootCatalog, t_ids: Iterable[int],
@@ -171,25 +236,9 @@ def _canonical_complement(catalog: RootCatalog, t_ids: Iterable[int],
     """The completion of T inside the window `within` (every vertex when None)."""
     if catalog.kind != FINITE:
         raise NotFiniteType("canonical completion requires a finite catalog")
-    members = validate_ids(catalog, t_ids)
-    if not is_rigid(catalog, members):
-        raise ValueError("T must be rigid")
+    members = mask_of(validate_ids(catalog, t_ids))
     window = _window(catalog, within)
-    kernel = catalog.kernel
-    supp = kernel.support_of(members)
-    if supp & ~window:
-        raise ValueError(f"support {list(ids_of(supp))} escapes window {list(ids_of(window))}")
-    # ext(i, m) = 0 puts m in ext_free_out[i]; the dual test ext(m, i) = 0
-    # puts m in ext_free_in[i].
-    free = kernel.ext_free_in if dual else kernel.ext_free_out
-    inside = kernel.within(window)
-    orthogonal = inside & kernel.meet(free, members)
-    good = [c for c in ids_of(_pool(catalog, members, inside))
-            if free[c] & orthogonal == orthogonal]
-    if len(members) + len(good) != window.bit_count():
-        raise NoCompletion(f"no canonical completion of {members} in window {list(ids_of(window))}: "
-                           f"{len(good)} candidates for {window.bit_count() - len(members)} places")
-    return frozenset(good)
+    return frozenset(ids_of(canonical_completion(catalog.kernel, members, window, dual)))
 
 
 def bongartz(catalog: RootCatalog, t_ids: Iterable[int],

@@ -1,6 +1,7 @@
 """Independent brute-force oracles and hand-frozen reference data.
 
-Nothing here calls into the package's enumeration or pairing machinery: ext
+Apart from the two references named at the end, nothing here calls into
+the package's enumeration or pairing machinery: ext
 lengths are recomputed from the raw Euler matrix, facets and canonical
 completions by exhaustive subset search, root lists are classical tables
 written out by hand, flag connectivity is the literal walk on every flag of
@@ -26,14 +27,20 @@ such facets spans, as the package built its faces before they came from the
 rigid-set walk.  `complex_of` hands a face set built in a test to the
 package's checks as a `ClusterComplex`: each face with its `oracle_up`
 mask, which is exact, and the faces with n vertices as the facets.  The
-subfaces that a face lost are not handed over; the scan finds them.
+subfaces that a face lost are not handed over; the scan finds them.  Two
+oracles keep the package's earlier, layered code as references for the
+code that replaced it: `oracle_cliques` is the rigid-set walk as its own
+generator of (member, support, cand) masks, and `oracle_member_moves`
+reads each descent move through the public, validated completions.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+from clustercomplex.homext import ids_of
+from clustercomplex.measure import lambda_key
 from clustercomplex.polytope import ClusterComplex
-from clustercomplex.tilting import facets_among
+from clustercomplex.tilting import bongartz, dual_bongartz, facets_among
 
 # Positive roots in simple-root coordinates, straight from the tables.
 KNOWN_ROOTS = {
@@ -64,6 +71,16 @@ KNOWN_FACET_COUNTS = {
 def vertex_sets(masks):
     """Int-bitmask faces as frozensets of their vertices (bit v is vertex v)."""
     return frozenset(frozenset(v for v in range(m.bit_length()) if m >> v & 1) for m in masks)
+
+
+def as_facet(catalog, ids):
+    """The facet of the members `ids` with every vertex outside their
+    support, read off their dimension vectors: bit v is vertex v and bit
+    n + i is member i."""
+    n = catalog.algebra.n
+    supported = oracle_support([catalog.entries[i].dimv for i in ids], n)
+    return (sum(1 << v for v in range(n) if v not in supported)
+            | sum(1 << (n + i) for i in set(ids)))
 
 
 def downward_closure(facets):
@@ -156,6 +173,65 @@ def oracle_rigid_sets(euler, roots):
                  if all(free[i][j] for i in t)]
         found += [frozenset(roots[i] for i in t) for t in level]
     return found
+
+
+def oracle_cliques(catalog):
+    """Every set T of pairwise compatible members with at most n members,
+    as a (member mask, support mask, cand mask) triple, in depth-first
+    pre-order starting with the empty set (0, 0, everyone).  cand holds
+    the members outside T that are compatible with every member of T,
+    so T + m is one of the sets exactly when m is in cand; it is 0 when
+    T has n members.  The catalog's kernel is built on the first item.
+
+    One explicit stack holds a frame per open set: its member mask, its
+    support mask, its cand, and the candidates left to try, the members
+    of cand above the last one chosen.  Candidates are taken by lowest
+    set bit, and a set with n members is not extended.  Member i of
+    cand extends T to T + i, whose cand is cand minus i, AND compat[i].
+    This is the package's earlier walk, kept as the reference that
+    `tilting.rigid_faces` runs inline.
+    """
+    kernel = catalog.kernel
+    compat, support, n = kernel.compat, kernel.support, kernel.n
+    yield 0, 0, kernel.everyone
+    members, supports, cands, lefts = [0], [0], [kernel.everyone], [kernel.everyone]
+    while lefts:
+        left = lefts[-1]
+        if not left:
+            members.pop()
+            supports.pop()
+            cands.pop()
+            lefts.pop()
+            continue
+        low = left & -left
+        left ^= low
+        lefts[-1] = left
+        i = low.bit_length() - 1
+        mask, supp = members[-1] | low, supports[-1] | support[i]
+        if len(lefts) < n:
+            cand = (cands[-1] ^ low) & compat[i]
+            yield mask, supp, cand
+            members.append(mask)
+            supports.append(supp)
+            cands.append(cand)
+            lefts.append(left & compat[i])
+        else:
+            yield mask, supp, 0
+
+
+def oracle_member_moves(catalog):
+    """Each member's descent move, by id, through the public completions:
+    the better of `bongartz` and `dual_bongartz` of the member inside its
+    support, as an `as_facet` facet, by `lambda_key` (ties keep the forward
+    one).  This is the package's earlier `measure.member_moves`."""
+    moves = []
+    for m in range(len(catalog)):
+        supp_m = ids_of(catalog.kernel.support[m])
+        forward = bongartz(catalog, (m,), within=supp_m)
+        backward = dual_bongartz(catalog, (m,), within=supp_m)
+        moves.append(min((as_facet(catalog, {m} | part) for part in (forward, backward)),
+                         key=lambda f: lambda_key(catalog, f)))
+    return tuple(moves)
 
 
 def oracle_support(dimvs, n):

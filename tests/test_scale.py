@@ -1,8 +1,8 @@
 """Work done once per verdict, and the classical counts at scale.
 
-A finite `verify` searches the rigid sets once and computes each member's
-descent move once; both are counted through wrappers patched into the
-namespaces that call them.  Over drawn orientations of larger Dynkin types,
+A finite `verify` walks the rigid sets once and computes each member's
+descent move once, from two calls of the completion rule at most; both
+are counted through wrappers patched into the namespaces that call them.  Over drawn orientations of larger Dynkin types,
 the facet count is the generalized Catalan number prod (h + e_i + 1)/(e_i + 1)
 and the root count is nh/2 (Fomin-Zelevinsky, "Y-systems and generalized
 associahedra", 2003).  Every rank-2 co-face is a square, pentagon, hexagon or
@@ -48,14 +48,13 @@ def test_verify_valued15_window_at_t_max_1000(capsys):
 @pytest.mark.parametrize("name", ["a3", "b3", "d4"])
 def test_verify_searches_once_and_moves_each_member_once(monkeypatch, capsys, name):
     counts = {}
-    _counting(monkeypatch, tilting, "iter_rigid_sets", counts)
-    _counting(monkeypatch, measure, "bongartz", counts)
-    _counting(monkeypatch, measure, "dual_bongartz", counts)
+    _counting(monkeypatch, tilting, "rigid_faces", counts)
+    _counting(monkeypatch, measure, "canonical_completion", counts)
     assert main(["verify", "--fixture", name]) == 0
     assert "✗" not in capsys.readouterr().out
     members = len(positive_roots(fixture(name)))
-    assert counts["iter_rigid_sets"] == 1
-    assert 0 < counts["bongartz"] + counts["dual_bongartz"] <= 2 * members
+    assert counts["rigid_faces"] == 1
+    assert 0 < counts["canonical_completion"] <= 2 * members
 
 
 def _chain(n):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from clustercomplex import (
     FINITE_FIXTURES,
-    as_facet,
     bongartz,
     build_algebra,
     catalog_for,
@@ -18,7 +17,6 @@ from clustercomplex import (
     enumerate_support_tilting,
     fixture,
     is_rigid,
-    iter_rigid_sets,
     positive_roots,
     rank2_sequences,
     support,
@@ -33,6 +31,7 @@ from oracles import (
     KNOWN_FACET_COUNTS,
     oracle_bases,
     oracle_canonical_completions,
+    oracle_cliques,
     oracle_det,
     oracle_facets,
     oracle_matchings,
@@ -206,7 +205,7 @@ def test_bongartz_a2():
 def test_bongartz_completion_is_tilting():
     for name in ("a3", "b2", "b3", "g2"):
         cat = positive_roots(fixture(name))
-        for members, _, _ in iter_rigid_sets(cat):
+        for members, _, _ in oracle_cliques(cat):
             ids = ids_of(members)
             full = set(ids) | bongartz(cat, ids)
             assert is_rigid(cat, full)
@@ -263,7 +262,7 @@ def test_relative_dual_bongartz_a3():
 @pytest.mark.parametrize("name", FINITE_FIXTURES)
 def test_relative_completions_lie_inside_the_full_ones(name):
     cat = positive_roots(fixture(name))
-    for members, _, _ in iter_rigid_sets(cat):
+    for members, _, _ in oracle_cliques(cat):
         ids = ids_of(members)
         assert bongartz(cat, ids, within=support(cat, ids)[0]) <= bongartz(cat, ids)
         assert dual_bongartz(cat, ids, within=support(cat, ids)[0]) <= dual_bongartz(cat, ids)
@@ -308,13 +307,14 @@ DRAWN = {
 
 @pytest.mark.parametrize("name", FINITE_FIXTURES + tuple(DRAWN))
 def test_walk_yields_member_and_support_masks(name):
-    # the walk's (members, support, cand) triples against the grown oracle:
-    # the same rigid sets, each once, the empty set first, in pre-order
-    # (ascending id tuples, a set before its extensions), each with its
-    # support's mask and the members that extend it to a rigid set
+    # the reference walk's (members, support, cand) triples against the
+    # grown oracle: the same rigid sets, each once, the empty set first, in
+    # pre-order (ascending id tuples, a set before its extensions), each
+    # with its support's mask and the members that extend it to a rigid
+    # set; and `rigid_faces` emits each set's faces in that order
     alg = DRAWN[name]() if name in DRAWN else fixture(name)
     cat = positive_roots(alg)
-    items = list(iter_rigid_sets(cat))
+    items = list(oracle_cliques(cat))
     assert items[0] == (0, 0, (1 << len(cat)) - 1)
     ids = [ids_of(members) for members, _, _ in items]
     assert ids == sorted(ids)
@@ -327,6 +327,11 @@ def test_walk_yields_member_and_support_masks(name):
         assert ids_of(supp) == tuple(sorted(oracle_support([cat.entries[i].dimv for i in t], alg.n)))
         assert ids_of(cand) == tuple(e.id for e in cat.entries
                                      if e.id not in t and dimvs | {e.dimv} in rigid)
+    n, faces = alg.n, []
+    for members, supp, _ in items:
+        free = (1 << n) - 1 & ~supp
+        faces += [members << n | sigma for sigma in range(free, -1, -1) if sigma & ~free == 0]
+    assert [face for face, _ in tilting.rigid_faces(cat)] == faces
 
 
 def test_faces_rebuild_no_member_or_support_mask(monkeypatch):
@@ -344,7 +349,7 @@ def test_faces_rebuild_no_member_or_support_mask(monkeypatch):
     cat = positive_roots(fixture("d4"))
     assert 0 in cat.faces and len(cat.facets) == KNOWN_FACET_COUNTS["d4"]
     assert calls == []
-    as_facet(cat, (0,))  # the wrappers count when called
+    bongartz(cat, (0,))  # the wrappers count when called
     assert sorted(set(calls)) == ["mask_of", "support_of"]
 
 
@@ -357,7 +362,7 @@ def test_verify_b2_structure_all_rigid_sets():
     for alg in algebras:
         cat = positive_roots(alg)
         bases = {dual: oracle_bases(alg.euler, cat.dimvs(), dual) for dual in (False, True)}
-        for members, _, _ in iter_rigid_sets(cat):
+        for members, _, _ in oracle_cliques(cat):
             ids = ids_of(members)
             for dual in (False, True):
                 assert len(matchings(cat, ids, bases[dual], dual)) == 1, (ids, dual)
