@@ -14,7 +14,7 @@ ext_free_in[y] has bit x when ext(x, y) = 0, and compat[x] is their AND,
 the members that can share a rigid set with x.  It also holds each
 member's vertex support as a mask.  A catalog builds its kernel once, on
 the first rigidity query (`RootCatalog.kernel`).  The rigid sets are the
-cliques of compat with at most n members (`tilting.rigid_faces` walks
+cliques of compat with at most n members (`tilting.iter_rigid_sets` walks
 them).
 
 A finite catalog pairs each member against the whole catalog.  A rank-2

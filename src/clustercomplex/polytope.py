@@ -16,19 +16,25 @@ Axioms checked here, for a poset with bottom and top:
 plus simpliciality (each proper face's lower interval is boolean) and strong
 flag connectivity (the facet adjacency graph of every co-face is connected).
 
-A complex is one dict from each face to its up mask, and its facets.
+A complex is its faces filed by size, levels[k] a dict from each face
+with k vertices to its up mask, and its facets, the level n in order.
 `up[F]` is the mask of the vertices v such that F + v is a face; it is the
-vertex set of the link of F, and it decides every check.  The walk reads
-each face's up off its rigid set's masks (the up lemma in `tilting`), and
-its faces are down-closed, so no face loses a subface.  A face set that a
-test builds gets its up from the sweep over every face minus one vertex in
-`tests/oracles.py`.  The scan (`ClusterComplex.scan`) passes once over the
-dict.  A face with an empty up is maximal, and AP2 asks that it have n
-vertices.  Every subset of a face is a face once no face loses a subface,
-by induction on size (simpliciality), and the scan tells whether one did
-from the up masks alone (`_scan`).  The middle of the interval from
-U - {a, b} up to U is U - a and U - b, so the inner diamonds exist when no
-face of size >= 2 loses one.  A ridge (a face with n - 1 vertices) is thin
+vertex set of the link of F, and it decides every check.  Every check asks
+about one size at a time, so each reads whole levels: the scan counts a
+level's faces by up popcount in C, AP4 reads the level n - 1 and a link
+of a face with k vertices is flooded through the level k + 1.  The walk
+reads each face's up off its rigid set's masks (the up lemma in
+`tilting`), and its faces are down-closed, so no face loses a subface.  A
+face set that a test builds gets its up from the sweep over every face
+minus one vertex in `tests/oracles.py`.  The scan (`ClusterComplex.scan`)
+passes once over the levels.  A face with an empty up is maximal, and AP2
+asks that it have n vertices; a face with more than n vertices, which a
+wrong kernel or a test can give, sits in a level above n, and its maximal
+faces fail AP2 too.  Every subset of a face is a face once no face loses
+a subface, by induction on size (simpliciality), and the scan tells
+whether one did from the up masks alone (`_scan`).  The middle of the
+interval from U - {a, b} up to U is U - a and U - b, so the inner diamonds
+exist when no face of size >= 2 loses one.  A ridge (a face with n - 1 vertices) is thin
 when its up has two bits, v and w; AP4 at the top asks that every ridge be
 thin, and the facets R + v and R + w are then exchange neighbours.
 
@@ -62,8 +68,11 @@ cut breaks at the two ends.
 
 from __future__ import annotations
 
+from collections import ChainMap, Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
+from operator import not_
 from typing import Mapping, Sequence
 
 from .algebra import format_dimv
@@ -110,13 +119,14 @@ def _unreached(up: Mapping[int, int], within: int, base: Face = 0) -> int:
 
 @dataclass
 class ClusterComplex:
-    """A complex, a finite one or a rank-2 window: each face mapped to its
-    up mask, and the facets, the faces with n vertices by ascending vertex
-    tuple.  `build_complex` takes both from the catalog's walk, `complex_of`
-    in `tests/oracles.py` from a face set built in a test."""
+    """A complex, a finite one or a rank-2 window: its faces filed by size,
+    levels[k] mapping each face with k vertices to its up mask, and the
+    facets, the faces with n vertices by ascending vertex tuple.
+    `build_complex` takes both from the catalog's walk, `complex_of` in
+    `tests/oracles.py` from a face set built in a test."""
 
     catalog: RootCatalog
-    faces: Mapping[Face, int]
+    levels: Sequence[Mapping[Face, int]]
     facets: Sequence[Face]
 
     @property
@@ -124,8 +134,13 @@ class ClusterComplex:
         return self.catalog.algebra.n
 
     @cached_property
+    def faces(self) -> Mapping[Face, int]:
+        """Every face mapped to its up mask, one flat view over the levels."""
+        return ChainMap(*self.levels)
+
+    @cached_property
     def scan(self) -> AxiomReport:
-        """The axioms, from the one pass over the faces' up masks (`_scan`)."""
+        """The axioms, from the one pass over the levels' up masks (`_scan`)."""
         return _scan(self)
 
 
@@ -153,7 +168,8 @@ class AxiomReport:
 
 
 def _scan(cx: ClusterComplex) -> AxiomReport:
-    """One pass over the (face, up) entries of the faces.
+    """One pass over each level's up masks: how many faces have each
+    number of up bits, counted in C.
 
     Double count: the sum of |F| over the faces counts every pair (H, v)
     with v in the face H, and the sum of |up[F]| counts the pairs where
@@ -162,28 +178,29 @@ def _scan(cx: ClusterComplex) -> AxiomReport:
     faces minus one vertex looked up, to name the lost ones.
 
     AP2 holds when no maximal face is short.  AP4 at the top asks that
-    every ridge be thin; inside the proper part, a diamond is missing below
-    every face of size >= 2 that lost a subface, and that subface is not
-    empty."""
-    n, faces = cx.n, cx.faces
+    every ridge, every face of the level n - 1, be thin; inside the proper
+    part, a diamond is missing below every face of size >= 2 that lost a
+    subface, and that subface is not empty."""
+    n, levels = cx.n, cx.levels
     least: dict[int, int] = {}
-    get = least.get
     short, thick = [], []
     held = linked = 0
-    for face, above in faces.items():
-        k, links = face.bit_count(), above.bit_count()
-        held += k
-        linked += links
-        if links < get(k, links + 1):
-            least[k] = links
-        if not above and k != n:
-            short.append(face)
-        if k == n - 1 and links != 2:
-            thick.append(face)
+    for k, level in enumerate(levels):
+        if not level:
+            continue
+        links = Counter(map(int.bit_count, level.values()))
+        held += k * len(level)
+        linked += sum(bits * count for bits, count in links.items())
+        least[k] = min(links)
+        if k != n and not least[k]:
+            short += compress(level, map(not_, level.values()))
+        if k == n - 1 and links.keys() - {2}:
+            thick += compress(level, map((2).__ne__, map(int.bit_count, level.values())))
     lost = [] if held == linked else sorted(
-        {sub for face in faces for v in ids_of(face) if (sub := face ^ 1 << v) not in faces},
+        {sub for k, level in enumerate(levels) for face in level
+         for v in ids_of(face) if (sub := face ^ 1 << v) not in levels[k - 1]},
         key=_face_key)
-    return AxiomReport(ap1=0 in faces and len(cx.facets) > 0,
+    return AxiomReport(ap1=0 in levels[0] and len(cx.facets) > 0,
                        ap2=not short,
                        ap4=not thick and not any(lost),
                        simplicial=not lost,
@@ -194,9 +211,9 @@ def _scan(cx: ClusterComplex) -> AxiomReport:
 
 
 def build_complex(catalog: RootCatalog) -> ClusterComplex:
-    """The walk's faces with their up masks, as they are, and the facets
-    among them, for a finite catalog or a rank-2 window alike."""
-    return ClusterComplex(catalog=catalog, faces=catalog.faces, facets=catalog.facets)
+    """The walk's levels of faces with their up masks, as they are, and the
+    facets, for a finite catalog or a rank-2 window alike."""
+    return ClusterComplex(catalog=catalog, levels=catalog.faces, facets=catalog.facets)
 
 
 def verify_ap_axioms(cx: ClusterComplex) -> AxiomReport:
@@ -268,11 +285,15 @@ def _flood_floor(cx: ClusterComplex) -> list[int]:
 
 def _split_links(cx: ClusterComplex) -> list[Face]:
     """The faces with at most n - 2 vertices whose link is disconnected; a
-    link below its `_flood_floor` is connected and is not flooded."""
-    n, faces, floor = cx.n, cx.faces, _flood_floor(cx)
-    return [f for f, above in faces.items()
-            if (k := f.bit_count()) < n - 1 and above.bit_count() >= floor[k]
-            and _unreached(faces, above, f)]
+    link below its `_flood_floor` is connected and is not flooded.  A face
+    with k vertices floods through the level k + 1."""
+    levels, floor = cx.levels, _flood_floor(cx)
+    split = []
+    for k, need in enumerate(floor):
+        level, above = levels[k], levels[k + 1]
+        wide = compress(level.items(), map(need.__le__, map(int.bit_count, level.values())))
+        split += [f for f, link in wide if _unreached(above, link, f)]
+    return split
 
 
 def verify_flag_connected(cx: ClusterComplex) -> FlagReport:
@@ -333,7 +354,7 @@ def rank2_window_complex(cx: ClusterComplex) -> WindowReport:
     preinj = [e.id for e in catalog.entries if e.component == PREINJ]
     boundary = {n + preproj[-1], n + preinj[0]}
     bad = next((v for v in range(n + len(catalog))
-                if cx.faces.get(1 << v, 0).bit_count() != (1 if v in boundary else 2)), None)
+                if cx.levels[1].get(1 << v, 0).bit_count() != (1 if v in boundary else 2)), None)
     wrong = set(cx.facets) ^ expected
     return WindowReport(facets_expected=not wrong,
                         interior_ridges_ok=bad is None,

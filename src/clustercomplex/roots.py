@@ -116,22 +116,30 @@ class RootCatalog:
         return build_kernel(self)
 
     @functools.cached_property
-    def faces(self) -> dict:
+    def faces(self) -> tuple:
         """Every face of the complex as an int bitmask, mapped to its up
-        mask (`tilting.rigid_faces`), from one walk over the rigid sets."""
+        mask and filed by size: faces[k] holds the faces with k vertices
+        (`tilting.rigid_faces`), from one walk over the rigid sets."""
         from .tilting import rigid_faces
 
-        return dict(rigid_faces(self))
+        return tuple(rigid_faces(self))
 
     @functools.cached_property
     def facets(self) -> tuple:
         """The faces with n vertices, by ascending vertex tuple
-        (`tilting.facets_among`): read off `faces` when the catalog holds
-        them, else off a walk whose other faces are not kept."""
-        from .tilting import facets_among, rigid_faces
+        (`tilting.sort_facets`): the level faces[n] when the catalog holds
+        the faces, else T << n | free for each rigid set T of a walk
+        (`tilting.iter_rigid_sets`) with n = |T| + |free|, building no
+        other face."""
+        from .tilting import iter_rigid_sets, sort_facets
 
-        faces = vars(self).get("faces") or (face for face, _ in rigid_faces(self))
-        return tuple(facets_among(self.algebra.n, faces))
+        n = self.algebra.n
+        levels = vars(self).get("faces")
+        if levels is not None:
+            return tuple(sort_facets(levels[n]))
+        return tuple(sort_facets(members << n | free
+                                 for size, members, free, _ in iter_rigid_sets(self)
+                                 if size + free.bit_count() == n))
 
     @functools.cached_property
     def descent_moves(self) -> tuple:

@@ -3,29 +3,33 @@
 A face is an int bitmask over a combined vertex pool: coordinate vertex v
 is bit v and the catalog member with id k is bit n + k.  The faces of the
 complex are the rigid sets T, each with every set of vertices outside its
-support; one walk over the rigid sets emits them all, each with its up
-mask.  A rigid id set is support-tilting when it has as many members as
-supported vertices; it is then a basis of the lattice restricted to its
-support, and with all its unsupported vertices it is a face with n
-vertices, a facet.  Facets are int faces like the others, kept in the order
-of their ascending vertex tuples; `decode_face` splits one into member ids
-and unsupported vertices.  The canonical completion of a rigid set T inside
-a vertex window W is read off directly (K. Bongartz, "Tilted algebras",
-LNM 903, 1981): it is the set G of members B outside T, compatible with T,
-with ext(B, M) = 0 for every in-window M that is ext-orthogonal to T.  The
-mirror test (swap the pairing order) gives the dual completion.  That G
-completes T is checked, not assumed: |T| + |G| must equal |W|.  One
-mask-level rule, `canonical_completion`, reads G off for `bongartz`,
-`dual_bongartz` and the descent moves of `measure`.
+support.  One walk reaches every rigid set (`iter_rigid_sets`), and
+`rigid_faces` files each of their faces, with its up mask, under its
+number of vertices.  A rigid id set is support-tilting when it has as many
+members as supported vertices; it is then a basis of the lattice
+restricted to its support, and with all its unsupported vertices it is a
+face with n vertices, a facet: the level n of the faces, or read straight
+off the walk when no other face is needed.  Facets are int faces like the
+others, kept in the order of their ascending vertex tuples; `decode_face`
+splits one into member ids and unsupported vertices.  The canonical
+completion of a rigid set T inside a vertex window W is read off directly
+(K. Bongartz, "Tilted algebras", LNM 903, 1981): it is the set G of
+members B outside T, compatible with T, with ext(B, M) = 0 for every
+in-window M that is ext-orthogonal to T.  The mirror test (swap the
+pairing order) gives the dual completion.  That G completes T is checked,
+not assumed: |T| + |G| must equal |W|.  One mask-level rule,
+`canonical_completion`, reads G off for `bongartz`, `dual_bongartz` and
+the descent moves of `measure`.
 
 The walk: the rigid sets are the cliques of compat with at most n members.
-One explicit stack holds a frame per open clique T: its member mask, the
-OR of its members' support masks, cand (the members outside T compatible
-with every member of T) and left (the members of cand above the last one
-chosen, still to try).  Candidates are taken by lowest set bit, in
-depth-first pre-order from the empty set; member i of left extends T to
-T + i, whose cand is cand minus i, AND compat[i], and whose left is what
-is left, AND compat[i].  A clique with n members is not extended and has
+One explicit stack holds a frame per open clique T: its size, its member
+mask, free (the vertices outside the support of every member), cand (the
+members outside T compatible with every member of T) and left (the
+members of cand above the last one chosen, still to try).  Candidates are
+taken by lowest set bit, in depth-first pre-order from the empty set;
+member i of left extends T to T + i, whose free is free minus supp i,
+whose cand is cand minus i, AND compat[i], and whose left is what is
+left, AND compat[i].  A clique with n members is not extended and has
 cand 0.  No mask is rebuilt from ids.
 
 The faces are down-closed: a subset of the face (T, sigma) is (T', sigma')
@@ -72,56 +76,77 @@ def decode_face(n: int, face: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(v - n for v in vertices if v >= n), tuple(v for v in vertices if v < n)
 
 
-def rigid_faces(catalog: RootCatalog) -> Iterator[tuple[int, int]]:
-    """Every face of the complex, each once with its up mask, from one walk
-    over the rigid sets.
+def iter_rigid_sets(catalog: RootCatalog) -> Iterator[tuple[int, int, int, int]]:
+    """Every rigid set T once, as (|T|, member mask, free, cand), in the
+    walk's pre-order from the empty set: free is the mask of the vertices
+    outside supp T and cand the members that extend T to a rigid set (the
+    walk of the module docstring)."""
+    n = catalog.algebra.n
+    everything = (1 << n) - 1
+    kernel = catalog.kernel
+    compat, everyone = kernel.compat, kernel.everyone
+    outside = [everything & ~mask for mask in kernel.support]
+    size, members, free, cand, left = 0, 0, everything, everyone, everyone
+    stack = []
+    while True:
+        yield size, members, free, cand
+        if not left:
+            if not stack:
+                return
+            size, members, free, cand, left = stack.pop()
+        low = left & -left
+        left ^= low
+        if left:
+            stack.append((size, members, free, cand, left))
+        i = low.bit_length() - 1
+        size += 1
+        members |= low
+        free &= outside[i]
+        if size < n:
+            mask = compat[i]
+            cand = (cand ^ low) & mask
+            left &= mask
+        else:
+            cand = left = 0
+
+
+def rigid_faces(catalog: RootCatalog) -> list[dict[int, int]]:
+    """Every face of the complex with its up mask, filed by size: levels[k]
+    maps each face with k vertices to its up mask, for k = 0..n.
 
     A face is a pair (T, sigma): a rigid set T and a set sigma of vertices
     outside the support of T (T. Adachi, O. Iyama, I. Reiten, "tau-tilting
-    theory", 2014).  The walk of the module docstring reaches each rigid T
-    with its member, support and cand masks and emits it with every such
-    sigma, the submasks of F from F down to 0.  By the up lemma, the up
-    mask of (T, sigma) is the AND of (cand << n) | F and bounds[sigma], the
-    vertices outside sigma with, as member bits, avoid[sigma].
-    `RootCatalog.faces` keeps them.
+    theory", 2014).  Each rigid set of `iter_rigid_sets` comes with every
+    such sigma: 0 in the level |T| and the other submasks of its free
+    mask in descending order, so each level keeps the walk's order.  By
+    the up lemma, the up mask of (T, sigma) is the AND of (cand << n) |
+    free and bounds[sigma], the vertices outside sigma with, as member
+    bits, avoid[sigma]; bounds[0] keeps every bit.  `RootCatalog.faces`
+    keeps the levels.
     """
     n = catalog.algebra.n
     everything = (1 << n) - 1
     kernel = catalog.kernel
-    compat, support, everyone = kernel.compat, kernel.support, kernel.everyone
-    avoid = [everyone]
+    avoid = [kernel.everyone]
     for v in range(n):
         miss = kernel.within(everything ^ (1 << v))
         avoid += [mask & miss for mask in avoid]
     bounds = [(mask << n) | (everything ^ sigma) for sigma, mask in enumerate(avoid)]
-    members, supp, cand, left = 0, 0, everyone, everyone
-    stack = []
-    while True:
-        free = everything & ~supp
+    # a wrong kernel can pair up to n members with n - 1 free vertices
+    levels = [{} for _ in range(2 * n + 1)]
+    for size, members, free, cand in iter_rigid_sets(catalog):
         reach = (cand << n) | free
         top = members << n
+        # sigma = 0, whose bound keeps every bit; `| 0` copies the key at
+        # its exact size, where a shifted int can keep a spare digit
+        levels[size][top | 0] = reach
         sigma = free
-        while True:
-            yield top | sigma, reach & bounds[sigma]
-            if not sigma:
-                break
+        while sigma:
+            levels[size + sigma.bit_count()][top | sigma] = reach & bounds[sigma]
             sigma = (sigma - 1) & free
-        if not left:
-            if not stack:
-                return
-            members, supp, cand, left = stack.pop()
-        low = left & -left
-        left ^= low
-        if left:
-            stack.append((members, supp, cand, left))
-        i = low.bit_length() - 1
-        members |= low
-        supp |= support[i]
-        if members.bit_count() < n:
-            cand = (cand ^ low) & compat[i]
-            left &= compat[i]
-        else:
-            cand = left = 0
+    while len(levels) > n + 1 and not levels[-1]:
+        levels.pop()
+    return levels
 
 
 def _reversed_bytes() -> bytes:
@@ -136,8 +161,9 @@ def _reversed_bytes() -> bytes:
 REV8 = _reversed_bytes()
 
 
-def facets_among(n: int, faces: Iterable[int]) -> list[int]:
-    """The faces with n vertices, by ascending vertex tuple.
+def sort_facets(facets: Iterable[int]) -> list[int]:
+    """Faces that all have the same number of vertices, by ascending vertex
+    tuple.
 
     Among masks with equal popcount, ascending vertex tuples are descending
     bit reversals: at the first vertex where two tuples differ, the smaller
@@ -145,7 +171,7 @@ def facets_among(n: int, faces: Iterable[int]) -> list[int]:
     reversed.  Each mask is reversed over one common byte width, byte by
     byte through REV8, so the per-byte work is done in C.
     """
-    facets = [face for face in faces if face.bit_count() == n]
+    facets = list(facets)
     width = (max(facets, default=0).bit_length() + 7) // 8
     facets.sort(key=lambda face: int.from_bytes(face.to_bytes(width, "little").translate(REV8),
                                                  "big"), reverse=True)

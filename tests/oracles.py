@@ -26,7 +26,8 @@ these oracles read, and `downward_closure` gives the faces that a list of
 such facets spans, as the package built its faces before they came from the
 rigid-set walk.  `complex_of` hands a face set built in a test to the
 package's checks as a `ClusterComplex`: each face with its `oracle_up`
-mask, which is exact, and the faces with n vertices as the facets.  The
+mask, which is exact, filed under its number of vertices, and the faces
+with n vertices as the facets.  The
 subfaces that a face lost are not handed over; the scan finds them.  Two
 oracles keep the package's earlier, layered code as references for the
 code that replaced it: `oracle_cliques` is the rigid-set walk as its own
@@ -40,7 +41,7 @@ from itertools import combinations, permutations, product
 from clustercomplex.homext import ids_of
 from clustercomplex.measure import lambda_key
 from clustercomplex.polytope import ClusterComplex
-from clustercomplex.tilting import bongartz, dual_bongartz, facets_among
+from clustercomplex.tilting import bongartz, dual_bongartz, sort_facets
 
 # Positive roots in simple-root coordinates, straight from the tables.
 KNOWN_ROOTS = {
@@ -115,11 +116,16 @@ def oracle_up(faces):
 
 def complex_of(catalog, faces):
     """The complex of a face set built in a test: each face with its
-    `oracle_up` mask, and the faces with n vertices as its facets."""
+    `oracle_up` mask, filed under its number of vertices in levels that
+    reach n and the largest face, and the faces with n vertices as its
+    facets."""
     faces = frozenset(faces)
     up = oracle_up(faces)
-    return ClusterComplex(catalog=catalog, faces={face: up[face] for face in faces},
-                          facets=facets_among(catalog.algebra.n, faces))
+    n = catalog.algebra.n
+    levels = [{} for _ in range(max([n] + [face.bit_count() for face in faces]) + 1)]
+    for face in faces:
+        levels[face.bit_count()][face] = up[face]
+    return ClusterComplex(catalog=catalog, levels=levels, facets=sort_facets(levels[n]))
 
 
 def oracle_exchange_graph(faces, n):
@@ -188,8 +194,9 @@ def oracle_cliques(catalog):
     of cand above the last one chosen.  Candidates are taken by lowest
     set bit, and a set with n members is not extended.  Member i of
     cand extends T to T + i, whose cand is cand minus i, AND compat[i].
-    This is the package's earlier walk, kept as the reference that
-    `tilting.rigid_faces` runs inline.
+    This is the package's earlier walk, kept as the reference for
+    `tilting.iter_rigid_sets`, which tracks free vertices in place of the
+    support.
     """
     kernel = catalog.kernel
     compat, support, n = kernel.compat, kernel.support, kernel.n

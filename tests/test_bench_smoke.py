@@ -15,13 +15,15 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 # The work counters of one traced seed-1 pass: a change that alters the
-# work done (faces, facets, descent steps, members) shows here, whatever
-# it does to the timings.
+# work done (faces, facets, descent steps, members, rigid sets) shows
+# here, whatever it does to the timings.
 WORK = {
     "finite-verify": {"polytope.faces": 56140, "tilting.facets": 11432,
-                      "measure.descent_steps": 12592, "roots.members": 246},
+                      "measure.descent_steps": 12592, "roots.members": 246,
+                      "homext.rigid_sets": 31200},
     "rank2-window": {"polytope.faces": 3224, "tilting.facets": 0,
-                     "measure.descent_steps": 0, "roots.members": 1608},
+                     "measure.descent_steps": 0, "roots.members": 1608,
+                     "homext.rigid_sets": 3214},
 }
 
 

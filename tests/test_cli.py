@@ -341,6 +341,27 @@ def test_facets_jsonl(capsys):
     assert {"T": [], "sigma": [1, 2]} in rows
 
 
+# Rank 0: the empty face is the one facet, with no ridge and no link to
+# flood, and every check holds.
+RANK_ZERO = {
+    "verify": "facets=1 ap1 ✓ ap2 ✓ ap4 ✓ simplicial ✓ strong-flag ✓ endos ✓ descent ✓\n",
+    "verify --format json": '{"facets": 1, "ap1": true, "ap2": true, "ap4": true, '
+                            '"simplicial": true, "strong-flag": true, "endos": true, '
+                            '"descent": true}\n',
+    "facets": '{"T": [], "sigma": []}\n',
+    "graph": 'graph exchange {\n  f0 [label="|"];\n}\n',
+    "graph --format json": '{"nodes": ["|"], "edges": []}\n',
+    "descent": "ok  steps=0  |\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(RANK_ZERO))
+def test_rank_zero_output(tmp_path, capsys, command):
+    path = tmp_path / "rank0.json"
+    path.write_text(json.dumps({"n": 0, "cartan": [], "symmetrizer": [], "arrows": []}))
+    assert run(capsys, *command.split(), "--input", str(path)) == (0, RANK_ZERO[command], "")
+
+
 def test_table_csv(capsys):
     import csv as csvmod
     import io

@@ -85,8 +85,9 @@ def test_function_level_imports_are_the_catalog_edges():
     assert sorted(found) == [
         ("roots.py", "homext", "build_kernel"),
         ("roots.py", "measure", "member_moves"),
-        ("roots.py", "tilting", "facets_among"),
+        ("roots.py", "tilting", "iter_rigid_sets"),
         ("roots.py", "tilting", "rigid_faces"),
+        ("roots.py", "tilting", "sort_facets"),
     ]
 
 
@@ -185,10 +186,7 @@ def test_error_classes_are_raised_or_caught():
 
 def test_tracer_boundaries_name_cli_attributes():
     # the tracer skips a boundary whose name is gone, and its layer then
-    # reads zero; run_path compiles the file without writing bytecode.
-    # Exactly one is gone: the rigid-set walk runs inside
-    # `tilting.rigid_faces`, so `iter_rigid_sets` no longer exists and
-    # `homext.rigid_sets` reads zero until the tracer wraps the walk anew
+    # reads zero; run_path compiles the file without writing bytecode
     boundaries = runpy.run_path(str(ROOT / "perfbench" / "tracer.py"))["BOUNDARIES"]
     gone = []
     for module in ("cli", "measure", "tilting"):
@@ -196,7 +194,7 @@ def test_tracer_boundaries_name_cli_attributes():
         names = [name for path, name, _, _ in boundaries if path == f"{PACKAGE}.{module}"]
         assert names, module
         gone += [(module, name) for name in names if not hasattr(namespace, name)]
-    assert gone == [("tilting", "iter_rigid_sets")]
+    assert gone == []
 
 
 def test_public_functions_are_reached(tmp_path):

@@ -32,7 +32,7 @@ from clustercomplex.polytope import (
     is_path,
 )
 from clustercomplex.roots import RootCatalog
-from clustercomplex.tilting import rigid_faces
+from clustercomplex.tilting import iter_rigid_sets
 from oracles import (
     as_facet,
     complex_of,
@@ -115,8 +115,16 @@ def test_face_set_equals_all_valid_pairs():
 
 
 def test_walk_yields_each_face_once():
+    # a level dict would hide a face filed twice, so: the walk yields each
+    # rigid set once, its 2^|free| faces add up to the faces the levels
+    # hold, and each face sits in the level of its number of vertices
     for cat in _face_set_catalogs():
-        assert len(list(rigid_faces(cat))) == len(cat.faces)
+        sets = list(iter_rigid_sets(cat))
+        assert len({members for _, members, _, _ in sets}) == len(sets)
+        assert all(size == members.bit_count() for size, members, _, _ in sets)
+        assert sum(1 << free.bit_count() for _, _, free, _ in sets) == sum(map(len, cat.faces))
+        assert len(cat.faces) == cat.algebra.n + 1
+        assert all(face.bit_count() == k for k, level in enumerate(cat.faces) for face in level)
 
 
 def _agrees_with_oracles(cx):
@@ -501,9 +509,10 @@ def test_walk_up_is_the_oracle_sweep():
                  for directions in _orientations(name, 2)]
     assert len(catalogs) == 182
     for cat in catalogs:
-        up = oracle_up(cat.faces)
-        assert len(up) == len(cat.faces)
-        assert cat.faces == up
+        faces = build_complex(cat).faces
+        up = oracle_up(faces)
+        assert len(up) == len(faces)
+        assert faces == up
 
 
 def test_strong_flag_fails_on_a_non_pure_complex():

@@ -2,13 +2,16 @@
 
 A finite `verify` walks the rigid sets once and computes each member's
 descent move once, from two calls of the completion rule at most; both
-are counted through wrappers patched into the namespaces that call them.  Over drawn orientations of larger Dynkin types,
-the facet count is the generalized Catalan number prod (h + e_i + 1)/(e_i + 1)
-and the root count is nh/2 (Fomin-Zelevinsky, "Y-systems and generalized
-associahedra", 2003).  Every rank-2 co-face is a square, pentagon, hexagon or
-octagon (types A1xA1, A2, B2, G2, same paper), and how many of each a type
-has does not depend on its orientation.  A rank-2 window of 4,004 members,
-whose dimension vectors run to about 1,390 bits, verifies in full.
+are counted through wrappers patched into the namespaces that call them.
+Over drawn orientations of larger Dynkin types, the facet count is the
+generalized Catalan number prod (h + e_i + 1)/(e_i + 1) and the root count
+is nh/2 (Fomin-Zelevinsky, "Y-systems and generalized associahedra", 2003);
+the faces with k vertices number f_k = sum_i h_i C(n - i, k - i), with h
+the W-Narayana numbers.  Every rank-2 co-face is a square, pentagon,
+hexagon or octagon (types A1xA1, A2, B2, G2, same paper), and how many of
+each a type has does not depend on its orientation.  A rank-2 window of
+4,004 members, whose dimension vectors run to about 1,390 bits, verifies
+in full.
 """
 
 import json
@@ -21,7 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clustercomplex import build_algebra, build_complex, enumerate_support_tilting, fixture
+from clustercomplex import FINITE_FIXTURES, build_algebra, build_complex
+from clustercomplex import enumerate_support_tilting, fixture
 from clustercomplex import measure, positive_roots, tilting
 from clustercomplex.cli import main
 from clustercomplex.homext import ids_of
@@ -49,11 +53,12 @@ def test_verify_valued15_window_at_t_max_1000(capsys):
 def test_verify_searches_once_and_moves_each_member_once(monkeypatch, capsys, name):
     counts = {}
     _counting(monkeypatch, tilting, "rigid_faces", counts)
+    _counting(monkeypatch, tilting, "iter_rigid_sets", counts)
     _counting(monkeypatch, measure, "canonical_completion", counts)
     assert main(["verify", "--fixture", name]) == 0
     assert "✗" not in capsys.readouterr().out
     members = len(positive_roots(fixture(name)))
-    assert counts["rigid_faces"] == 1
+    assert counts["rigid_faces"] == counts["iter_rigid_sets"] == 1
     assert 0 < counts["canonical_completion"] <= 2 * members
 
 
@@ -93,6 +98,56 @@ def test_counts_match_the_classical_formulas(name, directions):
     assert len(catalog) == n * h // 2
     assert len(enumerate_support_tilting(catalog)) == prod(
         Fraction(h + e + 1, e + 1) for e in exponents)
+
+
+# The W-Narayana numbers h_0..h_n of the exceptional types, from the tables
+# (Fomin-Reading, "Root systems and generalized associahedra", 2005).
+NARAYANA = {
+    "E6": (1, 36, 204, 351, 204, 36, 1),
+    "E7": (1, 63, 546, 1470, 1470, 546, 63, 1),
+    "F4": (1, 24, 55, 24, 1),
+    "G2": (1, 6, 1),
+}
+
+
+def _narayana(kind):
+    """The h-vector of one irreducible type such as "A3" or "D6"."""
+    letter, n = kind[0], int(kind[1:])
+    if kind in NARAYANA:
+        return NARAYANA[kind]
+    if letter == "A":
+        return tuple(Fraction(comb(n + 1, k) * comb(n + 1, k + 1), n + 1) for k in range(n + 1))
+    if letter in "BC":
+        return tuple(comb(n, k) ** 2 for k in range(n + 1))
+    assert letter == "D"
+    return (1,) + tuple(comb(n, k) ** 2 - Fraction(n, n - 1) * comb(n - 1, k) * comb(n - 1, k - 1)
+                        for k in range(1, n + 1))
+
+
+def _f_vector(name):
+    """f_k, the number of faces with k vertices, for k = 0..n: the h-vector
+    of each factor of the type `name` ("a1xa1" has two), multiplied out as
+    polynomials, then f_k = sum_i h_i C(n - i, k - i)."""
+    h = (1,)
+    for kind in name.upper().split("X"):
+        factor = _narayana(kind)
+        h = tuple(sum(h[i] * factor[k - i] for i in range(len(h)) if 0 <= k - i < len(factor))
+                  for k in range(len(h) + len(factor) - 1))
+    n = len(h) - 1
+    return [sum(h[i] * comb(n - i, k - i) for i in range(k + 1)) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("name", FINITE_FIXTURES + tuple(sorted(DYNKIN)))
+def test_face_levels_have_the_narayana_f_vector(name):
+    # the faces with k vertices number f_k, from the W-Narayana h-vector
+    if name in DYNKIN:
+        catalogs = [positive_roots(_algebra(name, directions))
+                    for directions in _orientations(name, 2)]
+    else:
+        catalogs = [positive_roots(fixture(name))]
+    want = _f_vector(name)
+    for catalog in catalogs:
+        assert [len(level) for level in catalog.faces] == want
 
 
 POLYGON_SIZES = (4, 5, 6, 8)

@@ -10,6 +10,7 @@ from clustercomplex import (
     FINITE_FIXTURES,
     bongartz,
     build_algebra,
+    build_complex,
     catalog_for,
     complements,
     decode_face,
@@ -68,12 +69,10 @@ def matchings(cat, ids, bases, dual=False):
        seed=st.integers(0, 2**32))
 def test_facet_order_is_the_vertex_tuple_order(width, size, count, seed):
     # the bit-reversal key orders equal-popcount masks of any width by
-    # ascending vertex tuple; masks of other popcounts are left out
+    # ascending vertex tuple
     size, rng = min(size, width), random.Random(seed)
-    faces = {mask_of(rng.sample(range(width), rng.choice((size, size, rng.randint(0, width)))))
-             for _ in range(count)}
-    want = sorted((f for f in faces if f.bit_count() == size), key=ids_of)
-    assert tilting.facets_among(size, faces) == want
+    faces = {mask_of(rng.sample(range(width), size)) for _ in range(count)}
+    assert tilting.sort_facets(faces) == sorted(faces, key=ids_of)
 
 
 def test_rev8_reverses_each_byte():
@@ -85,7 +84,8 @@ def test_window_facet_order_is_the_vertex_tuple_order(name):
     # 806-bit facets at t_max 200
     cat = catalog_for(fixture(name), t_max=200)
     assert max(cat.facets).bit_length() > 800
-    assert list(cat.facets) == sorted((f for f in cat.faces if f.bit_count() == 2), key=ids_of)
+    faces = build_complex(cat).faces
+    assert list(cat.facets) == sorted((f for f in faces if f.bit_count() == 2), key=ids_of)
 
 
 @pytest.mark.parametrize("name", sorted(KNOWN_FACET_COUNTS))
@@ -311,7 +311,8 @@ def test_walk_yields_member_and_support_masks(name):
     # grown oracle: the same rigid sets, each once, the empty set first, in
     # pre-order (ascending id tuples, a set before its extensions), each
     # with its support's mask and the members that extend it to a rigid
-    # set; and `rigid_faces` emits each set's faces in that order
+    # set; `iter_rigid_sets` yields them item for item, and each level of
+    # `rigid_faces` holds the sets' faces of its size in that order
     alg = DRAWN[name]() if name in DRAWN else fixture(name)
     cat = positive_roots(alg)
     items = list(oracle_cliques(cat))
@@ -327,11 +328,16 @@ def test_walk_yields_member_and_support_masks(name):
         assert ids_of(supp) == tuple(sorted(oracle_support([cat.entries[i].dimv for i in t], alg.n)))
         assert ids_of(cand) == tuple(e.id for e in cat.entries
                                      if e.id not in t and dimvs | {e.dimv} in rigid)
-    n, faces = alg.n, []
+    n, everything, faces = alg.n, (1 << alg.n) - 1, []
+    assert list(tilting.iter_rigid_sets(cat)) == [
+        (members.bit_count(), members, everything & ~supp, cand) for members, supp, cand in items]
     for members, supp, _ in items:
-        free = (1 << n) - 1 & ~supp
+        free = everything & ~supp
         faces += [members << n | sigma for sigma in range(free, -1, -1) if sigma & ~free == 0]
-    assert [face for face, _ in tilting.rigid_faces(cat)] == faces
+    levels = tilting.rigid_faces(cat)
+    assert len(levels) == n + 1
+    for k, level in enumerate(levels):
+        assert list(level) == [face for face in faces if face.bit_count() == k]
 
 
 def test_faces_rebuild_no_member_or_support_mask(monkeypatch):
@@ -347,7 +353,7 @@ def test_faces_rebuild_no_member_or_support_mask(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
     cat = positive_roots(fixture("d4"))
-    assert 0 in cat.faces and len(cat.facets) == KNOWN_FACET_COUNTS["d4"]
+    assert 0 in cat.faces[0] and len(cat.facets) == KNOWN_FACET_COUNTS["d4"]
     assert calls == []
     bongartz(cat, (0,))  # the wrappers count when called
     assert sorted(set(calls)) == ["mask_of", "support_of"]
