@@ -6,10 +6,8 @@ from .algebra import (
     algebra_to_dict,
     build_algebra,
     euler_form,
-    injective_dimv,
     length,
     load_algebra,
-    projective_dimv,
 )
 from .errors import ClusterComplexError
 from .fixtures import FINITE_FIXTURES, RANK2_INFINITE_FIXTURES, fixture, fixture_names

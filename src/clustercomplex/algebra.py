@@ -17,14 +17,12 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from . import linalg
 from .errors import (
     ArrowWithoutEntry,
     CyclicOrientation,
     DimensionMismatch,
     InvalidAlgebra,
     NegativeCoordinate,
-    NonIntegralSolution,
     NotSymmetrizable,
     ParseError,
 )
@@ -151,27 +149,6 @@ def unit_vector(n: int, i: int) -> DimVector:
 
 def format_dimv(dimv: Sequence[int]) -> str:
     return "(" + ",".join(str(c) for c in dimv) + ")"
-
-
-def _unit_combination(vectors: Sequence[Sequence[int]], algebra: AlgebraData, i: int) -> DimVector:
-    """Non-negative integer coefficients c with sum_j c_j * vectors[j] = u_i e_i."""
-    rhs = tuple(algebra.symmetrizer[i] if k == i else 0 for k in range(algebra.n))
-    sol = linalg.nonneg_int_combination(vectors, rhs)
-    if sol is None:
-        raise NonIntegralSolution(f"no non-negative integral solution for rhs {rhs}")
-    return tuple(sol)
-
-
-def projective_dimv(algebra: AlgebraData, i: int) -> DimVector:
-    """Dimension vector p_i with <p_i, e_j> = delta_ij * u_i: E^T p = u_i e_i,
-    and E^T p = sum_j p_j * (row j of E), so p combines the rows of E."""
-    return _unit_combination(algebra.euler, algebra, i)
-
-
-def injective_dimv(algebra: AlgebraData, i: int) -> DimVector:
-    """Dimension vector q_i with <e_j, q_i> = delta_ij * u_i: E q = u_i e_i,
-    so q combines the columns of E."""
-    return _unit_combination(tuple(zip(*algebra.euler)), algebra, i)
 
 
 # -- JSON interchange --------------------------------------------------------

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import random
 import sys
 
-from .algebra import AlgebraData, algebra_to_dict, format_dimv, load_algebra
+from .algebra import AlgebraData, algebra_to_dict, load_algebra
 from .errors import (
     ClusterComplexError,
     NotRepresentationInfinite,
@@ -113,15 +114,14 @@ def _cmd_roots(args) -> int:
 def _cmd_table(args) -> int:
     algebra = _load(args)
     catalog = catalog_for(algebra, t_max=args.t_max)
-    labels = [format_dimv(entry.dimv) for entry in catalog.entries]
     writer = csv.writer(sys.stdout)
-    writer.writerow([""] + labels)
+    writer.writerow(["", *catalog.labels])
     for x in catalog.entries:
         cells = []
         for y in catalog.entries:
             h, e = hom_ext(catalog, x, y)
             cells.append(f"{h}/{e}")
-        writer.writerow([labels[x.id]] + cells)
+        writer.writerow([catalog.labels[x.id]] + cells)
     return EXIT_OK
 
 
@@ -273,9 +273,8 @@ def _cmd_total_order(args) -> int:
 def _cmd_g2_demo(args) -> int:
     algebra = fixture("g2")
     catalog = rank2_sequences(algebra, t_max=10)
-    dimvs = [entry.dimv for entry in catalog.entries]
     mus = [mu(catalog, entry) for entry in catalog.entries]
-    print("dimv:   " + " ".join(format_dimv(d) for d in dimvs))
+    print("dimv:   " + " ".join(catalog.labels))
     print("length: " + " ".join(str(x) for x in catalog.lengths))
     print("mu2:    " + " ".join(str(x) for x in mus))
     facets = enumerate_support_tilting(catalog)
@@ -283,7 +282,9 @@ def _cmd_g2_demo(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="clustercomplex",
         description="Exact verification of tilting-exchange polytopes from Cartan data.")

@@ -30,10 +30,6 @@ class NegativeCoordinate(ClusterComplexError):
     """A dimension vector with a negative coordinate where none is allowed."""
 
 
-class NonIntegralSolution(ClusterComplexError):
-    """A linear system that must have a non-negative integer solution does not."""
-
-
 class NotFiniteType(ClusterComplexError):
     """Operation requires a representation-finite algebra."""
 

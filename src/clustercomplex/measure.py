@@ -53,7 +53,7 @@ from .errors import (
     ZeroModule,
 )
 from .homext import ids_of
-from .roots import FINITE, Indec, RootCatalog, two_term_chain
+from .roots import FINITE, Indec, RootCatalog, shift_families
 from .tilting import (
     bongartz,
     canonical_completion,
@@ -213,9 +213,10 @@ def verify_total_order(r: int, s: int, u: int, v: int, t_max: int = 30,
 
         d(2,t) * sqrt(s) < d(1,t) * sqrt(r) < d(2,t+1) * sqrt(s)
 
-    on the forward family seeded with (0,1) and (1,s), and the mirrored chain
-    on the backward family seeded with (1,0) and (r,1); all comparisons are
-    by squares.  The weights default to (u, v); an empty list is a ValueError.
+    on the forward family of `shift_families` (seeded with (0,1) and (1,s)),
+    and the mirrored chain on its backward family (seeded with (1,0) and
+    (r,1)); all comparisons are by squares.  The weights default to (u, v);
+    an empty list is a ValueError.
     """
     if r < 0 or s < 0 or u < 1 or v < 1:
         raise ValueError("need r, s >= 0 and u, v >= 1")
@@ -230,8 +231,7 @@ def verify_total_order(r: int, s: int, u: int, v: int, t_max: int = 30,
         raise ValueError("weights must be positive")
 
     steps = 2 * (t_max + 2)
-    forward = two_term_chain((0, 1), (1, s), r, s, steps)
-    backward = two_term_chain((1, 0), (r, 1), s, r, steps)
+    forward, backward = shift_families(r, s, steps)
     if len(forward) < steps or len(backward) < steps:
         # with rs >= 4 both chains are positive roots and never stop early
         raise OracleViolation(f"a chain for r = {r}, s = {s} left the positive cone")

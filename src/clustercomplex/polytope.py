@@ -75,7 +75,6 @@ from itertools import compress
 from operator import not_
 from typing import Mapping, Sequence
 
-from .algebra import format_dimv
 from .errors import NotRankTwoInfinite
 from .homext import ids_of, mask_of
 from .roots import PREINJ, PREPROJ, RANK2_INFINITE, RootCatalog
@@ -92,7 +91,7 @@ def _face_key(face: Face) -> tuple[int, tuple[int, ...]]:
 def face_label(catalog: RootCatalog, face: Face) -> str:
     """The members' dimension vectors, then the unsupported vertices, 1-based."""
     ids, sigma = decode_face(catalog.algebra.n, face)
-    dimvs = ",".join(format_dimv(catalog.entries[i].dimv) for i in ids)
+    dimvs = ",".join(catalog.labels[i] for i in ids)
     return dimvs + "|" + ",".join(str(v + 1) for v in sigma)
 
 

@@ -4,7 +4,9 @@ Two regimes are supported: representation-finite algebras of any rank, where
 the catalog is the full set of positive roots, and representation-infinite
 rank-2 algebras, where the catalog is a window of the two one-parameter
 families obtained by repeatedly shifting the projectives forward and the
-injectives backward.
+injectives backward.  In rank 2 the projectives and injectives have closed
+forms (`shift_families`), so no linear system is solved; `linalg` only
+decides finiteness.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from .algebra import (
     AlgebraData,
     DimVector,
     euler_form,
-    injective_dimv,
+    format_dimv,
     length,
-    projective_dimv,
     unit_vector,
 )
 from .errors import (
@@ -75,6 +76,11 @@ class RootCatalog:
     @functools.cached_property
     def by_dimv(self) -> dict[DimVector, Indec]:
         return {e.dimv: e for e in self.entries}
+
+    @functools.cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Each member's dimension vector as printed, "(a,b,...)", by id."""
+        return tuple(format_dimv(e.dimv) for e in self.entries)
 
     @functools.cached_property
     def lengths(self) -> tuple[int, ...]:
@@ -238,6 +244,21 @@ def two_term_chain(seed0: DimVector, seed1: DimVector, mult0: int, mult1: int,
     return out[:steps]
 
 
+def shift_families(r: int, s: int, steps: int) -> tuple[list[DimVector], list[DimVector]]:
+    """The forward and backward shift families, in (src, snk) coordinates.
+
+    The forward family starts at the projectives P(snk) = (0, 1) and
+    P(src) = (1, s), the backward one at the injectives I(src) = (1, 0) and
+    I(snk) = (r, 1) (Dlab-Ringel, Mem. AMS 173, 1976); each runs on by
+    `two_term_chain`, the forward one with multipliers r, s and the backward
+    one with s, r.  The seeds hold because E[src][snk] = -r * u_src is the
+    only off-diagonal entry of the Euler matrix and u_src * r = u_snk * s:
+    so E^T p = u_i e_i for p = P(i) and E q = u_i e_i for q = I(i).
+    """
+    return (two_term_chain((0, 1), (1, s), r, s, steps),
+            two_term_chain((1, 0), (r, 1), s, r, steps))
+
+
 def rank2_sequences(algebra: AlgebraData, t_max: int) -> RootCatalog:
     """Shift orbits of the projectives and injectives of a rank-2 algebra.
 
@@ -249,11 +270,13 @@ def rank2_sequences(algebra: AlgebraData, t_max: int) -> RootCatalog:
 
     with r = -c[src][snk] and s = -c[snk][src]; the backward family starts at
     I(src), I(snk) with the roles of r, s and of the two vertices swapped.
-    In the finite case the two families exhaust each other and the merged
-    catalog is the set of positive roots, kept here in quiver order: there
-    t_max cuts nothing, and each chain runs until it leaves the positive
-    cone (within 6 terms).  In the infinite case the families stay disjoint,
-    each is cut at 2(t_max + 1) terms and each term is tagged with its family.
+    Both come from `shift_families`, whose seeds are the closed forms of the
+    projectives and injectives.  In the finite case the two families exhaust
+    each other and the merged catalog is the set of positive roots, kept
+    here in quiver order: there t_max cuts nothing, and each chain runs
+    until it leaves the positive cone (within 6 terms).  In the infinite
+    case the families stay disjoint, each is cut at 2(t_max + 1) terms and
+    each term is tagged with its family.
     """
     return _shift_orbits(algebra, t_max, classify_type(algebra))
 
@@ -268,9 +291,9 @@ def _shift_orbits(algebra: AlgebraData, t_max: int, kind: str) -> RootCatalog:
     r = -algebra.cartan[src][snk]
     s = -algebra.cartan[snk][src]
     steps = ROOT_LIMIT if kind == FINITE else 2 * (t_max + 1)
-
-    prep = two_term_chain(projective_dimv(algebra, snk), projective_dimv(algebra, src), r, s, steps)
-    prei = two_term_chain(injective_dimv(algebra, src), injective_dimv(algebra, snk), s, r, steps)
+    # (src, snk) coordinates are vertex order unless the arrow runs 1 -> 0
+    prep, prei = (chain if src == 0 else [x[::-1] for x in chain]
+                  for chain in shift_families(r, s, steps))
 
     def make(idx: int, dimv: DimVector, comp: str, pos: int, even_vertex: int, odd_vertex: int) -> Indec:
         vertex = even_vertex if pos % 2 == 0 else odd_vertex

@@ -8,10 +8,7 @@ from clustercomplex import (
     build_algebra,
     euler_form,
     fixture,
-    fixture_names,
-    injective_dimv,
     length,
-    projective_dimv,
 )
 from clustercomplex.errors import (
     ArrowWithoutEntry,
@@ -21,8 +18,6 @@ from clustercomplex.errors import (
     NotSymmetrizable,
     ParseError,
 )
-
-from oracles import oracle_solve_columns
 
 
 def test_build_g2_euler_matrix():
@@ -97,49 +92,6 @@ def test_length():
     assert length(g2, (0, 0)) == 0
     with pytest.raises(NegativeCoordinate):
         length(g2, (-1, 0))
-
-
-def test_projective_injective_g2():
-    g2 = fixture("g2")
-    assert projective_dimv(g2, 0) == (1, 3)
-    assert projective_dimv(g2, 1) == (0, 1)
-    assert injective_dimv(g2, 1) == (1, 1)
-    assert injective_dimv(g2, 0) == (1, 0)
-
-
-def test_projectives_represent_coordinates():
-    rng = random.Random(7)
-    for name in ("a3", "b3", "g2", "kronecker", "d4"):
-        alg = fixture(name)
-        for i in range(alg.n):
-            p = projective_dimv(alg, i)
-            q = injective_dimv(alg, i)
-            for _ in range(10):
-                x = tuple(rng.randint(-4, 4) for _ in range(alg.n))
-                assert euler_form(alg, p, x) == alg.symmetrizer[i] * x[i]
-                assert euler_form(alg, x, q) == alg.symmetrizer[i] * x[i]
-
-
-def test_projectives_and_injectives_match_the_reference_solve():
-    # E^T p = u_i e_i and E q = u_i e_i, solved over Fractions
-    for name in fixture_names():
-        alg = fixture(name)
-        rows, columns = alg.euler, tuple(zip(*alg.euler))
-        for i in range(alg.n):
-            rhs = [alg.symmetrizer[i] if k == i else 0 for k in range(alg.n)]
-            assert list(projective_dimv(alg, i)) == oracle_solve_columns(rows, rhs), (name, i)
-            assert list(injective_dimv(alg, i)) == oracle_solve_columns(columns, rhs), (name, i)
-
-
-def test_non_integral_solution_on_corrupt_data():
-    from clustercomplex import AlgebraData
-    from clustercomplex.errors import NonIntegralSolution
-
-    # bypasses build_algebra on purpose: a singular Euler matrix
-    broken = AlgebraData(n=1, cartan=((2,),), symmetrizer=(1,),
-                         arrows=frozenset(), euler=((0,),))
-    with pytest.raises(NonIntegralSolution):
-        projective_dimv(broken, 0)
 
 
 def test_json_roundtrip():

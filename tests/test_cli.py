@@ -450,6 +450,21 @@ def test_deterministic_output(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("command, name, option", [
+    ("verify", "g2", "json"), ("verify", "kronecker", "json"), ("graph", "b2", "json")])
+def test_a_reused_parser_prints_what_a_fresh_one_prints(capsys, command, name, option):
+    # one process parses twice with the parser built once; an option given
+    # to the first call must not carry over into the second
+    argvs = [[command, "--fixture", name, "--format", option], [command, "--fixture", name]]
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert fresh[0] != fresh[1]
+    assert [run(capsys, *argv) for argv in argvs] == fresh
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_negative_t_max_is_misuse(capsys):
     order = ["total-order", "--r", "2", "--s", "2", "--u", "1", "--v", "1"]
     for argv in (["verify", "--fixture", "kronecker", "--t-max", "-1"],

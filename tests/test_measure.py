@@ -349,17 +349,17 @@ def test_total_order_examples():
 
 
 def _perturb_chain(monkeypatch, family):
-    """Scale term 3 of the forward chain (seeded with (0, 1)) or of the
+    """Scale term 3 of the forward family (seeded with (0, 1)) or of the
     backward one tenfold, where the check reads it at t = 1."""
-    original = measure.two_term_chain
+    original = measure.shift_families
 
-    def chain(seed0, seed1, mult0, mult1, steps):
-        out = original(seed0, seed1, mult0, mult1, steps)
-        if (seed0 == (0, 1)) == (family == "preproj"):
-            out[3] = tuple(10 * c for c in out[3])
-        return out
+    def families(r, s, steps):
+        forward, backward = original(r, s, steps)
+        out = forward if family == "preproj" else backward
+        out[3] = tuple(10 * c for c in out[3])
+        return forward, backward
 
-    monkeypatch.setattr(measure, "two_term_chain", chain)
+    monkeypatch.setattr(measure, "shift_families", families)
 
 
 @pytest.mark.parametrize("family", ["preproj", "preinj"])

@@ -8,6 +8,7 @@ from clustercomplex import (
     PREPROJ,
     RANK2_INFINITE,
     UNSUPPORTED,
+    build_algebra,
     build_complex,
     catalog_for,
     classify_type,
@@ -21,8 +22,9 @@ from clustercomplex import (
     verify_flag_connected,
 )
 from clustercomplex.errors import NotFiniteType, NotRankTwo, UnsupportedAlgebra
+from clustercomplex.roots import rank2_roles, shift_families
 
-from oracles import KNOWN_ROOTS, oracle_form
+from oracles import KNOWN_ROOTS, oracle_form, oracle_solve_columns
 
 
 def test_simple_reflection_examples():
@@ -141,6 +143,41 @@ def test_finite_rank2_sequences_ignore_the_cutoff(name, t_max):
     assert sorted(cat.dimvs()) == sorted(positive_roots(alg).dimvs())
     cx = build_complex(cat)
     assert verify_ap_axioms(cx).ok and verify_flag_connected(cx).ok
+
+
+def _shift_seeds():
+    """(algebra, {i: P(i)}, {i: I(i)}) in vertex order, read off the first two
+    terms of each family of `shift_families`, for every rank-2 fixture in
+    both arrow directions (a1 x a1 has no arrow, so its two are one)."""
+    for name in ("a1xa1", "a2", "b2", "g2", "kronecker", "valued15"):
+        given = fixture(name)
+        for arrows in (given.arrows, [(b, a) for a, b in given.arrows]):
+            alg = build_algebra(given.cartan, given.symmetrizer, arrows)
+            src, snk = rank2_roles(alg)
+            r, s = -alg.cartan[src][snk], -alg.cartan[snk][src]
+            (p_snk, p_src), (i_src, i_snk) = (
+                [x if src == 0 else x[::-1] for x in family] for family in shift_families(r, s, 2))
+            yield alg, {snk: p_snk, src: p_src}, {src: i_src, snk: i_snk}
+
+
+def test_shift_families_start_at_the_reference_solve():
+    # E^T p = u_i e_i and E q = u_i e_i, solved over Fractions
+    for alg, projectives, injectives in _shift_seeds():
+        rows, columns = alg.euler, tuple(zip(*alg.euler))
+        for i in range(2):
+            rhs = [alg.symmetrizer[i] if k == i else 0 for k in range(2)]
+            assert list(projectives[i]) == oracle_solve_columns(rows, rhs), (alg, i)
+            assert list(injectives[i]) == oracle_solve_columns(columns, rhs), (alg, i)
+
+
+def test_shift_seeds_represent_coordinates():
+    rng = random.Random(7)
+    for alg, projectives, injectives in _shift_seeds():
+        for i in range(2):
+            for _ in range(10):
+                x = tuple(rng.randint(-4, 4) for _ in range(2))
+                assert euler_form(alg, projectives[i], x) == alg.symmetrizer[i] * x[i]
+                assert euler_form(alg, x, injectives[i]) == alg.symmetrizer[i] * x[i]
 
 
 def test_catalog_for_dispatch():
