@@ -91,15 +91,13 @@ def _non_negative(text: str) -> int:
     return value
 
 
-def _add_input(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--input", help="path to an algebra JSON file")
-    group.add_argument("--fixture", help="name of a bundled fixture")
+def _catalog(args: argparse.Namespace):
+    """The catalog of a windowed command: its algebra cut at --t-max."""
+    return catalog_for(_load(args), t_max=args.t_max)
 
 
 def _cmd_roots(args) -> int:
-    algebra = _load(args)
-    catalog = catalog_for(algebra, t_max=args.t_max)
+    catalog = _catalog(args)
     for entry in catalog.entries:
         print(json.dumps({
             "dimv": list(entry.dimv),
@@ -112,8 +110,7 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    algebra = _load(args)
-    catalog = catalog_for(algebra, t_max=args.t_max)
+    catalog = _catalog(args)
     writer = csv.writer(sys.stdout)
     writer.writerow(["", *catalog.labels])
     for x in catalog.entries:
@@ -131,10 +128,9 @@ def _by_members(n: int, facets) -> list[int]:
 
 
 def _cmd_facets(args) -> int:
-    algebra = _load(args)
-    catalog = catalog_for(algebra, t_max=args.t_max)
-    for face in _by_members(algebra.n, catalog.facets):
-        ids, sigma = decode_face(algebra.n, face)
+    catalog = _catalog(args)
+    for face in _by_members(catalog.algebra.n, catalog.facets):
+        ids, sigma = decode_face(catalog.algebra.n, face)
         print(json.dumps({
             "T": [list(catalog.entries[i].dimv) for i in ids],
             "sigma": [v + 1 for v in sigma],
@@ -212,14 +208,14 @@ def _verify_rank2_infinite(catalog, t_max: int, fmt: str) -> int:
 
 
 def _cmd_verify(args) -> int:
-    catalog = catalog_for(_load(args), t_max=args.t_max)
+    catalog = _catalog(args)
     if catalog.kind == FINITE:
         return _verify_finite(catalog, args.format)
     return _verify_rank2_infinite(catalog, args.t_max, args.format)
 
 
 def _cmd_graph(args) -> int:
-    catalog = catalog_for(_load(args), t_max=args.t_max)
+    catalog = _catalog(args)
     labels = [face_label(catalog, f) for f in catalog.facets]
     edges = [(i, j) for i, nbrs in exchange_graph(catalog.facets).items() for j in nbrs if i < j]
     if args.format == "json":
@@ -235,12 +231,11 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_descent(args) -> int:
-    algebra = _load(args)
-    catalog = catalog_for(algebra)
+    catalog = catalog_for(_load(args))
     if catalog.kind != FINITE:
         raise UnsupportedAlgebra("descent requires a representation-finite algebra")
     zero = zero_facet(catalog)
-    facets = _by_members(algebra.n, enumerate_support_tilting(catalog))
+    facets = _by_members(catalog.algebra.n, enumerate_support_tilting(catalog))
     all_ok = True
     for start in facets:
         path = descent_path(catalog, start)
@@ -289,50 +284,42 @@ def build_parser() -> argparse.ArgumentParser:
         prog="clustercomplex",
         description="Exact verification of tilting-exchange polytopes from Cartan data.")
     sub = parser.add_subparsers(dest="command", required=True)
+    algebra_input = argparse.ArgumentParser(add_help=False)
+    group = algebra_input.add_mutually_exclusive_group(required=True)
+    group.add_argument("--input", help="path to an algebra JSON file")
+    group.add_argument("--fixture", help="name of a bundled fixture")
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--t-max", type=_non_negative, default=10)
+    windowed = [algebra_input, window]
 
-    p_roots = sub.add_parser("roots", help="emit the catalog as JSON lines")
-    _add_input(p_roots)
-    p_roots.add_argument("--t-max", type=_non_negative, default=10)
-    p_roots.set_defaults(func=_cmd_roots)
+    sub.add_parser("roots", parents=windowed,
+                   help="emit the catalog as JSON lines").set_defaults(func=_cmd_roots)
+    sub.add_parser("table", parents=windowed,
+                   help="hom/ext lengths as CSV").set_defaults(func=_cmd_table)
+    sub.add_parser("facets", parents=windowed,
+                   help="support-tilting facets as JSON lines").set_defaults(func=_cmd_facets)
 
-    p_table = sub.add_parser("table", help="hom/ext lengths as CSV")
-    _add_input(p_table)
-    p_table.add_argument("--t-max", type=_non_negative, default=10)
-    p_table.set_defaults(func=_cmd_table)
-
-    p_facets = sub.add_parser("facets", help="support-tilting facets as JSON lines")
-    _add_input(p_facets)
-    p_facets.add_argument("--t-max", type=_non_negative, default=10)
-    p_facets.set_defaults(func=_cmd_facets)
-
-    p_verify = sub.add_parser("verify", help="run the full verification battery")
-    _add_input(p_verify)
-    p_verify.add_argument("--t-max", type=_non_negative, default=10)
+    p_verify = sub.add_parser("verify", parents=windowed, help="run the full verification battery")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_graph = sub.add_parser("graph", help="exchange graph export")
-    _add_input(p_graph)
-    p_graph.add_argument("--t-max", type=_non_negative, default=10)
+    p_graph = sub.add_parser("graph", parents=windowed, help="exchange graph export")
     p_graph.add_argument("--format", choices=("dot", "json"), default="dot")
     p_graph.set_defaults(func=_cmd_graph)
 
-    p_descent = sub.add_parser("descent", help="print the descent path of every facet")
-    _add_input(p_descent)
-    p_descent.set_defaults(func=_cmd_descent)
+    sub.add_parser("descent", parents=[algebra_input],
+                   help="print the descent path of every facet").set_defaults(func=_cmd_descent)
 
     p_order = sub.add_parser("total-order", help="check the rank-2 interleaving chain")
-    p_order.add_argument("--r", type=int, required=True)
-    p_order.add_argument("--s", type=int, required=True)
-    p_order.add_argument("--u", type=int, required=True)
-    p_order.add_argument("--v", type=int, required=True)
+    for name in ("--r", "--s", "--u", "--v"):
+        p_order.add_argument(name, type=int, required=True)
     p_order.add_argument("--t-max", type=_non_negative, default=30)
     p_order.add_argument("--random-weights", type=_non_negative, default=0)
     p_order.add_argument("--seed", type=int, default=0)
     p_order.set_defaults(func=_cmd_total_order)
 
-    p_demo = sub.add_parser("g2-demo", help="walk the worked G2 example end to end")
-    p_demo.set_defaults(func=_cmd_g2_demo)
+    sub.add_parser("g2-demo",
+                   help="walk the worked G2 example end to end").set_defaults(func=_cmd_g2_demo)
 
     p_fixture = sub.add_parser("fixture", help="print a bundled fixture as JSON")
     p_fixture.add_argument("name", nargs="?", help="fixture name; omit to list")
@@ -355,14 +342,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (UnsupportedAlgebra, SearchLimitExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
     except ClusterComplexError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, ParseError):
+            return EXIT_PARSE
+        if isinstance(exc, (UnsupportedAlgebra, SearchLimitExceeded)):
+            return EXIT_UNSUPPORTED
         return EXIT_VERIFY_FAILED
 
 

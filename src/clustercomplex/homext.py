@@ -65,23 +65,17 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _pair(catalog: RootCatalog, x: Indec, y: Indec) -> tuple[int, int]:
+    """(max(b, 0), max(-b, 0)) for b = <x, y>; a window pair across families is sign-checked."""
     b = euler_form(catalog.algebra, x.dimv, y.dimv)
-    if x.id == y.id:
-        result = (x.q, 0)
-    elif catalog.kind == FINITE or x.component == y.component:
-        result = (max(b, 0), max(-b, 0))
-    elif x.component == PREPROJ and y.component == PREINJ:
-        if b < 0:
+    if catalog.kind != FINITE and x.component != y.component:
+        tags = (x.component, y.component)
+        if tags not in ((PREPROJ, PREINJ), (PREINJ, PREPROJ)):
+            raise OracleViolation(f"untagged members {x.dimv}, {y.dimv} in infinite catalog")
+        if tags == (PREPROJ, PREINJ) and b < 0:
             raise OracleViolation(f"forward-to-backward pairing {x.dimv} -> {y.dimv} is {b} < 0")
-        result = (b, 0)
-    elif x.component == PREINJ and y.component == PREPROJ:
-        if b > 0:
+        if tags == (PREINJ, PREPROJ) and b > 0:
             raise OracleViolation(f"backward-to-forward pairing {x.dimv} -> {y.dimv} is {b} > 0")
-        result = (0, -b)
-    else:
-        raise OracleViolation(f"untagged members {x.dimv}, {y.dimv} in infinite catalog")
-    assert result[0] - result[1] == b
-    return result
+    return max(b, 0), max(-b, 0)
 
 
 def mask_of(ids: Iterable[int]) -> int:
@@ -115,7 +109,6 @@ class ExtKernel:
     ext_free_in: tuple[int, ...]
     compat: tuple[int, ...]
     support: tuple[int, ...]
-    n: int
 
     @property
     def everyone(self) -> int:
@@ -257,7 +250,6 @@ def build_kernel(catalog: RootCatalog) -> ExtKernel:
         ext_free_in=tuple(into),
         compat=tuple(a & b for a, b in zip(out, into)),
         support=tuple(mask_of(v for v, c in enumerate(e.dimv) if c > 0) for e in entries),
-        n=catalog.algebra.n,
     )
 
 

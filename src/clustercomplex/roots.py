@@ -186,11 +186,6 @@ def positive_roots(algebra: AlgebraData) -> RootCatalog:
     """
     if classify_type(algebra) != FINITE:
         raise NotFiniteType("positive_roots requires a representation-finite algebra")
-    return _root_closure(algebra)
-
-
-def _root_closure(algebra: AlgebraData) -> RootCatalog:
-    """The catalog of `positive_roots` for an algebra already classified FINITE."""
     n = algebra.n
     orbit: dict[DimVector, int] = {}
     queue: deque[DimVector] = deque()
@@ -278,15 +273,11 @@ def rank2_sequences(algebra: AlgebraData, t_max: int) -> RootCatalog:
     case the families stay disjoint, each is cut at 2(t_max + 1) terms and
     each term is tagged with its family.
     """
-    return _shift_orbits(algebra, t_max, classify_type(algebra))
-
-
-def _shift_orbits(algebra: AlgebraData, t_max: int, kind: str) -> RootCatalog:
-    """The catalog of `rank2_sequences` for an algebra already classified as `kind`."""
     if algebra.n != 2:
         raise NotRankTwo("rank2_sequences requires exactly two vertices")
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
+    kind = classify_type(algebra)
     src, snk = rank2_roles(algebra)
     r = -algebra.cartan[src][snk]
     s = -algebra.cartan[snk][src]
@@ -315,11 +306,11 @@ def _shift_orbits(algebra: AlgebraData, t_max: int, kind: str) -> RootCatalog:
 
 
 def catalog_for(algebra: AlgebraData, t_max: int = 10) -> RootCatalog:
-    """Dispatch on the algebra type, classified once; raises
-    UnsupportedAlgebra outside scope."""
+    """`positive_roots` or the `rank2_sequences` window at t_max, by `classify_type`
+    (which each builder repeats); raises UnsupportedAlgebra outside scope."""
     kind = classify_type(algebra)
     if kind == FINITE:
-        return _root_closure(algebra)
+        return positive_roots(algebra)
     if kind == RANK2_INFINITE:
-        return _shift_orbits(algebra, t_max, kind)
+        return rank2_sequences(algebra, t_max)
     raise UnsupportedAlgebra("representation-infinite of rank >= 3")

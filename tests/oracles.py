@@ -199,7 +199,7 @@ def oracle_cliques(catalog):
     support.
     """
     kernel = catalog.kernel
-    compat, support, n = kernel.compat, kernel.support, kernel.n
+    compat, support, n = kernel.compat, kernel.support, catalog.algebra.n
     yield 0, 0, kernel.everyone
     members, supports, cands, lefts = [0], [0], [kernel.everyone], [kernel.everyone]
     while lefts:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -485,3 +486,69 @@ def test_non_integer_t_max_is_misuse(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--t-max: invalid int value: 'abc'" in err and "Traceback" not in err
+
+
+def _action_rows(parser):
+    """Each action of a parser as (option strings or dest, default, type
+    name, choices, required, help); a subparsers action lists its command
+    names with each one's help."""
+    rows = []
+    for action in parser._actions:
+        choices = action.choices
+        if isinstance(action, argparse._SubParsersAction):
+            choices = [(a.dest, a.help) for a in action._choices_actions]
+        rows.append((action.option_strings or action.dest, action.default,
+                     getattr(action.type, "__name__", action.type), choices,
+                     action.required, action.help))
+    return rows
+
+
+_HELP = (["-h", "--help"], argparse.SUPPRESS, None, None, False, "show this help message and exit")
+_INPUT = [(["--input"], None, None, None, False, "path to an algebra JSON file"),
+          (["--fixture"], None, None, None, False, "name of a bundled fixture")]
+_T_MAX = (["--t-max"], 10, "_non_negative", None, False, None)
+PARSER = {
+    "": [_HELP, ("command", None, None, [
+        ("roots", "emit the catalog as JSON lines"),
+        ("table", "hom/ext lengths as CSV"),
+        ("facets", "support-tilting facets as JSON lines"),
+        ("verify", "run the full verification battery"),
+        ("graph", "exchange graph export"),
+        ("descent", "print the descent path of every facet"),
+        ("total-order", "check the rank-2 interleaving chain"),
+        ("g2-demo", "walk the worked G2 example end to end"),
+        ("fixture", "print a bundled fixture as JSON")], True, None)],
+    "roots": [_HELP, *_INPUT, _T_MAX],
+    "table": [_HELP, *_INPUT, _T_MAX],
+    "facets": [_HELP, *_INPUT, _T_MAX],
+    "verify": [_HELP, *_INPUT, _T_MAX,
+               (["--format"], "text", None, ("text", "json"), False, None)],
+    "graph": [_HELP, *_INPUT, _T_MAX,
+              (["--format"], "dot", None, ("dot", "json"), False, None)],
+    "descent": [_HELP, *_INPUT],
+    "total-order": [_HELP,
+                    *[([f"--{p}"], None, "int", None, True, None) for p in "rsuv"],
+                    (["--t-max"], 30, "_non_negative", None, False, None),
+                    (["--random-weights"], 0, "_non_negative", None, False, None),
+                    (["--seed"], 0, "int", None, False, None)],
+    "g2-demo": [_HELP],
+    "fixture": [_HELP, ("name", None, None, None, False, "fixture name; omit to list")],
+}
+INPUT_COMMANDS = ["roots", "table", "facets", "verify", "graph", "descent"]
+
+
+def test_parser_options_are_pinned(capsys):
+    # read off the parser objects rather than `--help`, whose wrapping moves
+    # with COLUMNS and the Python version
+    top = cli.build_parser()
+    (sub,) = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {"": _action_rows(top), **{name: _action_rows(p) for name, p in sub.choices.items()}}
+    assert found == PARSER
+    groups = {name: [(g.required, [a.option_strings for a in g._group_actions])
+                     for g in p._mutually_exclusive_groups] for name, p in sub.choices.items()}
+    assert groups == {name: [(True, [["--input"], ["--fixture"]])] if name in INPUT_COMMANDS
+                      else [] for name in PARSER if name}
+    with pytest.raises(SystemExit) as exc:
+        main(["descent", "--fixture", "a2", "--t-max", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --t-max 3" in capsys.readouterr().err

@@ -5,7 +5,7 @@ no `vars(` outside `roots`, no floating point, no public top-level name
 that nothing uses, no error class that nothing raises, the `cli`, `measure`
 and `tilting` names that the benchmark's tracer patches still there, and
 no public function that neither the CLI nor the benchmark's completion
-queries reach but the two that tests use as helpers."""
+queries reach but the one that tests use as a helper."""
 
 import ast
 import contextlib
@@ -199,8 +199,8 @@ def test_tracer_boundaries_name_cli_attributes():
 
 def test_public_functions_are_reached(tmp_path):
     # every public module-level function of `src/` is reached by the CLI or
-    # by the library calls that `completion-queries` makes, except the two
-    # that tests and the README quick start use as helpers
+    # by the library calls that `completion-queries` makes, except `support`,
+    # which tests use as a helper
     path = tmp_path / "b2.json"
     path.write_text(json.dumps(algebra_to_dict(fixture("b2"))), encoding="utf-8")
     called = set()
@@ -236,4 +236,4 @@ def test_public_functions_are_reached(tmp_path):
         unreached += [name for name, value in vars(module).items()
                       if inspect.isfunction(value) and value.__module__ == module.__name__
                       and not name.startswith("_") and value.__code__ not in called]
-    assert sorted(unreached) == ["positive_roots", "support"]
+    assert sorted(unreached) == ["support"]
