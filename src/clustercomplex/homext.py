@@ -17,8 +17,11 @@ the first rigidity query (`RootCatalog.kernel`).  The rigid sets are the
 cliques of compat with at most n members (`tilting.iter_rigid_sets` walks
 them).
 
-A finite catalog pairs each member against the whole catalog.  A rank-2
-window uses the Coxeter shift instead (Dlab-Ringel, "Indecomposable
+A finite catalog pairs each member against the whole catalog.  The rows
+x^T E of all members are formed at once, coordinate by coordinate over
+the catalog from the nonzero Euler entries (`_rows`), and each row is then
+applied to the whole catalog in one pass (`_pairings`).  A rank-2 window
+uses the Coxeter shift instead (Dlab-Ringel, "Indecomposable
 representations of graphs and algebras", Mem. AMS 173, 1976): with src ->
 snk the arrow, M = s_snk s_src moves every stored member two places along
 its run of equal family tags, in the forward family and in the stored
@@ -43,10 +46,10 @@ call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, ge, gt, mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import DimVector, euler_form, unit_vector
 from .errors import MixedCatalogs, OracleViolation, UnknownId
@@ -109,6 +112,7 @@ class ExtKernel:
     ext_free_in: tuple[int, ...]
     compat: tuple[int, ...]
     support: tuple[int, ...]
+    _within: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def everyone(self) -> int:
@@ -133,27 +137,45 @@ class ExtKernel:
         return all(self.ext_free_out[i] & members == members for i in ids_of(members))
 
     def within(self, vertices: int) -> int:
-        """Members supported inside the vertex mask."""
-        return mask_of(i for i, s in enumerate(self.support) if not s & ~vertices)
+        """Members supported inside the vertex mask, found by one scan of the
+        supports the first time the kernel is asked for that mask."""
+        members = self._within.get(vertices)
+        if members is None:
+            members = self._within[vertices] = mask_of(
+                i for i, s in enumerate(self.support) if not s & ~vertices)
+        return members
 
 
-def _pairings(form: Sequence[Sequence[int]], x: Sequence[int],
-              columns: Sequence[Sequence[int]]) -> list[int]:
-    """x^T form y for every member y, where columns[k] holds coordinate k of
-    every member: the row x^T form is formed once and applied coordinate by
-    coordinate over the whole catalog at once."""
-    n = len(form)
-    coeffs = [sum(x[i] * form[i][k] for i in range(n)) for k in range(n)]
-    pairing = map(mul, columns[0], repeat(coeffs[0]))
-    for k in range(1, n):
-        pairing = map(add, pairing, map(mul, columns[k], repeat(coeffs[k])))
-    return list(pairing)
+def _combination(coeffs: Sequence[int], columns: Sequence[Sequence[int]]) -> Iterator[int]:
+    """sum_k coeffs[k] columns[k], entry by entry, lazily: a zero coefficient
+    is skipped and a coefficient 1 takes its column as it is."""
+    terms = [column if coeff == 1 else map(mul, column, repeat(coeff))
+             for coeff, column in zip(coeffs, columns) if coeff]
+    total = iter(terms.pop()) if terms else repeat(0, len(columns[0]))
+    for term in terms:
+        total = map(add, total, term)
+    return total
+
+
+def _rows(form: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The row x^T form of every vector x, where columns[i] holds coordinate i
+    of every vector: coordinate k of the rows is formed over all the vectors
+    at once, from the nonzero entries of column k of form."""
+    return list(zip(*(_combination(column, columns) for column in zip(*form))))
+
+
+def _pairings(row: Sequence[int], columns: Sequence[Sequence[int]]) -> list[int]:
+    """row . y for every member y, where columns[k] holds coordinate k of
+    every member: the row is applied coordinate by coordinate over the whole
+    catalog at once."""
+    return list(_combination(row, columns))
 
 
 def _dense_masks(catalog: RootCatalog, columns: list) -> tuple[list[int], list[int]]:
-    """(ext_free_out, ext_free_in) from one `_pairings` row per member."""
-    rows = [bytes(map(ge, _pairings(catalog.algebra.euler, x.dimv, columns), repeat(0)))
-            for x in catalog.entries]
+    """(ext_free_out, ext_free_in) from one `_pairings` call per member, on
+    the rows x^T E that `_rows` forms for the whole catalog at once."""
+    rows = [bytes(map(ge, _pairings(row, columns), repeat(0)))
+            for row in _rows(catalog.algebra.euler, columns)]
     return [_flags_mask(row) for row in rows], [_flags_mask(column) for column in zip(*rows)]
 
 
@@ -164,7 +186,8 @@ def _direct_mask(catalog: RootCatalog, x: Indec, columns: list, family: dict[str
     forward-to-backward pairings are >= 0 and backward-to-forward <= 0."""
     euler = catalog.algebra.euler
     form = euler if as_row else tuple(zip(*euler))
-    pairing = _pairings(form, x.dimv, columns)
+    (row,) = _rows(form, [(c,) for c in x.dimv])
+    pairing = _pairings(row, columns)
     free = _flags_mask(map(ge, pairing, repeat(0)))
     other = family[PREINJ if x.component == PREPROJ else PREPROJ]
     if as_row == (x.component == PREPROJ):
@@ -232,12 +255,13 @@ def build_kernel(catalog: RootCatalog) -> ExtKernel:
     """All ext-vanishing bits of a catalog, and each member's support.
 
     A finite catalog pairs every member against the whole catalog, one
-    `_pairings` row per member.  A rank-2 window pairs only the first two
-    members of each family run directly, as rows and as columns, and reads
-    every other bit off them by the Coxeter shift (`_window_masks`), so it
-    makes at most eight `_pairings` calls at any `t_max`.  Every direct row
-    and column of a window asserts the cross-family sign; the first pair
-    that breaks it is reported by `_pair`.
+    `_pairings` call per member on the rows that `_rows` forms at once.  A
+    rank-2 window pairs only the first two members of each family run
+    directly, as rows and as columns, and reads every other bit off them
+    by the Coxeter shift (`_window_masks`), so it makes at most eight
+    `_pairings` calls at any `t_max`.  Every direct row and column of a
+    window asserts the cross-family sign; the first pair that breaks it is
+    reported by `_pair`.
     """
     entries = catalog.entries
     columns = list(zip(*(e.dimv for e in entries)))  # columns[k][j] = entries[j].dimv[k]

@@ -29,7 +29,13 @@ prefix of f's.  Only on a tie are the keys compared: the keys of the descent
 moves and the zero facet come from one table per `verify_descent` call,
 and any other facet's key is computed (a lone `descent_path` builds no
 table).  The rule holds for facets of any size, as a patched step may
-return.
+return.  It is stated once, over lists of steps (`_drops`): `verify_descent`
+decides every facet's step in one call, counts and member tests in C, and
+a single walk asks about one step at a time.
+
+`verify_descent` and `verify_endos_all` do their per-facet work in passes
+over the whole facet list (`map`, `filterfalse`, `compress`), with one
+Python call per facet to `descent_step` or `verify_endos`.
 
 The endomorphism check asks that a facet's member endo lengths and
 unsupported symmetrizer entries form the symmetrizer multiset.  It counts
@@ -41,7 +47,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from functools import partial
+from itertools import compress, filterfalse
+from operator import eq, getitem, gt, itemgetter, mul, not_
+from typing import Iterable, Sequence
 
 from .errors import (
     Disconnected,
@@ -114,16 +123,27 @@ def descent_step(catalog: RootCatalog, facet: int) -> int:
     return catalog.descent_moves[chosen]
 
 
-def _drops(catalog: RootCatalog, nxt: int, facet: int, keys: dict[int, tuple[int, ...]]) -> bool:
-    """lambda_key(nxt) < lambda_key(facet), by the drop rule of the module
-    docstring: on the counts of unsupported vertices first, and on the keys
-    only when the counts tie, each read from `keys` or computed when absent."""
+def _drops(catalog: RootCatalog, nexts: Sequence[int], facets: Sequence[int],
+           keys: dict[int, tuple[int, ...]]) -> list[bool]:
+    """For each pair, lambda_key(nexts[i]) < lambda_key(facets[i]), by the
+    drop rule of the module docstring, over the whole lists: the counts of
+    unsupported vertices are taken in C, and a pair whose counts differ is
+    decided by the member bits of one side, also in C.  Only a pair whose
+    counts tie has its keys compared, each read from `keys` or computed
+    when absent."""
     n = catalog.algebra.n
     low = (1 << n) - 1
-    ahead, behind = (nxt & low).bit_count(), (facet & low).bit_count()
-    if ahead != behind:
-        return facet >> n != 0 if ahead > behind else nxt >> n == 0
-    return (keys.get(nxt) or lambda_key(catalog, nxt)) < (keys.get(facet) or lambda_key(catalog, facet))
+    ahead = list(map(int.bit_count, map(low.__and__, nexts)))
+    behind = list(map(int.bit_count, map(low.__and__, facets)))
+    # more unsupported vertices ahead: the key drops when the facet has a
+    # member; fewer: only when the next facet has none
+    drops = list(map(getitem, zip(map(low.__ge__, nexts), map(low.__lt__, facets)),
+                     map(gt, ahead, behind)))
+    for i in compress(range(len(drops)), map(eq, ahead, behind)):
+        nxt, facet = nexts[i], facets[i]
+        drops[i] = ((keys.get(nxt) or lambda_key(catalog, nxt))
+                    < (keys.get(facet) or lambda_key(catalog, facet)))
+    return drops
 
 
 def _descend(catalog: RootCatalog, facet: int, keys: dict[int, tuple[int, ...]]) -> int | None:
@@ -132,7 +152,7 @@ def _descend(catalog: RootCatalog, facet: int, keys: dict[int, tuple[int, ...]])
     if facet == zero_facet(catalog):
         return None
     nxt = descent_step(catalog, facet)
-    return nxt if _drops(catalog, nxt, facet, keys) else None
+    return nxt if _drops(catalog, [nxt], [facet], keys)[0] else None
 
 
 def descent_path(catalog: RootCatalog, facet: int) -> list[int]:
@@ -164,36 +184,46 @@ def verify_descent(catalog: RootCatalog) -> DescentReport:
     """Iterate descent from every facet; the vector must drop each step and
     the zero facet must be reached.
 
-    `_descend` stops a walk before any step that fails to drop the lambda
-    key, so a walk never revisits a facet and takes fewer than len(facets)
-    steps; no step bound is needed.  Walks share their tails: each facet's
-    (steps, end) is recorded once, and a walk stops at the first recorded
-    facet.  `steps[f]` is what `descent_path(catalog, f)` gives.
-    A walk starts only from a facet not yet recorded, and every facet takes
-    one `descent_step`; the drop rule builds a key only on a tie.
+    A step that fails to drop the lambda key stops its walk there, so a
+    walk never revisits a facet and takes fewer than len(facets) steps; no
+    step bound is needed.  The work goes in whole-list passes: every facet
+    but the zero facet takes one `descent_step` and the drop rule decides
+    all of those steps at once (`_drops`).  Walks share their tails, and
+    every walk of more than one step runs through a step target, so only
+    the targets are walked, each (steps, end) recorded once; a target
+    outside the facet list, which only a patched step gives, takes its own
+    step by `_descend`.  A facet whose step drops then has one step more
+    than its target and the same end, and any other facet ends where it
+    is.  `steps[f]` is what `descent_path(catalog, f)` gives.
     """
     facets = enumerate_support_tilting(catalog)
     zero = zero_facet(catalog)
     # the keys of the facets an unpatched step can reach
     keys = {f: lambda_key(catalog, f) for f in (*catalog.descent_moves, zero)}
+    movers = list(filter(zero.__ne__, facets))
+    targets = list(map(partial(descent_step, catalog), movers))
+    drops = _drops(catalog, targets, movers, keys)
+    steps = dict.fromkeys(facets, 0)
+    after = dict(compress(zip(movers, targets), drops))  # the steps that drop
     walks: dict[int, tuple[int, int]] = {}
-    for start in facets:
-        if start in walks:
-            continue
+    for start in dict.fromkeys(targets):
         path = [start]
         while path[-1] not in walks:
-            nxt = _descend(catalog, path[-1], keys)
+            facet = path[-1]
+            nxt = after.get(facet) if facet in steps else _descend(catalog, facet, keys)
             if nxt is None:
-                walks[path[-1]] = (0, path[-1])
+                walks[facet] = (0, facet)
             else:
                 path.append(nxt)
         count, end = walks[path.pop()]
         for facet in reversed(path):
             count += 1
             walks[facet] = (count, end)
-    steps = {f: walks[f][0] for f in facets}
-    ok = all(walks[f][1] == zero for f in facets)
-    stalled = [f for f in facets if f != zero and walks[f] == (0, f)]
+    counts = map(itemgetter(0), map(walks.__getitem__, targets))
+    steps.update(zip(movers, map(mul, map((1).__add__, counts), drops)))
+    stalled = list(compress(movers, map(not_, drops)))
+    # a facet that does not stall ends where the walk of its target ends
+    ok = not stalled and all(end == zero for _, end in walks.values())
     return DescentReport(ok=ok, steps=steps, max_steps=max(steps.values(), default=0),
                          stalled=stalled)
 
@@ -311,11 +341,16 @@ def verify_endos(catalog: RootCatalog, facet: int) -> bool:
     with u_v = c (`RootCatalog.endo_classes`), and it must have n vertices,
     so that none lies outside the classes.
     """
-    return facet.bit_count() == catalog.algebra.n and all(
-        (facet & mask).bit_count() == count for mask, count in catalog.endo_classes)
+    if facet.bit_count() != catalog.algebra.n:
+        return False
+    for mask, count in catalog.endo_classes:
+        if (facet & mask).bit_count() != count:
+            return False
+    return True
 
 
 def verify_endos_all(catalog: RootCatalog) -> EndoReport:
+    """`verify_endos` on every facet, in one pass over the facet list."""
     facets = enumerate_support_tilting(catalog)
-    failures = [f for f in facets if not verify_endos(catalog, f)]
+    failures = list(filterfalse(partial(verify_endos, catalog), facets))
     return EndoReport(ok=not failures, checked=len(facets), failures=failures)

@@ -56,7 +56,10 @@ fewer than 2 (1 + m) vertices is connected.  Proof: take v in up[F] and w
 in up[F + v].  F + w is F + v + w minus v, a face, so w is in up[F], and v
 and w are joined since F + v + w is a face.  So the component of v holds v
 and the at least m vertices of up[F + v]; two components need 2 (1 + m)
-vertices.  When a face lost a subface, every link is flooded.
+vertices.  When a face lost a subface, every link is flooded.  The scan
+keeps the widest up of each level next to the fewest
+(`AxiomReport.widest`), and a level whose widest link is below its floor
+is not read at all.
 
 A rank-2 window, the infinite rank-2 complex cut down to a line, is a
 `ClusterComplex` like the others, built from the same walk.  Its checks
@@ -150,7 +153,8 @@ class AxiomReport:
     each by size and then vertex tuple.  `short_face`, the witness of AP2,
     is the first maximal face without n vertices in that order, or None.
     `least[k]`, for the flood floors, is the fewest up bits of a face with
-    k vertices."""
+    k vertices, and `widest[k]`, which tells the floods which levels they
+    can skip, the most."""
 
     ap1: bool
     ap2: bool
@@ -160,6 +164,7 @@ class AxiomReport:
     short_face: Face | None
     lost_faces: list[Face]
     least: dict[int, int]
+    widest: dict[int, int]
 
     @property
     def ok(self) -> bool:
@@ -182,6 +187,7 @@ def _scan(cx: ClusterComplex) -> AxiomReport:
     subface, and that subface is not empty."""
     n, levels = cx.n, cx.levels
     least: dict[int, int] = {}
+    widest: dict[int, int] = {}
     short, thick = [], []
     held = linked = 0
     for k, level in enumerate(levels):
@@ -190,7 +196,7 @@ def _scan(cx: ClusterComplex) -> AxiomReport:
         links = Counter(map(int.bit_count, level.values()))
         held += k * len(level)
         linked += sum(bits * count for bits, count in links.items())
-        least[k] = min(links)
+        least[k], widest[k] = min(links), max(links)
         if k != n and not least[k]:
             short += compress(level, map(not_, level.values()))
         if k == n - 1 and links.keys() - {2}:
@@ -206,7 +212,8 @@ def _scan(cx: ClusterComplex) -> AxiomReport:
                        bad_ridges=sorted(thick, key=_face_key),
                        short_face=min(short, key=_face_key, default=None),
                        lost_faces=lost,
-                       least=least)
+                       least=least,
+                       widest=widest)
 
 
 def build_complex(catalog: RootCatalog) -> ClusterComplex:
@@ -284,11 +291,14 @@ def _flood_floor(cx: ClusterComplex) -> list[int]:
 
 def _split_links(cx: ClusterComplex) -> list[Face]:
     """The faces with at most n - 2 vertices whose link is disconnected; a
-    link below its `_flood_floor` is connected and is not flooded.  A face
-    with k vertices floods through the level k + 1."""
-    levels, floor = cx.levels, _flood_floor(cx)
+    link below its `_flood_floor` is connected and is not flooded, and a
+    level whose widest link (`AxiomReport.widest`) is below its floor is not
+    read at all.  A face with k vertices floods through the level k + 1."""
+    levels, floor, widest = cx.levels, _flood_floor(cx), cx.scan.widest
     split = []
     for k, need in enumerate(floor):
+        if widest.get(k, 0) < need:
+            continue
         level, above = levels[k], levels[k + 1]
         wide = compress(level.items(), map(need.__le__, map(int.bit_count, level.values())))
         split += [f for f, link in wide if _unreached(above, link, f)]

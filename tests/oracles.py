@@ -28,18 +28,20 @@ rigid-set walk.  `complex_of` hands a face set built in a test to the
 package's checks as a `ClusterComplex`: each face with its `oracle_up`
 mask, which is exact, filed under its number of vertices, and the faces
 with n vertices as the facets.  The
-subfaces that a face lost are not handed over; the scan finds them.  Two
+subfaces that a face lost are not handed over; the scan finds them.  Three
 oracles keep the package's earlier, layered code as references for the
 code that replaced it: `oracle_cliques` is the rigid-set walk as its own
-generator of (member, support, cand) masks, and `oracle_member_moves`
-reads each descent move through the public, validated completions.
+generator of (member, support, cand) masks, `oracle_member_moves` reads
+each descent move through the public, validated completions, and
+`oracle_verify_descent` is the descent check as one memo walk per facet,
+a step at a time.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from clustercomplex.homext import ids_of
-from clustercomplex.measure import lambda_key
+from clustercomplex.measure import DescentReport, lambda_key
 from clustercomplex.polytope import ClusterComplex
 from clustercomplex.tilting import bongartz, dual_bongartz, sort_facets
 
@@ -442,6 +444,15 @@ def oracle_least_up(faces, up):
     return least
 
 
+def oracle_widest_up(faces, up):
+    """The most up bits of a face with k vertices, for every size k a face has."""
+    widest = {}
+    for face in faces:
+        k, links = face.bit_count(), up[face].bit_count()
+        widest[k] = max(links, widest.get(k, links))
+    return widest
+
+
 def oracle_lost(faces, up):
     """The keys of up that are not faces, by size and then vertex tuple."""
     return sorted(up.keys() - faces, key=_by_size_then_vertices)
@@ -465,6 +476,36 @@ def oracle_lambda_vector(n, squares, facet):
     vertices = [v for v in range(facet.bit_length()) if facet >> v & 1]
     zeros = [Fraction(0) for v in vertices if v < n]
     return tuple(zeros + sorted(Fraction(squares[v - n]) for v in vertices if v >= n))
+
+
+def oracle_verify_descent(catalog, step):
+    """The descent report of the package's earlier `verify_descent`: a
+    walk from each facet not yet recorded, one `step(catalog, facet)` per
+    facet it reaches but the zero facet, stopping before a step whose
+    lambda vector does not drop (`oracle_lambda_vector`), and each facet's
+    (steps, end) recorded once, so that walks share their tails."""
+    n, squares = catalog.algebra.n, catalog.mu_squares
+    zero = (1 << n) - 1
+    facets = list(catalog.facets)
+    walks = {}
+    for start in facets:
+        path = [start]
+        while path[-1] not in walks:
+            facet = path[-1]
+            nxt = None if facet == zero else step(catalog, facet)
+            if nxt is None or not (oracle_lambda_vector(n, squares, nxt)
+                                   < oracle_lambda_vector(n, squares, facet)):
+                walks[facet] = (0, facet)
+            else:
+                path.append(nxt)
+        count, end = walks[path.pop()]
+        for facet in reversed(path):
+            count += 1
+            walks[facet] = (count, end)
+    steps = {f: walks[f][0] for f in facets}
+    return DescentReport(ok=all(walks[f][1] == zero for f in facets), steps=steps,
+                         max_steps=max(steps.values(), default=0),
+                         stalled=[f for f in facets if f != zero and walks[f] == (0, f)])
 
 
 def oracle_det(matrix):

@@ -30,16 +30,23 @@ def reversed_arrow(alg):
     return build_algebra(alg.cartan, alg.symmetrizer, [(b, a) for a, b in alg.arrows])
 
 
+# the benchmark's types: a row x^T E skips the zero entries of E, and B6
+# adds a valued edge, with arrows drawn in both directions on each
+BENCHMARK_TYPES = ("A6", "D6", "E6", "B6")
+
+
 def grid(name):
-    """The fixture's catalog, or for a rank-2 window every arrow direction
-    at `t_max` 0-12 and 40."""
+    """The fixture's catalog, two drawn orientations of a benchmark type,
+    or for a rank-2 window every arrow direction at `t_max` 0-12 and 40."""
+    if name in BENCHMARK_TYPES:
+        return [positive_roots(_algebra(name, directions)) for directions in _orientations(name, 2)]
     alg = fixture(name)
     if name not in RANK2_INFINITE_FIXTURES:
         return [catalog_for(alg, t_max=10)]
     return [rank2_sequences(a, t) for a in (alg, reversed_arrow(alg)) for t in [*range(13), 40]]
 
 
-@pytest.mark.parametrize("name", FINITE_FIXTURES + RANK2_INFINITE_FIXTURES)
+@pytest.mark.parametrize("name", FINITE_FIXTURES + RANK2_INFINITE_FIXTURES + BENCHMARK_TYPES)
 def test_masks_match_oracle_ext(name):
     for cat in grid(name):
         euler = cat.algebra.euler

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -48,6 +49,7 @@ from oracles import (
     oracle_endos,
     oracle_lambda_vector,
     oracle_member_moves,
+    oracle_verify_descent,
 )
 from test_polytope import _kernel_mutants
 from test_scale import DYNKIN, _algebra, _orientations
@@ -252,7 +254,7 @@ def test_the_drop_rule_is_the_key_comparison(name, seed, sizes, members, table):
     g, f = (rng.choice(known) if rng.random() < 0.25
             else _any_facet(rng, cat, n + size, min(count, n + size, len(cat)))
             for size, count in zip(sizes, members))
-    assert _drops(cat, g, f, keys) == (lambda_key(cat, g) < lambda_key(cat, f))
+    assert _drops(cat, [g], [f], keys) == [lambda_key(cat, g) < lambda_key(cat, f)]
 
 
 def test_a_step_to_higher_ranks_stalls_there(monkeypatch):
@@ -277,6 +279,39 @@ def test_a_step_to_higher_ranks_stalls_there(monkeypatch):
     assert not report.ok and report.stalled == [victim]
     assert report.steps[victim] == 0 and list(report.steps) == facets
     assert descent_path(cat, victim) == [victim]
+
+
+@functools.cache
+def _fixture_catalog(name):
+    return positive_roots(fixture(name))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(FINITE_FIXTURES), seed=st.integers(0, 2**32),
+       moved=st.integers(0, 12), off_list=st.integers(0, 3))
+def test_verify_descent_is_the_memo_walk(name, seed, moved, off_list):
+    # a random step map patched in: `moved` facets step to a random facet
+    # or to one of `off_list` masks outside the facet list, which take the
+    # unpatched step; the report is the memo walk's in every field, the
+    # order of `steps` included
+    cat, rng = _fixture_catalog(name), random.Random(seed)
+    n, facets = cat.algebra.n, list(cat.facets)
+    pool = list(facets)
+    for _ in range(off_list):
+        size = max(1, n + rng.randint(-1, 1))
+        pool.append(_any_facet(rng, cat, size, rng.randint(1, min(size, len(cat)))))
+    routes = {f: rng.choice(pool) for f in rng.sample(facets, min(moved, len(facets)))}
+    step = measure.descent_step
+
+    def routed(catalog, facet):
+        return routes[facet] if facet in routes else step(catalog, facet)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measure, "descent_step", routed)
+        report = verify_descent(cat)
+    want = oracle_verify_descent(cat, routed)
+    assert report == want
+    assert list(report.steps) == list(want.steps) == facets
 
 
 @pytest.mark.parametrize("name", FINITE_FIXTURES)

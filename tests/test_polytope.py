@@ -51,6 +51,7 @@ from oracles import (
     oracle_simplicial,
     oracle_support,
     oracle_up,
+    oracle_widest_up,
     vertex_sets,
 )
 from test_scale import DYNKIN, _algebra, _orientations
@@ -192,6 +193,7 @@ def test_the_scan_matches_its_oracles():
         assert scan.short_face == oracle_short_face(faces, up, n)
         assert scan.bad_ridges == oracle_bad_ridges(faces, up, n)
         assert scan.least == oracle_least_up(faces, up)
+        assert scan.widest == oracle_widest_up(faces, up)
         assert scan.lost_faces == oracle_lost(faces, up)
 
 
@@ -445,19 +447,70 @@ def test_every_link_is_flooded_when_a_face_lost_a_subface(monkeypatch):
     _floods_agree(mutant)
 
 
-def test_flood_count_on_a6(monkeypatch):
-    # a work count, not a time: the linear A6 floods 54 of its 2,563 links
-    # below ridge size; the other links are below the lemma's floor
+def _linear_a6():
+    """The complex of A6 oriented 1 -> 2 -> ... -> 6."""
     n = 6
     cartan = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
               for i in range(n)]
-    cx = build_complex(positive_roots(build_algebra(cartan, [1] * n,
-                                                    [(i, i + 1) for i in range(n - 1)])))
+    return build_complex(positive_roots(build_algebra(cartan, [1] * n,
+                                                      [(i, i + 1) for i in range(n - 1)])))
+
+
+def test_flood_count_on_a6(monkeypatch):
+    # a work count, not a time: the linear A6 floods 54 of its 2,563 links
+    # below ridge size; the other links are below the lemma's floor
+    n, cx = 6, _linear_a6()
     assert sum(1 for f in cx.faces if f.bit_count() <= n - 2) == 2563
     assert _flood_floor(cx) == [30, 20, 14, 10, 6]
     calls = _counted_floods(monkeypatch)
     assert verify_flag_connected(cx).ok
     assert len(calls) == 54
+
+
+def test_widest_up_matches_its_oracle():
+    # the scan's widest link per level, on every finite fixture and every
+    # kernel mutant, against the sweep's up masks
+    complexes = [build(name) for name in FINITE_FIXTURES]
+    complexes += [build_complex(cat) for _, _, _, cat in _kernel_mutants()]
+    assert len(complexes) == len(FINITE_FIXTURES) + 153
+    for cx in complexes:
+        faces = cx.faces.keys()
+        assert cx.scan.widest == oracle_widest_up(faces, oracle_up(faces))
+
+
+class _ScannedLevel(dict):
+    """A level that notes whether its faces were read in bulk; a lookup by
+    key, as a flood from the level below makes, is not noted."""
+
+    scanned = False
+
+    def __iter__(self):
+        self.scanned = True
+        return super().__iter__()
+
+    def keys(self):
+        self.scanned = True
+        return super().keys()
+
+    def values(self):
+        self.scanned = True
+        return super().values()
+
+    def items(self):
+        self.scanned = True
+        return super().items()
+
+
+def test_floods_scan_no_level_below_its_floor():
+    # linear A6: the floods skip a level whose widest link is below its
+    # floor without reading its faces, and read every other level
+    n, cx = 6, _linear_a6()
+    floor, widest = _flood_floor(cx), cx.scan.widest
+    skipped = [k for k, need in enumerate(floor) if widest[k] < need]
+    assert skipped == [0, 3, 4]
+    cx.levels = [_ScannedLevel(level) for level in cx.levels]
+    assert verify_flag_connected(cx).ok
+    assert [k for k in range(n - 1) if cx.levels[k].scanned] == [1, 2]
 
 
 def _kernel_mutants():
