@@ -132,9 +132,10 @@ class ExtKernel:
             out |= self.support[i]
         return out
 
-    def rigid(self, members: int) -> bool:
-        """True when ext vanishes for every ordered pair of the member mask."""
-        return all(self.ext_free_out[i] & members == members for i in ids_of(members))
+    def rigid(self, members: int, ids: Iterable[int]) -> bool:
+        """True when ext vanishes for every ordered pair of the member mask,
+        whose set bits are ids: every member's ext-free row holds the mask."""
+        return self.meet(self.ext_free_out, ids) & members == members
 
     def within(self, vertices: int) -> int:
         """Members supported inside the vertex mask, found by one scan of the
@@ -300,7 +301,8 @@ def validate_ids(catalog: RootCatalog, ids: Iterable[int]) -> tuple[int, ...]:
 
 def is_rigid(catalog: RootCatalog, ids: Iterable[int]) -> bool:
     """True when ext vanishes for every ordered pair (self-pairs are free)."""
-    return catalog.kernel.rigid(mask_of(validate_ids(catalog, ids)))
+    members = validate_ids(catalog, ids)
+    return catalog.kernel.rigid(mask_of(members), members)
 
 
 def support(catalog: RootCatalog, ids: Iterable[int]) -> tuple[frozenset[int], frozenset[int]]:

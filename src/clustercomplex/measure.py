@@ -3,7 +3,12 @@
 A catalog member X gets the measure ell(X) / sqrt(q(X)), where ell is the
 total length and q the endomorphism length.  The measure is never evaluated
 numerically: since sqrt is monotone it is compared by its exact square
-ell^2 / q, a `Fraction` each catalog keeps once (`RootCatalog.mu_squares`).
+ell^2 / q, a `Fraction` each catalog keeps once (`RootCatalog.mu_squares`)
+for `mu` and the rank-2 inequality.  The descent compares ranks instead,
+and those are taken in integers: with P the product of the catalog's
+distinct q values, ell^2 * (P // q) is P times ell^2 / q, so the two
+order the members alike, and no `Fraction` is built
+(`RootCatalog.mu_ranks`).
 A facet (an int face, as in `tilting`) is ordered by its lambda vector,
 its members' squared measures ascending, padded in front with one zero per
 unsupported vertex and compared lexicographically.  The rank key
@@ -98,8 +103,11 @@ def member_moves(catalog: RootCatalog) -> tuple[int, ...]:
     moves = []
     for m, supp in enumerate(kernel.support):
         free, bit = everything & ~supp, 1 << m
-        moves.append(min((free | (bit | canonical_completion(kernel, bit, supp, dual)) << n
-                          for dual in (False, True)), key=lambda f: lambda_key(catalog, f)))
+        move = free | (bit | canonical_completion(kernel, bit, supp, False)) << n
+        dual = free | (bit | canonical_completion(kernel, bit, supp, True)) << n
+        if dual != move and lambda_key(catalog, dual) < lambda_key(catalog, move):
+            move = dual
+        moves.append(move)
     return tuple(moves)
 
 

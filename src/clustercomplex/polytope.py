@@ -44,7 +44,8 @@ connected, the whole complex included as the link of the empty face.  The
 proof is an induction on dimension: the link of a vertex connects the
 facets through it, and a path of vertices joins any two facets.  The link
 of F has the vertices up[F], and v and w are joined when w is in up[F + v],
-so one flood decides each link; it stops once every link vertex is seen.
+so one flood decides each link; it stops once every link vertex is seen,
+or sooner by the small-link lemma below.
 The lemma needs purity, so a complex that is not pure fails `strong-flag`
 as well as AP2.  With every ridge thin, this also decides the literal walk
 on flags, which `tests/oracles.py` keeps.
@@ -56,10 +57,15 @@ fewer than 2 (1 + m) vertices is connected.  Proof: take v in up[F] and w
 in up[F + v].  F + w is F + v + w minus v, a face, so w is in up[F], and v
 and w are joined since F + v + w is a face.  So the component of v holds v
 and the at least m vertices of up[F + v]; two components need 2 (1 + m)
-vertices.  When a face lost a subface, every link is flooded.  The scan
-keeps the widest up of each level next to the fewest
-(`AxiomReport.widest`), and a level whose widest link is below its floor
-is not read at all.
+vertices.  The same count cuts a flood short: the component of the
+first vertex holds every vertex the flood has seen, so a second component
+lies among the unseen ones and holds at least 1 + m of them; once at most
+m link vertices are unseen, the link is connected.  The floor is this
+rule applied before the first lookup, with the 1 + m vertices of the
+first component counted as seen.  When a face lost a subface, every link
+is flooded to the end.  The scan keeps the widest up of each level next
+to the fewest (`AxiomReport.widest`), and a level whose widest link is
+below its floor is not read at all.
 
 A rank-2 window, the infinite rank-2 complex cut down to a line, is a
 `ClusterComplex` like the others, built from the same walk.  Its checks
@@ -98,14 +104,17 @@ def face_label(catalog: RootCatalog, face: Face) -> str:
     return dimvs + "|" + ",".join(str(v + 1) for v in sigma)
 
 
-def _unreached(up: Mapping[int, int], within: int, base: Face = 0) -> int:
-    """The bits of `within` that a flood from its lowest bit misses.
+def _unreached(up: Mapping[int, int], within: int, base: Face = 0, spare: int = 0) -> int:
+    """The bits of `within` that a flood from its lowest bit misses, or 0
+    once at most `spare` of them are left unseen.
 
     A depth-first flood: each bit taken off the stack adds the unseen bits
     of `up[base | bit]` inside `within`.  It stops with 0 as soon as every
-    bit of `within` is seen, so a connected `within` costs no more lookups
-    than it needs; otherwise it runs out and returns what the component of
-    the lowest bit left unseen.
+    bit of `within` is seen, or after a lookup that leaves at most `spare`
+    bits unseen, so a connected `within` costs no more lookups than it
+    needs; otherwise it runs out and returns what the component of the
+    lowest bit left unseen.  A nonzero `spare` is for a caller that knows
+    every other component has more bits than that (the small-link lemma).
     """
     seen = stack = within & -within
     while seen != within:
@@ -116,6 +125,8 @@ def _unreached(up: Mapping[int, int], within: int, base: Face = 0) -> int:
         new = up[base | low] & within & ~seen
         seen |= new
         stack |= new
+        if spare and (within ^ seen).bit_count() <= spare:
+            return 0
     return 0
 
 
@@ -293,15 +304,18 @@ def _split_links(cx: ClusterComplex) -> list[Face]:
     """The faces with at most n - 2 vertices whose link is disconnected; a
     link below its `_flood_floor` is connected and is not flooded, and a
     level whose widest link (`AxiomReport.widest`) is below its floor is not
-    read at all.  A face with k vertices floods through the level k + 1."""
+    read at all.  A face with k vertices floods through the level k + 1,
+    and the flood stops once at most m = floor / 2 - 1 link vertices are
+    unseen, as a second component would hold 1 + m of them; with floor 0
+    every flood runs to the end."""
     levels, floor, widest = cx.levels, _flood_floor(cx), cx.scan.widest
     split = []
     for k, need in enumerate(floor):
         if widest.get(k, 0) < need:
             continue
-        level, above = levels[k], levels[k + 1]
+        level, above, spare = levels[k], levels[k + 1], max(need // 2 - 1, 0)
         wide = compress(level.items(), map(need.__le__, map(int.bit_count, level.values())))
-        split += [f for f, link in wide if _unreached(above, link, f)]
+        split += [f for f, link in wide if _unreached(above, link, f, spare)]
     return split
 
 

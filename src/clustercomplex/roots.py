@@ -12,9 +12,9 @@ decides finiteness.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from . import linalg
@@ -94,9 +94,13 @@ class RootCatalog:
 
     @functools.cached_property
     def mu_ranks(self) -> tuple[int, ...]:
-        """Each member's rank in `mu_squares` (equal measures share a rank), by id."""
-        rank = {value: r for r, value in enumerate(sorted(set(self.mu_squares)))}
-        return tuple(rank[value] for value in self.mu_squares)
+        """Each member's rank in `mu_squares` (equal measures share a rank), by
+        id, taken on the integers ell^2 * (P // q), P the product of the
+        distinct q values: P times ell^2 / q, so ranked alike."""
+        product = functools.reduce(mul, {e.q for e in self.entries}, 1)
+        scaled = [ell * ell * (product // e.q) for ell, e in zip(self.lengths, self.entries)]
+        rank = {value: r for r, value in enumerate(sorted(set(scaled)))}
+        return tuple(map(rank.__getitem__, scaled))
 
     @functools.cached_property
     def measure_order(self) -> tuple[int, ...]:
@@ -134,18 +138,18 @@ class RootCatalog:
     def facets(self) -> tuple:
         """The faces with n vertices, by ascending vertex tuple
         (`tilting.sort_facets`): the level faces[n] when the catalog holds
-        the faces, else T << n | free for each rigid set T of a walk
-        (`tilting.iter_rigid_sets`) with n = |T| + |free|, building no
-        other face."""
+        the faces, else top | free for each rigid set T of a walk
+        (`tilting.iter_rigid_sets`) with n = |T| + |free|, free the vertex
+        bits of its reach, building no other face."""
         from .tilting import iter_rigid_sets, sort_facets
 
         n = self.algebra.n
         levels = vars(self).get("faces")
         if levels is not None:
             return tuple(sort_facets(levels[n]))
-        return tuple(sort_facets(members << n | free
-                                 for size, members, free, _ in iter_rigid_sets(self)
-                                 if size + free.bit_count() == n))
+        everything = (1 << n) - 1
+        return tuple(sort_facets(top | free for size, top, reach in iter_rigid_sets(self)
+                                 if size + (free := reach & everything).bit_count() == n))
 
     @functools.cached_property
     def descent_moves(self) -> tuple:
@@ -180,33 +184,46 @@ def classify_type(algebra: AlgebraData) -> str:
 
 
 def positive_roots(algebra: AlgebraData) -> RootCatalog:
-    """All positive roots, as the reflection closure of the unit vectors.
+    """All positive roots, as the closure of the unit vectors under the
+    reflections that raise a root.
+
+    Height lemma: for a positive root x, the reflection at i changes only
+    x_i, to x_i - p_i with p_i = sum_j c_ij x_j.  It raises x exactly when
+    p_i < 0, and the result is then again a root, with x_i grown and every
+    other coordinate kept, so nonnegative.  Conversely every positive root
+    x that is not simple has a vertex i with x_i > 0 and p_i > 0 (the
+    symmetrized form sum_i u_i x_i p_i is positive on a nonzero x), and
+    its reflection there is a positive root of lower height, since x has
+    another nonzero coordinate, whose reflection at i raises back to x
+    (J. E. Humphreys, "Introduction to Lie Algebras and Representation
+    Theory", 10.2).  So by induction on height the raising reflections
+    reach every positive root from the simple ones, and only they can give
+    a root not yet found.  Each root keeps the simple root it was reached
+    from, whose symmetrizer entry its q must equal.
 
     Entries are sorted by (length, coordinates) and get ids in that order.
     """
     if classify_type(algebra) != FINITE:
         raise NotFiniteType("positive_roots requires a representation-finite algebra")
-    n = algebra.n
-    orbit: dict[DimVector, int] = {}
-    queue: deque[DimVector] = deque()
-    for i in range(n):
-        e = unit_vector(n, i)
-        orbit[e] = i
-        queue.append(e)
-    while queue:
-        x = queue.popleft()
-        for i in range(n):
-            y = simple_reflection(algebra, i, x)
-            if y not in orbit and all(c >= 0 for c in y):
-                orbit[y] = orbit[x]
-                queue.append(y)
-                if len(orbit) > ROOT_LIMIT:
-                    raise SearchLimitExceeded(f"more than {ROOT_LIMIT} root candidates")
-    roots = sorted(orbit, key=lambda v: (length(algebra, v), v))
+    n, cartan, u = algebra.n, algebra.cartan, algebra.symmetrizer
+    orbit = {unit_vector(n, i): i for i in range(n)}
+    queue = list(orbit)
+    for x in queue:
+        for i, row in enumerate(cartan):
+            pairing = sum(map(mul, row, x))
+            if pairing < 0:
+                y = x[:i] + (x[i] - pairing,) + x[i + 1:]
+                if y not in orbit:
+                    orbit[y] = orbit[x]
+                    queue.append(y)
+                    if len(orbit) > ROOT_LIMIT:
+                        raise SearchLimitExceeded(f"more than {ROOT_LIMIT} root candidates")
+    roots = sorted(orbit, key=lambda v: (sum(map(mul, u, v)), v))
     entries = []
     for idx, dimv in enumerate(roots):
-        q = euler_form(algebra, dimv, dimv)
-        expected = algebra.symmetrizer[orbit[dimv]]
+        # x^T E x as sum_i x_i (E x)_i
+        q = sum(c * sum(map(mul, row, dimv)) for c, row in zip(dimv, algebra.euler) if c)
+        expected = u[orbit[dimv]]
         if q != expected:
             raise OracleViolation(f"root {dimv} has q = {q}, expected {expected}")
         entries.append(Indec(id=idx, dimv=dimv, q=q))

@@ -22,15 +22,20 @@ not assumed: |T| + |G| must equal |W|.  One mask-level rule,
 the descent moves of `measure`.
 
 The walk: the rigid sets are the cliques of compat with at most n members.
-One explicit stack holds a frame per open clique T: its size, its member
-mask, free (the vertices outside the support of every member), cand (the
-members outside T compatible with every member of T) and left (the
-members of cand above the last one chosen, still to try).  Candidates are
-taken by lowest set bit, in depth-first pre-order from the empty set;
-member i of left extends T to T + i, whose free is free minus supp i,
-whose cand is cand minus i, AND compat[i], and whose left is what is
-left, AND compat[i].  A clique with n members is not extended and has
-cand 0.  No mask is rebuilt from ids.
+One explicit stack holds a frame per open clique T, in face coordinates:
+its size, top (its members as face bits n + id), reach ((cand << n) |
+free, with free the vertices outside the support of every member and
+cand the members outside T compatible with every member of T) and left
+(the members of cand above the last one chosen, still to try).
+Candidates are taken by lowest set bit, in depth-first pre-order from the
+empty set; member i of left extends T to T + i, whose top gains bit n + i,
+whose reach is reach AND step[i] and whose left is what is left, AND
+compat[i].  step[i] = ((compat[i] - i) << n) | (every vertex outside supp
+i) is built once per catalog, so one AND takes i out of cand, keeps
+cand's members compatible with i and drops supp i from free.  A clique
+with n members is not extended and its reach keeps only its free bits:
+its cand is 0.  No mask is rebuilt from ids, and no face mask is shifted
+into place per rigid set.
 
 The faces are down-closed: a subset of the face (T, sigma) is (T', sigma')
 with T' in T and sigma' in sigma.  T' is a smaller clique of compat, so the
@@ -39,8 +44,11 @@ walk yields it, and supp T' lies in supp T, so it misses sigma'.
 Up lemma: the vertices x with (T, sigma) + x a face, its up mask, are the
 vertex bits F - sigma and the member bits cand & avoid[sigma], where F is
 the set of vertices outside supp T, cand the members m outside T that are
-compatible with every member of T (0 when T has n members; the walk's
-third mask) and avoid[sigma] the members whose support misses sigma.
+compatible with every member of T (0 when T has n members) and
+avoid[sigma] the members whose support misses sigma.  In the walk's
+terms, up is reach AND bounds[sigma], bounds[sigma] having the vertex
+bits outside sigma and avoid[sigma] as member bits; bounds[0] keeps every
+bit, so the up of (T, 0) is reach itself.
 Proof: one vertex is added as a coordinate vertex v or as a member m.
 (T, sigma + v) is a face exactly when v is outside supp T, that is v in
 F - sigma.  compat is symmetric, so T + m is a rigid set of the walk
@@ -58,7 +66,7 @@ its copy ANDed with avoid[{v}]: n `within` scans fill all 2^n entries.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NoCompletion, NotAlmostComplete, NotFiniteType
 from .homext import ExtKernel, ids_of, is_rigid, mask_of, validate_ids
@@ -76,38 +84,40 @@ def decode_face(n: int, face: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(v - n for v in vertices if v >= n), tuple(v for v in vertices if v < n)
 
 
-def iter_rigid_sets(catalog: RootCatalog) -> Iterator[tuple[int, int, int, int]]:
-    """Every rigid set T once, as (|T|, member mask, free, cand), in the
-    walk's pre-order from the empty set: free is the mask of the vertices
-    outside supp T and cand the members that extend T to a rigid set (the
-    walk of the module docstring)."""
+def iter_rigid_sets(catalog: RootCatalog) -> Iterator[tuple[int, int, int]]:
+    """Every rigid set T once, as (|T|, top, reach), in the walk's pre-order
+    from the empty set: top holds the members of T as face bits and reach
+    the face bits of the vertices outside supp T and of the members that
+    extend T to a rigid set (the walk of the module docstring)."""
     n = catalog.algebra.n
     everything = (1 << n) - 1
     kernel = catalog.kernel
     compat, everyone = kernel.compat, kernel.everyone
-    outside = [everything & ~mask for mask in kernel.support]
-    size, members, free, cand, left = 0, 0, everything, everyone, everyone
+    # member i keeps the members compatible with it, but not i itself, and
+    # the vertices outside its support
+    step = [((mask & ~(1 << i)) << n) | (everything & ~supp)
+            for i, (mask, supp) in enumerate(zip(compat, kernel.support))]
+    size, top, reach, left = 0, 0, (everyone << n) | everything, everyone
     stack = []
     while True:
-        yield size, members, free, cand
+        yield size, top, reach
         if not left:
             if not stack:
                 return
-            size, members, free, cand, left = stack.pop()
+            size, top, reach, left = stack.pop()
         low = left & -left
         left ^= low
         if left:
-            stack.append((size, members, free, cand, left))
+            stack.append((size, top, reach, left))
         i = low.bit_length() - 1
         size += 1
-        members |= low
-        free &= outside[i]
+        top |= low << n
         if size < n:
-            mask = compat[i]
-            cand = (cand ^ low) & mask
-            left &= mask
+            reach &= step[i]
+            left &= compat[i]
         else:
-            cand = left = 0
+            reach &= step[i] & everything
+            left = 0
 
 
 def rigid_faces(catalog: RootCatalog) -> list[dict[int, int]]:
@@ -118,11 +128,11 @@ def rigid_faces(catalog: RootCatalog) -> list[dict[int, int]]:
     outside the support of T (T. Adachi, O. Iyama, I. Reiten, "tau-tilting
     theory", 2014).  Each rigid set of `iter_rigid_sets` comes with every
     such sigma: 0 in the level |T| and the other submasks of its free
-    mask in descending order, so each level keeps the walk's order.  By
-    the up lemma, the up mask of (T, sigma) is the AND of (cand << n) |
-    free and bounds[sigma], the vertices outside sigma with, as member
-    bits, avoid[sigma]; bounds[0] keeps every bit.  `RootCatalog.faces`
-    keeps the levels.
+    mask, the vertex bits of its reach, in descending order, so each level
+    keeps the walk's order.  By the up lemma, the up mask of (T, sigma) is
+    the AND of reach and bounds[sigma], the vertices outside sigma with, as
+    member bits, avoid[sigma]; bounds[0] keeps every bit, so (T, 0) files
+    reach as it is.  `RootCatalog.faces` keeps the levels.
     """
     n = catalog.algebra.n
     everything = (1 << n) - 1
@@ -134,13 +144,9 @@ def rigid_faces(catalog: RootCatalog) -> list[dict[int, int]]:
     bounds = [(mask << n) | (everything ^ sigma) for sigma, mask in enumerate(avoid)]
     # a wrong kernel can pair up to n members with n - 1 free vertices
     levels = [{} for _ in range(2 * n + 1)]
-    for size, members, free, cand in iter_rigid_sets(catalog):
-        reach = (cand << n) | free
-        top = members << n
-        # sigma = 0, whose bound keeps every bit; `| 0` copies the key at
-        # its exact size, where a shifted int can keep a spare digit
-        levels[size][top | 0] = reach
-        sigma = free
+    for size, top, reach in iter_rigid_sets(catalog):
+        levels[size][top] = reach
+        sigma = free = reach & everything
         while sigma:
             levels[size + sigma.bit_count()][top | sigma] = reach & bounds[sigma]
             sigma = (sigma - 1) & free
@@ -219,12 +225,13 @@ def complements(catalog: RootCatalog, t_ids: Iterable[int],
     if not is_rigid(catalog, members):
         raise ValueError("T must be rigid")
     kernel = catalog.kernel
-    return list(ids_of(_pool(kernel, mask_of(members), kernel.within(window))))
+    return list(ids_of(_pool(kernel, mask_of(members), members, kernel.within(window))))
 
 
-def _pool(kernel: ExtKernel, members: int, inside: int) -> int:
-    """Members of `inside` outside the member mask T and compatible with all of T."""
-    return inside & kernel.meet(kernel.compat, ids_of(members)) & ~members
+def _pool(kernel: ExtKernel, members: int, t_ids: Sequence[int], inside: int) -> int:
+    """Members of `inside` outside the member mask T (whose ids are t_ids)
+    and compatible with all of T."""
+    return inside & kernel.meet(kernel.compat, t_ids) & ~members
 
 
 def canonical_completion(kernel: ExtKernel, members: int, window: int, dual: bool) -> int:
@@ -235,9 +242,9 @@ def canonical_completion(kernel: ExtKernel, members: int, window: int, dual: boo
     ValueError when T is not rigid or its support escapes the window;
     NoCompletion, naming T and the window, when |T| + |G| != |window|.
     """
-    if not kernel.rigid(members):
-        raise ValueError("T must be rigid")
     t_ids = ids_of(members)
+    if not kernel.rigid(members, t_ids):
+        raise ValueError("T must be rigid")
     supp = kernel.support_of(t_ids)
     if supp & ~window:
         raise ValueError(f"support {list(ids_of(supp))} escapes window {list(ids_of(window))}")
@@ -247,7 +254,7 @@ def canonical_completion(kernel: ExtKernel, members: int, window: int, dual: boo
     inside = kernel.within(window)
     orthogonal = inside & kernel.meet(free, t_ids)
     good = 0
-    for c in ids_of(_pool(kernel, members, inside)):
+    for c in ids_of(_pool(kernel, members, t_ids, inside)):
         if free[c] & orthogonal == orthogonal:
             good |= 1 << c
     places = window.bit_count() - len(t_ids)

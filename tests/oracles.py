@@ -28,13 +28,14 @@ rigid-set walk.  `complex_of` hands a face set built in a test to the
 package's checks as a `ClusterComplex`: each face with its `oracle_up`
 mask, which is exact, filed under its number of vertices, and the faces
 with n vertices as the facets.  The
-subfaces that a face lost are not handed over; the scan finds them.  Three
+subfaces that a face lost are not handed over; the scan finds them.  Four
 oracles keep the package's earlier, layered code as references for the
 code that replaced it: `oracle_cliques` is the rigid-set walk as its own
 generator of (member, support, cand) masks, `oracle_member_moves` reads
-each descent move through the public, validated completions, and
+each descent move through the public, validated completions,
 `oracle_verify_descent` is the descent check as one memo walk per facet,
-a step at a time.
+a step at a time, and `oracle_root_closure` finds the positive roots by
+reflecting every root at every vertex.
 """
 
 from fractions import Fraction
@@ -43,6 +44,7 @@ from itertools import combinations, permutations, product
 from clustercomplex.homext import ids_of
 from clustercomplex.measure import DescentReport, lambda_key
 from clustercomplex.polytope import ClusterComplex
+from clustercomplex.roots import simple_reflection
 from clustercomplex.tilting import bongartz, dual_bongartz, sort_facets
 
 # Positive roots in simple-root coordinates, straight from the tables.
@@ -197,8 +199,10 @@ def oracle_cliques(catalog):
     set bit, and a set with n members is not extended.  Member i of
     cand extends T to T + i, whose cand is cand minus i, AND compat[i].
     This is the package's earlier walk, kept as the reference for
-    `tilting.iter_rigid_sets`, which tracks free vertices in place of the
-    support.
+    `tilting.iter_rigid_sets`, which works in face coordinates: it yields
+    (|T|, top, reach) with the members in top >> n, the free vertices
+    (those outside the support) in reach & (2^n - 1) and cand in
+    reach >> n.
     """
     kernel = catalog.kernel
     compat, support, n = kernel.compat, kernel.support, catalog.algebra.n
@@ -241,6 +245,25 @@ def oracle_member_moves(catalog):
         moves.append(min((as_facet(catalog, {m} | part) for part in (forward, backward)),
                          key=lambda f: lambda_key(catalog, f)))
     return tuple(moves)
+
+
+def oracle_root_closure(algebra):
+    """The positive roots as (dimv, q) pairs, in id order, as the package's
+    earlier `roots.positive_roots` found them: the closure of the unit
+    vectors under the reflection at every vertex (`simple_reflection`),
+    breadth-first, keeping each nonnegative vector, sorted by (length,
+    coordinates), with q the vector's Euler self-pairing."""
+    n = algebra.n
+    found = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    seen = set(found)
+    for x in found:
+        for i in range(n):
+            y = simple_reflection(algebra, i, x)
+            if y not in seen and all(c >= 0 for c in y):
+                seen.add(y)
+                found.append(y)
+    found.sort(key=lambda v: (sum(u * c for u, c in zip(algebra.symmetrizer, v)), v))
+    return [(v, oracle_form(algebra.euler, v, v)) for v in found]
 
 
 def oracle_support(dimvs, n):

@@ -30,7 +30,7 @@ from clustercomplex import (
     verify_total_order,
     zero_facet,
 )
-from clustercomplex import cli, face_label, measure
+from clustercomplex import cli, face_label, measure, roots
 from clustercomplex.cli import main
 from clustercomplex.homext import mask_of
 from clustercomplex.measure import _drops, lambda_key
@@ -77,6 +77,45 @@ def test_mu_order():
     for a, b in zip(cat.mu_ranks, cat.mu_squares):
         for c, d in zip(cat.mu_ranks, cat.mu_squares):
             assert (a < c) == (b < d) and (a == c) == (b == d)
+
+
+def _rank_catalogs():
+    """Every finite fixture and the linear and two drawn orientations of
+    every `DYNKIN` type, B6, F4 and the fixtures b2, b3, c3 and g2 among
+    them with q of 2 or 3."""
+    catalogs = [positive_roots(fixture(name)) for name in FINITE_FIXTURES]
+    for name in sorted(DYNKIN):
+        edges = DYNKIN[name][1]
+        catalogs += [positive_roots(_algebra(name, directions))
+                     for directions in [[True] * len(edges)] + _orientations(name, 2)]
+    return catalogs
+
+
+def test_integer_ranks_are_the_ranks_of_the_squares():
+    # the ranks taken on ell^2 * (P // q) are those of the Fraction squares,
+    # and the measure order follows them
+    qs = set()
+    for cat in _rank_catalogs():
+        squares = cat.mu_squares
+        distinct = sorted(set(squares))
+        assert cat.mu_ranks == tuple(distinct.index(value) for value in squares)
+        assert cat.measure_order == tuple(
+            1 << i for i in sorted(range(len(cat)), key=lambda i: (squares[i], i)))
+        qs.update(e.q for e in cat.entries)
+    assert qs == {1, 2, 3}
+
+
+@pytest.mark.parametrize("name", ["b3", "d4", "g2"])
+def test_finite_verify_builds_no_fraction(monkeypatch, capsys, name):
+    # the descent ranks in integers: a finite verify passes with Fraction
+    # unusable in the catalog and the measure
+    def refuse(*args):
+        raise AssertionError("Fraction built")
+
+    for module in (roots, measure):
+        monkeypatch.setattr(module, "Fraction", refuse)
+    assert main(["verify", "--fixture", name]) == 0
+    assert capsys.readouterr().out.startswith("facets=")
 
 
 def _g2_facets(cat):

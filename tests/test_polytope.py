@@ -118,12 +118,16 @@ def test_face_set_equals_all_valid_pairs():
 def test_walk_yields_each_face_once():
     # a level dict would hide a face filed twice, so: the walk yields each
     # rigid set once, its 2^|free| faces add up to the faces the levels
-    # hold, and each face sits in the level of its number of vertices
+    # hold, and each face sits in the level of its number of vertices; the
+    # walk's (size, top, reach) are in face coordinates, the members in
+    # top >> n and the free vertices in reach & everything
     for cat in _face_set_catalogs():
+        everything = (1 << cat.algebra.n) - 1
         sets = list(iter_rigid_sets(cat))
-        assert len({members for _, members, _, _ in sets}) == len(sets)
-        assert all(size == members.bit_count() for size, members, _, _ in sets)
-        assert sum(1 << free.bit_count() for _, _, free, _ in sets) == sum(map(len, cat.faces))
+        assert len({top for _, top, _ in sets}) == len(sets)
+        assert all(size == top.bit_count() and not top & everything for size, top, _ in sets)
+        assert sum(1 << (reach & everything).bit_count() for _, _, reach in sets) == sum(
+            map(len, cat.faces))
         assert len(cat.faces) == cat.algebra.n + 1
         assert all(face.bit_count() == k for k, level in enumerate(cat.faces) for face in level)
 
@@ -465,6 +469,39 @@ def test_flood_count_on_a6(monkeypatch):
     calls = _counted_floods(monkeypatch)
     assert verify_flag_connected(cx).ok
     assert len(calls) == 54
+
+
+class _CountedLevel(dict):
+    """A level that counts its lookups by key, the floods' up lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, face):
+        _CountedLevel.lookups += 1
+        return super().__getitem__(face)
+
+
+def test_floods_stop_by_the_small_link_lemma(monkeypatch):
+    # a work count, not a time: on linear A6 each of the 54 floods stops
+    # after its first up lookup, as soon as fewer link vertices are unseen
+    # than a second component would need; floods run to the end took 256
+    cx = _linear_a6()
+    cx.levels = [_CountedLevel(level) for level in cx.levels]
+    monkeypatch.setattr(_CountedLevel, "lookups", 0)
+    assert verify_flag_connected(cx).ok
+    assert _CountedLevel.lookups == 54
+
+
+def test_split_links_match_full_floods_on_the_kernel_mutants():
+    # the floods cut short find the split links that full floods find on
+    # every kernel mutant; three mutants split a link, and each keeps its
+    # witness, the first split link
+    witnesses = {}
+    for name, i, j, cat in _kernel_mutants():
+        cx = build_complex(cat)
+        if _floods_agree(cx):
+            witnesses[name, i, j] = ids_of(verify_flag_connected(cx).coface_witness)
+    assert witnesses == {("b3", 4, 5): (7,), ("c3", 3, 4): (6,), ("d4", 6, 7): (10,)}
 
 
 def test_widest_up_matches_its_oracle():

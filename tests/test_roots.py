@@ -21,10 +21,18 @@ from clustercomplex import (
     verify_ap_axioms,
     verify_flag_connected,
 )
-from clustercomplex.errors import NotFiniteType, NotRankTwo, UnsupportedAlgebra
+from clustercomplex import roots
+from clustercomplex.errors import (
+    NotFiniteType,
+    NotRankTwo,
+    SearchLimitExceeded,
+    UnsupportedAlgebra,
+)
+from clustercomplex.fixtures import FINITE_FIXTURES
 from clustercomplex.roots import rank2_roles, shift_families
 
-from oracles import KNOWN_ROOTS, oracle_form, oracle_solve_columns
+from oracles import KNOWN_ROOTS, oracle_form, oracle_root_closure, oracle_solve_columns
+from test_scale import DYNKIN, _algebra, _orientations
 
 
 def test_simple_reflection_examples():
@@ -77,6 +85,48 @@ def test_positive_roots_sorted_and_tagged():
     for e in catalog.entries:
         assert e.q == euler_form(alg, e.dimv, e.dimv) > 0
         assert e.q in alg.symmetrizer
+
+
+def _e8():
+    """E8 oriented along its chain 1 -> ... -> 7, plus 3 -> 8."""
+    n, edges = 8, [(i, i + 1) for i in range(6)] + [(2, 7)]
+    cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        cartan[i][j] = cartan[j][i] = -1
+    return build_algebra(cartan, [1] * n, edges)
+
+
+def _closure_algebras():
+    """The finite fixtures, the linear and two drawn orientations of every
+    `DYNKIN` type, and E8."""
+    algebras = [fixture(name) for name in FINITE_FIXTURES]
+    for name in sorted(DYNKIN):
+        edges = DYNKIN[name][1]
+        algebras += [_algebra(name, directions)
+                     for directions in [[True] * len(edges)] + _orientations(name, 2)]
+    return algebras + [_e8()]
+
+
+def test_upward_reflections_give_the_full_closure():
+    # the raising reflections alone find the catalog that reflecting every
+    # root at every vertex finds: the same ids, vectors, q and order
+    counts = []
+    for alg in _closure_algebras():
+        catalog = positive_roots(alg)
+        assert [(e.id, e.dimv, e.q) for e in catalog.entries] == [
+            (i, dimv, q) for i, (dimv, q) in enumerate(oracle_root_closure(alg))]
+        counts.append(len(catalog))
+    assert counts[-1] == 120
+
+
+def test_root_limit_still_bounds_the_closure(monkeypatch):
+    # one root over the limit raises, at the limit it does not
+    alg = _e8()
+    monkeypatch.setattr(roots, "ROOT_LIMIT", 119)
+    with pytest.raises(SearchLimitExceeded, match="more than 119 root candidates"):
+        positive_roots(alg)
+    monkeypatch.setattr(roots, "ROOT_LIMIT", 120)
+    assert len(positive_roots(alg)) == 120
 
 
 def test_positive_roots_rejects_infinite():

@@ -39,6 +39,7 @@ from oracles import (
     oracle_rigid_sets,
     oracle_support,
 )
+from test_scale import _algebra, _orientations
 
 
 def dimvs_of(cat, ids):
@@ -305,14 +306,29 @@ DRAWN = {
 }
 
 
+def _levels_follow_the_walk(cat, items):
+    """Each level of `rigid_faces` holds the faces of its size that the
+    oracle's rigid sets span, in their walk order, each set's faces by
+    descending sigma."""
+    n, everything, faces = cat.algebra.n, (1 << cat.algebra.n) - 1, []
+    for members, supp, _ in items:
+        free = everything & ~supp
+        faces += [members << n | sigma for sigma in range(free, -1, -1) if sigma & ~free == 0]
+    levels = tilting.rigid_faces(cat)
+    assert len(levels) == n + 1
+    for k, level in enumerate(levels):
+        assert list(level) == [face for face in faces if face.bit_count() == k]
+
+
 @pytest.mark.parametrize("name", FINITE_FIXTURES + tuple(DRAWN))
 def test_walk_yields_member_and_support_masks(name):
     # the reference walk's (members, support, cand) triples against the
     # grown oracle: the same rigid sets, each once, the empty set first, in
     # pre-order (ascending id tuples, a set before its extensions), each
     # with its support's mask and the members that extend it to a rigid
-    # set; `iter_rigid_sets` yields them item for item, and each level of
-    # `rigid_faces` holds the sets' faces of its size in that order
+    # set; `iter_rigid_sets` yields them item for item in face coordinates
+    # (size, top, reach), and each level of `rigid_faces` holds the sets'
+    # faces of its size in that order
     alg = DRAWN[name]() if name in DRAWN else fixture(name)
     cat = positive_roots(alg)
     items = list(oracle_cliques(cat))
@@ -328,16 +344,25 @@ def test_walk_yields_member_and_support_masks(name):
         assert ids_of(supp) == tuple(sorted(oracle_support([cat.entries[i].dimv for i in t], alg.n)))
         assert ids_of(cand) == tuple(e.id for e in cat.entries
                                      if e.id not in t and dimvs | {e.dimv} in rigid)
-    n, everything, faces = alg.n, (1 << alg.n) - 1, []
-    assert list(tilting.iter_rigid_sets(cat)) == [
-        (members.bit_count(), members, everything & ~supp, cand) for members, supp, cand in items]
-    for members, supp, _ in items:
-        free = everything & ~supp
-        faces += [members << n | sigma for sigma in range(free, -1, -1) if sigma & ~free == 0]
-    levels = tilting.rigid_faces(cat)
-    assert len(levels) == n + 1
-    for k, level in enumerate(levels):
-        assert list(level) == [face for face in faces if face.bit_count() == k]
+    n, everything = alg.n, (1 << alg.n) - 1
+    walk = list(tilting.iter_rigid_sets(cat))
+    assert len(walk) == len(items)
+    for (size, top, reach), (members, supp, cand) in zip(walk, items):
+        assert (size, top >> n, reach & everything, reach >> n) == (
+            members.bit_count(), members, everything & ~supp, cand)
+        assert top & everything == 0
+    _levels_follow_the_walk(cat, items)
+
+
+def test_levels_follow_the_walk_on_drawn_types_and_windows():
+    # the level-order pin of the test above on one drawn orientation each
+    # of A6, D6, E6, B6 and E7, and on the rank-2 windows
+    catalogs = [positive_roots(_algebra(name, _orientations(name, 1)[0]))
+                for name in ("A6", "D6", "E6", "B6", "E7")]
+    catalogs += [rank2_sequences(fixture(name), t_max) for name in RANK2_INFINITE_FIXTURES
+                 for t_max in (0, 3, 10, 200)]
+    for cat in catalogs:
+        _levels_follow_the_walk(cat, oracle_cliques(cat))
 
 
 def test_faces_rebuild_no_member_or_support_mask(monkeypatch):
