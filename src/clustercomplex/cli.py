@@ -236,13 +236,14 @@ def _cmd_descent(args) -> int:
         raise UnsupportedAlgebra("descent requires a representation-finite algebra")
     zero = zero_facet(catalog)
     facets = _by_members(catalog.algebra.n, enumerate_support_tilting(catalog))
+    # paths share their tails, so each facet is labelled once for the run
+    label = functools.cache(functools.partial(face_label, catalog))
     all_ok = True
     for start in facets:
         path = descent_path(catalog, start)
-        labels = [face_label(catalog, facet) for facet in path]
         ok = path[-1] == zero
         all_ok = all_ok and ok
-        print(f"{'ok ' if ok else 'FAIL'} steps={len(path) - 1}  " + " -> ".join(labels))
+        print(f"{'ok ' if ok else 'FAIL'} steps={len(path) - 1}  " + " -> ".join(map(label, path)))
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 

@@ -5,9 +5,9 @@ coordinate vertex v is bit v and the catalog member with id k is bit n + k.
 The poset order is containment (`a & b == a`), with one sentinel top face
 above all facets; the sentinel is never materialized as a mask.  Ranks: a
 face with v vertices has rank v - 1, the top has rank n.  The faces are the
-pairs of the rigid-set walk (`RootCatalog.faces`), as they come, so a wrong
-pair shows up as a failed axiom.  The facets are the faces with n vertices,
-kept in the order of their ascending vertex tuples.
+pairs of the rigid-set walk, as they come, so a wrong pair shows up as a
+failed axiom.  The facets are the faces with n vertices, kept in the order
+of their ascending vertex tuples.
 
 Axioms checked here, for a poset with bottom and top:
   AP1  unique minimal and maximal face,
@@ -16,27 +16,25 @@ Axioms checked here, for a poset with bottom and top:
 plus simpliciality (each proper face's lower interval is boolean) and strong
 flag connectivity (the facet adjacency graph of every co-face is connected).
 
-A complex is its faces filed by size, levels[k] a dict from each face
-with k vertices to its up mask, and its facets, the level n in order.
 `up[F]` is the mask of the vertices v such that F + v is a face; it is the
-vertex set of the link of F, and it decides every check.  Every check asks
-about one size at a time, so each reads whole levels: the scan counts a
-level's faces by up popcount in C, AP4 reads the level n - 1 and a link
-of a face with k vertices is flooded through the level k + 1.  The walk
-reads each face's up off its rigid set's masks (the up lemma in
-`tilting`), and its faces are down-closed, so no face loses a subface.  A
-face set that a test builds gets its up from the sweep over every face
-minus one vertex in `tests/oracles.py`.  The scan (`ClusterComplex.scan`)
-passes once over the levels.  A face with an empty up is maximal, and AP2
-asks that it have n vertices; a face with more than n vertices, which a
-wrong kernel or a test can give, sits in a level above n, and its maximal
-faces fail AP2 too.  Every subset of a face is a face once no face loses
-a subface, by induction on size (simpliciality), and the scan tells
-whether one did from the up masks alone (`_scan`).  The middle of the
-interval from U - {a, b} up to U is U - a and U - b, so the inner diamonds
-exist when no face of size >= 2 loses one.  A ridge (a face with n - 1 vertices) is thin
-when its up has two bits, v and w; AP4 at the top asks that every ridge be
-thin, and the facets R + v and R + w are then exchange neighbours.
+vertex set of the link of F, and it decides every check.  One loop over
+the rigid-set walk (`walk_complex`) visits each face (T, sigma) once and
+reads its up off the rigid set's masks (the up lemma in `tilting`), so no
+face is kept: the loop keeps the facets, the up popcount of every face
+filed by its number of vertices (the fewest and the most of each size are
+taken in C at the end), the thick ridges, the short maximal faces and the
+split links.  The walk's faces are down-closed, so no face loses a subface
+and every subset of a face is a face (simpliciality), and the middle of
+the interval from U - {a, b} up to U, U - a and U - b, exists (the inner
+diamonds).  A face with an empty up is maximal, and AP2 asks that it have
+n vertices; only (T, free) can be maximal among the faces of T, so it is
+the one AP2 candidate of each rigid set.  A ridge (a face with n - 1
+vertices) is thin when its up has two bits, v and w; AP4 at the top asks
+that every ridge be thin, and the facets R + v and R + w are then
+exchange neighbours.  A face set that a test builds gets the same record
+from the oracles in `tests/oracles.py` (`complex_of`), which is how a face
+set that loses a subface reaches these checks: `simplicial` and the
+lost-face half of AP4 can fail only there.
 
 Strong flag connectivity comes from links.  In a pure complex every
 co-face is strongly connected exactly when every link of dimension >= 1 is
@@ -44,11 +42,12 @@ connected, the whole complex included as the link of the empty face.  The
 proof is an induction on dimension: the link of a vertex connects the
 facets through it, and a path of vertices joins any two facets.  The link
 of F has the vertices up[F], and v and w are joined when w is in up[F + v],
-so one flood decides each link; it stops once every link vertex is seen,
-or sooner by the small-link lemma below.
-The lemma needs purity, so a complex that is not pure fails `strong-flag`
-as well as AP2.  With every ridge thin, this also decides the literal walk
-on flags, which `tests/oracles.py` keeps.
+which is up[F] & lift[v] by the lift lemma of `tilting`; so one flood
+through the lifts decides each link, as the loop reaches its face.  It
+stops once every link vertex is seen, or sooner by the small-link lemma
+below.  The lemma needs purity, so a complex that is not pure fails
+`strong-flag` as well as AP2.  With every ridge thin, this also decides
+the literal walk on flags, which `tests/oracles.py` keeps.
 
 Most links are too small to split, and are not flooded.  Small-link lemma:
 let m be the fewest up bits of any face with k + 1 vertices, and let no
@@ -62,13 +61,20 @@ first vertex holds every vertex the flood has seen, so a second component
 lies among the unseen ones and holds at least 1 + m of them; once at most
 m link vertices are unseen, the link is connected.  The floor is this
 rule applied before the first lookup, with the 1 + m vertices of the
-first component counted as seen.  When a face lost a subface, every link
-is flooded to the end.  The scan keeps the widest up of each level next
-to the fewest (`AxiomReport.widest`), and a level whose widest link is
-below its floor is not read at all.
+first component counted as seen.
+
+The floors are needed while the loop runs, before the fewest up bits of a
+size are known, so the loop takes them from the faces whose up it knows
+before it starts: those of the first rigid set, the empty one, which are
+the 2^n sets of coordinate vertices, and the one-vertex faces, whose up
+masks are the lifts.  A cost rule, not a lemma: on every real catalog
+tried those floors were exact, and when a final fewest count comes out
+below the one the floors came from, the loop runs once more with the
+final floors (a floor too high can skip a split link or cut its flood
+short), so the answer is exact either way.
 
 A rank-2 window, the infinite rank-2 complex cut down to a line, is a
-`ClusterComplex` like the others, built from the same walk.  Its checks
+`ClusterComplex` like the others, built from the same loop.  Its checks
 differ: `rank2_window_complex` checks that its facets are the expected
 ones, that every vertex but the two window ends lies in two of them, and
 that they form a path.  It does not ask for the polytope axioms, which the
@@ -77,17 +83,14 @@ cut breaks at the two ends.
 
 from __future__ import annotations
 
-from collections import ChainMap, Counter
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import compress
-from operator import not_
 from typing import Mapping, Sequence
 
+from . import tilting
 from .errors import NotRankTwoInfinite
 from .homext import ids_of, mask_of
 from .roots import PREINJ, PREPROJ, RANK2_INFINITE, RootCatalog
-from .tilting import decode_face
 
 Face = int
 
@@ -99,22 +102,22 @@ def _face_key(face: Face) -> tuple[int, tuple[int, ...]]:
 
 def face_label(catalog: RootCatalog, face: Face) -> str:
     """The members' dimension vectors, then the unsupported vertices, 1-based."""
-    ids, sigma = decode_face(catalog.algebra.n, face)
+    ids, sigma = tilting.decode_face(catalog.algebra.n, face)
     dimvs = ",".join(catalog.labels[i] for i in ids)
     return dimvs + "|" + ",".join(str(v + 1) for v in sigma)
 
 
-def _unreached(up: Mapping[int, int], within: int, base: Face = 0, spare: int = 0) -> int:
+def _unreached(links: Sequence[int] | Mapping[int, int], within: int, spare: int = 0) -> int:
     """The bits of `within` that a flood from its lowest bit misses, or 0
     once at most `spare` of them are left unseen.
 
-    A depth-first flood: each bit taken off the stack adds the unseen bits
-    of `up[base | bit]` inside `within`.  It stops with 0 as soon as every
-    bit of `within` is seen, or after a lookup that leaves at most `spare`
-    bits unseen, so a connected `within` costs no more lookups than it
-    needs; otherwise it runs out and returns what the component of the
-    lowest bit left unseen.  A nonzero `spare` is for a caller that knows
-    every other component has more bits than that (the small-link lemma).
+    A depth-first flood: each bit v taken off the stack adds the unseen
+    bits of `links[v]` inside `within`.  It stops with 0 as soon as every bit
+    of `within` is seen, or after a lookup that leaves at most `spare` bits
+    unseen, so a connected `within` costs no more lookups than it needs;
+    otherwise it runs out and returns what the component of the lowest bit
+    left unseen.  A nonzero `spare` is for a caller that knows every other
+    component has more bits than that (the small-link lemma).
     """
     seen = stack = within & -within
     while seen != within:
@@ -122,39 +125,12 @@ def _unreached(up: Mapping[int, int], within: int, base: Face = 0, spare: int = 
             return within ^ seen
         low = stack & -stack
         stack ^= low
-        new = up[base | low] & within & ~seen
+        new = links[low.bit_length() - 1] & within & ~seen
         seen |= new
         stack |= new
         if spare and (within ^ seen).bit_count() <= spare:
             return 0
     return 0
-
-
-@dataclass
-class ClusterComplex:
-    """A complex, a finite one or a rank-2 window: its faces filed by size,
-    levels[k] mapping each face with k vertices to its up mask, and the
-    facets, the faces with n vertices by ascending vertex tuple.
-    `build_complex` takes both from the catalog's walk, `complex_of` in
-    `tests/oracles.py` from a face set built in a test."""
-
-    catalog: RootCatalog
-    levels: Sequence[Mapping[Face, int]]
-    facets: Sequence[Face]
-
-    @property
-    def n(self) -> int:
-        return self.catalog.algebra.n
-
-    @cached_property
-    def faces(self) -> Mapping[Face, int]:
-        """Every face mapped to its up mask, one flat view over the levels."""
-        return ChainMap(*self.levels)
-
-    @cached_property
-    def scan(self) -> AxiomReport:
-        """The axioms, from the one pass over the levels' up masks (`_scan`)."""
-        return _scan(self)
 
 
 @dataclass
@@ -164,8 +140,7 @@ class AxiomReport:
     each by size and then vertex tuple.  `short_face`, the witness of AP2,
     is the first maximal face without n vertices in that order, or None.
     `least[k]`, for the flood floors, is the fewest up bits of a face with
-    k vertices, and `widest[k]`, which tells the floods which levels they
-    can skip, the most."""
+    k vertices, and `widest[k]` the most."""
 
     ap1: bool
     ap2: bool
@@ -182,59 +157,132 @@ class AxiomReport:
         return self.ap1 and self.ap2 and self.ap4 and self.simplicial
 
 
-def _scan(cx: ClusterComplex) -> AxiomReport:
-    """One pass over each level's up masks: how many faces have each
-    number of up bits, counted in C.
+@dataclass
+class ClusterComplex:
+    """A complex, a finite one or a rank-2 window, as the one record its
+    checks read: the facets, the faces with n vertices by ascending vertex
+    tuple; `faces`, the up popcount of every face, by number of vertices;
+    the axioms; `split`, the faces with at most n - 2 vertices whose link
+    is disconnected, by size and then vertex tuple; and `vertex_up`, the up
+    of each one-vertex face by position in the vertex pool (0 when the
+    vertex is not a face).  `walk_complex` builds it from the catalog's
+    walk, `complex_of` in `tests/oracles.py` from a face set built in a
+    test."""
 
-    Double count: the sum of |F| over the faces counts every pair (H, v)
-    with v in the face H, and the sum of |up[F]| counts the pairs where
-    H - v is a face too (F = H - v and v in up[F]).  So the sums are equal
-    exactly when no face lost a subface, and only when they differ are the
-    faces minus one vertex looked up, to name the lost ones.
+    catalog: RootCatalog
+    facets: Sequence[Face]
+    faces: Sequence[int]
+    scan: AxiomReport
+    split: list[Face]
+    vertex_up: Sequence[int]
 
-    AP2 holds when no maximal face is short.  AP4 at the top asks that
-    every ridge, every face of the level n - 1, be thin; inside the proper
-    part, a diamond is missing below every face of size >= 2 that lost a
-    subface, and that subface is not empty."""
-    n, levels = cx.n, cx.levels
-    least: dict[int, int] = {}
-    widest: dict[int, int] = {}
-    short, thick = [], []
-    held = linked = 0
-    for k, level in enumerate(levels):
-        if not level:
-            continue
-        links = Counter(map(int.bit_count, level.values()))
-        held += k * len(level)
-        linked += sum(bits * count for bits, count in links.items())
-        least[k], widest[k] = min(links), max(links)
-        if k != n and not least[k]:
-            short += compress(level, map(not_, level.values()))
-        if k == n - 1 and links.keys() - {2}:
-            thick += compress(level, map((2).__ne__, map(int.bit_count, level.values())))
-    lost = [] if held == linked else sorted(
-        {sub for k, level in enumerate(levels) for face in level
-         for v in ids_of(face) if (sub := face ^ 1 << v) not in levels[k - 1]},
-        key=_face_key)
-    return AxiomReport(ap1=0 in levels[0] and len(cx.facets) > 0,
+    @property
+    def n(self) -> int:
+        return self.catalog.algebra.n
+
+
+def _flood_floor(least: Mapping[int, int], n: int) -> list[int]:
+    """floor[k], for k < n - 1: the fewest link vertices that a face with k
+    vertices needs before its link can be disconnected, 2 (1 + m) with m =
+    least[k + 1] the fewest up bits of a face with k + 1 vertices (the
+    small-link lemma)."""
+    return [2 * (1 + least[k + 1]) for k in range(n - 1)]
+
+
+def walk_complex(catalog: RootCatalog, least: Mapping[int, int] | None = None) -> ClusterComplex:
+    """The complex of the catalog from one loop over its rigid sets
+    (`tilting.iter_rigid_sets`), a finite catalog or a rank-2 window alike.
+
+    Each rigid set T visits its faces (T, sigma) for sigma from its free
+    vertices down to 0, and each face's up is reach & bounds[sigma] (the up
+    lemma).  Its popcount b is filed under the face's size k; a face with k
+    = n is a facet, one with k = n - 1 a ridge, thick when b != 2, and one
+    with k < n - 1 and b at least its floor has its link flooded at once
+    through the lifts.  (T, free) is the one face of T that can be maximal,
+    and it is short when it has not n vertices and an empty up.
+
+    `least` gives the flood floors (`_flood_floor`); None takes them from
+    the faces whose up is known before the loop: the faces of the empty
+    rigid set, the sets of coordinate vertices, and the one-vertex faces.
+    When the fewest up bits the loop finds at a size come out below that,
+    the loop runs once more with what it found (the cost rule of the
+    module docstring).
+    """
+    n = catalog.algebra.n
+    everything = (1 << n) - 1
+    width = n + len(catalog)
+    lift = catalog.lifts
+    bounds = [(1 << width) - 1]
+    for mask in lift[:n]:
+        bounds += [bound & mask for bound in bounds]
+    if least is None:
+        # the faces whose up is known before the loop: those of the empty
+        # rigid set, with up bounds[sigma], and every one-vertex face {x},
+        # with up lift[x]
+        least = {}
+        for sigma, bound in enumerate(bounds):
+            k, b = sigma.bit_count(), bound.bit_count()
+            least[k] = min(b, least.get(k, b))
+        if lift:
+            least[1] = min(map(int.bit_count, lift))
+    floor = _flood_floor(least, n)
+    # a flood from k vertices stops once at most least[k + 1] are unseen
+    spare = [least[k + 1] for k in range(n - 1)]
+    # the smallest type code that holds an up popcount, at most `width`
+    code = next(c for c in "BHLQ" if width < 1 << 8 * array(c).itemsize)
+    # a wrong kernel can pair up to n members with n - 1 free vertices
+    counts = [array(code) for _ in range(2 * n + 1)]
+    facets, thick, short, split = [], [], [], []
+    ridge = n - 1
+    for size, top, reach in tilting.iter_rigid_sets(catalog):
+        sigma = free = reach & everything
+        up = reach & bounds[free]
+        if not up and size + free.bit_count() != n:
+            short.append(top | free)
+        while True:
+            k, b = size + sigma.bit_count(), up.bit_count()
+            counts[k].append(b)
+            if k < ridge:
+                if b >= floor[k] and _unreached(lift, up, spare[k]):
+                    split.append(top | sigma)
+            elif k == ridge:
+                if b != 2:
+                    thick.append(top | sigma)
+            elif k == n:
+                facets.append(top | sigma)
+            if not sigma:
+                break
+            sigma = (sigma - 1) & free
+            up = reach & bounds[sigma]
+    found = {k: min(level) for k, level in enumerate(counts) if level}
+    if any(found[k + 1] < least[k + 1] for k in range(n - 1)):
+        return walk_complex(catalog, found)
+    faces = array(code)
+    for level in counts:
+        faces += level
+    facets = tuple(tilting.sort_facets(facets))
+    thick.sort(key=_face_key)
+    scan = AxiomReport(ap1=bool(facets),  # the walk starts at the empty face
                        ap2=not short,
-                       ap4=not thick and not any(lost),
-                       simplicial=not lost,
-                       bad_ridges=sorted(thick, key=_face_key),
+                       ap4=not thick,
+                       simplicial=True,  # the walk's faces are down-closed
+                       bad_ridges=thick,
                        short_face=min(short, key=_face_key, default=None),
-                       lost_faces=lost,
-                       least=least,
-                       widest=widest)
+                       lost_faces=[],
+                       least=found,
+                       widest={k: max(level) for k, level in enumerate(counts) if level})
+    return ClusterComplex(catalog=catalog, facets=facets, faces=faces, scan=scan,
+                          split=sorted(split, key=_face_key), vertex_up=lift)
 
 
 def build_complex(catalog: RootCatalog) -> ClusterComplex:
-    """The walk's levels of faces with their up masks, as they are, and the
-    facets, for a finite catalog or a rank-2 window alike."""
-    return ClusterComplex(catalog=catalog, levels=catalog.faces, facets=catalog.facets)
+    """The catalog's complex (`RootCatalog.cluster_complex`), built by one
+    `walk_complex` on first use."""
+    return catalog.cluster_complex
 
 
 def verify_ap_axioms(cx: ClusterComplex) -> AxiomReport:
-    """The axioms as the one scan of `cx` found them."""
+    """The axioms as the one loop of `cx` found them."""
     return cx.scan
 
 
@@ -264,8 +312,7 @@ def is_path(adj: dict[int, tuple[int, ...]]) -> bool:
         return True
     if degrees.count(1) != 2 or not all(d in (1, 2) for d in degrees):
         return False
-    masks = {1 << v: mask_of(ws) for v, ws in adj.items()}
-    return not _unreached(masks, mask_of(adj))
+    return not _unreached({v: mask_of(ws) for v, ws in adj.items()}, mask_of(adj))
 
 
 @dataclass
@@ -288,44 +335,12 @@ class FlagReport:
         return self.pure and self.thin and self.cofaces_connected
 
 
-def _flood_floor(cx: ClusterComplex) -> list[int]:
-    """floor[k], for k < n - 1: the fewest link vertices that a face with k
-    vertices needs before its link can be disconnected, 2 (1 + m) with m the
-    fewest up bits of a face with k + 1 vertices (the small-link lemma); all
-    0 when a face lost a subface, so that every link is flooded."""
-    n, scan = cx.n, cx.scan
-    if scan.lost_faces:
-        return [0] * (n - 1)
-    # with no face of k + 1 vertices every face of k vertices has an empty up
-    return [2 * (1 + scan.least.get(k + 1, 0)) for k in range(n - 1)]
-
-
-def _split_links(cx: ClusterComplex) -> list[Face]:
-    """The faces with at most n - 2 vertices whose link is disconnected; a
-    link below its `_flood_floor` is connected and is not flooded, and a
-    level whose widest link (`AxiomReport.widest`) is below its floor is not
-    read at all.  A face with k vertices floods through the level k + 1,
-    and the flood stops once at most m = floor / 2 - 1 link vertices are
-    unseen, as a second component would hold 1 + m of them; with floor 0
-    every flood runs to the end."""
-    levels, floor, widest = cx.levels, _flood_floor(cx), cx.scan.widest
-    split = []
-    for k, need in enumerate(floor):
-        if widest.get(k, 0) < need:
-            continue
-        level, above, spare = levels[k], levels[k + 1], max(need // 2 - 1, 0)
-        wide = compress(level.items(), map(need.__le__, map(int.bit_count, level.values())))
-        split += [f for f, link in wide if _unreached(above, link, f, spare)]
-    return split
-
-
 def verify_flag_connected(cx: ClusterComplex) -> FlagReport:
-    split = _split_links(cx)
     thick = cx.scan.bad_ridges
     return FlagReport(pure=cx.scan.ap2,
                       thin=not thick,
-                      cofaces_connected=not split,
-                      coface_witness=min(split, key=_face_key, default=None),
+                      cofaces_connected=not cx.split,
+                      coface_witness=cx.split[0] if cx.split else None,
                       ridge_witness=thick[0] if thick else None)
 
 
@@ -357,7 +372,8 @@ def rank2_window_complex(cx: ClusterComplex) -> WindowReport:
     and the neighbouring pairs inside each family.  Every vertex other than
     the two window-boundary members must lie in exactly two facets, and the
     facet adjacency graph must be a path.  In rank 2 the faces with two
-    vertices are the facets, so both read the up masks of the vertices.
+    vertices are the facets, so both read the up masks of the vertices
+    (`ClusterComplex.vertex_up`).
     """
     catalog, n = cx.catalog, cx.n
     if catalog.kind != RANK2_INFINITE:
@@ -377,7 +393,7 @@ def rank2_window_complex(cx: ClusterComplex) -> WindowReport:
     preinj = [e.id for e in catalog.entries if e.component == PREINJ]
     boundary = {n + preproj[-1], n + preinj[0]}
     bad = next((v for v in range(n + len(catalog))
-                if cx.levels[1].get(1 << v, 0).bit_count() != (1 if v in boundary else 2)), None)
+                if cx.vertex_up[v].bit_count() != (1 if v in boundary else 2)), None)
     wrong = set(cx.facets) ^ expected
     return WindowReport(facets_expected=not wrong,
                         interior_ridges_ok=bad is None,

@@ -126,30 +126,33 @@ class RootCatalog:
         return build_kernel(self)
 
     @functools.cached_property
-    def faces(self) -> tuple:
-        """Every face of the complex as an int bitmask, mapped to its up
-        mask and filed by size: faces[k] holds the faces with k vertices
-        (`tilting.rigid_faces`), from one walk over the rigid sets."""
-        from .tilting import rigid_faces
-
-        return tuple(rigid_faces(self))
+    def lifts(self) -> tuple[int, ...]:
+        """lift[x] for each x of the vertex pool, by position, as face bits:
+        for a coordinate vertex v, every vertex but v and the members whose
+        support misses v; for member i (position n + i), the vertices
+        outside supp i and the members compatible with i, but not i
+        itself.  A face gaining x keeps at most these bits of its up (the
+        lift lemma in `tilting`)."""
+        n, kernel = self.algebra.n, self.kernel
+        everything = (1 << n) - 1
+        return tuple([(kernel.within(everything ^ (1 << v)) << n) | (everything ^ (1 << v))
+                      for v in range(n)]
+                     + [((mask & ~(1 << i)) << n) | (everything & ~supp)
+                        for i, (mask, supp) in enumerate(zip(kernel.compat, kernel.support))])
 
     @functools.cached_property
-    def facets(self) -> tuple:
-        """The faces with n vertices, by ascending vertex tuple
-        (`tilting.sort_facets`): the level faces[n] when the catalog holds
-        the faces, else top | free for each rigid set T of a walk
-        (`tilting.iter_rigid_sets`) with n = |T| + |free|, free the vertex
-        bits of its reach, building no other face."""
-        from .tilting import iter_rigid_sets, sort_facets
+    def cluster_complex(self):
+        """The complex of the catalog (`polytope.walk_complex`): one walk over
+        its rigid sets, built on first use, whose record every command reads."""
+        from .polytope import walk_complex
 
-        n = self.algebra.n
-        levels = vars(self).get("faces")
-        if levels is not None:
-            return tuple(sort_facets(levels[n]))
-        everything = (1 << n) - 1
-        return tuple(sort_facets(top | free for size, top, reach in iter_rigid_sets(self)
-                                 if size + (free := reach & everything).bit_count() == n))
+        return walk_complex(self)
+
+    @property
+    def facets(self) -> tuple:
+        """The faces with n vertices, by ascending vertex tuple, as the
+        catalog's complex counts them."""
+        return self.cluster_complex.facets
 
     @functools.cached_property
     def descent_moves(self) -> tuple:

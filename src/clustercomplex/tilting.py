@@ -3,23 +3,22 @@
 A face is an int bitmask over a combined vertex pool: coordinate vertex v
 is bit v and the catalog member with id k is bit n + k.  The faces of the
 complex are the rigid sets T, each with every set of vertices outside its
-support.  One walk reaches every rigid set (`iter_rigid_sets`), and
-`rigid_faces` files each of their faces, with its up mask, under its
-number of vertices.  A rigid id set is support-tilting when it has as many
-members as supported vertices; it is then a basis of the lattice
-restricted to its support, and with all its unsupported vertices it is a
-face with n vertices, a facet: the level n of the faces, or read straight
-off the walk when no other face is needed.  Facets are int faces like the
-others, kept in the order of their ascending vertex tuples; `decode_face`
-splits one into member ids and unsupported vertices.  The canonical
-completion of a rigid set T inside a vertex window W is read off directly
-(K. Bongartz, "Tilted algebras", LNM 903, 1981): it is the set G of
-members B outside T, compatible with T, with ext(B, M) = 0 for every
-in-window M that is ext-orthogonal to T.  The mirror test (swap the
-pairing order) gives the dual completion.  That G completes T is checked,
-not assumed: |T| + |G| must equal |W|.  One mask-level rule,
-`canonical_completion`, reads G off for `bongartz`, `dual_bongartz` and
-the descent moves of `measure`.
+support.  One walk reaches every rigid set (`iter_rigid_sets`), and one
+loop over it (`polytope.walk_complex`) reads every face check off each
+rigid set's masks, keeping no face.  A rigid id set is support-tilting
+when it has as many members as supported vertices; it is then a basis of
+the lattice restricted to its support, and with all its unsupported
+vertices it is a face with n vertices, a facet.  Facets are int faces like
+the others, kept in the order of their ascending vertex tuples
+(`sort_facets`); `decode_face` splits one into member ids and unsupported
+vertices.  The canonical completion of a rigid set T inside a vertex
+window W is read off directly (K. Bongartz, "Tilted algebras", LNM 903,
+1981): it is the set G of members B outside T, compatible with T, with
+ext(B, M) = 0 for every in-window M that is ext-orthogonal to T.  The
+mirror test (swap the pairing order) gives the dual completion.  That G
+completes T is checked, not assumed: |T| + |G| must equal |W|.  One
+mask-level rule, `canonical_completion`, reads G off for `bongartz`,
+`dual_bongartz` and the descent moves of `measure`.
 
 The walk: the rigid sets are the cliques of compat with at most n members.
 One explicit stack holds a frame per open clique T, in face coordinates:
@@ -29,17 +28,22 @@ cand the members outside T compatible with every member of T) and left
 (the members of cand above the last one chosen, still to try).
 Candidates are taken by lowest set bit, in depth-first pre-order from the
 empty set; member i of left extends T to T + i, whose top gains bit n + i,
-whose reach is reach AND step[i] and whose left is what is left, AND
-compat[i].  step[i] = ((compat[i] - i) << n) | (every vertex outside supp
-i) is built once per catalog, so one AND takes i out of cand, keeps
-cand's members compatible with i and drops supp i from free.  A clique
-with n members is not extended and its reach keeps only its free bits:
-its cand is 0.  No mask is rebuilt from ids, and no face mask is shifted
-into place per rigid set.
+whose reach is reach AND the lift of i and whose left is what is left, AND
+compat[i].  The lift of member i, ((compat[i] - i) << n) | (every vertex
+outside supp i), is built once per catalog (`RootCatalog.lifts`), so one
+AND takes i out of cand, keeps cand's members compatible with i and drops
+supp i from free.  A clique with n members is not extended and its reach
+keeps only its free bits: its cand is 0.  No mask is rebuilt from ids, and
+no face mask is shifted into place per rigid set.
+
+The faces of T are the pairs (T, sigma), sigma a submask of free (T.
+Adachi, O. Iyama, I. Reiten, "tau-tilting theory", 2014); the loop visits
+them by running sigma down from free to 0, with no call per face.
 
 The faces are down-closed: a subset of the face (T, sigma) is (T', sigma')
 with T' in T and sigma' in sigma.  T' is a smaller clique of compat, so the
-walk yields it, and supp T' lies in supp T, so it misses sigma'.
+walk yields it, and supp T' lies in supp T, so it misses sigma'.  So no
+face of the walk loses a subface, whatever the kernel.
 
 Up lemma: the vertices x with (T, sigma) + x a face, its up mask, are the
 vertex bits F - sigma and the member bits cand & avoid[sigma], where F is
@@ -59,9 +63,19 @@ sweep finds no subface outside the faces (`tests/oracles.py` keeps it).
 
 The bounds: a support misses sigma exactly when it misses sigma - v and
 {v}, for any vertex v of sigma, so avoid[sigma] = avoid[sigma - v] &
-avoid[{v}], with avoid[0] every member.  Taking v the highest vertex of
-sigma, the table for the vertices 0..v is the one for 0..v-1 followed by
-its copy ANDed with avoid[{v}]: n `within` scans fill all 2^n entries.
+avoid[{v}], with avoid[0] every member.  The lift of vertex v is
+bounds[{v}], every vertex but v with avoid[{v}] as member bits, so
+bounds[sigma] = bounds[sigma - v] & lift[v].  Taking v the highest vertex
+of sigma, the table for the vertices 0..v is the one for 0..v-1 followed
+by its copy ANDed with lift[v]: n `within` scans fill all 2^n entries.
+
+Lift lemma: when F = (T, sigma) has at most n - 2 vertices, the up of
+F + x, for x in up[F], is up[F] & lift[x].  Proof: a vertex v gives
+(T, sigma + v), whose up is reach & bounds[sigma] & lift[v]; a member m
+gives (T + m, sigma), whose reach is reach & lift[m], kept whole since
+|T| + 1 < n.  At F the empty face, up[F] is every bit of the pool, so the
+up of the one-vertex face {x} is lift[x]; this holds for n = 1 too, where
+the one member of the catalog has no other member to be compatible with.
 """
 
 from __future__ import annotations
@@ -93,10 +107,7 @@ def iter_rigid_sets(catalog: RootCatalog) -> Iterator[tuple[int, int, int]]:
     everything = (1 << n) - 1
     kernel = catalog.kernel
     compat, everyone = kernel.compat, kernel.everyone
-    # member i keeps the members compatible with it, but not i itself, and
-    # the vertices outside its support
-    step = [((mask & ~(1 << i)) << n) | (everything & ~supp)
-            for i, (mask, supp) in enumerate(zip(compat, kernel.support))]
+    step = catalog.lifts[n:]
     size, top, reach, left = 0, 0, (everyone << n) | everything, everyone
     stack = []
     while True:
@@ -118,41 +129,6 @@ def iter_rigid_sets(catalog: RootCatalog) -> Iterator[tuple[int, int, int]]:
         else:
             reach &= step[i] & everything
             left = 0
-
-
-def rigid_faces(catalog: RootCatalog) -> list[dict[int, int]]:
-    """Every face of the complex with its up mask, filed by size: levels[k]
-    maps each face with k vertices to its up mask, for k = 0..n.
-
-    A face is a pair (T, sigma): a rigid set T and a set sigma of vertices
-    outside the support of T (T. Adachi, O. Iyama, I. Reiten, "tau-tilting
-    theory", 2014).  Each rigid set of `iter_rigid_sets` comes with every
-    such sigma: 0 in the level |T| and the other submasks of its free
-    mask, the vertex bits of its reach, in descending order, so each level
-    keeps the walk's order.  By the up lemma, the up mask of (T, sigma) is
-    the AND of reach and bounds[sigma], the vertices outside sigma with, as
-    member bits, avoid[sigma]; bounds[0] keeps every bit, so (T, 0) files
-    reach as it is.  `RootCatalog.faces` keeps the levels.
-    """
-    n = catalog.algebra.n
-    everything = (1 << n) - 1
-    kernel = catalog.kernel
-    avoid = [kernel.everyone]
-    for v in range(n):
-        miss = kernel.within(everything ^ (1 << v))
-        avoid += [mask & miss for mask in avoid]
-    bounds = [(mask << n) | (everything ^ sigma) for sigma, mask in enumerate(avoid)]
-    # a wrong kernel can pair up to n members with n - 1 free vertices
-    levels = [{} for _ in range(2 * n + 1)]
-    for size, top, reach in iter_rigid_sets(catalog):
-        levels[size][top] = reach
-        sigma = free = reach & everything
-        while sigma:
-            levels[size + sigma.bit_count()][top | sigma] = reach & bounds[sigma]
-            sigma = (sigma - 1) & free
-    while len(levels) > n + 1 and not levels[-1]:
-        levels.pop()
-    return levels
 
 
 def _reversed_bytes() -> bytes:
@@ -187,8 +163,8 @@ def sort_facets(facets: Iterable[int]) -> list[int]:
 def enumerate_support_tilting(catalog: RootCatalog) -> list[int]:
     """All facets, the zero facet included, by ascending vertex tuple.
 
-    The catalog walks its rigid sets once for its faces and keeps the facets
-    among them (`RootCatalog.facets`); each call returns a fresh list.
+    The catalog keeps the facets of its one walk (`RootCatalog.facets`);
+    each call returns a fresh list.
     """
     if catalog.kind != FINITE:
         raise NotFiniteType("facet enumeration requires a finite catalog")

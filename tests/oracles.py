@@ -22,13 +22,16 @@ combinations with equal total dimension vectors are found by expanding every
 multiplicity.  Rigid sets are grown one root at a time, which finds every
 one since rigidity is pairwise.  The package stores a face as the int
 bitmask of its vertices; `vertex_sets` turns such faces into the frozensets
-these oracles read, and `downward_closure` gives the faces that a list of
-such facets spans, as the package built its faces before they came from the
-rigid-set walk.  `complex_of` hands a face set built in a test to the
-package's checks as a `ClusterComplex`: each face with its `oracle_up`
-mask, which is exact, filed under its number of vertices, and the faces
-with n vertices as the facets.  The
-subfaces that a face lost are not handed over; the scan finds them.  Four
+these oracles read, `downward_closure` gives the faces that a list of
+such facets spans, and `oracle_faces` the faces of a catalog, each set of
+`oracle_cliques` with every set of vertices outside its support.  The
+package keeps no face: its complex is one record of checks that one loop
+over the rigid-set walk reads off masks.  `complex_of` builds that record
+for a face set built in a test, from the oracles alone: `oracle_up` for
+the up masks, `oracle_short_face`, `oracle_bad_ridges`, `oracle_lost`,
+`oracle_least_up` and `oracle_widest_up` for the axioms, and
+`oracle_link_unreached` on every face with at most n - 2 vertices for
+the split links.  Four
 oracles keep the package's earlier, layered code as references for the
 code that replaced it: `oracle_cliques` is the rigid-set walk as its own
 generator of (member, support, cand) masks, `oracle_member_moves` reads
@@ -43,7 +46,7 @@ from itertools import combinations, permutations, product
 
 from clustercomplex.homext import ids_of
 from clustercomplex.measure import DescentReport, lambda_key
-from clustercomplex.polytope import ClusterComplex
+from clustercomplex.polytope import AxiomReport, ClusterComplex
 from clustercomplex.roots import simple_reflection
 from clustercomplex.tilting import bongartz, dual_bongartz, sort_facets
 
@@ -88,17 +91,29 @@ def as_facet(catalog, ids):
             | sum(1 << (n + i) for i in set(ids)))
 
 
+def _submasks(mask):
+    """Every submask of `mask`, from `mask` itself down to 0."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
 def downward_closure(facets):
     """Every submask of the given int-bitmask facets."""
-    faces = set()
-    for facet in facets:
-        sub = facet
-        while True:
-            faces.add(sub)
-            if not sub:
-                break
-            sub = (sub - 1) & facet
-    return frozenset(faces)
+    return frozenset(sub for facet in facets for sub in _submasks(facet))
+
+
+def oracle_faces(catalog):
+    """Every face (T, sigma) of the catalog as an int face: each set T of
+    `oracle_cliques`, its members as bits n + id, with every set sigma of
+    vertices outside its support."""
+    n = catalog.algebra.n
+    everything = (1 << n) - 1
+    return frozenset(members << n | sigma for members, supp, _ in oracle_cliques(catalog)
+                     for sigma in _submasks(everything & ~supp))
 
 
 def oracle_up(faces):
@@ -118,31 +133,52 @@ def oracle_up(faces):
     return up
 
 
+def link_ups(up, face):
+    """Each link vertex v of `face` mapped to the up mask of `face` plus v,
+    from the up masks `up` of a face set: the lookups a flood of the link
+    makes."""
+    return {v: up[face | 1 << v] for v in range(up[face].bit_length()) if up[face] >> v & 1}
+
+
 def complex_of(catalog, faces):
-    """The complex of a face set built in a test: each face with its
-    `oracle_up` mask, filed under its number of vertices in levels that
-    reach n and the largest face, and the faces with n vertices as its
-    facets."""
+    """The record of a face set built in a test, from the oracles: the
+    faces with n vertices as its facets, by ascending vertex tuple; the up
+    popcount of every face, by size; the axioms; the faces with at most
+    n - 2 vertices whose link a breadth-first search does not cover, by
+    size and then vertex tuple; and the up of each one-vertex face, 0 for
+    a vertex that is not a face."""
     faces = frozenset(faces)
     up = oracle_up(faces)
     n = catalog.algebra.n
-    levels = [{} for _ in range(max([n] + [face.bit_count() for face in faces]) + 1)]
-    for face in faces:
-        levels[face.bit_count()][face] = up[face]
-    return ClusterComplex(catalog=catalog, levels=levels, facets=sort_facets(levels[n]))
+    width = max([n + len(catalog)] + [face.bit_length() for face in faces])
+    facets = tuple(sort_facets(face for face in faces if face.bit_count() == n))
+    bad, lost = oracle_bad_ridges(faces, up, n), oracle_lost(faces, up)
+    short = oracle_short_face(faces, up, n)
+    scan = AxiomReport(ap1=0 in faces and bool(facets), ap2=short is None,
+                       ap4=not bad and not any(lost), simplicial=not lost,
+                       bad_ridges=bad, short_face=short, lost_faces=lost,
+                       least=oracle_least_up(faces, up), widest=oracle_widest_up(faces, up))
+    split = sorted((face for face in faces if face.bit_count() <= n - 2
+                    and oracle_link_unreached(faces, face, width)), key=_by_size_then_vertices)
+    return ClusterComplex(catalog=catalog, facets=facets,
+                          faces=[up[face].bit_count() for face in sorted(faces, key=int.bit_count)],
+                          scan=scan, split=split,
+                          vertex_up=tuple(up[1 << x] if 1 << x in faces else 0
+                                          for x in range(n + len(catalog))))
 
 
 def oracle_exchange_graph(faces, n):
     """Facet adjacency, as indices into the faces with n vertices by
     ascending vertex tuple: each ridge R among the faces, a face with n - 1
-    vertices, whose up mask is {v, w} joins the facets R + v and R + w.
-    `faces` maps each face to its up mask; a ridge that is not a face
-    joins nothing."""
+    vertices, whose up mask (`oracle_up`) is {v, w} joins the facets R + v
+    and R + w.  A ridge that is not a face joins nothing."""
+    up = oracle_up(faces)
     facets = sorted((face for face in faces if face.bit_count() == n),
                     key=lambda face: [v for v in range(face.bit_length()) if face >> v & 1])
     index = {facet: i for i, facet in enumerate(facets)}
     adj = {i: [] for i in index.values()}
-    for ridge, above in faces.items():
+    for ridge in faces:
+        above = up[ridge]
         if ridge.bit_count() == n - 1 and above.bit_count() == 2:
             low = above & -above
             i, j = index[ridge | low], index[ridge | (above ^ low)]
@@ -424,12 +460,14 @@ def oracle_diamonds(faces):
                for pair in combinations(sorted(upper), 2))
 
 
-def oracle_link_unreached(faces, face):
+def oracle_link_unreached(faces, face, width=None):
     """The link vertices of `face` that a breadth-first search from the
     lowest one leaves unreached, as a mask.  The faces are int bitmasks; v is
     a link vertex when face + v is a face, and two link vertices v, w are
-    joined when face + v + w is a face."""
-    width = max(f.bit_length() for f in faces)
+    joined when face + v + w is a face.  The vertices are tried below
+    `width`, by default the widest face's bit length."""
+    if width is None:
+        width = max(f.bit_length() for f in faces)
     link = [v for v in range(width) if not face >> v & 1 and face | 1 << v in faces]
     seen, queue = set(link[:1]), link[:1]
     for v in queue:

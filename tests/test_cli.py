@@ -20,7 +20,14 @@ from clustercomplex import cli, measure, roots
 from clustercomplex.cli import main
 from clustercomplex.homext import ids_of
 from clustercomplex.polytope import _unreached
-from oracles import complex_of, downward_closure, oracle_link_unreached
+from oracles import (
+    complex_of,
+    downward_closure,
+    link_ups,
+    oracle_faces,
+    oracle_link_unreached,
+    oracle_up,
+)
 
 
 def run(capsys, *argv):
@@ -99,7 +106,7 @@ def test_failed_checks_print_witnesses(monkeypatch, capsys):
     whole = build_complex(cat)
     victim = whole.facets[0]
     monkeypatch.setattr(cli, "build_complex", lambda catalog: complex_of(
-        catalog, build_complex(catalog).faces.keys() - {victim}))
+        catalog, oracle_faces(catalog) - {victim}))
     monkeypatch.setattr(measure, "verify_endos",
                         lambda catalog, facet: bool(facet >> catalog.algebra.n))
     code, out, err = run(capsys, "verify", "--fixture", "a3")
@@ -117,14 +124,14 @@ def test_the_first_maximal_short_face_is_the_ap2_witness(monkeypatch, capsys):
     # by vertex tuple is the witness
     cat = positive_roots(fixture("a3"))
     whole = build_complex(cat)
-    ridges = sorted((f for f in whole.faces if f.bit_count() == 2), key=ids_of)
+    ridges = sorted((f for f in oracle_faces(cat) if f.bit_count() == 2), key=ids_of)
     first, last = ridges[0], ridges[-1]
     dropped = {f for f in whole.facets if f & first == first or f & last == last}
-    faces = whole.faces.keys() - dropped
+    faces = oracle_faces(cat) - dropped
     assert sorted((f for f in faces if f.bit_count() < 3
                    and not any(g != f and g & f == f for g in faces)), key=ids_of) == [first, last]
     monkeypatch.setattr(cli, "build_complex", lambda catalog: complex_of(
-        catalog, build_complex(catalog).faces.keys() - dropped))
+        catalog, oracle_faces(catalog) - dropped))
     code, out, err = run(capsys, "verify", "--fixture", "a3")
     assert code == 1
     assert out == "facets=10 ap1 ✓ ap2 ✗ ap4 ✗ simplicial ✓ strong-flag ✗ endos ✓ descent ✓\n"
@@ -138,11 +145,11 @@ def test_the_first_lost_subface_is_the_simplicial_witness(monkeypatch, capsys):
     # subfaces, and the vertex comes first by size; with every ridge thin it
     # is the AP4 witness too
     cat = positive_roots(fixture("a3"))
-    whole = build_complex(cat)
-    edge = min((f for f in whole.faces if f.bit_count() == 2), key=ids_of)
-    vertex = max((f for f in whole.faces if f.bit_count() == 1 and not f & edge), key=ids_of)
+    faces = oracle_faces(cat)
+    edge = min((f for f in faces if f.bit_count() == 2), key=ids_of)
+    vertex = max((f for f in faces if f.bit_count() == 1 and not f & edge), key=ids_of)
     monkeypatch.setattr(cli, "build_complex", lambda catalog: complex_of(
-        catalog, build_complex(catalog).faces.keys() - {edge, vertex}))
+        catalog, oracle_faces(catalog) - {edge, vertex}))
     code, out, err = run(capsys, "verify", "--fixture", "a3")
     assert code == 1
     assert out == "facets=14 ap1 ✓ ap2 ✓ ap4 ✗ simplicial ✗ strong-flag ✓ endos ✓ descent ✓\n"
@@ -154,9 +161,9 @@ def test_the_ap4_witness_is_a_lost_subface_with_a_vertex(monkeypatch, capsys):
     # a3 without its empty face and one vertex: the empty face comes first
     # and is the simplicial witness, but AP4 names the vertex
     cat = positive_roots(fixture("a3"))
-    vertex = max((f for f in build_complex(cat).faces if f.bit_count() == 1), key=ids_of)
+    vertex = max((f for f in oracle_faces(cat) if f.bit_count() == 1), key=ids_of)
     monkeypatch.setattr(cli, "build_complex", lambda catalog: complex_of(
-        catalog, build_complex(catalog).faces.keys() - {0, vertex}))
+        catalog, oracle_faces(catalog) - {0, vertex}))
     code, out, err = run(capsys, "verify", "--fixture", "a3")
     assert code == 1
     assert out == "facets=14 ap1 ✗ ap2 ✓ ap4 ✗ simplicial ✗ strong-flag ✓ endos ✓ descent ✓\n"
@@ -170,12 +177,13 @@ def test_split_link_flood_matches_a_breadth_first_search():
     # search from its lowest vertex misses
     spheres = [sum(1 << v for v in block) - (1 << v) for block in ((0, 1, 2, 3), (3, 4, 5, 6))
                for v in block]
-    cx = complex_of(positive_roots(fixture("a3")), downward_closure(spheres))
-    faces = cx.faces
+    faces = downward_closure(spheres)
+    up = oracle_up(faces)
     for face in faces:
         if face.bit_count() <= 1:
-            assert _unreached(faces, faces[face], face) == oracle_link_unreached(faces, face)
-    assert _unreached(faces, faces[1 << 3], 1 << 3) == 0b1110000
+            assert _unreached(link_ups(up, face), up[face]) == oracle_link_unreached(faces, face)
+    assert _unreached(link_ups(up, 1 << 3), up[1 << 3]) == 0b1110000
+    assert complex_of(positive_roots(fixture("a3")), faces).split == [1 << 3]
 
 
 def test_thin_complex_with_a_split_link_prints_the_link(monkeypatch, capsys):

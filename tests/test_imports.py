@@ -1,7 +1,7 @@
 """Import hygiene of the package: standard library only, no private names
 taken from sibling modules, no imported name left unused outside
-`__init__`, no function-level import besides the catalog's four lazy ones,
-no `vars(` outside `roots`, no floating point, no public top-level name
+`__init__`, no function-level import besides the catalog's three lazy ones,
+no `vars(` in `src/`, no floating point, no public top-level name
 that nothing uses, no error class that nothing raises, the `cli`, `measure`
 and `tilting` names that the benchmark's tracer patches still there, and
 no public function that neither the CLI nor the benchmark's completion
@@ -70,7 +70,7 @@ def test_imported_names_are_used(path):
 
 def test_function_level_imports_are_the_catalog_edges():
     # `roots` sits below the layers it imports lazily: RootCatalog builds its
-    # kernel, faces, facets and descent moves on first use.  Any other import
+    # kernel, complex and descent moves on first use.  Any other import
     # inside a function is a new upward edge, which can close an import cycle.
     found = set()
     for path in SOURCES:
@@ -85,20 +85,18 @@ def test_function_level_imports_are_the_catalog_edges():
     assert sorted(found) == [
         ("roots.py", "homext", "build_kernel"),
         ("roots.py", "measure", "member_moves"),
-        ("roots.py", "tilting", "iter_rigid_sets"),
-        ("roots.py", "tilting", "rigid_faces"),
-        ("roots.py", "tilting", "sort_facets"),
+        ("roots.py", "polytope", "walk_complex"),
     ]
 
 
 def test_only_the_catalog_reads_its_cache():
-    # `vars(catalog)` tells whether a cached property was built; only
-    # `roots` may ask, so that only the catalog knows whether it holds its faces
+    # `vars(catalog)` tells whether a cached property was built; no module
+    # asks, so no code path depends on what the catalog happens to hold
     found = {path.name for path in SOURCES
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "vars"}
-    assert found == {"roots.py"}
+    assert found == set()
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -27,27 +27,24 @@ from clustercomplex.errors import NotRankTwoInfinite
 from clustercomplex.homext import ids_of, mask_of
 from clustercomplex.polytope import (
     _flood_floor,
-    _split_links,
     _unreached,
     is_path,
 )
 from clustercomplex.roots import RootCatalog
-from clustercomplex.tilting import iter_rigid_sets
+from clustercomplex.tilting import iter_rigid_sets, sort_facets
 from oracles import (
     as_facet,
     complex_of,
     downward_closure,
     is_single_cycle,
-    oracle_bad_ridges,
+    link_ups,
     oracle_diamonds,
     oracle_exchange_graph,
+    oracle_faces,
     oracle_flags_connected,
-    oracle_least_up,
     oracle_link_unreached,
-    oracle_lost,
     oracle_pure,
     oracle_rigid_sets,
-    oracle_short_face,
     oracle_simplicial,
     oracle_support,
     oracle_up,
@@ -66,7 +63,7 @@ def test_counts_pentagon():
     assert len(cx.facets) == 5
     # 1 empty + 5 vertices + 5 edges; the top sentinel makes 12
     assert len(cx.faces) == 11
-    vertices = [f for f in cx.faces if f.bit_count() == 1]
+    vertices = [f for f in oracle_faces(cx.catalog) if f.bit_count() == 1]
     assert len(vertices) == cx.n + 3
 
 
@@ -80,7 +77,7 @@ def test_vertex_count_is_n_plus_roots():
     for name in ("a2", "a3", "b2", "b3", "g2", "d4"):
         cat = positive_roots(fixture(name))
         cx = build_complex(cat)
-        vertices = set().union(*vertex_sets(cx.faces))
+        vertices = set().union(*vertex_sets(cx.facets))
         assert len(vertices) == cx.n + len(cat)
 
 
@@ -98,9 +95,10 @@ def _face_set_catalogs():
 def test_face_set_equals_all_valid_pairs():
     # every rigid pair (T, sigma) with sigma avoiding supp(T) is a face, and
     # conversely, T ranging over the rigid sets the oracle grows on the raw
-    # Euler matrix; and the pairs are exactly the subsets of the facets
+    # Euler matrix; and the pairs are exactly the subsets of the walk's
+    # facets, one visited face each
     for cat in _face_set_catalogs():
-        cx = build_complex(cat)
+        cx, faces = build_complex(cat), oracle_faces(cat)
         n = cx.n
         index = {dimv: n + i for i, dimv in enumerate(cat.dimvs())}
         assert len(index) == len(cat)
@@ -111,30 +109,28 @@ def test_face_set_equals_all_valid_pairs():
             for size in range(len(sigma) + 1):
                 for sub in combinations(sigma, size):
                     expected.add(frozenset(sub) | members)
-        assert expected == vertex_sets(cx.faces)
-        assert cx.faces.keys() == downward_closure(cx.facets)
+        assert expected == vertex_sets(faces)
+        assert faces == downward_closure(cx.facets)
+        assert len(cx.faces) == len(faces)
 
 
 def test_walk_yields_each_face_once():
-    # a level dict would hide a face filed twice, so: the walk yields each
-    # rigid set once, its 2^|free| faces add up to the faces the levels
-    # hold, and each face sits in the level of its number of vertices; the
-    # walk's (size, top, reach) are in face coordinates, the members in
-    # top >> n and the free vertices in reach & everything
+    # the walk yields each rigid set once, and its 2^|free| faces add up to
+    # the faces the loop visits and to the oracle's face set; the walk's
+    # (size, top, reach) are in face coordinates, the members in top >> n
+    # and the free vertices in reach & everything
     for cat in _face_set_catalogs():
         everything = (1 << cat.algebra.n) - 1
         sets = list(iter_rigid_sets(cat))
         assert len({top for _, top, _ in sets}) == len(sets)
         assert all(size == top.bit_count() and not top & everything for size, top, _ in sets)
-        assert sum(1 << (reach & everything).bit_count() for _, _, reach in sets) == sum(
-            map(len, cat.faces))
-        assert len(cat.faces) == cat.algebra.n + 1
-        assert all(face.bit_count() == k for k, level in enumerate(cat.faces) for face in level)
+        assert sum(1 << (reach & everything).bit_count() for _, _, reach in sets) == len(
+            build_complex(cat).faces) == len(oracle_faces(cat))
 
 
-def _agrees_with_oracles(cx):
+def _agrees_with_oracles(cx, faces):
     report = verify_ap_axioms(cx)
-    faces = vertex_sets(cx.faces)
+    faces = vertex_sets(faces)
     assert report.ap1 == (frozenset() in faces and bool(cx.facets))
     assert report.ap2 == oracle_pure(faces, cx.n)
     assert report.simplicial == oracle_simplicial(faces)
@@ -144,14 +140,15 @@ def _agrees_with_oracles(cx):
 
 @pytest.mark.parametrize("name", FINITE_FIXTURES)
 def test_axioms_pass(name):
-    report = _agrees_with_oracles(build(name))
+    cat = positive_roots(fixture(name))
+    report = _agrees_with_oracles(build_complex(cat), oracle_faces(cat))
     assert report.ap1 and report.ap2 and report.ap4 and report.simplicial
     assert not report.bad_ridges
 
 
 def _mutants(cx):
     """Hand-damaged walk face sets, by name."""
-    faces = cx.faces.keys()
+    faces = oracle_faces(cx.catalog)
     vertex = min(f for f in faces if f.bit_count() == 1)
     middle = min((f for f in faces if 1 < f.bit_count() < cx.n), key=ids_of)
     stray = 1 << max(f.bit_length() for f in faces)
@@ -172,46 +169,24 @@ def test_every_axiom_key_can_fail():
         cx = build(name)
         for label, faces in _mutants(cx).items():
             mutant = complex_of(cx.catalog, faces)
-            report = _agrees_with_oracles(mutant)
+            report = _agrees_with_oracles(mutant, faces)
             assert not report.ok, (name, label)
             failed |= {key for key in ("ap1", "ap2", "ap4", "simplicial")
                        if not getattr(report, key)}
     assert failed == {"ap1", "ap2", "ap4", "simplicial"}
 
 
-def test_the_scan_matches_its_oracles():
-    # every mutant of a3, b3 and d4, every single-facet drop of a3, and d4
-    # without one face of two vertices, which the faces above it lose
-    complexes = []
-    for name in ("a3", "b3", "d4"):
-        cx = build(name)
-        complexes += [complex_of(cx.catalog, faces)
-                      for faces in _mutants(cx).values()]
-    a3, d4 = build("a3"), build("d4")
-    complexes += [complex_of(a3.catalog, a3.faces.keys() - {f}) for f in a3.facets]
-    middle = min((f for f in d4.faces if f.bit_count() == 2), key=ids_of)
-    complexes.append(complex_of(d4.catalog, d4.faces.keys() - {middle}))
-    for cx in complexes:
-        faces, n, scan = cx.faces.keys(), cx.n, cx.scan
-        up = oracle_up(faces)
-        assert scan.short_face == oracle_short_face(faces, up, n)
-        assert scan.bad_ridges == oracle_bad_ridges(faces, up, n)
-        assert scan.least == oracle_least_up(faces, up)
-        assert scan.widest == oracle_widest_up(faces, up)
-        assert scan.lost_faces == oracle_lost(faces, up)
-
-
 def test_verify_builds_one_scan(monkeypatch, capsys):
-    # a work count, not a time: the axioms, the flag check and the flood
-    # floors of one `verify` all read one scan
+    # a work count, not a time: the axioms, the flag check, the facets and
+    # the descent of one `verify` all read one loop over the walk
     builds = []
-    scan = polytope._scan
+    walk = polytope.walk_complex
 
-    def counted(cx):
-        builds.append(cx)
-        return scan(cx)
+    def counted(catalog, least=None):
+        builds.append(catalog)
+        return walk(catalog, least)
 
-    monkeypatch.setattr(polytope, "_scan", counted)
+    monkeypatch.setattr(polytope, "walk_complex", counted)
     assert main(["verify", "--fixture", "d4"]) == 0
     assert "facets=50" in capsys.readouterr().out
     assert len(builds) == 1
@@ -219,7 +194,7 @@ def test_verify_builds_one_scan(monkeypatch, capsys):
 
 def test_axioms_fail_on_corrupted_complex():
     cx = build("a2")
-    broken = complex_of(cx.catalog, cx.faces.keys() - {(1 << cx.n) - 1})  # no zero facet
+    broken = complex_of(cx.catalog, oracle_faces(cx.catalog) - {(1 << cx.n) - 1})  # no zero facet
     report = verify_ap_axioms(broken)
     assert not report.ap4
     assert report.bad_ridges
@@ -233,9 +208,19 @@ def test_exchange_graph_polygons():
         assert is_single_cycle(adj)
 
 
-def _keeps_its_ridges(cx):
+def _keeps_its_ridges(cx, faces):
     """Every facet minus one vertex is a face."""
-    return all(f ^ 1 << v in cx.faces for f in cx.facets for v in ids_of(f))
+    return all(f ^ 1 << v in faces for f in cx.facets for v in ids_of(f))
+
+
+def _walked(cat):
+    """The walk's complex of the catalog with the oracle's face set."""
+    return build_complex(cat), oracle_faces(cat)
+
+
+def _made(cat, faces):
+    """The complex of a face set built in a test, with the face set."""
+    return complex_of(cat, faces), faces
 
 
 def test_exchange_graph_matches_the_ridge_scan():
@@ -243,34 +228,36 @@ def test_exchange_graph_matches_the_ridge_scan():
     # give: on every fixture, the windows, and every face-set mutant that
     # keeps its ridges
     whole = {name: build(name) for name in FINITE_FIXTURES}
-    complexes = list(whole.values())
-    complexes += [build_complex(rank2_sequences(fixture(name), t_max))
+    faces = {name: oracle_faces(cx.catalog) for name, cx in whole.items()}
+    complexes = [(cx, faces[name]) for name, cx in whole.items()]
+    complexes += [_walked(rank2_sequences(fixture(name), t_max))
                   for name in RANK2_INFINITE_FIXTURES for t_max in (0, 3, 10, 40)]
-    complexes += [complex_of(whole[name].catalog, faces)
-                  for name in ("a3", "b3", "d4") for faces in _mutants(whole[name]).values()]
-    complexes += [complex_of(cx.catalog, cx.faces.keys() - {f})
-                  for cx in whole.values() for f in cx.facets]
+    complexes += [_made(whole[name].catalog, mutant)
+                  for name in ("a3", "b3", "d4") for mutant in _mutants(whole[name]).values()]
+    complexes += [_made(cx.catalog, faces[name] - {f})
+                  for name, cx in whole.items() for f in cx.facets]
     a3 = whole["a3"]
-    complexes += [complex_of(a3.catalog, downward_closure(set(a3.facets) - set(pair)))
+    complexes += [_made(a3.catalog, downward_closure(set(a3.facets) - set(pair)))
                   for pair in combinations(a3.facets, 2)]
-    middle = min((f for f in whole["d4"].faces if f.bit_count() == 2), key=ids_of)
-    complexes.append(complex_of(whole["d4"].catalog, whole["d4"].faces.keys() - {middle}))
-    complexes += [build_complex(cat) for _, _, _, cat in _kernel_mutants()]
-    kept = [cx for cx in complexes if _keeps_its_ridges(cx)]
+    middle = min((f for f in faces["d4"] if f.bit_count() == 2), key=ids_of)
+    complexes.append(_made(whole["d4"].catalog, faces["d4"] - {middle}))
+    complexes += [_walked(cat) for _, _, _, cat in _kernel_mutants()]
+    kept = [(cx, faces) for cx, faces in complexes if _keeps_its_ridges(cx, faces)]
     # a3 and b3 lose a ridge with their mid-rank face
     assert len(complexes) - len(kept) == 2
-    for cx in kept:
-        assert exchange_graph(cx.facets) == oracle_exchange_graph(cx.faces, cx.n)
+    for cx, faces in kept:
+        assert exchange_graph(cx.facets) == oracle_exchange_graph(faces, cx.n)
 
 
 def test_exchange_graph_keeps_the_edge_of_a_missing_ridge():
     # a3 without one ridge held by two facets: the ridge scan loses their
     # edge, the facets keep it
     cx = build("a3")
-    ridge = min((f for f in cx.faces if f.bit_count() == cx.n - 1), key=ids_of)
-    mutant = complex_of(cx.catalog, cx.faces.keys() - {ridge})
+    faces = oracle_faces(cx.catalog)
+    ridge = min((f for f in faces if f.bit_count() == cx.n - 1), key=ids_of)
+    mutant = complex_of(cx.catalog, faces - {ridge})
     i, j = (k for k, f in enumerate(mutant.facets) if f & ridge == ridge)
-    oracle = oracle_exchange_graph(mutant.faces, mutant.n)
+    oracle = oracle_exchange_graph(faces - {ridge}, mutant.n)
     assert j not in oracle[i] and i not in oracle[j]
     assert exchange_graph(mutant.facets) == exchange_graph(cx.facets)
     oracle[i] = tuple(sorted(oracle[i] + (j,)))
@@ -294,8 +281,9 @@ def test_flag_check_agrees_with_literal_walk(name):
     # the walk's faces (every proper face of a facet lies in another one)
     whole = build(name)
     for dropped in (None,) + whole.facets:
-        cx = complex_of(whole.catalog, whole.faces.keys() - {dropped})
-        assert cx.faces.keys() == downward_closure(cx.facets)
+        faces = oracle_faces(whole.catalog) - {dropped}
+        cx = complex_of(whole.catalog, faces)
+        assert faces == downward_closure(cx.facets)
         report = verify_flag_connected(cx)
         assert report.ok == oracle_flags_connected(vertex_sets(cx.facets)), (name, dropped)
         assert report.ok == (dropped is None)
@@ -315,8 +303,7 @@ def test_strong_flag_fails_at_any_size(monkeypatch, capsys, tmp_path):
     assert len(decode_face(n, victim)[0]) == n
 
     def without_victim(catalog):
-        faces = build_complex(catalog).faces.keys()
-        return complex_of(catalog, faces - {victim})
+        return complex_of(catalog, oracle_faces(catalog) - {victim})
 
     monkeypatch.setattr(cli, "build_complex", without_victim)
     assert main(["verify", "--input", str(path)]) == 1
@@ -325,11 +312,11 @@ def test_strong_flag_fails_at_any_size(monkeypatch, capsys, tmp_path):
     assert "witness: strong-flag " in captured.err
 
 
-def _first_faulty_faces(cx):
+def _first_faulty_faces(cx, faces):
     """By brute force over vertex sets: the first face, by size and then
     vertex tuple, whose link is disconnected, and the first ridge not held by
     exactly two facets."""
-    faces = vertex_sets(cx.faces)
+    faces = vertex_sets(faces)
     facets = [f for f in faces if len(f) == cx.n]
     disconnected, thick = [], []
     for face in sorted(faces, key=lambda face: (len(face), sorted(face))):
@@ -378,9 +365,10 @@ def test_flag_witnesses_name_the_first_faulty_faces():
     kinds = set()
     for dropped in drops:
         kept = [f for f in whole.facets if f not in dropped]
-        cx = complex_of(whole.catalog, downward_closure(kept))
+        faces = downward_closure(kept)
+        cx = complex_of(whole.catalog, faces)
         report = verify_flag_connected(cx)
-        link, ridge = _first_faulty_faces(cx)
+        link, ridge = _first_faulty_faces(cx, faces)
         assert _vertex_set(report.coface_witness) == link, dropped
         assert _vertex_set(report.ridge_witness) == ridge, dropped
         assert report.cofaces_connected == (link is None)
@@ -393,25 +381,27 @@ def test_flag_witnesses_name_the_first_faulty_faces():
     assert kinds == {(1, True), (2, True), (2, False)}
 
 
-def _floods_agree(cx):
+def _floods_agree(cx, faces):
     """`_unreached` on the link of every face with at most n - 2 vertices
     equals what a breadth-first search on the face set leaves unreached,
-    and the links the small-link lemma leaves to flood find the same split
-    faces; the number of split links."""
+    and the split links of the complex, which the walk's loop floods only
+    where the small-link lemma leaves it to, are the faces it leaves
+    something unreached for; the number of split links."""
+    up = oracle_up(faces)
     split = []
-    for face in cx.faces:
+    for face in sorted(faces, key=lambda f: (f.bit_count(), ids_of(f))):
         if face.bit_count() <= cx.n - 2:
-            want = oracle_link_unreached(cx.faces, face)
-            assert _unreached(cx.faces, cx.faces[face], face) == want, ids_of(face)
+            want = oracle_link_unreached(faces, face)
+            assert _unreached(link_ups(up, face), up[face]) == want, ids_of(face)
             if want:
                 split.append(face)
-    assert sorted(_split_links(cx)) == sorted(split)
+    assert cx.split == split
     return len(split)
 
 
 @pytest.mark.parametrize("name", FINITE_FIXTURES)
 def test_link_floods_match_a_breadth_first_search(name):
-    assert _floods_agree(build(name)) == 0
+    assert _floods_agree(*_walked(positive_roots(fixture(name)))) == 0
 
 
 def test_split_link_floods_match_a_breadth_first_search():
@@ -419,8 +409,8 @@ def test_split_link_floods_match_a_breadth_first_search():
     # vertex whose link splits, and the flood must miss what the search misses
     whole = build("a3")
     drops = [(a,) for a in whole.facets] + list(combinations(whole.facets, 2))
-    split = sum(_floods_agree(complex_of(whole.catalog,
-                                         downward_closure(set(whole.facets) - set(drop))))
+    split = sum(_floods_agree(*_made(whole.catalog,
+                                     downward_closure(set(whole.facets) - set(drop))))
                 for drop in drops)
     assert split > 0
 
@@ -437,59 +427,46 @@ def _counted_floods(monkeypatch):
     return calls
 
 
-def test_every_link_is_flooded_when_a_face_lost_a_subface(monkeypatch):
-    # d4 without one face of two vertices: the faces above it lose it, the
-    # lemma does not hold, and every face below ridge size is flooded
-    cx = build("d4")
-    middle = min((f for f in cx.faces if f.bit_count() == 2), key=ids_of)
-    mutant = complex_of(cx.catalog, cx.faces.keys() - {middle})
-    assert not verify_ap_axioms(mutant).simplicial
-    assert _flood_floor(mutant) == [0] * (cx.n - 1)
-    calls = _counted_floods(monkeypatch)
-    _split_links(mutant)
-    assert len(calls) == sum(1 for f in mutant.faces if f.bit_count() <= cx.n - 2)
-    _floods_agree(mutant)
-
-
 def _linear_a6():
-    """The complex of A6 oriented 1 -> 2 -> ... -> 6."""
+    """A fresh catalog of A6 oriented 1 -> 2 -> ... -> 6, its complex not
+    yet built."""
     n = 6
     cartan = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
               for i in range(n)]
-    return build_complex(positive_roots(build_algebra(cartan, [1] * n,
-                                                      [(i, i + 1) for i in range(n - 1)])))
+    return positive_roots(build_algebra(cartan, [1] * n, [(i, i + 1) for i in range(n - 1)]))
 
 
 def test_flood_count_on_a6(monkeypatch):
     # a work count, not a time: the linear A6 floods 54 of its 2,563 links
     # below ridge size; the other links are below the lemma's floor
-    n, cx = 6, _linear_a6()
-    assert sum(1 for f in cx.faces if f.bit_count() <= n - 2) == 2563
-    assert _flood_floor(cx) == [30, 20, 14, 10, 6]
+    n, cat = 6, _linear_a6()
+    assert sum(1 for f in oracle_faces(cat) if f.bit_count() <= n - 2) == 2563
     calls = _counted_floods(monkeypatch)
+    cx = build_complex(cat)
+    assert _flood_floor(cx.scan.least, n) == [30, 20, 14, 10, 6]
     assert verify_flag_connected(cx).ok
     assert len(calls) == 54
 
 
-class _CountedLevel(dict):
-    """A level that counts its lookups by key, the floods' up lookups."""
+class _CountedLinks(list):
+    """A flood's lookups, counted: the lifts, by position in the vertex pool."""
 
     lookups = 0
 
-    def __getitem__(self, face):
-        _CountedLevel.lookups += 1
-        return super().__getitem__(face)
+    def __getitem__(self, position):
+        _CountedLinks.lookups += 1
+        return super().__getitem__(position)
 
 
 def test_floods_stop_by_the_small_link_lemma(monkeypatch):
     # a work count, not a time: on linear A6 each of the 54 floods stops
     # after its first up lookup, as soon as fewer link vertices are unseen
     # than a second component would need; floods run to the end took 256
-    cx = _linear_a6()
-    cx.levels = [_CountedLevel(level) for level in cx.levels]
-    monkeypatch.setattr(_CountedLevel, "lookups", 0)
-    assert verify_flag_connected(cx).ok
-    assert _CountedLevel.lookups == 54
+    monkeypatch.setattr(_CountedLinks, "lookups", 0)
+    monkeypatch.setattr(polytope, "_unreached", lambda links, within, spare=0: _unreached(
+        _CountedLinks(links), within, spare))
+    assert verify_flag_connected(build_complex(_linear_a6())).ok
+    assert _CountedLinks.lookups == 54
 
 
 def test_split_links_match_full_floods_on_the_kernel_mutants():
@@ -499,7 +476,7 @@ def test_split_links_match_full_floods_on_the_kernel_mutants():
     witnesses = {}
     for name, i, j, cat in _kernel_mutants():
         cx = build_complex(cat)
-        if _floods_agree(cx):
+        if _floods_agree(cx, oracle_faces(cat)):
             witnesses[name, i, j] = ids_of(verify_flag_connected(cx).coface_witness)
     assert witnesses == {("b3", 4, 5): (7,), ("c3", 3, 4): (6,), ("d4", 6, 7): (10,)}
 
@@ -511,43 +488,24 @@ def test_widest_up_matches_its_oracle():
     complexes += [build_complex(cat) for _, _, _, cat in _kernel_mutants()]
     assert len(complexes) == len(FINITE_FIXTURES) + 153
     for cx in complexes:
-        faces = cx.faces.keys()
+        faces = oracle_faces(cx.catalog)
         assert cx.scan.widest == oracle_widest_up(faces, oracle_up(faces))
 
 
-class _ScannedLevel(dict):
-    """A level that notes whether its faces were read in bulk; a lookup by
-    key, as a flood from the level below makes, is not noted."""
-
-    scanned = False
-
-    def __iter__(self):
-        self.scanned = True
-        return super().__iter__()
-
-    def keys(self):
-        self.scanned = True
-        return super().keys()
-
-    def values(self):
-        self.scanned = True
-        return super().values()
-
-    def items(self):
-        self.scanned = True
-        return super().items()
-
-
-def test_floods_scan_no_level_below_its_floor():
-    # linear A6: the floods skip a level whose widest link is below its
-    # floor without reading its faces, and read every other level
-    n, cx = 6, _linear_a6()
-    floor, widest = _flood_floor(cx), cx.scan.widest
+def test_floods_scan_no_level_below_its_floor(monkeypatch):
+    # linear A6: a face whose level's widest link is below its floor is
+    # never flooded, and every other level floods; each flood's spare, one
+    # less than half its floor, names its level
+    n, cat = 6, _linear_a6()
+    spares = []
+    monkeypatch.setattr(polytope, "_unreached", lambda links, within, spare=0: (
+        spares.append(spare), _unreached(links, within, spare))[1])
+    cx = build_complex(cat)
+    floor, widest = _flood_floor(cx.scan.least, n), cx.scan.widest
     skipped = [k for k, need in enumerate(floor) if widest[k] < need]
     assert skipped == [0, 3, 4]
-    cx.levels = [_ScannedLevel(level) for level in cx.levels]
     assert verify_flag_connected(cx).ok
-    assert [k for k in range(n - 1) if cx.levels[k].scanned] == [1, 2]
+    assert sorted({floor.index(2 * (1 + spare)) for spare in spares}) == [1, 2]
 
 
 def _kernel_mutants():
@@ -586,10 +544,12 @@ def test_walk_kernel_mutants_fail_a_face_check():
 
 
 def test_walk_up_is_the_oracle_sweep():
-    # the up masks that the walk hands over are, key for key, what the
-    # sweep over every face minus one vertex finds, and the sweep finds no
-    # lost subface: on every finite fixture, rank-2 windows, every kernel
-    # mutant and two drawn orientations of A6, B6, D6, E6 and E7
+    # the record that the walk's loop reads off its masks is, field by
+    # field, the one the oracles find on the oracle's face set (the sweep
+    # over every face minus one vertex for the up masks, a breadth-first
+    # search for each link), and the sweep finds no lost subface: on every
+    # finite fixture, rank-2 windows, every kernel mutant and two drawn
+    # orientations of A6, B6, D6, E6 and E7
     catalogs = [positive_roots(fixture(name)) for name in FINITE_FIXTURES]
     catalogs += [rank2_sequences(fixture(name), t_max) for name in RANK2_INFINITE_FIXTURES
                  for t_max in (0, 3, 10, 40, 200)]
@@ -599,10 +559,28 @@ def test_walk_up_is_the_oracle_sweep():
                  for directions in _orientations(name, 2)]
     assert len(catalogs) == 182
     for cat in catalogs:
-        faces = build_complex(cat).faces
-        up = oracle_up(faces)
-        assert len(up) == len(faces)
-        assert faces == up
+        walk, oracle = build_complex(cat), complex_of(cat, oracle_faces(cat))
+        assert oracle.scan.lost_faces == walk.scan.lost_faces == []
+        assert sorted(walk.faces) == sorted(oracle.faces)
+        assert walk.facets == oracle.facets
+        assert walk.scan == oracle.scan
+        assert walk.split == oracle.split
+        assert walk.vertex_up == oracle.vertex_up
+
+
+def test_the_facets_command_lists_the_facets_verify_counts():
+    # one facet rule: on every kernel mutant the catalog's facets, which
+    # `facets`, `graph` and `descent` print, are the faces with n vertices
+    # that `verify` counts, in the same order; a3 with compat bits 0 and 1
+    # flipped has 17 of them
+    counts = {}
+    for name, i, j, cat in _kernel_mutants():
+        n = cat.algebra.n
+        listed = enumerate_support_tilting(cat)
+        assert listed == list(build_complex(cat).facets)
+        assert listed == sort_facets(f for f in oracle_faces(cat) if f.bit_count() == n)
+        counts[name, i, j] = len(listed)
+    assert len(counts) == 153 and counts["a3", 0, 1] == 17
 
 
 def test_strong_flag_fails_on_a_non_pure_complex():
@@ -660,7 +638,7 @@ def test_window_checks_fail_on_dropped_facet(monkeypatch, capsys):
     # drop one neighbour pair from the middle of the forward family: the facet
     # list is wrong, its two members lie in one facet each, and the path splits
     cat = rank2_sequences(fixture("kronecker"), 4)
-    faces = build_complex(cat).faces.keys()
+    faces = oracle_faces(cat)
     pairs = sorted((f for f in faces if (f >> 2).bit_count() == 2), key=lambda f: ids_of(f >> 2))
     victim = pairs[len(pairs) // 4]
     window = rank2_window_complex(complex_of(cat, faces - {victim}))
@@ -672,7 +650,7 @@ def test_window_checks_fail_on_dropped_facet(monkeypatch, capsys):
     assert window.facet_witness == victim and window.vertex_witness == victim & -victim
 
     monkeypatch.setattr(cli, "build_complex", lambda catalog: complex_of(
-        catalog, build_complex(catalog).faces.keys() - {victim}))
+        catalog, oracle_faces(catalog) - {victim}))
     assert main(["verify", "--fixture", "kronecker", "--t-max", "4"]) == 1
     captured = capsys.readouterr()
     out = captured.out

@@ -34,12 +34,12 @@ from oracles import (
     oracle_canonical_completions,
     oracle_cliques,
     oracle_det,
+    oracle_faces,
     oracle_facets,
     oracle_matchings,
     oracle_rigid_sets,
     oracle_support,
 )
-from test_scale import _algebra, _orientations
 
 
 def dimvs_of(cat, ids):
@@ -85,8 +85,8 @@ def test_window_facet_order_is_the_vertex_tuple_order(name):
     # 806-bit facets at t_max 200
     cat = catalog_for(fixture(name), t_max=200)
     assert max(cat.facets).bit_length() > 800
-    faces = build_complex(cat).faces
-    assert list(cat.facets) == sorted((f for f in faces if f.bit_count() == 2), key=ids_of)
+    assert list(cat.facets) == sorted((f for f in oracle_faces(cat) if f.bit_count() == 2),
+                                      key=ids_of)
 
 
 @pytest.mark.parametrize("name", sorted(KNOWN_FACET_COUNTS))
@@ -306,20 +306,6 @@ DRAWN = {
 }
 
 
-def _levels_follow_the_walk(cat, items):
-    """Each level of `rigid_faces` holds the faces of its size that the
-    oracle's rigid sets span, in their walk order, each set's faces by
-    descending sigma."""
-    n, everything, faces = cat.algebra.n, (1 << cat.algebra.n) - 1, []
-    for members, supp, _ in items:
-        free = everything & ~supp
-        faces += [members << n | sigma for sigma in range(free, -1, -1) if sigma & ~free == 0]
-    levels = tilting.rigid_faces(cat)
-    assert len(levels) == n + 1
-    for k, level in enumerate(levels):
-        assert list(level) == [face for face in faces if face.bit_count() == k]
-
-
 @pytest.mark.parametrize("name", FINITE_FIXTURES + tuple(DRAWN))
 def test_walk_yields_member_and_support_masks(name):
     # the reference walk's (members, support, cand) triples against the
@@ -327,8 +313,7 @@ def test_walk_yields_member_and_support_masks(name):
     # pre-order (ascending id tuples, a set before its extensions), each
     # with its support's mask and the members that extend it to a rigid
     # set; `iter_rigid_sets` yields them item for item in face coordinates
-    # (size, top, reach), and each level of `rigid_faces` holds the sets'
-    # faces of its size in that order
+    # (size, top, reach)
     alg = DRAWN[name]() if name in DRAWN else fixture(name)
     cat = positive_roots(alg)
     items = list(oracle_cliques(cat))
@@ -351,18 +336,6 @@ def test_walk_yields_member_and_support_masks(name):
         assert (size, top >> n, reach & everything, reach >> n) == (
             members.bit_count(), members, everything & ~supp, cand)
         assert top & everything == 0
-    _levels_follow_the_walk(cat, items)
-
-
-def test_levels_follow_the_walk_on_drawn_types_and_windows():
-    # the level-order pin of the test above on one drawn orientation each
-    # of A6, D6, E6, B6 and E7, and on the rank-2 windows
-    catalogs = [positive_roots(_algebra(name, _orientations(name, 1)[0]))
-                for name in ("A6", "D6", "E6", "B6", "E7")]
-    catalogs += [rank2_sequences(fixture(name), t_max) for name in RANK2_INFINITE_FIXTURES
-                 for t_max in (0, 3, 10, 200)]
-    for cat in catalogs:
-        _levels_follow_the_walk(cat, oracle_cliques(cat))
 
 
 def test_faces_rebuild_no_member_or_support_mask(monkeypatch):
@@ -378,7 +351,7 @@ def test_faces_rebuild_no_member_or_support_mask(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
     cat = positive_roots(fixture("d4"))
-    assert 0 in cat.faces[0] and len(cat.facets) == KNOWN_FACET_COUNTS["d4"]
+    assert build_complex(cat).scan.ap1 and len(cat.facets) == KNOWN_FACET_COUNTS["d4"]
     assert calls == []
     bongartz(cat, (0,))  # the wrappers count when called
     assert sorted(set(calls)) == ["mask_of", "support_of"]
