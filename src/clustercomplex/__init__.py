@@ -17,7 +17,6 @@ from .homext import (
     support,
 )
 from .measure import (
-    descent_path,
     descent_step,
     mu,
     verify_descent,

@@ -28,7 +28,6 @@ from .errors import (
 from .fixtures import fixture, fixture_names
 from .homext import hom_ext, ids_of
 from .measure import (
-    descent_path,
     mu,
     verify_descent,
     verify_endos_all,
@@ -235,16 +234,14 @@ def _cmd_descent(args) -> int:
     if catalog.kind != FINITE:
         raise UnsupportedAlgebra("descent requires a representation-finite algebra")
     zero = zero_facet(catalog)
-    facets = _by_members(catalog.algebra.n, enumerate_support_tilting(catalog))
+    report = verify_descent(catalog)
     # paths share their tails, so each facet is labelled once for the run
     label = functools.cache(functools.partial(face_label, catalog))
-    all_ok = True
-    for start in facets:
-        path = descent_path(catalog, start)
+    for start in _by_members(catalog.algebra.n, report.steps):
+        path = report.path(start)
         ok = path[-1] == zero
-        all_ok = all_ok and ok
         print(f"{'ok ' if ok else 'FAIL'} steps={len(path) - 1}  " + " -> ".join(map(label, path)))
-    return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
+    return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
 def _cmd_total_order(args) -> int:

@@ -32,11 +32,16 @@ unless f has no members and its key is a proper prefix of g's.  If g has
 fewer, the key rises, unless g has no members and its key is a proper
 prefix of f's.  Only on a tie are the keys compared: the keys of the descent
 moves and the zero facet come from one table per `verify_descent` call,
-and any other facet's key is computed (a lone `descent_path` builds no
-table).  The rule holds for facets of any size, as a patched step may
-return.  It is stated once, over lists of steps (`_drops`): `verify_descent`
-decides every facet's step in one call, counts and member tests in C, and
-a single walk asks about one step at a time.
+and any other facet's key is computed.  The rule holds for facets of any
+size, as a patched step may return.  It is stated once, over lists of
+steps (`_drops`), counts and member tests in C.
+
+The descent is walked once, by `verify_descent`: its report keeps the
+step map `after`, each walked facet to the facet its step moves it to
+where that step drops the key, and `DescentReport.path` follows it, so the
+`descent` command prints the walks that the check decided on.  A step
+target off the facet list, which only a patched step or a wrong kernel
+gives, takes its own step the same way, through `_drops`.
 
 `verify_descent` and `verify_endos_all` do their per-facet work in passes
 over the whole facet list (`map`, `filterfalse`, `compress`), with one
@@ -118,8 +123,8 @@ def descent_step(catalog: RootCatalog, facet: int) -> int:
     of `RootCatalog.measure_order` in the facet.  When M is the whole facet
     and lives on a single vertex, drop it for the zero facet.  Otherwise
     return M's descent move: whichever of the two canonical in-support
-    completions of M has the smaller lambda key.  The walk (`_descend`)
-    checks that the move drops the facet's lambda key.
+    completions of M has the smaller lambda key.  The walk
+    (`verify_descent`) checks that the move drops the facet's lambda key.
     """
     members = facet >> catalog.algebra.n
     if not members:
@@ -154,38 +159,26 @@ def _drops(catalog: RootCatalog, nexts: Sequence[int], facets: Sequence[int],
     return drops
 
 
-def _descend(catalog: RootCatalog, facet: int, keys: dict[int, tuple[int, ...]]) -> int | None:
-    """The next facet of the descent, or None where the walk stops: at the
-    zero facet, and before a step that fails to drop the lambda key."""
-    if facet == zero_facet(catalog):
-        return None
-    nxt = descent_step(catalog, facet)
-    return nxt if _drops(catalog, [nxt], [facet], keys)[0] else None
-
-
-def descent_path(catalog: RootCatalog, facet: int) -> list[int]:
-    """The descent from `facet` towards the zero facet, `facet` first.
-
-    The walk stops where `_descend` stops it, at the zero facet or where
-    the descent stalled, which is then the last facet of the path.  Each
-    step drops the lambda key, and the keys of a finite catalog cannot drop
-    forever, so no step bound is needed and no facet list is built.
-    """
-    path = [facet]
-    while (nxt := _descend(catalog, path[-1], {})) is not None:
-        path.append(nxt)
-    return path
-
-
 @dataclass
 class DescentReport:
     """`stalled` lists, by ascending vertex tuple, the facets other than the
-    zero facet where a walk stops: the witnesses of a failed descent."""
+    zero facet where a walk stops: the witnesses of a failed descent.
+    `after` maps each walked facet whose step drops the lambda key to the
+    facet that step moves it to."""
 
     ok: bool
     steps: dict[int, int]
     max_steps: int
     stalled: list[int]
+    after: dict[int, int]
+
+    def path(self, facet: int) -> list[int]:
+        """The walk from `facet`, `facet` first, by `after`: it ends at the
+        zero facet, or where the descent stalled."""
+        path = [facet]
+        while (nxt := self.after.get(path[-1])) is not None:
+            path.append(nxt)
+        return path
 
 
 def verify_descent(catalog: RootCatalog) -> DescentReport:
@@ -196,30 +189,39 @@ def verify_descent(catalog: RootCatalog) -> DescentReport:
     walk never revisits a facet and takes fewer than len(facets) steps; no
     step bound is needed.  The work goes in whole-list passes: every facet
     but the zero facet takes one `descent_step` and the drop rule decides
-    all of those steps at once (`_drops`).  Walks share their tails, and
-    every walk of more than one step runs through a step target, so only
-    the targets are walked, each (steps, end) recorded once; a target
-    outside the facet list, which only a patched step gives, takes its own
-    step by `_descend`.  A facet whose step drops then has one step more
+    all of those steps at once (`_drops`).  Off-list rule: a target outside
+    the facet list, which only a patched step or a wrong kernel gives,
+    takes its step in the same form, one layer of such targets at a time.
+    Walks share their tails, and every walk of more than one step runs
+    through a step target, so only the targets are walked, each (steps,
+    end) recorded once.  A facet whose step drops then has one step more
     than its target and the same end, and any other facet ends where it
-    is.  `steps[f]` is what `descent_path(catalog, f)` gives.
+    is.  `steps[f]` is the length of `path(f)` less one.
     """
     facets = enumerate_support_tilting(catalog)
     zero = zero_facet(catalog)
+    step = partial(descent_step, catalog)
     # the keys of the facets an unpatched step can reach
     keys = {f: lambda_key(catalog, f) for f in (*catalog.descent_moves, zero)}
     movers = list(filter(zero.__ne__, facets))
-    targets = list(map(partial(descent_step, catalog), movers))
+    targets = list(map(step, movers))
     drops = _drops(catalog, targets, movers, keys)
     steps = dict.fromkeys(facets, 0)
     after = dict(compress(zip(movers, targets), drops))  # the steps that drop
+    fresh = list(filterfalse(steps.__contains__, dict.fromkeys(after.values())))
+    seen = set(fresh)  # the walked facets off the list
+    while fresh:
+        nexts = list(map(step, fresh))
+        moved = dict(compress(zip(fresh, nexts), _drops(catalog, nexts, fresh, keys)))
+        after.update(moved)
+        fresh = [t for t in dict.fromkeys(moved.values()) if t not in steps and t not in seen]
+        seen.update(fresh)
     walks: dict[int, tuple[int, int]] = {}
     for start in dict.fromkeys(targets):
         path = [start]
         while path[-1] not in walks:
             facet = path[-1]
-            nxt = after.get(facet) if facet in steps else _descend(catalog, facet, keys)
-            if nxt is None:
+            if (nxt := after.get(facet)) is None:
                 walks[facet] = (0, facet)
             else:
                 path.append(nxt)
@@ -233,7 +235,7 @@ def verify_descent(catalog: RootCatalog) -> DescentReport:
     # a facet that does not stall ends where the walk of its target ends
     ok = not stalled and all(end == zero for _, end in walks.values())
     return DescentReport(ok=ok, steps=steps, max_steps=max(steps.values(), default=0),
-                         stalled=stalled)
+                         stalled=stalled, after=after)
 
 
 @dataclass

@@ -21,10 +21,10 @@ vertex set of the link of F, and it decides every check.  One loop over
 the rigid-set walk (`walk_complex`) visits each face (T, sigma) once and
 reads its up off the rigid set's masks (the up lemma in `tilting`), so no
 face is kept: the loop keeps the facets, the up popcount of every face
-filed by its number of vertices (the fewest and the most of each size are
-taken in C at the end), the thick ridges, the short maximal faces and the
-split links.  The walk's faces are down-closed, so no face loses a subface
-and every subset of a face is a face (simpliciality), and the middle of
+filed by its number of vertices (the fewest of each size is taken in C at
+the end), the thick ridges, the short maximal faces and the split links.
+The walk's faces are down-closed, so no face loses a subface and every
+subset of a face is a face (simpliciality), and the middle of
 the interval from U - {a, b} up to U, U - a and U - b, exists (the inner
 diamonds).  A face with an empty up is maximal, and AP2 asks that it have
 n vertices; only (T, free) can be maximal among the faces of T, so it is
@@ -140,7 +140,7 @@ class AxiomReport:
     each by size and then vertex tuple.  `short_face`, the witness of AP2,
     is the first maximal face without n vertices in that order, or None.
     `least[k]`, for the flood floors, is the fewest up bits of a face with
-    k vertices, and `widest[k]` the most."""
+    k vertices."""
 
     ap1: bool
     ap2: bool
@@ -150,7 +150,6 @@ class AxiomReport:
     short_face: Face | None
     lost_faces: list[Face]
     least: dict[int, int]
-    widest: dict[int, int]
 
     @property
     def ok(self) -> bool:
@@ -269,8 +268,7 @@ def walk_complex(catalog: RootCatalog, least: Mapping[int, int] | None = None) -
                        bad_ridges=thick,
                        short_face=min(short, key=_face_key, default=None),
                        lost_faces=[],
-                       least=found,
-                       widest={k: max(level) for k, level in enumerate(counts) if level})
+                       least=found)
     return ClusterComplex(catalog=catalog, facets=facets, faces=faces, scan=scan,
                           split=sorted(split, key=_face_key), vertex_up=lift)
 

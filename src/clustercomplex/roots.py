@@ -289,9 +289,10 @@ def rank2_sequences(algebra: AlgebraData, t_max: int) -> RootCatalog:
     projectives and injectives.  In the finite case the two families exhaust
     each other and the merged catalog is the set of positive roots, kept
     here in quiver order: there t_max cuts nothing, and each chain runs
-    until it leaves the positive cone (within 6 terms).  In the infinite
-    case the families stay disjoint, each is cut at 2(t_max + 1) terms and
-    each term is tagged with its family.
+    until it leaves the positive cone.  It holds distinct positive roots, at
+    most G2's six, so it is cut at 6 terms, a bound of its own.  In the
+    infinite case the families stay disjoint, each is cut at 2(t_max + 1)
+    terms and each term is tagged with its family.
     """
     if algebra.n != 2:
         raise NotRankTwo("rank2_sequences requires exactly two vertices")
@@ -301,7 +302,7 @@ def rank2_sequences(algebra: AlgebraData, t_max: int) -> RootCatalog:
     src, snk = rank2_roles(algebra)
     r = -algebra.cartan[src][snk]
     s = -algebra.cartan[snk][src]
-    steps = ROOT_LIMIT if kind == FINITE else 2 * (t_max + 1)
+    steps = 6 if kind == FINITE else 2 * (t_max + 1)
     # (src, snk) coordinates are vertex order unless the arrow runs 1 -> 0
     prep, prei = (chain if src == 0 else [x[::-1] for x in chain]
                   for chain in shift_families(r, s, steps))

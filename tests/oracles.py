@@ -28,17 +28,17 @@ such facets spans, and `oracle_faces` the faces of a catalog, each set of
 package keeps no face: its complex is one record of checks that one loop
 over the rigid-set walk reads off masks.  `complex_of` builds that record
 for a face set built in a test, from the oracles alone: `oracle_up` for
-the up masks, `oracle_short_face`, `oracle_bad_ridges`, `oracle_lost`,
-`oracle_least_up` and `oracle_widest_up` for the axioms, and
-`oracle_link_unreached` on every face with at most n - 2 vertices for
-the split links.  Four
-oracles keep the package's earlier, layered code as references for the
-code that replaced it: `oracle_cliques` is the rigid-set walk as its own
-generator of (member, support, cand) masks, `oracle_member_moves` reads
-each descent move through the public, validated completions,
+the up masks, `oracle_short_face`, `oracle_bad_ridges`, `oracle_lost` and
+`oracle_least_up` for the axioms, and `oracle_link_unreached` on every
+face with at most n - 2 vertices for the split links; `oracle_widest_up`
+gives the most up bits per level, which tells the levels the floods skip.
+Four oracles keep the package's earlier, layered code as references for
+the code that replaced it: `oracle_cliques` is the rigid-set walk as its
+own generator of (member, support, cand) masks, `oracle_member_moves`
+reads each descent move through the public, validated completions,
 `oracle_verify_descent` is the descent check as one memo walk per facet,
-a step at a time, and `oracle_root_closure` finds the positive roots by
-reflecting every root at every vertex.
+a step at a time, that keeps every facet's walk, and `oracle_root_closure`
+finds the positive roots by reflecting every root at every vertex.
 """
 
 from fractions import Fraction
@@ -157,7 +157,7 @@ def complex_of(catalog, faces):
     scan = AxiomReport(ap1=0 in faces and bool(facets), ap2=short is None,
                        ap4=not bad and not any(lost), simplicial=not lost,
                        bad_ridges=bad, short_face=short, lost_faces=lost,
-                       least=oracle_least_up(faces, up), widest=oracle_widest_up(faces, up))
+                       least=oracle_least_up(faces, up))
     split = sorted((face for face in faces if face.bit_count() <= n - 2
                     and oracle_link_unreached(faces, face, width)), key=_by_size_then_vertices)
     return ClusterComplex(catalog=catalog, facets=facets,
@@ -540,11 +540,13 @@ def oracle_lambda_vector(n, squares, facet):
 
 
 def oracle_verify_descent(catalog, step):
-    """The descent report of the package's earlier `verify_descent`: a
-    walk from each facet not yet recorded, one `step(catalog, facet)` per
-    facet it reaches but the zero facet, stopping before a step whose
-    lambda vector does not drop (`oracle_lambda_vector`), and each facet's
-    (steps, end) recorded once, so that walks share their tails."""
+    """The descent report of the package's earlier `verify_descent`, and
+    the walk of every facet it reaches as a tuple, that facet first: a walk
+    from each facet not yet recorded, one `step(catalog, facet)` per facet
+    it reaches but the zero facet, stopping before a step whose lambda
+    vector does not drop (`oracle_lambda_vector`), and each facet's walk
+    recorded once, so that walks share their tails.  The report's step map
+    `after` is each walk's second facet."""
     n, squares = catalog.algebra.n, catalog.mu_squares
     zero = (1 << n) - 1
     facets = list(catalog.facets)
@@ -556,17 +558,19 @@ def oracle_verify_descent(catalog, step):
             nxt = None if facet == zero else step(catalog, facet)
             if nxt is None or not (oracle_lambda_vector(n, squares, nxt)
                                    < oracle_lambda_vector(n, squares, facet)):
-                walks[facet] = (0, facet)
+                walks[facet] = (facet,)
             else:
                 path.append(nxt)
-        count, end = walks[path.pop()]
+        walk = walks[path.pop()]
         for facet in reversed(path):
-            count += 1
-            walks[facet] = (count, end)
-    steps = {f: walks[f][0] for f in facets}
-    return DescentReport(ok=all(walks[f][1] == zero for f in facets), steps=steps,
-                         max_steps=max(steps.values(), default=0),
-                         stalled=[f for f in facets if f != zero and walks[f] == (0, f)])
+            walk = (facet,) + walk
+            walks[facet] = walk
+    steps = {f: len(walks[f]) - 1 for f in facets}
+    report = DescentReport(ok=all(walks[f][-1] == zero for f in facets), steps=steps,
+                           max_steps=max(steps.values(), default=0),
+                           stalled=[f for f in facets if f != zero and walks[f] == (f,)],
+                           after={f: walk[1] for f, walk in walks.items() if len(walk) > 1})
+    return report, walks
 
 
 def oracle_det(matrix):

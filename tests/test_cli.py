@@ -93,10 +93,17 @@ def test_verify_unsupported(capsys):
 
 
 def test_search_limit_is_out_of_range(monkeypatch, capsys):
+    demo = run(capsys, "g2-demo")
     monkeypatch.setattr(roots, "ROOT_LIMIT", 5)
     code, out, err = run(capsys, "verify", "--fixture", "a3")
     assert code == 4 and out == ""
     assert err == "error: more than 5 root candidates\n"
+    # the limit bounds the root search alone: a finite rank-2 chain has a
+    # bound of its own, so G2 keeps its six roots in quiver order
+    monkeypatch.setattr(roots, "ROOT_LIMIT", 2)
+    assert roots.rank2_sequences(fixture("g2"), 10).dimvs() == [
+        (0, 1), (1, 3), (1, 2), (2, 3), (1, 1), (1, 0)]
+    assert run(capsys, "g2-demo") == demo
 
 
 def test_failed_checks_print_witnesses(monkeypatch, capsys):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from clustercomplex import cli
+from clustercomplex import cli, polytope
 from clustercomplex.cli import main
 from clustercomplex.fixtures import fixture_names
 
@@ -49,22 +49,29 @@ def test_cli_output_is_frozen(golden, case):
 
 @pytest.mark.parametrize("case", [case for case in CASES if case.startswith("graph")])
 def test_graph_builds_no_complex(golden, case, monkeypatch):
-    # `graph` reads the catalog's facets alone: it builds no complex, and
-    # the catalog keeps no face dict
+    # `graph` builds no complex of its own: it reads the catalog's facets,
+    # which one `polytope.walk_complex` per catalog gives, and it never
+    # calls `cli.build_complex`
     def no_complex(catalog):
-        raise AssertionError("graph built a complex")
+        raise AssertionError("graph called build_complex")
 
     catalogs, catalog_for = [], cli.catalog_for
+    walked, walk = [], polytope.walk_complex
 
     def kept(algebra, t_max):
         catalogs.append(catalog_for(algebra, t_max=t_max))
         return catalogs[-1]
 
+    def counted(catalog, *args):
+        walked.append(catalog)
+        return walk(catalog, *args)
+
     monkeypatch.setattr(cli, "build_complex", no_complex)
     monkeypatch.setattr(cli, "catalog_for", kept)
+    monkeypatch.setattr(polytope, "walk_complex", counted)
     assert _run(case) == golden[case]
     assert len(catalogs) == (golden[case]["exit"] == 0)
-    assert all("faces" not in vars(catalog) for catalog in catalogs)
+    assert list(map(id, walked)) == list(map(id, catalogs))
 
 
 if __name__ == "__main__":

@@ -12,10 +12,8 @@ from clustercomplex import (
     FINITE_FIXTURES,
     RANK2_INFINITE_FIXTURES,
     RootCatalog,
-    bongartz,
     build_algebra,
     decode_face,
-    descent_path,
     descent_step,
     enumerate_support_tilting,
     fixture,
@@ -211,7 +209,8 @@ def test_descent_step_matches_the_least_measure_rule(name):
 
 
 def test_verify_descent_fixtures():
-    # the shared-tail report gives every facet the steps of its own walk
+    # the shared-tail report gives every facet the steps of its own walk,
+    # and its step map gives the walk the reference walk takes
     for name in FINITE_FIXTURES:
         cat = positive_roots(fixture(name))
         facets = enumerate_support_tilting(cat)
@@ -219,8 +218,10 @@ def test_verify_descent_fixtures():
         assert report.ok and report.stalled == []
         assert report.max_steps <= len(facets)
         assert list(report.steps) == facets
+        _, walks = oracle_verify_descent(cat, descent_step)
         for f in facets:
-            path = descent_path(cat, f)
+            path = report.path(f)
+            assert path == list(walks[f])
             assert report.steps[f] == len(path) - 1
             assert path[-1] == zero_facet(cat)
 
@@ -237,9 +238,11 @@ def test_descent_stalls_where_the_vector_does_not_drop(monkeypatch):
                         lambda catalog, facet: facet if facet == victim else step(catalog, facet))
     report = verify_descent(cat)
     assert not report.ok
+    _, walks = oracle_verify_descent(cat, measure.descent_step)
     stalled = []
     for f in facets:
-        path = descent_path(cat, f)
+        path = report.path(f)
+        assert path == list(walks[f])
         assert report.steps[f] == len(path) - 1
         if path[-1] == victim:
             stalled.append(f)
@@ -266,7 +269,8 @@ def test_each_step_is_compared_with_the_facet_before_it(monkeypatch):
     report = verify_descent(cat)
     assert not report.ok and report.stalled == [y]
     assert report.steps[x] == 1
-    assert descent_path(cat, x) == [x, y]
+    assert report.path(x) == [x, y]
+    assert oracle_verify_descent(cat, measure.descent_step)[1][x] == (x, y)
 
 
 def _any_facet(rng, cat, size, members):
@@ -317,7 +321,8 @@ def test_a_step_to_higher_ranks_stalls_there(monkeypatch):
     report = verify_descent(cat)
     assert not report.ok and report.stalled == [victim]
     assert report.steps[victim] == 0 and list(report.steps) == facets
-    assert descent_path(cat, victim) == [victim]
+    assert report.path(victim) == [victim]
+    assert oracle_verify_descent(cat, measure.descent_step)[1][victim] == (victim,)
 
 
 @functools.cache
@@ -332,7 +337,8 @@ def test_verify_descent_is_the_memo_walk(name, seed, moved, off_list):
     # a random step map patched in: `moved` facets step to a random facet
     # or to one of `off_list` masks outside the facet list, which take the
     # unpatched step; the report is the memo walk's in every field, the
-    # order of `steps` included
+    # order of `steps` included, and its walk from every facet the memo
+    # walk reaches is the memo walk's
     cat, rng = _fixture_catalog(name), random.Random(seed)
     n, facets = cat.algebra.n, list(cat.facets)
     pool = list(facets)
@@ -348,19 +354,11 @@ def test_verify_descent_is_the_memo_walk(name, seed, moved, off_list):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(measure, "descent_step", routed)
         report = verify_descent(cat)
-    want = oracle_verify_descent(cat, routed)
+    want, walks = oracle_verify_descent(cat, routed)
     assert report == want
     assert list(report.steps) == list(want.steps) == facets
-
-
-@pytest.mark.parametrize("name", FINITE_FIXTURES)
-def test_a_lone_descent_path_lists_no_facets(name):
-    # a walk from the top facet of a fresh catalog: no facet list is built
-    cat = positive_roots(fixture(name))
-    top = as_facet(cat, bongartz(cat, ()))
-    path = descent_path(cat, top)
-    assert path[-1] == zero_facet(cat) and len(path) > 1
-    assert "cluster_complex" not in vars(cat)
+    for f, walk in walks.items():
+        assert report.path(f) == list(walk)
 
 
 def _outcome(moves, catalog):
@@ -392,7 +390,8 @@ def test_member_moves_match_the_public_completions():
 
 def test_a_corrupt_descent_move_fails_verify(monkeypatch, capsys):
     # point the move that the top facet takes back at the top facet: its walk
-    # cannot drop the vector there, and `verify` reports where it stalls
+    # cannot drop the vector there, `verify` reports where it stalls, and
+    # `descent` fails with a walk that ends there
     cat = positive_roots(fixture("d4"))
     facets = enumerate_support_tilting(cat)
     victim = max(facets, key=lambda f: oracle_lambda_vector(cat.algebra.n, cat.mu_squares, f))
@@ -405,6 +404,9 @@ def test_a_corrupt_descent_move_fails_verify(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "descent ✗" in captured.out and "endos ✓" in captured.out
     assert captured.err == f"witness: descent {face_label(cat, victim)}\n"
+    assert main(["descent", "--fixture", "d4"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert failed and failed[0].split()[-1] == face_label(cat, report.stalled[0])
 
 
 def test_total_order_examples():

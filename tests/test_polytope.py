@@ -481,17 +481,6 @@ def test_split_links_match_full_floods_on_the_kernel_mutants():
     assert witnesses == {("b3", 4, 5): (7,), ("c3", 3, 4): (6,), ("d4", 6, 7): (10,)}
 
 
-def test_widest_up_matches_its_oracle():
-    # the scan's widest link per level, on every finite fixture and every
-    # kernel mutant, against the sweep's up masks
-    complexes = [build(name) for name in FINITE_FIXTURES]
-    complexes += [build_complex(cat) for _, _, _, cat in _kernel_mutants()]
-    assert len(complexes) == len(FINITE_FIXTURES) + 153
-    for cx in complexes:
-        faces = oracle_faces(cx.catalog)
-        assert cx.scan.widest == oracle_widest_up(faces, oracle_up(faces))
-
-
 def test_floods_scan_no_level_below_its_floor(monkeypatch):
     # linear A6: a face whose level's widest link is below its floor is
     # never flooded, and every other level floods; each flood's spare, one
@@ -501,7 +490,8 @@ def test_floods_scan_no_level_below_its_floor(monkeypatch):
     monkeypatch.setattr(polytope, "_unreached", lambda links, within, spare=0: (
         spares.append(spare), _unreached(links, within, spare))[1])
     cx = build_complex(cat)
-    floor, widest = _flood_floor(cx.scan.least, n), cx.scan.widest
+    faces = oracle_faces(cat)
+    floor, widest = _flood_floor(cx.scan.least, n), oracle_widest_up(faces, oracle_up(faces))
     skipped = [k for k, need in enumerate(floor) if widest[k] < need]
     assert skipped == [0, 3, 4]
     assert verify_flag_connected(cx).ok
