@@ -14,7 +14,6 @@ from .fixtures import FINITE_FIXTURES, RANK2_INFINITE_FIXTURES, fixture, fixture
 from .homext import (
     hom_ext,
     is_rigid,
-    support,
 )
 from .measure import (
     descent_step,

@@ -43,7 +43,7 @@ class NotRankTwoInfinite(ClusterComplexError):
 
 
 class SearchLimitExceeded(ClusterComplexError):
-    """Reflection closure produced more vectors than the safety bound."""
+    """A root search or a rank-2 window went past its safety bound."""
 
 
 class MixedCatalogs(ClusterComplexError):

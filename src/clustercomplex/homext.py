@@ -304,10 +304,3 @@ def is_rigid(catalog: RootCatalog, ids: Iterable[int]) -> bool:
     members = validate_ids(catalog, ids)
     return catalog.kernel.rigid(mask_of(members), members)
 
-
-def support(catalog: RootCatalog, ids: Iterable[int]) -> tuple[frozenset[int], frozenset[int]]:
-    """(supported vertices, complementary vertices) of a set of members."""
-    members = validate_ids(catalog, ids)
-    supp = frozenset(ids_of(catalog.kernel.support_of(members)))
-    sigma = frozenset(range(catalog.algebra.n)) - supp
-    return supp, sigma

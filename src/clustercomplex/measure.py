@@ -69,10 +69,11 @@ from .errors import (
     NotRepresentationInfinite,
     NotSymmetrizable,
     OracleViolation,
+    SearchLimitExceeded,
     ZeroModule,
 )
 from .homext import ids_of
-from .roots import FINITE, Indec, RootCatalog, shift_families
+from .roots import FINITE, T_MAX_LIMIT, Indec, RootCatalog, shift_families
 from .tilting import (
     bongartz,
     canonical_completion,
@@ -256,7 +257,8 @@ def verify_total_order(r: int, s: int, u: int, v: int, t_max: int = 30,
     on the forward family of `shift_families` (seeded with (0,1) and (1,s)),
     and the mirrored chain on its backward family (seeded with (1,0) and
     (r,1)); all comparisons are by squares.  The weights default to (u, v);
-    an empty list is a ValueError.
+    an empty list is a ValueError.  A t_max above T_MAX_LIMIT raises
+    SearchLimitExceeded before any chain is built.
     """
     if r < 0 or s < 0 or u < 1 or v < 1:
         raise ValueError("need r, s >= 0 and u, v >= 1")
@@ -270,6 +272,8 @@ def verify_total_order(r: int, s: int, u: int, v: int, t_max: int = 30,
     if any(w1 < 1 or w2 < 1 for w1, w2 in weight_list):
         raise ValueError("weights must be positive")
 
+    if t_max > T_MAX_LIMIT:
+        raise SearchLimitExceeded(f"t_max {t_max} is above the limit {T_MAX_LIMIT}")
     steps = 2 * (t_max + 2)
     forward, backward = shift_families(r, s, steps)
     if len(forward) < steps or len(backward) < steps:

@@ -6,8 +6,9 @@ The poset order is containment (`a & b == a`), with one sentinel top face
 above all facets; the sentinel is never materialized as a mask.  Ranks: a
 face with v vertices has rank v - 1, the top has rank n.  The faces are the
 pairs of the rigid-set walk, as they come, so a wrong pair shows up as a
-failed axiom.  The facets are the faces with n vertices, kept in the order
-of their ascending vertex tuples.
+failed axiom.  The facets are the faces with n vertices, listed by
+ascending vertex tuple: the walk yields them in that order, once they are
+filed by vertex part (the order lemma of `walk_complex`), so none is sorted.
 
 Axioms checked here, for a poset with bottom and top:
   AP1  unique minimal and maximal face,
@@ -200,6 +201,20 @@ def walk_complex(catalog: RootCatalog, least: Mapping[int, int] | None = None) -
     through the lifts.  (T, free) is the one face of T that can be maximal,
     and it is short when it has not n vertices and an empty up.
 
+    Each facet is filed under its vertex part sigma, and the files are
+    joined in the order of ids_of(sigma) + (n,); that lists the facets by
+    ascending vertex tuple, with no sort.  Order lemma: the walk yields the
+    rigid sets in lexicographic order of their id tuples (a child adds only
+    ids above its parent's), and a facet's vertex tuple is sigma followed
+    by its members at n + id, above every vertex; so within one file the
+    walk order is the vertex-tuple order.  Two facets of different files
+    first differ inside both sigmas, where their keys differ alike, unless
+    one sigma is a proper prefix of the other.  Then the facet with the
+    shorter one has n - |sigma| > 0 members, so a member stands where the
+    longer sigma has its next vertex, and the longer comes first, as its
+    key does, the n that ends the shorter key being above every vertex.
+    Nothing here reads the kernel, so the order holds for any kernel.
+
     `least` gives the flood floors (`_flood_floor`); None takes them from
     the faces whose up is known before the loop: the faces of the empty
     rigid set, the sets of coordinate vertices, and the one-vertex faces.
@@ -231,7 +246,8 @@ def walk_complex(catalog: RootCatalog, least: Mapping[int, int] | None = None) -
     code = next(c for c in "BHLQ" if width < 1 << 8 * array(c).itemsize)
     # a wrong kernel can pair up to n members with n - 1 free vertices
     counts = [array(code) for _ in range(2 * n + 1)]
-    facets, thick, short, split = [], [], [], []
+    files = [[] for _ in range(1 << n)]  # the facets, by vertex part sigma
+    thick, short, split = [], [], []
     ridge = n - 1
     for size, top, reach in tilting.iter_rigid_sets(catalog):
         sigma = free = reach & everything
@@ -248,7 +264,7 @@ def walk_complex(catalog: RootCatalog, least: Mapping[int, int] | None = None) -
                 if b != 2:
                     thick.append(top | sigma)
             elif k == n:
-                facets.append(top | sigma)
+                files[sigma].append(top | sigma)
             if not sigma:
                 break
             sigma = (sigma - 1) & free
@@ -259,7 +275,8 @@ def walk_complex(catalog: RootCatalog, least: Mapping[int, int] | None = None) -
     faces = array(code)
     for level in counts:
         faces += level
-    facets = tuple(tilting.sort_facets(facets))
+    facets = tuple(face for sigma in sorted(range(1 << n), key=lambda s: ids_of(s) + (n,))
+                   for face in files[sigma])
     thick.sort(key=_face_key)
     scan = AxiomReport(ap1=bool(facets),  # the walk starts at the empty face
                        ap2=not short,

@@ -42,6 +42,9 @@ PREPROJ = "preproj"
 PREINJ = "preinj"
 
 ROOT_LIMIT = 10 ** 6
+# the largest t_max of a rank-2 window or a total-order check: a window's
+# ext masks take N^2 bits for its N = 4 t_max + 4 members
+T_MAX_LIMIT = 4000
 
 
 @dataclass(frozen=True)
@@ -292,13 +295,16 @@ def rank2_sequences(algebra: AlgebraData, t_max: int) -> RootCatalog:
     until it leaves the positive cone.  It holds distinct positive roots, at
     most G2's six, so it is cut at 6 terms, a bound of its own.  In the
     infinite case the families stay disjoint, each is cut at 2(t_max + 1)
-    terms and each term is tagged with its family.
+    terms and each term is tagged with its family; a t_max above
+    T_MAX_LIMIT raises SearchLimitExceeded before anything is built.
     """
     if algebra.n != 2:
         raise NotRankTwo("rank2_sequences requires exactly two vertices")
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
     kind = classify_type(algebra)
+    if kind != FINITE and t_max > T_MAX_LIMIT:
+        raise SearchLimitExceeded(f"t_max {t_max} is above the limit {T_MAX_LIMIT}")
     src, snk = rank2_roles(algebra)
     r = -algebra.cartan[src][snk]
     s = -algebra.cartan[snk][src]

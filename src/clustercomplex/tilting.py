@@ -9,16 +9,17 @@ rigid set's masks, keeping no face.  A rigid id set is support-tilting
 when it has as many members as supported vertices; it is then a basis of
 the lattice restricted to its support, and with all its unsupported
 vertices it is a face with n vertices, a facet.  Facets are int faces like
-the others, kept in the order of their ascending vertex tuples
-(`sort_facets`); `decode_face` splits one into member ids and unsupported
-vertices.  The canonical completion of a rigid set T inside a vertex
-window W is read off directly (K. Bongartz, "Tilted algebras", LNM 903,
-1981): it is the set G of members B outside T, compatible with T, with
-ext(B, M) = 0 for every in-window M that is ext-orthogonal to T.  The
-mirror test (swap the pairing order) gives the dual completion.  That G
-completes T is checked, not assumed: |T| + |G| must equal |W|.  One
-mask-level rule, `canonical_completion`, reads G off for `bongartz`,
-`dual_bongartz` and the descent moves of `measure`.
+the others, kept in the order of their ascending vertex tuples, which is
+the walk's own once they are filed by vertex part (`walk_complex`);
+`decode_face` splits one into member ids and unsupported vertices.  The
+canonical completion of a rigid set T inside a vertex window W is read off
+directly (K. Bongartz, "Tilted algebras", LNM 903, 1981): it is the set G
+of members B outside T, compatible with T, with ext(B, M) = 0 for every
+in-window M that is ext-orthogonal to T.  The mirror test (swap the
+pairing order) gives the dual completion.  That G completes T is
+checked, not assumed: |T| + |G| must equal |W|.  One mask-level rule,
+`canonical_completion`, reads G off for `bongartz`, `dual_bongartz` and
+the descent moves of `measure`.
 
 The walk: the rigid sets are the cliques of compat with at most n members.
 One explicit stack holds a frame per open clique T, in face coordinates:
@@ -129,35 +130,6 @@ def iter_rigid_sets(catalog: RootCatalog) -> Iterator[tuple[int, int, int]]:
         else:
             reach &= step[i] & everything
             left = 0
-
-
-def _reversed_bytes() -> bytes:
-    """Byte b maps to b with its eight bits in reverse order: reversing b
-    is reversing b >> 1, shifted down one place, with b's low bit on top."""
-    rev = [0] * 256
-    for b in range(1, 256):
-        rev[b] = rev[b >> 1] >> 1 | (b & 1) << 7
-    return bytes(rev)
-
-
-REV8 = _reversed_bytes()
-
-
-def sort_facets(facets: Iterable[int]) -> list[int]:
-    """Faces that all have the same number of vertices, by ascending vertex
-    tuple.
-
-    Among masks with equal popcount, ascending vertex tuples are descending
-    bit reversals: at the first vertex where two tuples differ, the smaller
-    one has a lower bit that the other lacks, above the bits they share once
-    reversed.  Each mask is reversed over one common byte width, byte by
-    byte through REV8, so the per-byte work is done in C.
-    """
-    facets = list(facets)
-    width = (max(facets, default=0).bit_length() + 7) // 8
-    facets.sort(key=lambda face: int.from_bytes(face.to_bytes(width, "little").translate(REV8),
-                                                 "big"), reverse=True)
-    return facets
 
 
 def enumerate_support_tilting(catalog: RootCatalog) -> list[int]:

@@ -20,7 +20,8 @@ Leibniz expansions, rank and solves are a Gauss-Jordan elimination over
 `Fraction`s, endomorphism multisets are compared sorted, and rigid
 combinations with equal total dimension vectors are found by expanding every
 multiplicity.  Rigid sets are grown one root at a time, which finds every
-one since rigidity is pairwise.  The package stores a face as the int
+one since rigidity is pairwise, and a member set's support is read off
+its dimension vectors (`support`).  The package stores a face as the int
 bitmask of its vertices; `vertex_sets` turns such faces into the frozensets
 these oracles read, `downward_closure` gives the faces that a list of
 such facets spans, and `oracle_faces` the faces of a catalog, each set of
@@ -48,7 +49,7 @@ from clustercomplex.homext import ids_of
 from clustercomplex.measure import DescentReport, lambda_key
 from clustercomplex.polytope import AxiomReport, ClusterComplex
 from clustercomplex.roots import simple_reflection
-from clustercomplex.tilting import bongartz, dual_bongartz, sort_facets
+from clustercomplex.tilting import bongartz, dual_bongartz
 
 # Positive roots in simple-root coordinates, straight from the tables.
 KNOWN_ROOTS = {
@@ -151,7 +152,7 @@ def complex_of(catalog, faces):
     up = oracle_up(faces)
     n = catalog.algebra.n
     width = max([n + len(catalog)] + [face.bit_length() for face in faces])
-    facets = tuple(sort_facets(face for face in faces if face.bit_count() == n))
+    facets = tuple(sorted((face for face in faces if face.bit_count() == n), key=ids_of))
     bad, lost = oracle_bad_ridges(faces, up, n), oracle_lost(faces, up)
     short = oracle_short_face(faces, up, n)
     scan = AxiomReport(ap1=0 in faces and bool(facets), ap2=short is None,
@@ -304,6 +305,14 @@ def oracle_root_closure(algebra):
 
 def oracle_support(dimvs, n):
     return {v for d in dimvs for v in range(n) if d[v] > 0}
+
+
+def support(catalog, ids):
+    """(supported vertices, complementary vertices) of the members `ids`,
+    read off their dimension vectors."""
+    n = catalog.algebra.n
+    supp = frozenset(oracle_support([catalog.entries[i].dimv for i in ids], n))
+    return supp, frozenset(range(n)) - supp
 
 
 def oracle_facets(euler, roots):

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,17 @@ def test_search_limit_is_out_of_range(monkeypatch, capsys):
     assert roots.rank2_sequences(fixture("g2"), 10).dimvs() == [
         (0, 1), (1, 3), (1, 2), (2, 3), (1, 1), (1, 0)]
     assert run(capsys, "g2-demo") == demo
+    # a rank-2 window or total-order chains at t_max above its limit would
+    # take seconds and hundreds of MB; the bound stops them before anything
+    # is built
+    over = roots.T_MAX_LIMIT + 1
+    for argv in (("verify", "--fixture", "kronecker"),
+                 ("total-order", "--r", "5", "--s", "1", "--u", "1", "--v", "5")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--t-max", str(over))
+        assert time.perf_counter() - start < 0.5
+        assert code == 4 and out == ""
+        assert err == f"error: t_max {over} is above the limit {roots.T_MAX_LIMIT}\n"
 
 
 def test_failed_checks_print_witnesses(monkeypatch, capsys):

@@ -11,12 +11,11 @@ from clustercomplex import (
     is_rigid,
     positive_roots,
     rank2_sequences,
-    support,
 )
 from clustercomplex.errors import MixedCatalogs, UnknownId
 from clustercomplex.homext import ids_of
 
-from oracles import oracle_cliques, oracle_ext, oracle_rank, oracle_rigid_dimv_collisions
+from oracles import oracle_cliques, oracle_ext, oracle_rank, oracle_rigid_dimv_collisions, support
 
 
 def g2_catalog():

@@ -197,8 +197,7 @@ def test_tracer_boundaries_name_cli_attributes():
 
 def test_public_functions_are_reached(tmp_path):
     # every public module-level function of `src/` is reached by the CLI or
-    # by the library calls that `completion-queries` makes, except `support`,
-    # which tests use as a helper
+    # by the library calls that `completion-queries` makes
     path = tmp_path / "b2.json"
     path.write_text(json.dumps(algebra_to_dict(fixture("b2"))), encoding="utf-8")
     called = set()
@@ -234,4 +233,4 @@ def test_public_functions_are_reached(tmp_path):
         unreached += [name for name, value in vars(module).items()
                       if inspect.isfunction(value) and value.__module__ == module.__name__
                       and not name.startswith("_") and value.__code__ not in called]
-    assert sorted(unreached) == ["support"]
+    assert unreached == []

@@ -17,7 +17,6 @@ from clustercomplex import (
     positive_roots,
     rank2_sequences,
     rank2_window_complex,
-    support,
     verify_ap_axioms,
     verify_flag_connected,
 )
@@ -31,7 +30,7 @@ from clustercomplex.polytope import (
     is_path,
 )
 from clustercomplex.roots import RootCatalog
-from clustercomplex.tilting import iter_rigid_sets, sort_facets
+from clustercomplex.tilting import iter_rigid_sets
 from oracles import (
     as_facet,
     complex_of,
@@ -49,6 +48,7 @@ from oracles import (
     oracle_support,
     oracle_up,
     oracle_widest_up,
+    support,
     vertex_sets,
 )
 from test_scale import DYNKIN, _algebra, _orientations
@@ -568,7 +568,7 @@ def test_the_facets_command_lists_the_facets_verify_counts():
         n = cat.algebra.n
         listed = enumerate_support_tilting(cat)
         assert listed == list(build_complex(cat).facets)
-        assert listed == sort_facets(f for f in oracle_faces(cat) if f.bit_count() == n)
+        assert listed == sorted((f for f in oracle_faces(cat) if f.bit_count() == n), key=ids_of)
         counts[name, i, j] = len(listed)
     assert len(counts) == 153 and counts["a3", 0, 1] == 17
 

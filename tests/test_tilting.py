@@ -3,8 +3,6 @@ from functools import reduce
 from operator import or_
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from clustercomplex import (
     FINITE_FIXTURES,
@@ -20,12 +18,11 @@ from clustercomplex import (
     is_rigid,
     positive_roots,
     rank2_sequences,
-    support,
 )
 from clustercomplex import tilting
 from clustercomplex.errors import NoCompletion, NotAlmostComplete, NotFiniteType
 from clustercomplex.fixtures import RANK2_INFINITE_FIXTURES
-from clustercomplex.homext import ExtKernel, ids_of, mask_of
+from clustercomplex.homext import ExtKernel, ids_of
 from clustercomplex.roots import RootCatalog
 
 from oracles import (
@@ -39,6 +36,7 @@ from oracles import (
     oracle_matchings,
     oracle_rigid_sets,
     oracle_support,
+    support,
 )
 
 
@@ -63,21 +61,6 @@ def matchings(cat, ids, bases, dual=False):
     part = [cat.entries[i].dimv for i in sorted(split(cat, ids, dual)[1])]
     sigma = sorted(support(cat, ids)[1])
     return oracle_matchings(bases, [cat.entries[i].dimv for i in ids], part, sigma)
-
-
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(width=st.integers(1, 1000), size=st.integers(0, 1000), count=st.integers(0, 30),
-       seed=st.integers(0, 2**32))
-def test_facet_order_is_the_vertex_tuple_order(width, size, count, seed):
-    # the bit-reversal key orders equal-popcount masks of any width by
-    # ascending vertex tuple
-    size, rng = min(size, width), random.Random(seed)
-    faces = {mask_of(rng.sample(range(width), size)) for _ in range(count)}
-    assert tilting.sort_facets(faces) == sorted(faces, key=ids_of)
-
-
-def test_rev8_reverses_each_byte():
-    assert [tilting.REV8[b] for b in range(256)] == [int(f"{b:08b}"[::-1], 2) for b in range(256)]
 
 
 @pytest.mark.parametrize("name", RANK2_INFINITE_FIXTURES)
