@@ -30,22 +30,25 @@ keys' runs of -1, before it builds a key.  Ranks are >= 0.  If g has more
 unsupported vertices, g has a -1 where f has a rank, so the key drops,
 unless f has no members and its key is a proper prefix of g's.  If g has
 fewer, the key rises, unless g has no members and its key is a proper
-prefix of f's.  Only on a tie are the keys compared: the keys of the descent
-moves and the zero facet come from one table per `verify_descent` call,
-and any other facet's key is computed.  The rule holds for facets of any
-size, as a patched step may return.  It is stated once, over lists of
-steps (`_drops`), counts and member tests in C.
+prefix of f's.  Only on a tie are the two keys built and compared.  The
+rule holds for facets of any size, as a patched step may return.  It is
+stated once, for one step (`_drops`).
 
-The descent is walked once, by `verify_descent`: its report keeps the
-step map `after`, each walked facet to the facet its step moves it to
-where that step drops the key, and `DescentReport.path` follows it, so the
-`descent` command prints the walks that the check decided on.  A step
-target off the facet list, which only a patched step or a wrong kernel
-gives, takes its own step the same way, through `_drops`.
+The descent is one memo walk, by `verify_descent`: from each facet not yet
+walked it steps until a step fails to drop the key or reaches a walked
+facet, so each walked facet takes one `descent_step`, and every facet on
+the path gets the length of its walk.  A walk ends at the zero facet or at
+a stall, a facet whose step does not drop; so the descent holds exactly
+when no walked facet stalls (the no-stall lemma), and no walk's end is
+kept.  The report keeps the step map `after`, each walked facet to the
+facet its step moves it to where that step drops the key, and
+`DescentReport.path` follows it, so the `descent` command prints the walks
+that the check decided on.  A step target off the facet list, which only a
+patched step or a wrong kernel gives, is walked the same way.
 
-`verify_descent` and `verify_endos_all` do their per-facet work in passes
-over the whole facet list (`map`, `filterfalse`, `compress`), with one
-Python call per facet to `descent_step` or `verify_endos`.
+`verify_endos_all` does its per-facet work in one pass over the whole
+facet list (`filterfalse`), with one Python call per facet to
+`verify_endos`.
 
 The endomorphism check asks that a facet's member endo lengths and
 unsupported symmetrizer entries form the symmetrizer multiset.  It counts
@@ -58,9 +61,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import compress, filterfalse
-from operator import eq, getitem, gt, itemgetter, mul, not_
-from typing import Iterable, Sequence
+from itertools import filterfalse
+from typing import Iterable
 
 from .errors import (
     Disconnected,
@@ -137,27 +139,17 @@ def descent_step(catalog: RootCatalog, facet: int) -> int:
     return catalog.descent_moves[chosen]
 
 
-def _drops(catalog: RootCatalog, nexts: Sequence[int], facets: Sequence[int],
-           keys: dict[int, tuple[int, ...]]) -> list[bool]:
-    """For each pair, lambda_key(nexts[i]) < lambda_key(facets[i]), by the
-    drop rule of the module docstring, over the whole lists: the counts of
-    unsupported vertices are taken in C, and a pair whose counts differ is
-    decided by the member bits of one side, also in C.  Only a pair whose
-    counts tie has its keys compared, each read from `keys` or computed
-    when absent."""
-    n = catalog.algebra.n
-    low = (1 << n) - 1
-    ahead = list(map(int.bit_count, map(low.__and__, nexts)))
-    behind = list(map(int.bit_count, map(low.__and__, facets)))
-    # more unsupported vertices ahead: the key drops when the facet has a
-    # member; fewer: only when the next facet has none
-    drops = list(map(getitem, zip(map(low.__ge__, nexts), map(low.__lt__, facets)),
-                     map(gt, ahead, behind)))
-    for i in compress(range(len(drops)), map(eq, ahead, behind)):
-        nxt, facet = nexts[i], facets[i]
-        drops[i] = ((keys.get(nxt) or lambda_key(catalog, nxt))
-                    < (keys.get(facet) or lambda_key(catalog, facet)))
-    return drops
+def _drops(catalog: RootCatalog, nxt: int, facet: int) -> bool:
+    """lambda_key(nxt) < lambda_key(facet), by the drop rule of the module
+    docstring: the counts of unsupported vertices decide, and only when
+    they tie are the keys built and compared."""
+    low = (1 << catalog.algebra.n) - 1
+    ahead, behind = (nxt & low).bit_count(), (facet & low).bit_count()
+    if ahead != behind:
+        # more unsupported vertices ahead: the key drops when the facet has
+        # a member; fewer: only when the next facet has none
+        return facet > low if ahead > behind else nxt <= low
+    return lambda_key(catalog, nxt) < lambda_key(catalog, facet)
 
 
 @dataclass
@@ -186,57 +178,36 @@ def verify_descent(catalog: RootCatalog) -> DescentReport:
     """Iterate descent from every facet; the vector must drop each step and
     the zero facet must be reached.
 
-    A step that fails to drop the lambda key stops its walk there, so a
-    walk never revisits a facet and takes fewer than len(facets) steps; no
-    step bound is needed.  The work goes in whole-list passes: every facet
-    but the zero facet takes one `descent_step` and the drop rule decides
-    all of those steps at once (`_drops`).  Off-list rule: a target outside
-    the facet list, which only a patched step or a wrong kernel gives,
-    takes its step in the same form, one layer of such targets at a time.
-    Walks share their tails, and every walk of more than one step runs
-    through a step target, so only the targets are walked, each (steps,
-    end) recorded once.  A facet whose step drops then has one step more
-    than its target and the same end, and any other facet ends where it
-    is.  `steps[f]` is the length of `path(f)` less one.
+    The memo walk of the module docstring.  A step that does not drop
+    stops its walk there, so a walk never revisits a facet and no step
+    bound is needed.  By the no-stall lemma the descent holds exactly when
+    every walked facet but the zero facet has its step in `after`.
+    `steps[f]` is the length of `path(f)` less one.
     """
     facets = enumerate_support_tilting(catalog)
     zero = zero_facet(catalog)
-    step = partial(descent_step, catalog)
-    # the keys of the facets an unpatched step can reach
-    keys = {f: lambda_key(catalog, f) for f in (*catalog.descent_moves, zero)}
-    movers = list(filter(zero.__ne__, facets))
-    targets = list(map(step, movers))
-    drops = _drops(catalog, targets, movers, keys)
-    steps = dict.fromkeys(facets, 0)
-    after = dict(compress(zip(movers, targets), drops))  # the steps that drop
-    fresh = list(filterfalse(steps.__contains__, dict.fromkeys(after.values())))
-    seen = set(fresh)  # the walked facets off the list
-    while fresh:
-        nexts = list(map(step, fresh))
-        moved = dict(compress(zip(fresh, nexts), _drops(catalog, nexts, fresh, keys)))
-        after.update(moved)
-        fresh = [t for t in dict.fromkeys(moved.values()) if t not in steps and t not in seen]
-        seen.update(fresh)
-    walks: dict[int, tuple[int, int]] = {}
-    for start in dict.fromkeys(targets):
-        path = [start]
-        while path[-1] not in walks:
-            facet = path[-1]
-            if (nxt := after.get(facet)) is None:
-                walks[facet] = (0, facet)
+    after: dict[int, int] = {}
+    lengths = {zero: 0}  # each walked facet's number of steps
+    for start in facets:
+        facet, path = start, []  # the path's facets that step
+        while facet not in lengths:
+            nxt = descent_step(catalog, facet)
+            if _drops(catalog, nxt, facet):
+                after[facet] = nxt
+                path.append(facet)
+                facet = nxt
             else:
-                path.append(nxt)
-        count, end = walks[path.pop()]
+                lengths[facet] = 0
+        count = lengths[facet]
         for facet in reversed(path):
             count += 1
-            walks[facet] = (count, end)
-    counts = map(itemgetter(0), map(walks.__getitem__, targets))
-    steps.update(zip(movers, map(mul, map((1).__add__, counts), drops)))
-    stalled = list(compress(movers, map(not_, drops)))
-    # a facet that does not stall ends where the walk of its target ends
-    ok = not stalled and all(end == zero for _, end in walks.values())
+            lengths[facet] = count
+    steps = dict(zip(facets, map(lengths.__getitem__, facets)))
+    ok = len(after) == len(lengths) - 1
     return DescentReport(ok=ok, steps=steps, max_steps=max(steps.values(), default=0),
-                         stalled=stalled, after=after)
+                         stalled=[] if ok else [f for f in facets
+                                                if f != zero and f not in after],
+                         after=after)
 
 
 @dataclass
@@ -257,8 +228,8 @@ def verify_total_order(r: int, s: int, u: int, v: int, t_max: int = 30,
     on the forward family of `shift_families` (seeded with (0,1) and (1,s)),
     and the mirrored chain on its backward family (seeded with (1,0) and
     (r,1)); all comparisons are by squares.  The weights default to (u, v);
-    an empty list is a ValueError.  A t_max above T_MAX_LIMIT raises
-    SearchLimitExceeded before any chain is built.
+    an empty list is a ValueError, and so is a negative t_max.  A t_max
+    above T_MAX_LIMIT raises SearchLimitExceeded before any chain is built.
     """
     if r < 0 or s < 0 or u < 1 or v < 1:
         raise ValueError("need r, s >= 0 and u, v >= 1")
@@ -272,6 +243,8 @@ def verify_total_order(r: int, s: int, u: int, v: int, t_max: int = 30,
     if any(w1 < 1 or w2 < 1 for w1, w2 in weight_list):
         raise ValueError("weights must be positive")
 
+    if t_max < 0:
+        raise ValueError("t_max must be non-negative")
     if t_max > T_MAX_LIMIT:
         raise SearchLimitExceeded(f"t_max {t_max} is above the limit {T_MAX_LIMIT}")
     steps = 2 * (t_max + 2)

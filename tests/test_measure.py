@@ -285,19 +285,17 @@ def _any_facet(rng, cat, size, members):
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(name=st.sampled_from(FINITE_FIXTURES), seed=st.integers(0, 2**32),
        sizes=st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
-       members=st.tuples(st.integers(0, 4), st.integers(0, 4)),
-       table=st.booleans())
-def test_the_drop_rule_is_the_key_comparison(name, seed, sizes, members, table):
+       members=st.tuples(st.integers(0, 4), st.integers(0, 4)))
+def test_the_drop_rule_is_the_key_comparison(name, seed, sizes, members):
     # facets of n - 1 to n + 1 vertices, memberless or not, and the moves
-    # and zero facet the table holds: the rule decides as the keys compare
+    # and the zero facet: the rule decides each pair as the keys compare
     cat, rng = positive_roots(fixture(name)), random.Random(seed)
     n, zero = cat.algebra.n, zero_facet(cat)
     known = (*cat.descent_moves, zero)
-    keys = {f: lambda_key(cat, f) for f in known} if table else {}
     g, f = (rng.choice(known) if rng.random() < 0.25
             else _any_facet(rng, cat, n + size, min(count, n + size, len(cat)))
             for size, count in zip(sizes, members))
-    assert _drops(cat, [g], [f], keys) == [lambda_key(cat, g) < lambda_key(cat, f)]
+    assert _drops(cat, g, f) == (lambda_key(cat, g) < lambda_key(cat, f))
 
 
 def test_a_step_to_higher_ranks_stalls_there(monkeypatch):
@@ -330,16 +328,12 @@ def _fixture_catalog(name):
     return positive_roots(fixture(name))
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
-@given(name=st.sampled_from(FINITE_FIXTURES), seed=st.integers(0, 2**32),
-       moved=st.integers(0, 12), off_list=st.integers(0, 3))
-def test_verify_descent_is_the_memo_walk(name, seed, moved, off_list):
-    # a random step map patched in: `moved` facets step to a random facet
-    # or to one of `off_list` masks outside the facet list, which take the
-    # unpatched step; the report is the memo walk's in every field, the
-    # order of `steps` included, and its walk from every facet the memo
-    # walk reaches is the memo walk's
-    cat, rng = _fixture_catalog(name), random.Random(seed)
+def _check_memo_walk(cat, rng, moved, off_list):
+    """Patch in a random step map: `moved` facets step to a random facet or
+    to one of `off_list` masks outside the facet list, which take the
+    unpatched step.  The report is the memo walk's in every field, the
+    order of `steps` included, and its walk from every facet the memo walk
+    reaches is the memo walk's."""
     n, facets = cat.algebra.n, list(cat.facets)
     pool = list(facets)
     for _ in range(off_list):
@@ -359,6 +353,44 @@ def test_verify_descent_is_the_memo_walk(name, seed, moved, off_list):
     assert list(report.steps) == list(want.steps) == facets
     for f, walk in walks.items():
         assert report.path(f) == list(walk)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(FINITE_FIXTURES), seed=st.integers(0, 2**32),
+       moved=st.integers(0, 12), off_list=st.integers(0, 3))
+def test_verify_descent_is_the_memo_walk(name, seed, moved, off_list):
+    _check_memo_walk(_fixture_catalog(name), random.Random(seed), moved, off_list)
+
+
+@pytest.mark.parametrize("name", ["B6", "E6"])
+def test_verify_descent_is_the_memo_walk_at_benchmark_size(name):
+    # catalogs of the benchmark's size (B6 has 924 facets and members of
+    # equal measure), unpatched and with a few patched routes
+    cat = positive_roots(_drawn_b6(5) if name == "B6"
+                         else _algebra(name, _orientations(name, 1)[0]))
+    if name == "B6":
+        assert len(cat.facets) == 924 and len(set(cat.mu_ranks)) < len(cat)
+    rng = random.Random(name)
+    for moved, off_list in ((0, 0), (4, 0), (8, 2), (16, 3)):
+        _check_memo_walk(cat, rng, moved, off_list)
+
+
+@pytest.mark.parametrize("name", FINITE_FIXTURES)
+def test_each_nonzero_facet_takes_one_step(monkeypatch, name):
+    # the walks share their tails: an unpatched check steps from each
+    # facet but the zero facet exactly once, and walks nothing twice
+    cat = positive_roots(fixture(name))
+    calls = Counter()
+    step = measure.descent_step
+
+    def counted(catalog, facet):
+        calls[facet] += 1
+        return step(catalog, facet)
+
+    monkeypatch.setattr(measure, "descent_step", counted)
+    assert verify_descent(cat).ok
+    assert sum(calls.values()) == len(cat.facets) - 1
+    assert set(calls) == set(cat.facets) - {zero_facet(cat)}
 
 
 def _outcome(moves, catalog):
@@ -422,6 +454,18 @@ def test_total_order_examples():
         verify_total_order(2, 2, 1, 1, weights=[(0, 1)])
     with pytest.raises(ValueError, match="weights must not be empty"):
         verify_total_order(2, 2, 1, 1, weights=[])
+
+
+def test_a_negative_t_max_is_refused_before_any_chain(monkeypatch):
+    # a negative t_max would check nothing and pass: it is a ValueError, as
+    # in `rank2_sequences`, raised before a chain is asked for
+    monkeypatch.setattr(measure, "shift_families",
+                        lambda *args: pytest.fail("a chain was built"))
+    for t_max in (-1, -3):
+        with pytest.raises(ValueError, match="t_max must be non-negative"):
+            verify_total_order(5, 1, 1, 5, t_max=t_max)
+        with pytest.raises(ValueError, match="t_max must be non-negative"):
+            rank2_sequences(fixture("kronecker"), t_max)
 
 
 def _perturb_chain(monkeypatch, family):
